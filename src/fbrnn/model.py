@@ -662,6 +662,7 @@ def assemble_model(
         for b in (Branch.LEFT, Branch.NUGGET, Branch.RIGHT)
     }
     head = Head.build(cfg, labels, store, rng)
+    store.pack()
     return NuggetModel(cfg, labels, store, embedder, encoders, head)
 
 

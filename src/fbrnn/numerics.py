@@ -1,7 +1,8 @@
 """Dense float64 numeric kernel.
 
 Everything the encoders and classifier need that is not model specific:
-named parameter tensors with paired gradient buffers, stable activations,
+named parameter tensors packed into one flat value array and one flat
+gradient array, stable activations,
 scaled-uniform initialization, inverted dropout, SGD/Adam updates with
 global-norm clipping, a portable deterministic RNG and a central-difference
 gradient checker.
@@ -32,10 +33,10 @@ __all__ = [
     "matvec",
     "init_uniform_scaled",
     "dropout_mask",
-    "OptimizerState",
     "sgd_step",
     "adam_step",
     "clip_gradients",
+    "check_optimizer_hyperparameters",
     "Optimizer",
     "GradCheckReport",
     "grad_check",
@@ -140,7 +141,11 @@ class Rng:
 
 
 class ParamTensor:
-    """Named float64 array with a same-shaped gradient buffer."""
+    """Named float64 array with a same-shaped gradient buffer.
+
+    Once the owning ParamStore is packed, `values` and `grad` are views into
+    the store's flat arrays.
+    """
 
     __slots__ = ("name", "values", "grad")
 
@@ -150,7 +155,7 @@ class ParamTensor:
             raise ConfigurationError(f"tensor {name!r} has no elements")
         self.name = name
         self.values = arr
-        self.grad = np.zeros_like(arr)
+        self.grad = np.zeros(arr.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -159,9 +164,6 @@ class ParamTensor:
     @property
     def size(self) -> int:
         return int(self.values.size)
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
 
     def check_finite(self) -> None:
         if not np.isfinite(self.values).all():
@@ -174,23 +176,70 @@ class ParamTensor:
 
 
 class ParamStore:
-    """Ordered collection of named ParamTensors; one writer at a time."""
+    """Ordered collection of named ParamTensors; one writer at a time.
+
+    The store packs its tensors once into one contiguous `values` array and
+    one `grad` array, in insertion order; each tensor becomes a view into
+    them. `assemble_model` packs when the model is complete; a hand-built
+    store packs on first use of `values` or `grad`. A packed store accepts
+    no new tensors.
+    """
 
     def __init__(self) -> None:
         self._tensors: dict[str, ParamTensor] = {}
+        self._values: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
 
     def create(self, name: str, values: np.ndarray | Sequence) -> ParamTensor:
-        if name in self._tensors:
-            raise ConfigurationError(f"duplicate tensor name {name!r}")
-        t = ParamTensor(name, values)
-        self._tensors[name] = t
-        return t
+        return self.add(ParamTensor(name, values))
 
     def add(self, tensor: ParamTensor) -> ParamTensor:
+        if self._values is not None:
+            raise ConfigurationError(
+                f"cannot add tensor {tensor.name!r}: the store is already packed"
+            )
         if tensor.name in self._tensors:
             raise ConfigurationError(f"duplicate tensor name {tensor.name!r}")
         self._tensors[tensor.name] = tensor
         return tensor
+
+    def pack(self) -> None:
+        """Move every tensor into the flat arrays; a no-op once packed.
+
+        Each old array is released as soon as it has been copied, so the
+        word table never exists twice for long. The flat gradient starts
+        from `np.zeros` and only non-zero gradients are copied into it, so
+        its pages stay unallocated until the first backward pass.
+        """
+        if self._values is not None:
+            return
+        total = sum(t.size for t in self._tensors.values())
+        values = np.empty(total)
+        grad = np.zeros(total)
+        offset = 0
+        for t in self._tensors.values():
+            end = offset + t.size
+            view = values[offset:end].reshape(t.shape)
+            view[...] = t.values
+            t.values = view
+            view = grad[offset:end].reshape(t.shape)
+            if t.grad.any():
+                view[...] = t.grad
+            t.grad = view
+            offset = end
+        self._values, self._grad = values, grad
+
+    @property
+    def values(self) -> np.ndarray:
+        """All parameter values as one flat float64 array."""
+        self.pack()
+        return self._values
+
+    @property
+    def grad(self) -> np.ndarray:
+        """All gradients as one flat float64 array, in the order of `values`."""
+        self.pack()
+        return self._grad
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self._tensors[name]
@@ -208,14 +257,16 @@ class ParamStore:
         return list(self._tensors)
 
     def zero_grads(self) -> None:
-        for t in self._tensors.values():
-            t.zero_grad()
-
-    def total_params(self) -> int:
-        return sum(t.size for t in self._tensors.values())
+        self.grad.fill(0.0)
 
     def clone_values(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self._tensors.items()}
+        """Snapshot of every tensor: views into one copy of `values`."""
+        flat = self.values.copy()
+        views, offset = {}, 0
+        for name, t in self._tensors.items():
+            views[name] = flat[offset : offset + t.size].reshape(t.shape)
+            offset += t.size
+        return views
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite every tensor from `values`; names and shapes must match."""
@@ -225,15 +276,16 @@ class ParamStore:
             raise ConfigurationError(
                 f"parameter set mismatch: missing={missing!r} extra={extra!r}"
             )
-        for name, arr in values.items():
-            t = self._tensors[name]
-            arr = np.asarray(arr, dtype=np.float64)
+        parts = []
+        for name, t in self._tensors.items():
+            arr = np.asarray(values[name], dtype=np.float64)
             if tuple(arr.shape) != t.shape:
                 raise ConfigurationError(
                     f"shape mismatch for tensor {name!r}: "
                     f"got {tuple(arr.shape)}, expected {t.shape}"
                 )
-            t.values[...] = arr
+            parts.append(arr.reshape(-1))
+        np.concatenate(parts, out=self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -319,60 +371,98 @@ def dropout_mask(length: int, rate: float, rng: Rng, mode: Mode) -> np.ndarray:
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 
-
-@dataclass
-class OptimizerState:
-    """Per-tensor optimizer state. Moment arrays exist iff kind == 'adam'."""
-
-    kind: str
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    first_moment: np.ndarray | None = None
-    second_moment: np.ndarray | None = None
-
-    @classmethod
-    def for_tensor(cls, kind: str, tensor: ParamTensor, **hyper) -> "OptimizerState":
-        if kind not in OPTIMIZER_KINDS:
-            raise ConfigurationError(f"unknown optimizer kind {kind!r}")
-        state = cls(kind=kind, **hyper)
-        if kind == "adam":
-            state.first_moment = np.zeros_like(tensor.values)
-            state.second_moment = np.zeros_like(tensor.values)
-        return state
+# Entries per block of the optimizer update: 64K float64 entries (512 KB),
+# so the arrays one block touches stay in cache between its operations.
+UPDATE_BLOCK = 1 << 16
 
 
-def sgd_step(p: ParamTensor, lr: float) -> None:
-    """values -= lr * grad; the gradient buffer is left untouched."""
-    p.values -= lr * p.grad
+def check_optimizer_hyperparameters(
+    kind: str,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    clip_norm: float | None,
+) -> None:
+    """Raise ConfigurationError for values that would corrupt the weights."""
+    if kind not in OPTIMIZER_KINDS:
+        raise ConfigurationError(f"unknown optimizer kind {kind!r}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ConfigurationError(f"lr must be finite and positive, got {lr!r}")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ConfigurationError(f"{name} must be in [0, 1), got {beta!r}")
+    if not eps > 0.0:
+        raise ConfigurationError(f"eps must be positive, got {eps!r}")
+    if clip_norm is not None and not clip_norm > 0.0:
+        raise ConfigurationError(f"clip_norm must be positive or unset, got {clip_norm!r}")
 
 
-def adam_step(p: ParamTensor, s: OptimizerState) -> None:
-    """Bias-corrected Adam update: values -= lr * m_hat / (sqrt(v_hat) + eps)."""
-    if s.kind != "adam":
-        raise ConfigurationError(f"adam_step called with {s.kind!r} state")
-    if s.first_moment is None or s.first_moment.shape != p.values.shape:
+def _blocks(n: int) -> Iterator[slice]:
+    for start in range(0, n, UPDATE_BLOCK):
+        yield slice(start, min(start + UPDATE_BLOCK, n))
+
+
+def sgd_step(
+    values: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray
+) -> None:
+    """values -= lr * grad, block by block; the gradient is left untouched."""
+    for b in _blocks(values.size):
+        g, p = grad[b], values[b]
+        a = scratch[: g.size]
+        np.multiply(g, lr, out=a)
+        np.subtract(p, a, out=p)
+
+
+def adam_step(
+    values: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
+    lr: float,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Bias-corrected Adam step t: values -= lr * m_hat / (sqrt(v_hat) + eps).
+
+    Updates the flat arrays in place, block by block. Each block performs
+    the textbook per-array sequence of float64 operations in the same order,
+    so the result does not depend on the block size.
+    """
+    if not values.shape == grad.shape == m.shape == v.shape:
         raise ConfigurationError(
-            f"adam moment shape mismatch for tensor {p.name!r}"
+            f"adam shape mismatch: values {values.shape}, grad {grad.shape}, "
+            f"moments {m.shape} and {v.shape}"
         )
-    s.step_count += 1
-    t = s.step_count
-    s.first_moment *= s.beta1
-    s.first_moment += (1.0 - s.beta1) * p.grad
-    s.second_moment *= s.beta2
-    s.second_moment += (1.0 - s.beta2) * (p.grad * p.grad)
-    m_hat = s.first_moment / (1.0 - s.beta1**t)
-    v_hat = s.second_moment / (1.0 - s.beta2**t)
-    p.values -= s.lr * m_hat / (np.sqrt(v_hat) + s.eps)
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for b in _blocks(values.size):
+        g, mb, vb, p = grad[b], m[b], v[b], values[b]
+        a, d = scratch[0][: g.size], scratch[1][: g.size]
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.multiply(mb, beta1, out=mb)
+        np.add(mb, a, out=mb)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.multiply(vb, beta2, out=vb)
+        np.add(vb, a, out=vb)
+        np.divide(vb, c2, out=d)
+        np.sqrt(d, out=d)
+        np.add(d, eps, out=d)
+        np.divide(mb, c1, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(a, d, out=a)
+        np.subtract(p, a, out=p)
 
 
 def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
     """Global-norm clipping across every tensor in the store.
 
-    Returns the pre-clip norm. Raises NumericError naming the first tensor
-    with a non-finite gradient.
+    Returns the pre-clip norm, summed tensor by tensor in store order.
+    Raises NumericError naming the first tensor with a non-finite gradient.
     """
     total = 0.0
     for t in store:
@@ -382,14 +472,16 @@ def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
         total += sq
     norm = math.sqrt(total)
     if max_norm is not None and norm > max_norm > 0.0:
-        scale = max_norm / norm
-        for t in store:
-            t.grad *= scale
+        np.multiply(store.grad, max_norm / norm, out=store.grad)
     return norm
 
 
 class Optimizer:
-    """Applies clipped SGD/Adam updates to every tensor of a ParamStore."""
+    """Clipped SGD/Adam over the flat arrays of a ParamStore.
+
+    Owns the Adam moments and two scratch blocks, so optimizer state lives
+    exactly as long as the optimizer.
+    """
 
     def __init__(
         self,
@@ -401,29 +493,36 @@ class Optimizer:
         eps: float = 1e-8,
         clip_norm: float | None = 5.0,
     ) -> None:
-        if kind not in OPTIMIZER_KINDS:
-            raise ConfigurationError(f"unknown optimizer kind {kind!r}")
+        check_optimizer_hyperparameters(kind, lr, beta1, beta2, eps, clip_norm)
         self.store = store
         self.kind = kind
         self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
         self.clip_norm = clip_norm
-        self.states = {
-            t.name: OptimizerState.for_tensor(
-                kind, t, lr=lr, beta1=beta1, beta2=beta2, eps=eps
-            )
-            for t in store
-        }
+        self.step_count = 0
+        n = store.values.size
+        if kind == "adam":
+            self.m = np.zeros(n)
+            self.v = np.zeros(n)
+        block = min(n, UPDATE_BLOCK)
+        self._scratch = (np.empty(block), np.empty(block))
 
     def step(self) -> float:
-        """One update over all tensors; returns the pre-clip gradient norm."""
+        """One update over all tensors; returns the pre-clip gradient norm.
+
+        The gradient is left in place (clipped); the caller zeroes it.
+        """
         norm = clip_gradients(self.store, self.clip_norm)
-        for t in self.store:
-            state = self.states[t.name]
-            if self.kind == "adam":
-                adam_step(t, state)
-            else:
-                sgd_step(t, self.lr)
-                state.step_count += 1
+        self.step_count += 1
+        if self.kind == "adam":
+            adam_step(
+                self.store.values, self.store.grad, self.m, self.v, self.step_count,
+                self.lr, self.beta1, self.beta2, self.eps, self._scratch,
+            )
+        else:
+            sgd_step(self.store.values, self.store.grad, self.lr, self._scratch[0])
         return norm
 
 
@@ -458,6 +557,8 @@ def grad_check(
     |a - n| / max(|a|, |n|, 1e-8) where n = (f(x+eps) - f(x-eps)) / (2 eps).
     Gradient buffers are left zeroed on return.
     """
+    if not eps > 0.0:
+        raise ConfigurationError(f"gradient-check step must be positive, got {eps!r}")
     names = list(tensors) if tensors is not None else store.names()
     selected = [store[n] for n in names]
 

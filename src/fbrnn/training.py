@@ -26,7 +26,7 @@ from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
 from .fileio import write_text_atomic
 from .model import ModelConfig, NuggetModel, assemble_model
-from .numerics import Mode, Optimizer, Rng, OPTIMIZER_KINDS
+from .numerics import Mode, Optimizer, Rng, check_optimizer_hyperparameters
 
 __all__ = [
     "TrainConfig",
@@ -81,8 +81,9 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.model_config().validate()
-        if self.optimizer not in OPTIMIZER_KINDS:
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+        check_optimizer_hyperparameters(
+            self.optimizer, self.lr, self.beta1, self.beta2, self.eps, self.clip_norm
+        )
         if self.max_epochs < 1 or self.batch_size < 1 or self.max_nugget_len < 1:
             raise ConfigurationError(
                 "max_epochs, batch_size and max_nugget_len must be >= 1"
@@ -101,6 +102,9 @@ class EpochStat:
     dev_r: float | None
     dev_f1: float | None
     seconds: float
+    grad_norm_mean: float  # pre-clip global gradient norm over the epoch's steps
+    grad_norm_max: float
+    clip_rate: float  # fraction of steps whose gradient was clipped
 
 
 @dataclass
@@ -131,14 +135,22 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
     def format_table(self) -> str:
-        lines = [f"{'epoch':>5} {'loss':>10} {'dev P':>8} {'dev R':>8} {'dev F1':>8} {'sec':>7}"]
+        lines = [
+            f"{'epoch':>5} {'loss':>10} {'dev P':>8} {'dev R':>8} {'dev F1':>8} "
+            f"{'|g| mean':>9} {'|g| max':>9} {'clip %':>7} {'sec':>7}"
+        ]
         for e in self.epochs:
             if e.dev_f1 is None:
                 dev = f"{'-':>8} {'-':>8} {'-':>8}"
             else:
                 dev = f"{100 * e.dev_p:8.2f} {100 * e.dev_r:8.2f} {100 * e.dev_f1:8.2f}"
+            grads = (
+                f"{e.grad_norm_mean:>9.3f} {e.grad_norm_max:>9.3f} {100 * e.clip_rate:>7.2f}"
+            )
             marker = " *" if e.epoch == self.best_epoch else ""
-            lines.append(f"{e.epoch:>5} {e.loss:>10.4f} {dev} {e.seconds:>7.2f}{marker}")
+            lines.append(
+                f"{e.epoch:>5} {e.loss:>10.4f} {dev} {grads} {e.seconds:>7.2f}{marker}"
+            )
         return "\n".join(lines)
 
 
@@ -205,7 +217,10 @@ def train_model(
         order = _epoch_order(train_examples, rng, cfg.negative_ratio)
         total_loss = 0.0
         batch_fill = 0
-        model.store.zero_grads()
+        steps = clipped = 0
+        norm_sum = norm_max = 0.0
+        # Gradients are zero here: the model starts with zero gradients and
+        # every epoch ends with a step followed by zero_grads.
         for pos, idx in enumerate(order):
             ex = train_examples[idx]
             try:
@@ -220,11 +235,15 @@ def train_model(
             batch_fill += 1
             if batch_fill == cfg.batch_size or pos == len(order) - 1:
                 try:
-                    opt.step()
+                    norm = opt.step()
                 except NumericError as e:
                     raise NumericError(f"epoch {epoch}: {e}") from e
                 model.store.zero_grads()
                 batch_fill = 0
+                steps += 1
+                norm_sum += norm
+                norm_max = max(norm_max, norm)
+                clipped += cfg.clip_norm is not None and norm > cfg.clip_norm
         mean_loss = total_loss / len(order)
 
         dev_p = dev_r = dev_f1 = None
@@ -232,7 +251,12 @@ def train_model(
             report = evaluate_model(model, dev_examples, dev_gold, cfg.threshold)
             dev_p, dev_r, dev_f1 = report.precision, report.recall, report.f1
         seconds = time.perf_counter() - started
-        log.epochs.append(EpochStat(epoch, mean_loss, dev_p, dev_r, dev_f1, seconds))
+        log.epochs.append(
+            EpochStat(
+                epoch, mean_loss, dev_p, dev_r, dev_f1, seconds,
+                norm_sum / steps, norm_max, clipped / steps,
+            )
+        )
 
         if has_dev:
             if dev_f1 > best_f1:

@@ -265,6 +265,27 @@ class TestExitCodes:
         cfg.write_text("not_a_key = 1\n")
         assert run_cli("train", "--config", cfg) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--lr", "-1"),
+            ("--lr", "nan"),
+            ("--beta1", "1.0"),
+            ("--eps", "0"),
+            ("--clip-norm", "0"),
+            ("--clip-norm", "-3"),
+        ],
+    )
+    def test_invalid_optimizer_flag_is_config_error(self, train_cfg_file, tmp_path, flags, capsys):
+        code = run_cli("train", "--config", train_cfg_file, "--out-dir", tmp_path, *flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("eps", ["0", "-1e-4"])
+    def test_gradcheck_non_positive_eps_is_config_error(self, eps, capsys):
+        assert run_cli("gradcheck", "--cell", "gru", "--eps", eps) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_evaluate_needs_exactly_one_source(self, synth_dir):
         assert run_cli("evaluate", "--corpus", synth_dir / "dev.jsonl") == 1
 

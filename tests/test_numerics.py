@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fbrnn.errors import ConfigurationError, NumericError
 from fbrnn.numerics import (
     Mode,
+    UPDATE_BLOCK,
     Optimizer,
-    OptimizerState,
     ParamStore,
     ParamTensor,
     Rng,
@@ -161,45 +161,50 @@ class TestDropout:
             dropout_mask(4, 1.0, Rng(0), Mode.TRAIN)
 
 
+def one_tensor_store(name, values):
+    store = ParamStore()
+    store.create(name, values)
+    return store, store[name]
+
+
 class TestOptimizers:
     def test_sgd_arithmetic(self):
-        p = ParamTensor("p", [1.0])
+        store, p = one_tensor_store("p", [1.0])
         p.grad[:] = 2.0
-        sgd_step(p, 0.1)
+        Optimizer(store, kind="sgd", lr=0.1, clip_norm=None).step()
         assert p.values[0] == pytest.approx(0.8)
 
     def test_zero_grad_no_change(self):
-        p = ParamTensor("p", [1.5, -2.5])
+        store, p = one_tensor_store("p", [1.5, -2.5])
         before = p.values.copy()
-        sgd_step(p, 0.5)
-        s = OptimizerState.for_tensor("adam", p, lr=1e-3)
-        adam_step(p, s)
+        Optimizer(store, kind="sgd", lr=0.5).step()
+        Optimizer(store, kind="adam", lr=1e-3).step()
         assert np.array_equal(p.values, before)
 
     def test_adam_first_step_closed_form(self):
         # bias correction makes the first step -lr * g / (|g| + eps)
-        p = ParamTensor("p", np.zeros(4))
+        store, p = one_tensor_store("p", np.zeros(4))
         p.grad[:] = 1.0
-        s = OptimizerState.for_tensor("adam", p, lr=1e-3, eps=1e-8)
-        adam_step(p, s)
+        opt = Optimizer(store, kind="adam", lr=1e-3, eps=1e-8, clip_norm=None)
+        opt.step()
         expected = -1e-3 * (1.0 / (1.0 + 1e-8))
         assert p.values == pytest.approx(np.full(4, expected), rel=1e-12)
-        assert s.step_count == 1
+        assert opt.step_count == 1
         assert np.array_equal(p.grad, np.ones(4))  # caller owns zeroing
 
     def test_adam_zero_grads_bitwise_stable(self):
-        p = ParamTensor("p", [0.125, -3.5, 7.0])
+        store, p = one_tensor_store("p", [0.125, -3.5, 7.0])
         before = p.values.copy()
-        s = OptimizerState.for_tensor("adam", p)
+        opt = Optimizer(store, kind="adam")
         for _ in range(17):
-            adam_step(p, s)
+            opt.step()
         assert np.array_equal(p.values, before)
 
     def test_adam_moment_shape_guard(self):
-        p = ParamTensor("p", np.zeros(3))
-        s = OptimizerState.for_tensor("adam", ParamTensor("q", np.zeros(5)))
+        values, grad = np.zeros(3), np.zeros(3)
+        scratch = (np.empty(3), np.empty(3))
         with pytest.raises(ConfigurationError):
-            adam_step(p, s)
+            adam_step(values, grad, np.zeros(5), np.zeros(3), 1, 1e-3, 0.9, 0.999, 1e-8, scratch)
 
     def test_clip_scales_to_max_norm(self):
         store = ParamStore()
@@ -222,7 +227,129 @@ class TestOptimizers:
         opt = Optimizer(store, kind="adam", lr=1e-3)
         opt.step()
         opt.step()
-        assert opt.states["a"].step_count == 2
+        assert opt.step_count == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "adagrad"},
+            {"lr": 0.0},
+            {"lr": -1.0},
+            {"lr": math.nan},
+            {"lr": math.inf},
+            {"beta1": 1.0},
+            {"beta1": -0.1},
+            {"beta2": 1.0},
+            {"beta2": math.nan},
+            {"eps": 0.0},
+            {"eps": -1e-8},
+            {"clip_norm": 0.0},
+            {"clip_norm": -3.0},
+        ],
+    )
+    def test_rejects_invalid_hyperparameters(self, bad):
+        store, _ = one_tensor_store("p", [1.0])
+        with pytest.raises(ConfigurationError):
+            Optimizer(store, **bad)
+
+    def test_accepts_no_clipping_and_zero_betas(self):
+        store, _ = one_tensor_store("p", [1.0])
+        Optimizer(store, beta1=0.0, beta2=0.0, clip_norm=None).step()
+
+
+# Shapes for the flat-step tests: 200,052 entries, i.e. three full update
+# blocks and a partial one, with a 1-entry tensor that puts every later
+# tensor at an odd offset.
+FLAT_SHAPES = {"emb": (400, 300), "bias": (33,), "one": (1,), "W": (257, 311), "U": (7, 13)}
+
+
+def reference_step(params, grads, moments, kind, t, lr, clip_norm,
+                   beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor clipped SGD/Adam on separate arrays, in the textbook form."""
+    total = 0.0
+    for g in grads:
+        total += float(np.dot(g.reshape(-1), g.reshape(-1)))
+    norm = math.sqrt(total)
+    if norm > clip_norm:
+        for g in grads:
+            g *= clip_norm / norm
+    for p, g, (m, v) in zip(params, grads, moments):
+        if kind == "sgd":
+            p -= lr * g
+            continue
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return norm
+
+
+def flat_store(seed):
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    for name, shape in FLAT_SHAPES.items():
+        store.create(name, rng.uniform(-0.5, 0.5, shape))
+    return store
+
+
+def row_sparse_grads(rng):
+    """Gradients touching a few rows of each matrix and every bias entry."""
+    grads = []
+    scale = rng.choice([0.05, 3.0])  # mixes clipped and unclipped steps
+    for shape in FLAT_SHAPES.values():
+        g = np.zeros(shape)
+        if len(shape) == 2:
+            rows = rng.choice(shape[0], size=min(5, shape[0]), replace=False)
+            g[rows] = scale * rng.standard_normal((rows.size, shape[1]))
+        else:
+            g[...] = scale * rng.standard_normal(shape)
+        grads.append(g)
+    return grads
+
+
+class TestFlatStep:
+    def test_store_spans_several_partial_blocks(self):
+        total = flat_store(0).values.size
+        assert total > 3 * UPDATE_BLOCK and total % UPDATE_BLOCK
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_bit_identical_to_per_tensor_reference(self, kind):
+        clip_norm, lr = 5.0, 1e-2
+        store = flat_store(1)
+        opt = Optimizer(store, kind=kind, lr=lr, clip_norm=clip_norm)
+        params = [t.values.copy() for t in store]
+        moments = [(np.zeros(t.shape), np.zeros(t.shape)) for t in store]
+        rng = np.random.default_rng(2)
+        clipped = 0
+        for step in range(1, 51):
+            grads = row_sparse_grads(rng)
+            for t, g in zip(store, grads):
+                t.grad[...] = g
+            norm = opt.step()
+            ref_norm = reference_step(params, grads, moments, kind, step, lr, clip_norm)
+            store.zero_grads()
+            assert norm == ref_norm
+            clipped += norm > clip_norm
+            for t, p in zip(store, params):
+                assert np.array_equal(t.values, p), (step, t.name)
+        assert 0 < clipped < 50
+
+    def test_nan_gradient_raises_and_leaves_values_unchanged(self):
+        store = flat_store(3)
+        opt = Optimizer(store, kind="adam")
+        for t, g in zip(store, row_sparse_grads(np.random.default_rng(4))):
+            t.grad[...] = g
+        opt.step()
+        values, m, v = store.values.copy(), opt.m.copy(), opt.v.copy()
+        store["W"].grad[100, 7] = np.nan
+        with pytest.raises(NumericError, match="'W'"):
+            opt.step()
+        assert np.array_equal(store.values, values)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+        assert opt.step_count == 1
 
 
 class TestGradCheck:
@@ -253,6 +380,13 @@ class TestGradCheck:
 
         with pytest.raises(NumericError, match="deterministic"):
             grad_check(loss_fn, store)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan])
+    def test_rejects_non_positive_step(self, eps):
+        store = ParamStore()
+        store.create("x", [1.0])
+        with pytest.raises(ConfigurationError, match="step"):
+            grad_check(lambda: 0.0, store, eps=eps)
 
     def test_wrong_analytic_gradient_flagged(self):
         store = ParamStore()
@@ -287,3 +421,30 @@ class TestParamStore:
         store.create("w", [1.0, 2.0])
         with pytest.raises(ConfigurationError):
             store.load_values({"w": np.zeros(3)})
+
+    def test_pack_makes_tensors_views_of_flat_arrays(self):
+        store = ParamStore()
+        a = store.create("a", [[1.0, 2.0], [3.0, 4.0]])
+        b = store.create("b", [5.0])
+        b.grad[0] = 0.5  # accumulated before packing survives it
+        store.pack()
+        assert list(store.values) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert list(store.grad) == [0.0, 0.0, 0.0, 0.0, 0.5]
+        assert np.shares_memory(a.values, store.values)
+        assert np.shares_memory(b.grad, store.grad)
+        store.values[4] = -1.0
+        assert b.values[0] == -1.0
+
+    def test_packed_store_rejects_new_tensors(self):
+        store = ParamStore()
+        store.create("w", [1.0])
+        store.zero_grads()  # first use packs
+        with pytest.raises(ConfigurationError, match="packed"):
+            store.create("v", [2.0])
+
+    def test_clone_is_independent_of_later_updates(self):
+        store = ParamStore()
+        t = store.create("w", [1.0, 2.0])
+        snapshot = store.clone_values()
+        t.values[:] = 7.0
+        assert list(snapshot["w"]) == [1.0, 2.0]

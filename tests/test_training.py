@@ -118,6 +118,29 @@ class TestLoop:
         assert actual == pytest.approx(best, abs=1e-12)
         assert best == max(e.dev_f1 for e in log.epochs)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"lr": -1.0},
+            {"lr": float("nan")},
+            {"beta1": 1.0},
+            {"beta2": 1.5},
+            {"eps": 0.0},
+            {"clip_norm": 0.0},
+            {"clip_norm": -3.0},
+        ],
+    )
+    def test_invalid_optimizer_hyperparameters_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(SMALL_CFG, **bad).validate()
+
+    def test_epoch_records_gradient_norms(self, small_data):
+        _, log = run(dataclasses.replace(SMALL_CFG, max_epochs=2, clip_norm=0.5), small_data)
+        for e in log.epochs:
+            assert 0.0 < e.grad_norm_mean <= e.grad_norm_max
+            assert 0.0 < e.clip_rate <= 1.0
+        assert "|g| mean" in log.format_table()
+
     def test_empty_training_set_rejected(self, small_data):
         with pytest.raises(ConfigurationError):
             train_model(
