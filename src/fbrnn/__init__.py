@@ -65,11 +65,9 @@ from .numerics import (
     dropout_mask,
     grad_check,
     init_uniform_scaled,
-    matvec,
     sgd_step,
     sigmoid,
     softmax,
-    tanh,
 )
 from .training import (
     TrainConfig,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, GoldNugget, LabelSet, Sentence
+from .corpus import Corpus, GoldNugget, LabelSet, Sentence, vocabulary_of
 from .errors import ConfigurationError, DataError
 from .fileio import write_text_atomic
 
@@ -36,6 +36,7 @@ __all__ = [
     "split_branches",
     "labeled_candidates",
     "build_examples",
+    "build_datasets",
     "save_lexicon",
     "load_lexicon",
 ]
@@ -123,8 +124,15 @@ class TriggerLexicon:
             raise DataError("lexicon data must contain an 'entries' mapping")
         lex = cls()
         for word, counts in entries.items():
-            lex._gold[word.lower()] = int(counts.get("gold", 0))
-            lex._paraphrase[word.lower()] = int(counts.get("paraphrase", 0))
+            gold = counts.get("gold", 0) if isinstance(counts, dict) else None
+            para = counts.get("paraphrase", 0) if isinstance(counts, dict) else None
+            if not all(type(c) is int and c >= 0 for c in (gold, para)):
+                raise DataError(
+                    f"lexicon entry {word!r}: expected non-negative integer "
+                    f"'gold'/'paraphrase' counts, got {counts!r}"
+                )
+            lex._gold[word.lower()] = gold
+            lex._paraphrase[word.lower()] = para
         # keep only words that actually carry a source
         lex._gold = {w: c for w, c in lex._gold.items() if c > 0}
         lex._paraphrase = {w: c for w, c in lex._paraphrase.items() if c > 0}
@@ -299,3 +307,23 @@ def build_examples(
                 LabeledExample(i, cand, split_branches(sentence, cand))
             )
     return examples
+
+
+def build_datasets(
+    train: Corpus,
+    dev: Corpus,
+    labels: LabelSet,
+    max_nugget_len: int,
+    paraphrase_path: str | Path | None,
+) -> tuple[TriggerLexicon, list[LabeledExample], list[LabeledExample], list[str]]:
+    """(lexicon, train examples, dev examples, vocabulary) for one run.
+
+    The lexicon and the vocabulary come from the training corpus only.
+    """
+    lexicon = build_trigger_lexicon(train, paraphrase_path)
+    return (
+        lexicon,
+        build_examples(train, lexicon, labels, max_nugget_len),
+        build_examples(dev, lexicon, labels, max_nugget_len),
+        vocabulary_of(train),
+    )

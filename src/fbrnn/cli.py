@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 
 from .candidates import (
+    build_datasets,
     build_examples,
     build_trigger_lexicon,
     labeled_candidates,
@@ -34,13 +37,20 @@ from .corpus import (
     save_corpus,
     save_label_set,
     split_corpus,
-    vocabulary_of,
     POSITIONAL_EVENT_TYPE,
+    _sentence_to_obj,
 )
 from .embeddings import load_pretrained
 from .errors import ConfigurationError, DataError, NumericError
 from .fileio import write_text_atomic
-from .evaluation import PredictedNugget, evaluate_model, run_ablation, score
+from .evaluation import (
+    PredictedNugget,
+    PRFReport,
+    evaluate_model,
+    predict_examples,
+    run_ablation,
+    score,
+)
 from .model import CELL_KINDS, HEAD_MODES, tiny_gradcheck
 from .numerics import Rng
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train_model
@@ -70,58 +80,40 @@ class _Parser(argparse.ArgumentParser):
 # Flat key = value run configuration
 # ---------------------------------------------------------------------------
 
-_PATH_KEYS = {
-    "train_corpus",
-    "dev_corpus",
-    "labels",
-    "embeddings",
-    "paraphrases",
-    "out_dir",
+_PATH_KEYS = ("train_corpus", "dev_corpus", "labels", "embeddings", "paraphrases", "out_dir")
+# Every run-config key with its type, in flag order: the TrainConfig fields,
+# the input/output paths, and the dev split used when no dev corpus is given.
+_KEY_TYPES = {
+    **typing.get_type_hints(TrainConfig),
+    **dict.fromkeys(_PATH_KEYS, str | None),
+    "dev_fraction": float,
 }
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} | _PATH_KEYS | {
-    "dev_fraction"
-}
+_CONFIG_KEYS = tuple(_KEY_TYPES)
 
 
 def _coerce(key: str, raw: str):
+    """Parse one config value (file line or flag) by the type of its key.
+
+    `none` gives None exactly for the Optional keys.
+    """
     raw = raw.strip()
-    if key in _PATH_KEYS:
-        return None if raw.lower() == "none" else raw
-    if key in ("cell", "head_mode", "optimizer"):
-        return raw
-    if key == "use_branch":
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigurationError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    if key == "head_hidden":
+    kind = _KEY_TYPES[key]
+    options = typing.get_args(kind)
+    if type(None) in options:
         if raw.lower() == "none":
             return None
-        try:
+        (kind,) = set(options) - {type(None)}
+    try:
+        if kind is bool:
+            low = raw.lower()
+            if low not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+                raise ValueError("expected a boolean")
+            return low in ("true", "1", "yes", "on")
+        if typing.get_origin(kind) is tuple:
             return tuple(int(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigurationError(
-                f"config key {key!r}: expected comma-separated ints, got {raw!r}"
-            ) from None
-    if key in ("clip_norm", "negative_ratio"):
-        return None if raw.lower() == "none" else float(raw)
-    if key in (
-        "hidden_size",
-        "layers",
-        "word_dim",
-        "branch_dim",
-        "max_epochs",
-        "patience",
-        "batch_size",
-        "max_nugget_len",
-        "seed",
-    ):
-        return int(raw)
-    if key in ("dropout", "lr", "beta1", "beta2", "eps", "threshold", "dev_fraction"):
-        return float(raw)
-    raise ConfigurationError(f"unknown config key {key!r}")
+        return kind(raw)
+    except ValueError as e:
+        raise ConfigurationError(f"bad value {raw!r} for {key!r}: {e}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -143,28 +135,25 @@ def _read_config_file(path: str) -> dict:
             raise ConfigurationError(f"{p}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _coerce(key, raw)
-        except ValueError as e:
-            raise ConfigurationError(f"{p}:{lineno}: bad value for {key!r}: {e}") from e
+        except ConfigurationError as e:
+            raise ConfigurationError(f"{p}:{lineno}: {e}") from e
     return values
 
 
 def _resolve_run_config(args) -> dict:
-    """Config file values overridden by any explicitly given CLI flags."""
-    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _CONFIG_KEYS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            values[key] = flag_val
+    """Config file values overridden by the CLI flags that were given.
+
+    Flags that were not given are absent from `args`, so an explicit
+    `none` (None) still overrides the file and the default.
+    """
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _CONFIG_KEYS if hasattr(args, key))
     return values
 
 
 def _train_config_from(values: dict) -> TrainConfig:
-    kwargs = {
-        f.name: values[f.name]
-        for f in dataclasses.fields(TrainConfig)
-        if f.name in values and values[f.name] is not None
-    }
-    cfg = TrainConfig(**kwargs)
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    cfg = TrainConfig(**{key: values[key] for key in names if key in values})
     cfg.validate()
     return cfg
 
@@ -176,11 +165,6 @@ def _require_file(path: str | None, what: str) -> Path:
     if not p.is_file():
         raise ConfigurationError(f"{what} not found: {p}")
     return p
-
-
-def _config_digest(values: dict) -> str:
-    canon = "\n".join(f"{k} = {values[k]}" for k in sorted(values))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +220,9 @@ def cmd_candidates(args) -> int:
         cands = labeled_candidates(sentence, lex, labels, args.max_nugget_len)
         n_candidates += len(cands)
         n_events += sum(1 for c in cands if c.types)
-        lines.append(
-            json.dumps(
-                {
-                    "tokens": [
-                        {"t": t.text} if t.pos is None else {"t": t.text, "pos": t.pos}
-                        for t in sentence.tokens
-                    ],
-                    "candidates": [
-                        {"start": c.start, "end": c.end, "label": list(c.types)}
-                        for c in cands
-                    ],
-                }
-            )
-        )
+        tokens = _sentence_to_obj(sentence)["tokens"]
+        spans = [{"start": c.start, "end": c.end, "label": list(c.types)} for c in cands]
+        lines.append(json.dumps({"tokens": tokens, "candidates": spans}))
     write_text_atomic(Path(args.out), "\n".join(lines) + "\n")
     print(
         f"{n_candidates} candidates over {len(corpus)} sentences "
@@ -284,10 +257,15 @@ def cmd_train(args) -> int:
             _require_file(values["embeddings"], "embeddings"), cfg.word_dim
         )
 
-    lexicon = build_trigger_lexicon(train, paraphrases)
-    train_ex = build_examples(train, lexicon, labels, cfg.max_nugget_len)
-    dev_ex = build_examples(dev, lexicon, labels, cfg.max_nugget_len) if len(dev) else []
-    vocab = vocabulary_of(train)
+    lexicon, train_ex, dev_ex, vocab = build_datasets(
+        train, dev, labels, cfg.max_nugget_len, paraphrases
+    )
+    # The run id hashes the resolved config; the directory is made before
+    # training so that an unusable out_dir fails at once.
+    resolved = "\n".join(f"{k} = {values[k]}" for k in sorted(values))
+    run_id = hashlib.sha256(resolved.encode("utf-8")).hexdigest()[:12]
+    run_dir = Path(values.get("out_dir") or "runs") / run_id
+    run_dir.mkdir(parents=True, exist_ok=True)
 
     model, log = train_model(cfg, train_ex, dev_ex, dev, vocab, labels, pretrained)
     if pretrained is not None:
@@ -297,8 +275,6 @@ def cmd_train(args) -> int:
             f"vocabulary words ({len(table.oov_words)} OOV)"
         )
 
-    run_dir = Path(values.get("out_dir") or "runs") / _config_digest(values)
-    run_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         run_dir / "checkpoint.json",
         model,
@@ -308,13 +284,12 @@ def cmd_train(args) -> int:
     )
     write_text_atomic(run_dir / "trainlog.csv", log.to_csv(timing=args.timing))
     save_lexicon(lexicon, run_dir / "lexicon.json")
-    resolved = "\n".join(f"{k} = {values[k]}" for k in sorted(values)) + "\n"
-    write_text_atomic(run_dir / "config.resolved", resolved)
+    write_text_atomic(run_dir / "config.resolved", resolved + "\n")
     write_text_atomic(
         run_dir / "run_info.json",
         json.dumps(
             {
-                "run_id": _config_digest(values),
+                "run_id": run_id,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "train_sentences": len(train),
                 "dev_sentences": len(dev),
@@ -332,46 +307,64 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_predictions(path: Path) -> list[PredictedNugget]:
+def _checkpoint_examples(args):
+    """Checkpoint -> corpus -> candidate examples, and the decision threshold.
+
+    Returns (model, corpus, examples, threshold); `--threshold` overrides
+    the checkpoint's own.
+    """
+    if args.threshold is not None and not 0.0 < args.threshold < 1.0:
+        raise ConfigurationError(f"--threshold must be in (0, 1), got {args.threshold}")
+    loaded = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    if loaded.lexicon is None:
+        raise DataError("checkpoint has no embedded lexicon; cannot generate candidates")
+    labels = loaded.model.labels
+    corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
+    examples = build_examples(corpus, loaded.lexicon, labels, loaded.max_nugget_len or 1)
+    threshold = loaded.threshold if args.threshold is None else args.threshold
+    return loaded.model, corpus, examples, threshold
+
+
+def _score_predictions(args) -> PRFReport:
+    """Score a predictions file against a gold corpus.
+
+    Every record must name a sentence of the corpus, a span inside it (as
+    JSON integers) and event types of the label set.
+    """
+    labels = load_label_set(_require_file(args.labels, "label file"))
+    corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
+    path = _require_file(args.predictions, "predictions")
     preds = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-            preds.append(
-                PredictedNugget(
-                    int(obj["sentence"]),
-                    int(obj["start"]),
-                    int(obj["end"]),
-                    tuple(obj["types"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}:{lineno}: bad prediction record: {e}") from e
-    return preds
+            pred = PredictedNugget(obj["sentence"], obj["start"], obj["end"], tuple(obj["types"]))
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            raise DataError(f"{where}: bad prediction record: {e}") from e
+        if not all(type(v) is int for v in (pred.sentence, pred.start, pred.end)):
+            raise DataError(f"{where}: 'sentence', 'start' and 'end' must be integers")
+        if not 0 <= pred.sentence < len(corpus):
+            raise DataError(f"{where}: sentence {pred.sentence} is not in the corpus")
+        if not 0 <= pred.start <= pred.end < len(corpus[pred.sentence]):
+            raise DataError(f"{where}: span ({pred.start},{pred.end}) out of range")
+        unknown = [t for t in pred.types if not isinstance(t, str) or t not in labels]
+        if unknown:
+            raise DataError(f"{where}: unknown event types {unknown!r}")
+        preds.append(pred)
+    return score(preds, corpus, span_only=args.span_only)
 
 
 def cmd_evaluate(args) -> int:
     if bool(args.checkpoint) == bool(args.predictions):
         raise ConfigurationError("evaluate needs exactly one of --checkpoint/--predictions")
     if args.predictions:
-        labels = load_label_set(_require_file(args.labels, "label file"))
-        corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
-        preds = _read_predictions(_require_file(args.predictions, "predictions"))
-        report = score(preds, corpus, span_only=args.span_only)
+        report = _score_predictions(args)
     else:
-        loaded = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-        if loaded.lexicon is None:
-            raise DataError("checkpoint has no embedded lexicon; cannot generate candidates")
-        corpus = load_corpus(_require_file(args.corpus, "corpus"), loaded.model.labels)
-        examples = build_examples(
-            corpus, loaded.lexicon, loaded.model.labels, loaded.max_nugget_len or 1
-        )
-        threshold = args.threshold if args.threshold is not None else loaded.threshold
-        report = evaluate_model(
-            loaded.model, examples, corpus, threshold, span_only=args.span_only
-        )
+        model, corpus, examples, threshold = _checkpoint_examples(args)
+        report = evaluate_model(model, examples, corpus, threshold, span_only=args.span_only)
     print(report.format_line())
     if args.out:
         write_text_atomic(Path(args.out), report.to_json() + "\n")
@@ -379,30 +372,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    loaded = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    if loaded.lexicon is None:
-        raise DataError("checkpoint has no embedded lexicon; cannot generate candidates")
-    corpus = load_corpus(_require_file(args.corpus, "corpus"), loaded.model.labels)
-    examples = build_examples(
-        corpus, loaded.lexicon, loaded.model.labels, loaded.max_nugget_len or 1
-    )
-    threshold = args.threshold if args.threshold is not None else loaded.threshold
-    lines = []
-    for ex in examples:
-        types = loaded.model.predict(ex.split, threshold)
-        if types:
-            lines.append(
-                json.dumps(
-                    {
-                        "sentence": ex.sentence_index,
-                        "start": ex.candidate.start,
-                        "end": ex.candidate.end,
-                        "types": list(types),
-                    }
-                )
-            )
-    write_text_atomic(Path(args.out), "\n".join(lines) + ("\n" if lines else ""))
-    print(f"{len(lines)} predicted nuggets over {len(corpus)} sentences -> {args.out}")
+    model, corpus, examples, threshold = _checkpoint_examples(args)
+    preds = predict_examples(model, examples, threshold)
+    lines = "".join(json.dumps(dataclasses.asdict(p)) + "\n" for p in preds)
+    write_text_atomic(Path(args.out), lines)
+    print(f"{len(preds)} predicted nuggets over {len(corpus)} sentences -> {args.out}")
     return 0
 
 
@@ -458,48 +432,20 @@ def cmd_ablate(args) -> int:
 
 def _add_train_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--cell", choices=CELL_KINDS)
-    p.add_argument("--hidden-size", dest="hidden_size", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--word-dim", dest="word_dim", type=int)
-    p.add_argument("--branch-dim", dest="branch_dim", type=int)
-    branch = p.add_mutually_exclusive_group()
-    branch.add_argument(
-        "--branch", dest="use_branch", action="store_const", const=True, default=None
-    )
-    branch.add_argument(
-        "--no-branch", dest="use_branch", action="store_const", const=False
-    )
-    p.add_argument("--head-mode", dest="head_mode", choices=HEAD_MODES)
-    p.add_argument(
-        "--head-hidden",
-        dest="head_hidden",
-        type=lambda s: _coerce("head_hidden", s),
-        help="comma-separated hidden widths, or 'none'",
-    )
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--clip-norm", dest="clip_norm", type=lambda s: _coerce("clip_norm", s))
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument(
-        "--negative-ratio", dest="negative_ratio", type=lambda s: _coerce("negative_ratio", s)
-    )
-    p.add_argument("--max-nugget-len", dest="max_nugget_len", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-corpus", dest="train_corpus")
-    p.add_argument("--dev-corpus", dest="dev_corpus")
-    p.add_argument("--labels")
-    p.add_argument("--embeddings")
-    p.add_argument("--paraphrases")
-    p.add_argument("--dev-fraction", dest="dev_fraction", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
+    for key in _CONFIG_KEYS:
+        if key == "use_branch":
+            branch = p.add_mutually_exclusive_group()
+            for flag, on in (("--branch", True), ("--no-branch", False)):
+                branch.add_argument(
+                    flag, dest=key, action="store_const", const=on, default=argparse.SUPPRESS
+                )
+        else:
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=functools.partial(_coerce, key),
+                default=argparse.SUPPRESS,
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,6 +535,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # e.g. an artifact that cannot be written
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

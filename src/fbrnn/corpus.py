@@ -201,7 +201,7 @@ def _parse_sentence(obj: dict, labels: LabelSet, where: str) -> Sentence:
         if not isinstance(ng, dict):
             raise DataError(f"{where}: nugget {k}: expected an object")
         start, end = ng.get("start"), ng.get("end")
-        if not isinstance(start, int) or not isinstance(end, int):
+        if type(start) is not int or type(end) is not int:
             raise DataError(f"{where}: nugget {k}: 'start'/'end' must be integers")
         if not 0 <= start <= end < len(tokens):
             raise DataError(

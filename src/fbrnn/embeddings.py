@@ -141,18 +141,6 @@ class WordTable:
                     hits += 1
         return cls(vocab, tensor, hits, tuple(oov))
 
-    @classmethod
-    def from_corpus_words(
-        cls,
-        corpus_words: list[str],
-        dim: int,
-        rng: Rng,
-        store: ParamStore,
-        pretrained: dict[str, np.ndarray] | None = None,
-    ) -> "WordTable":
-        ordered = [UNK] + sorted({w.lower() for w in corpus_words} - {UNK})
-        return cls.build(ordered, dim, rng, store, pretrained)
-
     @property
     def dim(self) -> int:
         return self.tensor.shape[1]

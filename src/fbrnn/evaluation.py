@@ -14,9 +14,9 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .candidates import LabeledExample
+from .candidates import LabeledExample, build_datasets
 from .corpus import Corpus, GoldNugget
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, FBRNNError
 from .model import NuggetModel
 
 __all__ = [
@@ -233,15 +233,11 @@ def run_ablation(
     All four runs share the base config's seed and data. A failed cell is
     recorded with its error; the remaining cells still run.
     """
-    from .candidates import build_examples, build_trigger_lexicon
-    from .corpus import vocabulary_of
-    from .errors import FBRNNError
     from .training import train_model
 
-    lexicon = build_trigger_lexicon(train_corpus, paraphrase_path)
-    train_ex = build_examples(train_corpus, lexicon, labels, base_cfg.max_nugget_len)
-    dev_ex = build_examples(dev_corpus, lexicon, labels, base_cfg.max_nugget_len)
-    vocab = vocabulary_of(train_corpus)
+    _, train_ex, dev_ex, vocab = build_datasets(
+        train_corpus, dev_corpus, labels, base_cfg.max_nugget_len, paraphrase_path
+    )
 
     grid = AblationGrid(cells=[])
     for cell in ("lstm", "gru"):

@@ -583,10 +583,7 @@ class NuggetModel:
     ) -> float:
         """One example's loss; accumulates gradients into the store."""
         probs, cache = self.forward(split, mode, rng)
-        if self.cfg.head_mode == "softmax":
-            loss, d_logits = softmax_nll(probs, self.target_class(types))
-        else:
-            loss, d_logits = sigmoid_bce(probs, self.target_vector(types))
+        loss, d_logits = self._loss(probs, types)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss {loss!r}")
         d_concat = self.head.backprop(d_logits, cache.head)
@@ -625,9 +622,15 @@ class NuggetModel:
     def loss(self, split: BranchSplit, types: tuple[str, ...]) -> float:
         """Evaluation-mode loss without touching gradients."""
         probs, _ = self.forward(split, Mode.EVAL, None)
+        return self._loss(probs, types)[0]
+
+    def _loss(
+        self, probs: np.ndarray, types: tuple[str, ...]
+    ) -> tuple[float, np.ndarray]:
+        """The head's loss and its gradient w.r.t. the logits."""
         if self.cfg.head_mode == "softmax":
-            return softmax_nll(probs, self.target_class(types))[0]
-        return sigmoid_bce(probs, self.target_vector(types))[0]
+            return softmax_nll(probs, self.target_class(types))
+        return sigmoid_bce(probs, self.target_vector(types))
 
 
 def build_model(

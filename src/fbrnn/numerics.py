@@ -28,9 +28,7 @@ __all__ = [
     "ParamTensor",
     "ParamStore",
     "sigmoid",
-    "tanh",
     "softmax",
-    "matvec",
     "init_uniform_scaled",
     "dropout_mask",
     "sgd_step",
@@ -165,12 +163,6 @@ class ParamTensor:
     def size(self) -> int:
         return int(self.values.size)
 
-    def check_finite(self) -> None:
-        if not np.isfinite(self.values).all():
-            raise NumericError(f"non-finite values in tensor {self.name!r}")
-        if not np.isfinite(self.grad).all():
-            raise NumericError(f"non-finite gradient in tensor {self.name!r}")
-
     def __repr__(self) -> str:
         return f"ParamTensor({self.name!r}, shape={self.shape})"
 
@@ -304,10 +296,6 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def tanh(x: np.ndarray | float) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
 def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
     """Stable softmax over a vector: max subtraction, sums to 1."""
     z = np.asarray(logits, dtype=np.float64)
@@ -315,18 +303,6 @@ def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
         raise ConfigurationError(f"softmax expects a non-empty vector, got shape {z.shape}")
     e = np.exp(z - z.max())
     return e / e.sum()
-
-
-def matvec(w: ParamTensor, x: np.ndarray) -> np.ndarray:
-    """w.values @ x with explicit dimension checks."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(w.shape) != 2:
-        raise ConfigurationError(f"matvec needs a matrix, {w.name!r} has shape {w.shape}")
-    if x.ndim != 1 or x.shape[0] != w.shape[1]:
-        raise ConfigurationError(
-            f"matvec dimension mismatch: {w.name!r} is {w.shape}, x has shape {x.shape}"
-        )
-    return w.values @ x
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +514,6 @@ class GradCheckReport:
     max_rel_error: float
     per_tensor: dict[str, float] = field(default_factory=dict)
     worst_tensor: str | None = None
-
-    def passed(self, tol: float = 1e-4) -> bool:
-        return self.max_rel_error < tol
 
 
 def grad_check(

@@ -14,7 +14,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -40,18 +40,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """All hyperparameters for one run, flat so config files stay flat."""
+class TrainConfig(ModelConfig):
+    """All hyperparameters for one run: the model's fields, then these.
 
-    cell: str = "gru"
-    hidden_size: int = 32
-    layers: int = 1
-    word_dim: int = 300
-    branch_dim: int = 20
-    use_branch: bool = True
-    head_mode: str = "softmax"
-    head_hidden: tuple[int, ...] | None = None
-    dropout: float = 0.5
+    Flat, so config files stay flat; config keys and CLI flags are derived
+    from these fields.
+    """
+
     optimizer: str = "adam"
     lr: float = 1e-3
     beta1: float = 0.9
@@ -67,20 +62,10 @@ class TrainConfig:
     seed: int = 0
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            cell=self.cell,
-            hidden_size=self.hidden_size,
-            layers=self.layers,
-            word_dim=self.word_dim,
-            branch_dim=self.branch_dim,
-            use_branch=self.use_branch,
-            head_mode=self.head_mode,
-            head_hidden=self.head_hidden,
-            dropout=self.dropout,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def validate(self) -> None:
-        self.model_config().validate()
+        super().validate()
         check_optimizer_hyperparameters(
             self.optimizer, self.lr, self.beta1, self.beta2, self.eps, self.clip_norm
         )
@@ -92,6 +77,8 @@ class TrainConfig:
             raise ConfigurationError("patience must be >= 0")
         if self.negative_ratio is not None and self.negative_ratio <= 0:
             raise ConfigurationError("negative_ratio must be positive or unset")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigurationError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
 @dataclass
@@ -331,8 +318,11 @@ def load_checkpoint(
     """Rebuild a model from a checkpoint file.
 
     Rejects version mismatches, tensors with unexpected names or shapes,
-    and (when `expect` is given) any config different from the expected
-    one. A truncated or corrupt file fails cleanly without a partial model.
+    tensor entries without `shape`/`values`, value counts that do not fill
+    the shape, NaN or Inf values, malformed vocabularies, lexicons and
+    pipeline settings, and (when `expect` is given) any config different
+    from the expected one, each as a DataError naming the tensor or field.
+    A truncated or corrupt file fails cleanly without a partial model.
     """
     path = Path(path)
     try:
@@ -351,16 +341,30 @@ def load_checkpoint(
         cfg = ModelConfig.from_dict(data["config"])
         labels = LabelSet(data["labels"])
         vocab = list(data["vocab"])
-        tensors = data["tensors"]
-    except (KeyError, TypeError, ConfigurationError) as e:
+        tensors = dict(data["tensors"])
+        pipeline = dict(data.get("pipeline") or {})
+        lex = pipeline.get("lexicon")
+        lexicon = TriggerLexicon.from_dict(lex) if lex else None
+    except (KeyError, TypeError, ValueError, ConfigurationError, DataError) as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
+    if not all(isinstance(w, str) for w in vocab):
+        raise DataError(f"{path}: malformed checkpoint: vocab must hold strings")
+    max_nugget_len = pipeline.get("max_nugget_len")
+    if max_nugget_len is not None and (type(max_nugget_len) is not int or max_nugget_len < 1):
+        raise DataError(f"{path}: max_nugget_len must be an integer >= 1 or null")
+    threshold = pipeline.get("threshold", 0.5)
+    if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
+        raise DataError(f"{path}: threshold must be a number in (0, 1), got {threshold!r}")
     if expect is not None and cfg != expect:
         raise DataError(
             f"{path}: checkpoint config does not match the requested run "
             f"(checkpoint {cfg}, expected {expect})"
         )
 
-    model = assemble_model(cfg, vocab, labels, Rng(0))
+    try:
+        model = assemble_model(cfg, vocab, labels, Rng(0))
+    except ConfigurationError as e:
+        raise DataError(f"{path}: malformed checkpoint: {e}") from e
     store = model.store
     missing = [n for n in store.names() if n not in tensors]
     extra = [n for n in tensors if n not in store]
@@ -369,21 +373,24 @@ def load_checkpoint(
             f"{path}: tensor set mismatch: missing={missing!r} extra={extra!r}"
         )
     for name in store.names():
-        entry = tensors[name]
-        shape = tuple(entry["shape"])
         tensor = store[name]
+        entry = tensors[name]
+        where = f"{path}: tensor {name!r}"
+        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
+            raise DataError(f"{where} needs 'shape' and 'values'")
+        try:
+            shape = tuple(entry["shape"])
+            values = np.array(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{where}: malformed entry: {e}") from e
         if shape != tensor.shape:
+            raise DataError(f"{where} has shape {shape}, expected {tensor.shape}")
+        if values.shape != (tensor.size,):
             raise DataError(
-                f"{path}: tensor {name!r} has shape {shape}, expected {tensor.shape}"
+                f"{where} has {values.size} values, its shape {shape} needs {tensor.size}"
             )
-        values = np.array(entry["values"], dtype=np.float64).reshape(shape)
-        tensor.values[...] = values
+        if not np.isfinite(values).all():
+            raise DataError(f"{where} holds non-finite values")
+        tensor.values[...] = values.reshape(shape)
 
-    pipeline = data.get("pipeline") or {}
-    lex = pipeline.get("lexicon")
-    return LoadedCheckpoint(
-        model=model,
-        lexicon=TriggerLexicon.from_dict(lex) if lex else None,
-        max_nugget_len=pipeline.get("max_nugget_len"),
-        threshold=float(pipeline.get("threshold", 0.5)),
-    )
+    return LoadedCheckpoint(model, lexicon, max_nugget_len, float(threshold))

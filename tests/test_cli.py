@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from fbrnn.cli import main
+from fbrnn.cli import (
+    _CONFIG_KEYS,
+    _resolve_run_config,
+    _train_config_from,
+    build_parser,
+    main,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -288,6 +294,187 @@ class TestExitCodes:
 
     def test_evaluate_needs_exactly_one_source(self, synth_dir):
         assert run_cli("evaluate", "--corpus", synth_dir / "dev.jsonl") == 1
+
+
+# The train/ablate config flags, spelled out so that renaming a config
+# field cannot silently rename or drop a flag.
+_RUN_CONFIG_FLAGS = {
+    "--cell", "--hidden-size", "--layers", "--word-dim", "--branch-dim",
+    "--branch", "--no-branch", "--head-mode", "--head-hidden", "--dropout",
+    "--optimizer", "--lr", "--beta1", "--beta2", "--eps", "--clip-norm",
+    "--max-epochs", "--patience", "--batch-size", "--negative-ratio",
+    "--max-nugget-len", "--threshold", "--seed", "--train-corpus",
+    "--dev-corpus", "--labels", "--embeddings", "--paraphrases",
+    "--dev-fraction", "--out-dir",
+}
+
+
+def _subparser(name):
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return sub.choices[name]
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_every_config_key_has_a_flag_and_back(self, command):
+        own = {"help", "config", "timing", "out"}
+        flags = {}
+        for action in _subparser(command)._actions:
+            if action.dest not in own:
+                flags.update((opt, action.dest) for opt in action.option_strings)
+        assert set(flags.values()) == set(_CONFIG_KEYS)
+        for flag, key in flags.items():
+            if key == "use_branch":
+                assert flag in ("--branch", "--no-branch")
+            else:
+                assert flag == "--" + key.replace("_", "-")
+        assert set(flags) == _RUN_CONFIG_FLAGS
+
+    @pytest.mark.parametrize(
+        "key, flag",
+        [("clip_norm", "--clip-norm"), ("negative_ratio", "--negative-ratio"),
+         ("head_hidden", "--head-hidden")],
+    )
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_explicit_none_reaches_the_config(self, tmp_path, key, flag, source):
+        cfg = tmp_path / "run.cfg"
+        # the file sets a value; an explicit none in the file or a flag wins
+        setting = {"clip_norm": "2.5", "negative_ratio": "1.5", "head_hidden": "4,3"}[key]
+        lines = [f"{key} = {setting}"] + ([f"{key} = none"] if source == "file" else [])
+        cfg.write_text("\n".join(lines) + "\n")
+        argv = ["train", "--config", str(cfg)] + ([flag, "none"] if source == "flag" else [])
+        values = _resolve_run_config(build_parser().parse_args(argv))
+        assert values[key] is None
+        assert getattr(_train_config_from(values), key) is None
+
+    def test_flags_not_given_keep_file_values(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("clip_norm = 2.5\nuse_branch = off\nhead_hidden = 4,3\n")
+        values = _resolve_run_config(build_parser().parse_args(["train", "--config", str(cfg)]))
+        assert values == {"clip_norm": 2.5, "use_branch": False, "head_hidden": (4, 3)}
+
+    @pytest.mark.parametrize(
+        "line", ["lr = abc", "use_branch = maybe", "head_hidden = 4,x", "hidden_size = 2.5"]
+    )
+    def test_bad_config_value_is_config_error(self, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli("train", "--config", cfg) == 1
+        assert "bad.cfg:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [("--cell", "rnn"), ("--head-mode", "crf"), ("--optimizer", "rmsprop"),
+                  ("--hidden-size", "x")]
+    )
+    def test_bad_flag_value_is_config_error(self, train_cfg_file, tmp_path, flags, capsys):
+        code = run_cli("train", "--config", train_cfg_file, "--out-dir", tmp_path, *flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _checkpoint_with(mutate):
+    def build(synth_dir, run_dir, tmp_path):
+        data = json.loads((run_dir / "checkpoint.json").read_text())
+        mutate(data)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "preds.jsonl"
+        return ["predict", "--checkpoint", path, "--corpus", synth_dir / "dev.jsonl", "--out", out]
+    return build
+
+
+def _tensor(data):
+    return data["tensors"]["head.out.b"]
+
+
+def _prediction(**fields):
+    def build(synth_dir, run_dir, tmp_path):
+        record = {"sentence": 0, "start": 0, "end": 0, "types": ["Conflict.Attack"], **fields}
+        path = tmp_path / "preds.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        return ["evaluate", "--predictions", path, "--labels", synth_dir / "labels.json",
+                "--corpus", synth_dir / "dev.jsonl"]
+    return build
+
+
+def _bool_span_corpus(synth_dir, run_dir, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({
+        "tokens": [{"t": "they"}, {"t": "met"}],
+        "nuggets": [{"start": True, "end": 1, "types": ["Contact.Meet"]}],
+    }) + "\n")
+    return ["build-lexicon", "--corpus", path, "--labels", synth_dir / "labels.json",
+            "--out", tmp_path / "lex.json"]
+
+
+def _threshold(command):
+    def build(synth_dir, run_dir, tmp_path):
+        argv = [command, "--checkpoint", run_dir / "checkpoint.json",
+                "--corpus", synth_dir / "dev.jsonl", "--threshold", "7"]
+        return argv + (["--out", tmp_path / "preds.jsonl"] if command == "predict" else [])
+    return build
+
+
+def _train_threshold(synth_dir, run_dir, tmp_path):
+    return ["train", "--train-corpus", synth_dir / "train.jsonl", "--labels",
+            synth_dir / "labels.json", "--threshold", "7", "--out-dir", tmp_path]
+
+
+def _out_dir_is_a_file(synth_dir, run_dir, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return ["train", "--train-corpus", synth_dir / "train.jsonl", "--labels",
+            synth_dir / "labels.json", "--max-epochs", "1", "--out-dir", blocker]
+
+
+def _out_is_under_a_file(synth_dir, run_dir, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return ["predict", "--checkpoint", run_dir / "checkpoint.json",
+            "--corpus", synth_dir / "dev.jsonl", "--out", blocker / "preds.jsonl"]
+
+
+_MALFORMED = [
+    # (case, builder, exit code, text the message must contain)
+    ("ckpt-no-shape", _checkpoint_with(lambda d: _tensor(d).pop("shape")), 2, "head.out.b"),
+    ("ckpt-no-values", _checkpoint_with(lambda d: _tensor(d).pop("values")), 2, "head.out.b"),
+    ("ckpt-value-count", _checkpoint_with(lambda d: _tensor(d)["values"].pop()), 2,
+     "head.out.b"),
+    ("ckpt-nan", _checkpoint_with(lambda d: _tensor(d)["values"].__setitem__(0, float("nan"))),
+     2, "head.out.b"),
+    ("ckpt-inf", _checkpoint_with(lambda d: _tensor(d)["values"].__setitem__(0, float("inf"))),
+     2, "head.out.b"),
+    ("ckpt-lexicon", _checkpoint_with(
+        lambda d: d["pipeline"].__setitem__("lexicon", {"entries": {"x": 5}})), 2, "'x'"),
+    ("ckpt-threshold", _checkpoint_with(lambda d: d["pipeline"].__setitem__("threshold", "a")),
+     2, "threshold"),
+    ("pred-bool-sentence", _prediction(sentence=True), 2, "preds.jsonl:1"),
+    ("pred-string-start", _prediction(start="0"), 2, "preds.jsonl:1"),
+    ("pred-float-end", _prediction(end=0.9), 2, "preds.jsonl:1"),
+    ("pred-unknown-type", _prediction(types=["Nope"]), 2, "preds.jsonl:1"),
+    ("pred-sentence-range", _prediction(sentence=999), 2, "preds.jsonl:1"),
+    ("pred-span-range", _prediction(start=0, end=99), 2, "preds.jsonl:1"),
+    ("corpus-bool-span", _bool_span_corpus, 2, "corpus.jsonl:1"),
+    ("threshold-evaluate", _threshold("evaluate"), 1, "threshold"),
+    ("threshold-predict", _threshold("predict"), 1, "threshold"),
+    ("threshold-train", _train_threshold, 1, "threshold"),
+    ("out-dir-file", _out_dir_is_a_file, 1, "file"),
+    ("out-under-file", _out_is_under_a_file, 1, "file"),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "build, code, needle", [c[1:] for c in _MALFORMED], ids=[c[0] for c in _MALFORMED]
+    )
+    def test_documented_exit_code_without_traceback(
+        self, synth_dir, trained_run, tmp_path, capsys, build, code, needle
+    ):
+        assert run_cli(*build(synth_dir, trained_run, tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: " if code == 1 else "data error: ")
+        assert needle in err
+        assert "Traceback" not in err
 
 
 class TestConsoleScript:

@@ -57,7 +57,7 @@ class TestWordTable:
     def test_pretrained_row_copied(self):
         vectors = load_pretrained(MINI_W2V, 8)
         store = ParamStore()
-        table = WordTable.from_corpus_words(["broken", "zzz-novel"], 8, Rng(0), store, vectors)
+        table = WordTable.build([UNK, "broken", "zzz-novel"], 8, Rng(0), store, vectors)
         row = table.row("broken")
         assert np.array_equal(table.tensor.values[row], vectors["broken"])
         assert table.pretrained_hits == 1
@@ -66,20 +66,20 @@ class TestWordTable:
     def test_oov_row_comes_from_initializer(self):
         vectors = load_pretrained(MINI_W2V, 8)
         store_a, store_b = ParamStore(), ParamStore()
-        with_pre = WordTable.from_corpus_words(["zzz-novel"], 8, Rng(4), store_a, vectors)
-        without = WordTable.from_corpus_words(["zzz-novel"], 8, Rng(4), store_b, None)
+        with_pre = WordTable.build([UNK, "zzz-novel"], 8, Rng(4), store_a, vectors)
+        without = WordTable.build([UNK, "zzz-novel"], 8, Rng(4), store_b, None)
         row = with_pre.row("zzz-novel")
         assert np.array_equal(with_pre.tensor.values[row], without.tensor.values[row])
 
     def test_unknown_word_maps_to_unk_row(self):
         store = ParamStore()
-        table = WordTable.from_corpus_words(["alpha"], 4, Rng(0), store)
+        table = WordTable.build([UNK, "alpha"], 4, Rng(0), store)
         assert table.row("never-seen") == 0
         assert table.row("alpha") == 1
 
     def test_lookup_lowercases(self):
         store = ParamStore()
-        table = WordTable.from_corpus_words(["November"], 4, Rng(0), store)
+        table = WordTable.build([UNK, "november"], 4, Rng(0), store)
         assert table.row("NOVEMBER") == table.row("november") != 0
 
     def test_word_list_must_start_with_unk(self):
@@ -91,7 +91,7 @@ class TestAssembly:
     def build_embedder(self, d_w=300, d_b=20):
         store = ParamStore()
         rng = Rng(1)
-        word = WordTable.from_corpus_words(["alpha", "beta"], d_w, rng, store)
+        word = WordTable.build([UNK, "alpha", "beta"], d_w, rng, store)
         branch = BranchTable.build(d_b, rng, store)
         return Embedder(word, branch)
 
@@ -109,7 +109,7 @@ class TestAssembly:
 
     def test_branch_disabled_width(self):
         store = ParamStore()
-        word = WordTable.from_corpus_words(["alpha"], 300, Rng(0), store)
+        word = WordTable.build([UNK, "alpha"], 300, Rng(0), store)
         emb = Embedder(word, None)
         vec, _ = emb.assemble_input("alpha", Branch.RIGHT)
         assert vec.shape == (300,)

@@ -13,18 +13,15 @@ from fbrnn.numerics import (
     UPDATE_BLOCK,
     Optimizer,
     ParamStore,
-    ParamTensor,
     Rng,
     adam_step,
     clip_gradients,
     dropout_mask,
     grad_check,
     init_uniform_scaled,
-    matvec,
     sgd_step,
     sigmoid,
     softmax,
-    tanh,
 )
 
 
@@ -70,9 +67,6 @@ class TestActivations:
     def test_sigmoid_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
 
-    def test_tanh_zero(self):
-        assert tanh(np.array([0.0]))[0] == 0.0
-
     def test_sigmoid_saturates_without_overflow(self):
         out = sigmoid(np.array([1000.0, -1000.0]))
         assert out[0] == pytest.approx(1.0, abs=1e-15)
@@ -105,25 +99,6 @@ class TestActivations:
         assert abs(base.sum() - 1.0) <= 1e-12
         shifted = softmax(np.array(logits) + shift)
         assert np.allclose(base, shifted, atol=1e-12)
-
-
-class TestMatvec:
-    def test_identity(self):
-        w = ParamTensor("w", np.eye(2))
-        assert list(matvec(w, np.array([3.0, 4.0]))) == [3.0, 4.0]
-
-    def test_zero_matrix(self):
-        w = ParamTensor("w", np.zeros((3, 2)))
-        assert list(matvec(w, np.array([5.0, -1.0]))) == [0.0, 0.0, 0.0]
-
-    def test_hand_arithmetic(self):
-        w = ParamTensor("w", [[1.0, 2.0], [3.0, 4.0]])
-        assert list(matvec(w, np.array([1.0, 1.0]))) == [3.0, 7.0]
-
-    def test_dimension_mismatch_is_fatal(self):
-        w = ParamTensor("w", np.zeros((2, 3)))
-        with pytest.raises(ConfigurationError):
-            matvec(w, np.zeros(2))
 
 
 class TestInit:

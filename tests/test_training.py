@@ -134,6 +134,11 @@ class TestLoop:
         with pytest.raises(ConfigurationError):
             dataclasses.replace(SMALL_CFG, **bad).validate()
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 7.0, -0.1, float("nan")])
+    def test_threshold_outside_open_unit_interval_rejected(self, threshold):
+        with pytest.raises(ConfigurationError, match="threshold"):
+            dataclasses.replace(SMALL_CFG, threshold=threshold).validate()
+
     def test_epoch_records_gradient_norms(self, small_data):
         _, log = run(dataclasses.replace(SMALL_CFG, max_epochs=2, clip_norm=0.5), small_data)
         for e in log.epochs:
@@ -180,6 +185,28 @@ class TestLoop:
             i for i in order if not small_data["train_ex"][i].candidate.types
         ]
         assert len(negatives) <= max(1, int(0.1 * len(positives)) + 1)
+
+
+class TestConfigSchema:
+    def test_train_config_extends_model_config(self):
+        model_cfg = TrainConfig().model_config()
+        assert type(model_cfg) is ModelConfig
+        assert model_cfg == ModelConfig()
+        assert set(model_cfg.to_dict()) == {f.name for f in dataclasses.fields(ModelConfig)}
+
+    def test_model_fields_come_first_in_order(self):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert names[: len(dataclasses.fields(ModelConfig))] == [
+            f.name for f in dataclasses.fields(ModelConfig)
+        ]
+        # positional construction follows that order
+        assert TrainConfig("lstm", 7).hidden_size == 7
+
+    def test_model_config_carries_every_model_field(self):
+        cfg = dataclasses.replace(SMALL_CFG, head_mode="sigmoid", head_hidden=(5,), layers=2)
+        model_cfg = cfg.model_config()
+        for f in dataclasses.fields(ModelConfig):
+            assert getattr(model_cfg, f.name) == getattr(cfg, f.name)
 
 
 class TestTrainLogCsv:
