@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .corpus import Corpus, GoldNugget, LabelSet, Sentence, vocabulary_of
 from .errors import ConfigurationError, DataError
-from .fileio import write_text_atomic
+from .fileio import read_json, read_utf8, write_text_atomic
 
 __all__ = [
     "TriggerLexicon",
@@ -119,9 +119,9 @@ class TriggerLexicon:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriggerLexicon":
-        entries = data.get("entries")
+        entries = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(entries, dict):
-            raise DataError("lexicon data must contain an 'entries' mapping")
+            raise DataError("lexicon must be a JSON object with an 'entries' mapping")
         lex = cls()
         for word, counts in entries.items():
             gold = counts.get("gold", 0) if isinstance(counts, dict) else None
@@ -141,13 +141,8 @@ class TriggerLexicon:
 
 def load_paraphrases(path: str | Path) -> list[tuple[str, str]]:
     """Parse a tab-separated `source<TAB>paraphrase` file; `#` comments."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read paraphrase file {path}: {e}") from e
     pairs = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path, "paraphrase file").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -187,14 +182,11 @@ def save_lexicon(lex: TriggerLexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> TriggerLexicon:
-    path = Path(path)
+    data = read_json(path, "lexicon")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise DataError(f"cannot read lexicon {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON: {e}") from e
-    return TriggerLexicon.from_dict(data)
+        return TriggerLexicon.from_dict(data)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def extract_single_token_candidates(

@@ -42,7 +42,7 @@ from .corpus import (
 )
 from .embeddings import load_pretrained
 from .errors import ConfigurationError, DataError, NumericError
-from .fileio import write_text_atomic
+from .fileio import json_lines, read_utf8, write_text_atomic
 from .evaluation import (
     PredictedNugget,
     PRFReport,
@@ -119,9 +119,9 @@ def _coerce(key: str, raw: str):
 def _read_config_file(path: str) -> dict:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigurationError(f"cannot read config file {p}: {e}") from e
+        text = read_utf8(p, "config file")
+    except DataError as e:  # a config file is configuration: exit 1
+        raise ConfigurationError(str(e)) from e
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -335,14 +335,10 @@ def _score_predictions(args) -> PRFReport:
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     path = _require_file(args.predictions, "predictions")
     preds = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
+    for where, obj in json_lines(read_utf8(path, "predictions file").splitlines(), str(path)):
         try:
-            obj = json.loads(line)
             pred = PredictedNugget(obj["sentence"], obj["start"], obj["end"], tuple(obj["types"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (KeyError, TypeError) as e:
             raise DataError(f"{where}: bad prediction record: {e}") from e
         if not all(type(v) is int for v in (pred.sentence, pred.start, pred.end)):
             raise DataError(f"{where}: 'sentence', 'start' and 'end' must be integers")

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
-from .fileio import write_text_atomic
+from .fileio import json_lines, read_json, read_utf8, write_text_atomic
 from .numerics import Rng
 
 __all__ = [
@@ -154,19 +154,9 @@ class LabelSet:
 
 
 def load_label_set(path: str | Path) -> LabelSet:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise DataError(f"cannot read label file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON: {e}") from e
+    data = read_json(path, "label file")
     if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
         raise DataError(f"{path}: label file must be a JSON array of strings")
-    if NON_EVENT_LABEL in data:
-        raise DataError(
-            f"{path}: {NON_EVENT_LABEL!r} is implicit and must not be listed"
-        )
     try:
         return LabelSet(data)
     except ConfigurationError as e:
@@ -196,8 +186,11 @@ def _parse_sentence(obj: dict, labels: LabelSet, where: str) -> Sentence:
         if pos is not None and not isinstance(pos, str):
             raise DataError(f"{where}: token {k}: field 'pos' must be a string")
         tokens.append(Token(tok["t"], pos))
+    raw_nuggets = obj.get("nuggets", [])
+    if not isinstance(raw_nuggets, list):
+        raise DataError(f"{where}: field 'nuggets' must be an array")
     nuggets = []
-    for k, ng in enumerate(obj.get("nuggets", [])):
+    for k, ng in enumerate(raw_nuggets):
         if not isinstance(ng, dict):
             raise DataError(f"{where}: nugget {k}: expected an object")
         start, end = ng.get("start"), ng.get("end")
@@ -221,27 +214,13 @@ def _parse_sentence(obj: dict, labels: LabelSet, where: str) -> Sentence:
 def corpus_from_lines(
     lines: Iterable[str], labels: LabelSet, source: str = "<input>"
 ) -> Corpus:
-    sentences = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{where}: invalid JSON: {e}") from e
-        sentences.append(_parse_sentence(obj, labels, where))
-    return Corpus(tuple(sentences))
+    return Corpus(
+        tuple(_parse_sentence(obj, labels, where) for where, obj in json_lines(lines, source))
+    )
 
 
 def load_corpus(path: str | Path, labels: LabelSet) -> Corpus:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read corpus {path}: {e}") from e
-    return corpus_from_lines(text.splitlines(), labels, source=str(path))
+    return corpus_from_lines(read_utf8(path, "corpus").splitlines(), labels, source=str(path))
 
 
 def _sentence_to_obj(s: Sentence) -> dict:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .fileio import read_utf8
 from .numerics import ParamStore, ParamTensor, Rng, init_uniform_scaled
 
 __all__ = [
@@ -43,18 +44,14 @@ def load_pretrained(path: str | Path, expected_dim: int) -> dict[str, np.ndarray
     """Read a word2vec text-format file: header `V d`, then `word v_1 .. v_d`.
 
     Rejects a header dimension different from `expected_dim`, malformed
-    lines (with their line number) and vector counts that disagree with the
-    header. Binary word2vec files are not supported.
+    lines and NaN/Inf values (with their line number) and vector counts
+    that disagree with the header. Binary word2vec files are not supported.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read embedding file {path}: {e}") from e
+    lines = read_utf8(path, "embedding file").splitlines()
     if not lines:
         raise DataError(f"{path}: empty embedding file")
     header = lines[0].split()
-    if len(header) != 2 or not all(p.isdigit() for p in header):
+    if len(header) != 2 or not all(p.isdecimal() for p in header):
         raise DataError(f"{path}:1: header must be 'vocab_size dim'")
     count, dim = int(header[0]), int(header[1])
     if dim != expected_dim:
@@ -78,6 +75,8 @@ def load_pretrained(path: str | Path, expected_dim: int) -> dict[str, np.ndarray
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: non-numeric value: {e}") from e
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}:{lineno}: non-finite value in the vector of {word!r}")
         vectors[word] = vec
     if len(vectors) != count:
         raise DataError(

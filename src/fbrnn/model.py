@@ -24,6 +24,7 @@ step gives c' = c/2, h' = tanh(c/2)/2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -90,6 +91,9 @@ class ModelConfig:
             raise ConfigurationError(f"unknown cell kind {self.cell!r}")
         if self.head_mode not in HEAD_MODES:
             raise ConfigurationError(f"unknown head mode {self.head_mode!r}")
+        sizes = (self.hidden_size, self.layers, self.word_dim, self.branch_dim)
+        if not all(isinstance(n, numbers.Integral) for n in sizes + (self.head_hidden or ())):
+            raise ConfigurationError("layer sizes and counts must be integers")
         if self.hidden_size < 1 or self.layers < 1 or self.word_dim < 1:
             raise ConfigurationError("hidden_size, layers and word_dim must be >= 1")
         if self.use_branch and self.branch_dim < 1:
@@ -711,9 +715,10 @@ def tiny_gradcheck(
     negative = BranchSplit(_TINY_SENTENCE[:1], _TINY_SENTENCE[1:2], _TINY_SENTENCE[2:])
     pos_types = ("TypeA", "TypeC") if head_mode == "sigmoid" else ("TypeB",)
 
+    model.forward_backward(positive, pos_types, Mode.EVAL)
+    model.forward_backward(negative, (), Mode.EVAL)
+
     def loss_fn() -> float:
-        return model.forward_backward(
-            positive, pos_types, Mode.EVAL
-        ) + model.forward_backward(negative, (), Mode.EVAL)
+        return model.loss(positive, pos_types) + model.loss(negative, ())
 
     return grad_check(loss_fn, model.store, eps=eps)

@@ -522,23 +522,22 @@ def grad_check(
     eps: float = 1e-5,
     tensors: Iterable[str] | None = None,
 ) -> GradCheckReport:
-    """Compare analytic gradients against central differences.
+    """Compare the analytic gradients in `store.grad` against central differences.
 
-    `loss_fn` must be deterministic (run dropout in EVAL mode, fix any rng)
-    and must *accumulate* gradients into the store when called; this routine
-    zeroes the buffers itself. For every checked entry the relative error is
-    |a - n| / max(|a|, |n|, 1e-8) where n = (f(x+eps) - f(x-eps)) / (2 eps).
-    Gradient buffers are left zeroed on return.
+    The caller runs its backward pass first and leaves the analytic
+    gradient in `store.grad`. `loss_fn` only returns the loss; it must be
+    deterministic (run dropout in EVAL mode, fix any rng). For every
+    checked entry the relative error is |a - n| / max(|a|, |n|, 1e-8)
+    where n = (f(x+eps) - f(x-eps)) / (2 eps). Gradient buffers are left
+    zeroed on return.
     """
     if not eps > 0.0:
         raise ConfigurationError(f"gradient-check step must be positive, got {eps!r}")
     names = list(tensors) if tensors is not None else store.names()
     selected = [store[n] for n in names]
 
-    store.zero_grads()
-    base1 = float(loss_fn())
     analytic = {t.name: t.grad.copy() for t in selected}
-    store.zero_grads()
+    base1 = float(loss_fn())
     base2 = float(loss_fn())
     if base1 != base2:
         raise NumericError(

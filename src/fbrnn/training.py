@@ -24,7 +24,7 @@ from .candidates import LabeledExample, TriggerLexicon
 from .corpus import Corpus, LabelSet
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
-from .fileio import write_text_atomic
+from .fileio import read_json, write_text_atomic
 from .model import ModelConfig, NuggetModel, assemble_model
 from .numerics import Mode, Optimizer, Rng, check_optimizer_hyperparameters
 
@@ -284,7 +284,6 @@ def save_checkpoint(
     prediction on a raw corpus needs nothing but the checkpoint. Written
     atomically; floats round-trip exactly through JSON.
     """
-    path = Path(path)
     data = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "fbrnn-checkpoint",
@@ -317,20 +316,15 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Rebuild a model from a checkpoint file.
 
-    Rejects version mismatches, tensors with unexpected names or shapes,
-    tensor entries without `shape`/`values`, value counts that do not fill
-    the shape, NaN or Inf values, malformed vocabularies, lexicons and
-    pipeline settings, and (when `expect` is given) any config different
-    from the expected one, each as a DataError naming the tensor or field.
+    Rejects version mismatches, tensor entries without `shape`/`values`,
+    value counts that do not fill the shape, NaN or Inf values, tensor
+    names or shapes that differ from the model's, malformed vocabularies,
+    lexicons and pipeline settings, and (when `expect` is given) any config
+    different from the expected one, each as a DataError naming the tensor
+    or field.
     A truncated or corrupt file fails cleanly without a partial model.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: corrupt checkpoint (invalid JSON): {e}") from e
+    data = read_json(path, "checkpoint")
     if not isinstance(data, dict) or data.get("kind") != "fbrnn-checkpoint":
         raise DataError(f"{path}: not a model checkpoint")
     if data.get("format_version") != CHECKPOINT_VERSION:
@@ -365,32 +359,26 @@ def load_checkpoint(
         model = assemble_model(cfg, vocab, labels, Rng(0))
     except ConfigurationError as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
-    store = model.store
-    missing = [n for n in store.names() if n not in tensors]
-    extra = [n for n in tensors if n not in store]
-    if missing or extra:
-        raise DataError(
-            f"{path}: tensor set mismatch: missing={missing!r} extra={extra!r}"
-        )
-    for name in store.names():
-        tensor = store[name]
-        entry = tensors[name]
+    arrays = {}
+    for name, entry in tensors.items():
         where = f"{path}: tensor {name!r}"
         if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
             raise DataError(f"{where} needs 'shape' and 'values'")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise DataError(f"{where}: 'shape' must be a list of non-negative integers")
         try:
-            shape = tuple(entry["shape"])
             values = np.array(entry["values"], dtype=np.float64)
         except (TypeError, ValueError) as e:
             raise DataError(f"{where}: malformed entry: {e}") from e
-        if shape != tensor.shape:
-            raise DataError(f"{where} has shape {shape}, expected {tensor.shape}")
-        if values.shape != (tensor.size,):
-            raise DataError(
-                f"{where} has {values.size} values, its shape {shape} needs {tensor.size}"
-            )
+        if values.shape != (size := math.prod(shape),):
+            raise DataError(f"{where} has {values.size} values, its shape {shape} needs {size}")
         if not np.isfinite(values).all():
             raise DataError(f"{where} holds non-finite values")
-        tensor.values[...] = values.reshape(shape)
+        arrays[name] = values.reshape(shape)
+    try:
+        model.store.load_values(arrays)
+    except ConfigurationError as e:
+        raise DataError(f"{path}: {e}") from e
 
     return LoadedCheckpoint(model, lexicon, max_nugget_len, float(threshold))

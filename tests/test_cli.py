@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: pipeline smoke, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbrnn.cli import (
     _CONFIG_KEYS,
@@ -434,8 +438,72 @@ def _out_is_under_a_file(synth_dir, run_dir, tmp_path):
             "--corpus", synth_dir / "dev.jsonl", "--out", blocker / "preds.jsonl"]
 
 
+# One command per input kind that reads a file of that kind: kind ->
+# (file name, argv builder given the file's path).
+_READERS = {
+    "corpus": ("corpus.jsonl", lambda s, r, t, p: [
+        "predict", "--checkpoint", r / "checkpoint.json", "--corpus", p,
+        "--out", t / "preds.jsonl"]),
+    "labels": ("labels.json", lambda s, r, t, p: [
+        "build-lexicon", "--corpus", s / "train.jsonl", "--labels", p,
+        "--out", t / "lex.json"]),
+    "paraphrases": ("paraphrases.tsv", lambda s, r, t, p: [
+        "build-lexicon", "--corpus", s / "train.jsonl", "--labels", s / "labels.json",
+        "--paraphrases", p, "--out", t / "lex.json"]),
+    "lexicon": ("lexicon.json", lambda s, r, t, p: [
+        "candidates", "--corpus", s / "dev.jsonl", "--labels", s / "labels.json",
+        "--lexicon", p, "--out", t / "cands.jsonl"]),
+    "embeddings": ("vectors.txt", lambda s, r, t, p: [
+        "train", "--train-corpus", s / "train.jsonl", "--labels", s / "labels.json",
+        "--embeddings", p, "--word-dim", "8", "--hidden-size", "4", "--branch-dim", "2",
+        "--max-epochs", "1", "--out-dir", t]),
+    "checkpoint": ("checkpoint.json", lambda s, r, t, p: [
+        "predict", "--checkpoint", p, "--corpus", s / "dev.jsonl",
+        "--out", t / "preds.jsonl"]),
+    "config": ("run.cfg", lambda s, r, t, p: [
+        "train", "--config", p, "--max-epochs", "1", "--out-dir", t]),
+    "predictions": ("preds.jsonl", lambda s, r, t, p: [
+        "evaluate", "--predictions", p, "--labels", s / "labels.json",
+        "--corpus", s / "dev.jsonl"]),
+}
+
+
+def _input_file(kind, content):
+    name, command = _READERS[kind]
+
+    def build(synth_dir, run_dir, tmp_path):
+        path = tmp_path / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        return command(synth_dir, run_dir, tmp_path, path)
+    return build
+
+
+def _corpus_line(**fields):
+    return json.dumps({"tokens": [{"t": "they"}, {"t": "met"}], **fields}) + "\n"
+
+
 _MALFORMED = [
     # (case, builder, exit code, text the message must contain)
+    *[(f"{kind}-not-utf8", _input_file(kind, b"\xff\xfe"), 1 if kind == "config" else 2,
+       f"{name}: ") for kind, (name, _) in _READERS.items()],
+    ("emb-nan", _input_file("embeddings", "1 8\nmet nan 0 0 0 0 0 0 0\n"), 2,
+     "vectors.txt:2"),
+    ("emb-inf", _input_file("embeddings", "1 8\nmet 0 0 0 -inf 0 0 0 0\n"), 2,
+     "vectors.txt:2"),
+    ("emb-header-not-decimal", _input_file("embeddings", "1 \u00b2\n"), 2, "vectors.txt:1"),
+    ("lexicon-array", _input_file("lexicon", "[]\n"), 2, "lexicon.json: "),
+    ("ckpt-lexicon-array", _checkpoint_with(lambda d: d["pipeline"].__setitem__("lexicon", [1])),
+     2, "lexicon"),
+    ("ckpt-lexicon-string",
+     _checkpoint_with(lambda d: d["pipeline"].__setitem__("lexicon", "abc")), 2, "lexicon"),
+    ("corpus-null-nuggets", _input_file("corpus", _corpus_line(nuggets=None)), 2,
+     "corpus.jsonl:1"),
+    ("corpus-int-nuggets", _input_file("corpus", _corpus_line(nuggets=5)), 2, "corpus.jsonl:1"),
+    ("ckpt-float-hidden-size",
+     _checkpoint_with(lambda d: d["config"].__setitem__("hidden_size", 2.5)), 2, "integers"),
+    ("ckpt-deep-nesting", _input_file("checkpoint", "[" * 100_000 + "]" * 100_000), 2,
+     "checkpoint.json: corrupt"),
+    ("ckpt-huge-integer", _input_file("checkpoint", "1" * 5000), 2, "checkpoint.json: corrupt"),
     ("ckpt-no-shape", _checkpoint_with(lambda d: _tensor(d).pop("shape")), 2, "head.out.b"),
     ("ckpt-no-values", _checkpoint_with(lambda d: _tensor(d).pop("values")), 2, "head.out.b"),
     ("ckpt-value-count", _checkpoint_with(lambda d: _tensor(d)["values"].pop()), 2,
@@ -475,6 +543,86 @@ class TestMalformedInputs:
         assert err.startswith("error: " if code == 1 else "data error: ")
         assert needle in err
         assert "Traceback" not in err
+
+
+# Replacement JSON values; integers stay small so that a mutated model
+# size cannot allocate much memory.
+_SMALL_INTS = st.integers(-2, 12)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), _SMALL_INTS, st.floats(), st.text(max_size=4),
+    st.lists(_SMALL_INTS, max_size=3),
+    st.dictionaries(st.text(max_size=3), _SMALL_INTS, max_size=2),
+)
+
+
+def _replace_somewhere(draw, node, value):
+    """`node` with one of its values (or itself) replaced by `value`."""
+    if not isinstance(node, (dict, list)) or not node or draw(st.booleans()):
+        return value
+    key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    node[key] = _replace_somewhere(draw, node[key], value)
+    return node
+
+
+def _mutate(draw, kind, blob):
+    """A truncated, byte-substituted or (for JSON) value-replaced `blob`."""
+    how = draw(st.sampled_from(["truncate", "substitute", "json"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "substitute" or kind in ("paraphrases", "embeddings", "config"):
+        out = bytearray(blob)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(out) - 1))
+            out[i] = draw(st.one_of(st.integers(0x20, 0x7E), st.integers(0, 255)))
+        return bytes(out)
+    if kind in ("corpus", "predictions"):  # JSON lines: mutate one line
+        lines = blob.decode().splitlines()
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = json.dumps(_replace_somewhere(draw, json.loads(lines[i]), draw(_JSON_VALUES)))
+        return ("\n".join(lines) + "\n").encode()
+    doc = _replace_somewhere(draw, json.loads(blob), draw(_JSON_VALUES))
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(synth_dir, trained_run, train_cfg_file):
+    """The bytes of one valid file of each input kind."""
+    gold = [
+        {"sentence": i, "start": n["start"], "end": n["end"], "types": n["types"]}
+        for i, line in enumerate((synth_dir / "dev.jsonl").read_text().splitlines())
+        for n in json.loads(line)["nuggets"]
+    ]
+    files = {
+        "corpus": synth_dir / "dev.jsonl",
+        "labels": synth_dir / "labels.json",
+        "paraphrases": synth_dir / "paraphrases.tsv",
+        "lexicon": trained_run / "lexicon.json",
+        "embeddings": FIXTURES / "mini_word2vec.txt",
+        "checkpoint": trained_run / "checkpoint.json",
+        "config": train_cfg_file,
+    }
+    blobs = {kind: path.read_bytes() for kind, path in files.items()}
+    blobs["predictions"] = "".join(json.dumps(g) + "\n" for g in gold).encode()
+    return blobs
+
+
+class TestInputFuzz:
+    """Every mutation of a valid input ends in a documented exit code."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_mutated_inputs_exit_with_a_documented_code(
+        self, synth_dir, trained_run, valid_inputs, tmp_path_factory, data
+    ):
+        kind = data.draw(st.sampled_from(sorted(_READERS)))
+        blob = _mutate(data.draw, kind, valid_inputs[kind])
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        build = _input_file(kind, blob)
+        with warnings.catch_warnings(), redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = run_cli(*build(synth_dir, trained_run, tmp_path))
+        assert code in (0, 1, 2, 3)
 
 
 class TestConsoleScript:

@@ -331,13 +331,11 @@ class TestGradCheck:
     def test_quadratic(self):
         store = ParamStore()
         x = store.create("x", [3.0])
+        x.grad += 2.0 * x.values
 
-        def loss_fn():
-            x.grad += 2.0 * x.values
-            return float(x.values[0] ** 2)
-
-        report = grad_check(loss_fn, store)
+        report = grad_check(lambda: float(x.values[0] ** 2), store)
         assert report.max_rel_error < 1e-8
+        assert not store.grad.any()  # buffers are zeroed on return
 
     def test_constant_function(self):
         store = ParamStore()
@@ -366,12 +364,9 @@ class TestGradCheck:
     def test_wrong_analytic_gradient_flagged(self):
         store = ParamStore()
         x = store.create("x", [2.0])
+        x.grad += 1.0  # wrong: true gradient of x^2 is 2x
 
-        def loss_fn():
-            x.grad += 1.0  # wrong: true gradient of x^2 is 2x
-            return float(x.values[0] ** 2)
-
-        report = grad_check(loss_fn, store)
+        report = grad_check(lambda: float(x.values[0] ** 2), store)
         assert report.max_rel_error > 0.1
         assert report.worst_tensor == "x"
 
