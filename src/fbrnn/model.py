@@ -19,6 +19,10 @@ Conventions fixed here:
     LSTM  i,f,o = sig(.); g = tanh(.); c' = f*c + i*g; h' = o*tanh(c')
 so with all-zero weights a GRU step halves the hidden state and an LSTM
 step gives c' = c/2, h' = tanh(c/2)/2.
+
+Each layer owns three tensors, `<branch>.l<k>.W`, `.U` and `.b`, with the
+gates stacked as row blocks of the hidden size in the order above (GRU
+z, r, c; LSTM i, f, o, g): one matrix product per gate group.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ from .numerics import (
 
 __all__ = [
     "CELL_KINDS",
+    "GATE_ORDER",
     "HEAD_MODES",
     "ModelConfig",
-    "GruLayer",
-    "LstmLayer",
+    "RecurrentLayer",
     "gru_step",
     "gru_step_backward",
     "lstm_step",
@@ -91,15 +95,25 @@ class ModelConfig:
             raise ConfigurationError(f"unknown cell kind {self.cell!r}")
         if self.head_mode not in HEAD_MODES:
             raise ConfigurationError(f"unknown head mode {self.head_mode!r}")
-        sizes = (self.hidden_size, self.layers, self.word_dim, self.branch_dim)
-        if not all(isinstance(n, numbers.Integral) for n in sizes + (self.head_hidden or ())):
-            raise ConfigurationError("layer sizes and counts must be integers")
+        sizes = {n: getattr(self, n) for n in ("hidden_size", "layers", "word_dim", "branch_dim")}
+        sizes.update((f"head_hidden[{k}]", w) for k, w in enumerate(self.head_hidden or ()))
+        for name, n in sizes.items():
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ConfigurationError(
+                    f"layer sizes and counts must be integers, got {name} = {n!r}"
+                )
         if self.hidden_size < 1 or self.layers < 1 or self.word_dim < 1:
             raise ConfigurationError("hidden_size, layers and word_dim must be >= 1")
+        if not isinstance(self.use_branch, bool):
+            raise ConfigurationError(f"use_branch must be true or false, got {self.use_branch!r}")
         if self.use_branch and self.branch_dim < 1:
             raise ConfigurationError("branch_dim must be >= 1 when branches are on")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout}")
+        if (
+            isinstance(self.dropout, bool)
+            or not isinstance(self.dropout, numbers.Real)
+            or not 0.0 <= self.dropout < 1.0
+        ):
+            raise ConfigurationError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
         if self.head_hidden is not None and any(w < 1 for w in self.head_hidden):
             raise ConfigurationError("head_hidden widths must be >= 1")
 
@@ -134,110 +148,90 @@ class ModelConfig:
 
 
 @dataclass
-class GruLayer:
-    W_z: ParamTensor
-    U_z: ParamTensor
-    b_z: ParamTensor
-    W_r: ParamTensor
-    U_r: ParamTensor
-    b_r: ParamTensor
-    W_c: ParamTensor
-    U_c: ParamTensor
-    b_c: ParamTensor
+class RecurrentLayer:
+    """One cell layer: its gates stacked as row blocks of the hidden size.
+
+    Block order is z, r, c for the GRU and i, f, o, g for the LSTM; with G
+    gates, W is (G*h, d_in), U is (G*h, h) and b is (G*h,).
+    """
+
+    W: ParamTensor
+    U: ParamTensor
+    b: ParamTensor
 
 
-@dataclass
-class LstmLayer:
-    W_i: ParamTensor
-    U_i: ParamTensor
-    b_i: ParamTensor
-    W_f: ParamTensor
-    U_f: ParamTensor
-    b_f: ParamTensor
-    W_o: ParamTensor
-    U_o: ParamTensor
-    b_o: ParamTensor
-    W_g: ParamTensor
-    U_g: ParamTensor
-    b_g: ParamTensor
-
-
-_GRU_GATES = ("z", "r", "c")
-_LSTM_GATES = ("i", "f", "o", "g")
+GATE_ORDER = {"gru": "zrc", "lstm": "ifog"}  # row blocks of W, U and b
 
 
 def _build_layer(
     store: ParamStore, prefix: str, kind: str, d_in: int, h: int, rng: Rng
-):
-    gates = _GRU_GATES if kind == "gru" else _LSTM_GATES
-    tensors = {}
-    for g in gates:
-        tensors[f"W_{g}"] = store.add(
-            init_uniform_scaled(f"{prefix}.W_{g}", (h, d_in), rng)
+) -> RecurrentLayer:
+    # W_g then U_g, gate by gate: the values per-gate tensors would draw.
+    blocks = [
+        (
+            init_uniform_scaled("W", (h, d_in), rng).values,
+            init_uniform_scaled("U", (h, h), rng).values,
         )
-        tensors[f"U_{g}"] = store.add(
-            init_uniform_scaled(f"{prefix}.U_{g}", (h, h), rng)
+        for _ in GATE_ORDER[kind]
+    ]
+    W, U = (np.concatenate(parts) for parts in zip(*blocks))
+    return RecurrentLayer(
+        store.create(f"{prefix}.W", W),
+        store.create(f"{prefix}.U", U),
+        store.create(f"{prefix}.b", np.zeros(len(blocks) * h)),
+    )
+
+
+def _check_shapes(step: str, x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer) -> None:
+    if x.shape[0] != p.W.shape[1] or h_prev.shape[0] != p.U.shape[1]:
+        raise ConfigurationError(
+            f"{step} shape mismatch: x {x.shape}, h {h_prev.shape}, W {p.W.shape}"
         )
-        tensors[f"b_{g}"] = store.create(f"{prefix}.b_{g}", np.zeros(h))
-    return GruLayer(**tensors) if kind == "gru" else LstmLayer(**tensors)
 
 
 @dataclass
 class GruStepCache:
     x: np.ndarray
     h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
+    zr: np.ndarray  # z and r, stacked
     rh: np.ndarray
     hc: np.ndarray
 
 
 def gru_step(
-    x: np.ndarray, h_prev: np.ndarray, p: GruLayer
+    x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer
 ) -> tuple[np.ndarray, GruStepCache]:
-    if x.shape[0] != p.W_z.shape[1] or h_prev.shape[0] != p.U_z.shape[1]:
-        raise ConfigurationError(
-            f"gru_step shape mismatch: x {x.shape}, h {h_prev.shape}, "
-            f"W {p.W_z.shape}"
-        )
-    z = sigmoid(p.W_z.values @ x + p.U_z.values @ h_prev + p.b_z.values)
-    r = sigmoid(p.W_r.values @ x + p.U_r.values @ h_prev + p.b_r.values)
+    _check_shapes("gru_step", x, h_prev, p)
+    h = h_prev.shape[0]
+    U, b = p.U.values, p.b.values
+    wx = p.W.values @ x
+    zr = sigmoid(wx[: 2 * h] + U[: 2 * h] @ h_prev + b[: 2 * h])
+    z, r = zr[:h], zr[h:]
     rh = r * h_prev
-    hc = np.tanh(p.W_c.values @ x + p.U_c.values @ rh + p.b_c.values)
+    hc = np.tanh(wx[2 * h :] + U[2 * h :] @ rh + b[2 * h :])
     h_new = (1.0 - z) * h_prev + z * hc
-    return h_new, GruStepCache(x, h_prev, z, r, rh, hc)
+    return h_new, GruStepCache(x, h_prev, zr, rh, hc)
 
 
 def gru_step_backward(
-    dh: np.ndarray, cache: GruStepCache, p: GruLayer
+    dh: np.ndarray, cache: GruStepCache, p: RecurrentLayer
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accumulates parameter grads; returns (dh_prev, dx)."""
-    dz = dh * (cache.hc - cache.h_prev)
-    dhc = dh * cache.z
-    dh_prev = dh * (1.0 - cache.z)
+    h = dh.shape[0]
+    z, r = cache.zr[:h], cache.zr[h:]
+    U = p.U.values
+    da = np.empty(3 * h)  # pre-activation gradients of z, r, c
+    da[2 * h :] = dh * z * (1.0 - cache.hc * cache.hc)
+    drh = U[2 * h :].T @ da[2 * h :]
+    da[:h] = dh * (cache.hc - cache.h_prev) * z * (1.0 - z)
+    da[h : 2 * h] = drh * cache.h_prev * r * (1.0 - r)
 
-    da_c = dhc * (1.0 - cache.hc * cache.hc)
-    p.W_c.grad += np.outer(da_c, cache.x)
-    p.U_c.grad += np.outer(da_c, cache.rh)
-    p.b_c.grad += da_c
-    drh = p.U_c.values.T @ da_c
-    dr = drh * cache.h_prev
-    dh_prev = dh_prev + drh * cache.r
-
-    da_z = dz * cache.z * (1.0 - cache.z)
-    p.W_z.grad += np.outer(da_z, cache.x)
-    p.U_z.grad += np.outer(da_z, cache.h_prev)
-    p.b_z.grad += da_z
-    dh_prev = dh_prev + p.U_z.values.T @ da_z
-
-    da_r = dr * cache.r * (1.0 - cache.r)
-    p.W_r.grad += np.outer(da_r, cache.x)
-    p.U_r.grad += np.outer(da_r, cache.h_prev)
-    p.b_r.grad += da_r
-    dh_prev = dh_prev + p.U_r.values.T @ da_r
-
-    dx = p.W_z.values.T @ da_z + p.W_r.values.T @ da_r + p.W_c.values.T @ da_c
-    return dh_prev, dx
+    p.W.grad += np.outer(da, cache.x)
+    p.U.grad[: 2 * h] += np.outer(da[: 2 * h], cache.h_prev)
+    p.U.grad[2 * h :] += np.outer(da[2 * h :], cache.rh)
+    p.b.grad += da
+    dh_prev = dh * (1.0 - z) + drh * r + U[: 2 * h].T @ da[: 2 * h]
+    return dh_prev, p.W.values.T @ da
 
 
 @dataclass
@@ -245,61 +239,40 @@ class LstmStepCache:
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray  # i, f, o, g, stacked
     tc: np.ndarray  # tanh(c_new)
 
 
 def lstm_step(
-    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmLayer
+    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: RecurrentLayer
 ) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    if x.shape[0] != p.W_i.shape[1] or h_prev.shape[0] != p.U_i.shape[1]:
-        raise ConfigurationError(
-            f"lstm_step shape mismatch: x {x.shape}, h {h_prev.shape}, "
-            f"W {p.W_i.shape}"
-        )
-    i = sigmoid(p.W_i.values @ x + p.U_i.values @ h_prev + p.b_i.values)
-    f = sigmoid(p.W_f.values @ x + p.U_f.values @ h_prev + p.b_f.values)
-    o = sigmoid(p.W_o.values @ x + p.U_o.values @ h_prev + p.b_o.values)
-    g = np.tanh(p.W_g.values @ x + p.U_g.values @ h_prev + p.b_g.values)
+    _check_shapes("lstm_step", x, h_prev, p)
+    h = h_prev.shape[0]
+    gates = (p.W.values @ x + p.U.values @ h_prev) + p.b.values
+    gates[: 3 * h] = sigmoid(gates[: 3 * h])
+    np.tanh(gates[3 * h :], out=gates[3 * h :])
+    i, f, o, g = gates[:h], gates[h : 2 * h], gates[2 * h : 3 * h], gates[3 * h :]
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
-    return h_new, c_new, LstmStepCache(x, h_prev, c_prev, i, f, o, g, tc)
+    return h_new, c_new, LstmStepCache(x, h_prev, c_prev, gates, tc)
 
 
 def lstm_step_backward(
-    dh: np.ndarray, dc_in: np.ndarray, cache: LstmStepCache, p: LstmLayer
+    dh: np.ndarray, dc_in: np.ndarray, cache: LstmStepCache, p: RecurrentLayer
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulates parameter grads; returns (dh_prev, dc_prev, dx)."""
-    do = dh * cache.tc
-    dc = dc_in + dh * cache.o * (1.0 - cache.tc * cache.tc)
-    df = dc * cache.c_prev
-    di = dc * cache.g
-    dg = dc * cache.i
-    dc_prev = dc * cache.f
+    h = dh.shape[0]
+    s = cache.gates[: 3 * h]  # the sigmoid gates i, f, o
+    i, f, o, g = s[:h], s[h : 2 * h], s[2 * h :], cache.gates[3 * h :]
+    dc = dc_in + dh * o * (1.0 - cache.tc * cache.tc)
+    d_ifo = np.concatenate((dc * g, dc * cache.c_prev, dh * cache.tc))
+    da = np.concatenate((d_ifo * s * (1.0 - s), dc * i * (1.0 - g * g)))
 
-    da_i = di * cache.i * (1.0 - cache.i)
-    da_f = df * cache.f * (1.0 - cache.f)
-    da_o = do * cache.o * (1.0 - cache.o)
-    da_g = dg * (1.0 - cache.g * cache.g)
-
-    dh_prev = np.zeros_like(dh)
-    dx = np.zeros_like(cache.x)
-    for da, W, U, b in (
-        (da_i, p.W_i, p.U_i, p.b_i),
-        (da_f, p.W_f, p.U_f, p.b_f),
-        (da_o, p.W_o, p.U_o, p.b_o),
-        (da_g, p.W_g, p.U_g, p.b_g),
-    ):
-        W.grad += np.outer(da, cache.x)
-        U.grad += np.outer(da, cache.h_prev)
-        b.grad += da
-        dh_prev += U.values.T @ da
-        dx += W.values.T @ da
-    return dh_prev, dc_prev, dx
+    p.W.grad += np.outer(da, cache.x)
+    p.U.grad += np.outer(da, cache.h_prev)
+    p.b.grad += da
+    return p.U.values.T @ da, dc * f, p.W.values.T @ da
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .corpus import Corpus, LabelSet
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
 from .fileio import read_json, write_text_atomic
-from .model import ModelConfig, NuggetModel, assemble_model
+from .model import GATE_ORDER, ModelConfig, NuggetModel, assemble_model, build_model
 from .numerics import Mode, Optimizer, Rng, check_optimizer_hyperparameters
 
 __all__ = [
@@ -180,8 +180,6 @@ def train_model(
         warnings.warn("no dev set: early stopping disabled, returning final epoch")
 
     rng = Rng(cfg.seed)
-    from .model import build_model  # vocabulary ordering lives there
-
     model = build_model(cfg.model_config(), list(vocab), labels, rng, pretrained)
     opt = Optimizer(
         model.store,
@@ -268,7 +266,7 @@ def train_model(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 held one W, U and b per gate; still read
 
 
 def save_checkpoint(
@@ -316,10 +314,10 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Rebuild a model from a checkpoint file.
 
-    Rejects version mismatches, tensor entries without `shape`/`values`,
-    value counts that do not fill the shape, NaN or Inf values, tensor
-    names or shapes that differ from the model's, malformed vocabularies,
-    lexicons and pipeline settings, and (when `expect` is given) any config
+    Reads versions 1 and 2. Rejects other versions, tensor entries without
+    `shape`/`values`, value counts that do not fill the shape, NaN or Inf
+    values, tensor names or shapes that differ from the model's, malformed
+    labels, vocabularies, lexicons and pipeline settings, and (when `expect` is given) any config
     different from the expected one, each as a DataError naming the tensor
     or field.
     A truncated or corrupt file fails cleanly without a partial model.
@@ -327,10 +325,9 @@ def load_checkpoint(
     data = read_json(path, "checkpoint")
     if not isinstance(data, dict) or data.get("kind") != "fbrnn-checkpoint":
         raise DataError(f"{path}: not a model checkpoint")
-    if data.get("format_version") != CHECKPOINT_VERSION:
-        raise DataError(
-            f"{path}: unsupported checkpoint version {data.get('format_version')!r}"
-        )
+    version = data.get("format_version")
+    if type(version) is not int or not 1 <= version <= CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         cfg = ModelConfig.from_dict(data["config"])
         labels = LabelSet(data["labels"])
@@ -341,8 +338,9 @@ def load_checkpoint(
         lexicon = TriggerLexicon.from_dict(lex) if lex else None
     except (KeyError, TypeError, ValueError, ConfigurationError, DataError) as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
-    if not all(isinstance(w, str) for w in vocab):
-        raise DataError(f"{path}: malformed checkpoint: vocab must hold strings")
+    for name, words in (("labels", labels.event_types), ("vocab", vocab)):
+        if not all(isinstance(w, str) for w in words):
+            raise DataError(f"{path}: malformed checkpoint: {name} must hold strings")
     max_nugget_len = pipeline.get("max_nugget_len")
     if max_nugget_len is not None and (type(max_nugget_len) is not int or max_nugget_len < 1):
         raise DataError(f"{path}: max_nugget_len must be an integer >= 1 or null")
@@ -376,9 +374,28 @@ def load_checkpoint(
         if not np.isfinite(values).all():
             raise DataError(f"{where} holds non-finite values")
         arrays[name] = values.reshape(shape)
+    if version == 1:
+        _stack_gates(path, arrays, model)
     try:
         model.store.load_values(arrays)
     except ConfigurationError as e:
         raise DataError(f"{path}: {e}") from e
 
     return LoadedCheckpoint(model, lexicon, max_nugget_len, float(threshold))
+
+
+def _stack_gates(path: str | Path, arrays: dict[str, np.ndarray], model: NuggetModel) -> None:
+    """Replace version-1 per-gate entries (`left.l0.W_z`, ...) by the
+    stacked `left.l0.W`, gate blocks in the model's order. A layer missing
+    a gate keeps its per-gate entries, so `load_values` reports the
+    mismatch."""
+    gates = GATE_ORDER[model.cfg.cell]
+    for encoder in model.encoders.values():
+        for layer in encoder.layers:
+            for t in (layer.W, layer.U, layer.b):
+                names = [f"{t.name}_{g}" for g in gates]
+                if all(n in arrays for n in names):
+                    try:
+                        arrays[t.name] = np.concatenate([arrays.pop(n) for n in names])
+                    except ValueError as e:
+                        raise DataError(f"{path}: tensor {t.name!r}: {e}") from e

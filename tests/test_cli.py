@@ -501,6 +501,14 @@ _MALFORMED = [
     ("corpus-int-nuggets", _input_file("corpus", _corpus_line(nuggets=5)), 2, "corpus.jsonl:1"),
     ("ckpt-float-hidden-size",
      _checkpoint_with(lambda d: d["config"].__setitem__("hidden_size", 2.5)), 2, "integers"),
+    ("ckpt-bool-hidden-size",
+     _checkpoint_with(lambda d: d["config"].__setitem__("hidden_size", True)), 2, "hidden_size"),
+    ("ckpt-int-labels", _checkpoint_with(lambda d: d.__setitem__("labels", [1, 2, 3, 4, 5])), 2,
+     "labels must hold strings"),
+    ("ckpt-string-use-branch",
+     _checkpoint_with(lambda d: d["config"].__setitem__("use_branch", "x")), 2, "use_branch"),
+    ("ckpt-string-dropout",
+     _checkpoint_with(lambda d: d["config"].__setitem__("dropout", "a")), 2, "dropout"),
     ("ckpt-deep-nesting", _input_file("checkpoint", "[" * 100_000 + "]" * 100_000), 2,
      "checkpoint.json: corrupt"),
     ("ckpt-huge-integer", _input_file("checkpoint", "1" * 5000), 2, "checkpoint.json: corrupt"),
