@@ -56,7 +56,6 @@ from .model import (
 )
 from .numerics import (
     GradCheckReport,
-    Mode,
     Optimizer,
     ParamStore,
     ParamTensor,

@@ -231,9 +231,13 @@ def cmd_candidates(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    values = _resolve_run_config(args)
-    cfg = _train_config_from(values)
+def _training_inputs(values: dict, cfg: TrainConfig):
+    """The inputs `train` and `ablate` read from the run config.
+
+    Returns (labels, train, dev, paraphrases, pretrained). Without
+    `dev_corpus`, `dev_fraction` of the training corpus becomes the dev
+    set; the paraphrase file is only checked here and read later.
+    """
     train_path = _require_file(values.get("train_corpus"), "train_corpus")
     labels = load_label_set(_require_file(values.get("labels"), "labels"))
     full_train = load_corpus(train_path, labels)
@@ -256,7 +260,13 @@ def cmd_train(args) -> int:
         pretrained = load_pretrained(
             _require_file(values["embeddings"], "embeddings"), cfg.word_dim
         )
+    return labels, train, dev, paraphrases, pretrained
 
+
+def cmd_train(args) -> int:
+    values = _resolve_run_config(args)
+    cfg = _train_config_from(values)
+    labels, train, dev, paraphrases, pretrained = _training_inputs(values, cfg)
     lexicon, train_ex, dev_ex, vocab = build_datasets(
         train, dev, labels, cfg.max_nugget_len, paraphrases
     )
@@ -408,13 +418,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     values = _resolve_run_config(args)
     cfg = _train_config_from(values)
-    labels = load_label_set(_require_file(values.get("labels"), "labels"))
-    train = load_corpus(_require_file(values.get("train_corpus"), "train_corpus"), labels)
-    dev = load_corpus(_require_file(values.get("dev_corpus"), "dev_corpus"), labels)
-    paraphrases = values.get("paraphrases")
-    if paraphrases:
-        _require_file(paraphrases, "paraphrases")
-    grid = run_ablation(train, dev, cfg, labels, paraphrases)
+    labels, train, dev, paraphrases, pretrained = _training_inputs(values, cfg)
+    grid = run_ablation(train, dev, cfg, labels, paraphrases, pretrained)
     print(grid.format_table())
     if args.out:
         write_text_atomic(Path(args.out), json.dumps(grid.as_dict(), indent=1) + "\n")

@@ -3,9 +3,11 @@
 The word table maps the lowercased training vocabulary (plus a shared UNK
 row) to trainable rows, optionally initialized from a word2vec-format text
 file. The branch table holds exactly three rows, one per relative position
-of a token: left context, nugget span, right context. Per-token model
-inputs are the concatenation [word_row ; branch_row]; ablation runs drop
-the branch part entirely.
+of a token: left context, nugget span, right context. A branch's model
+input is one (T, d) matrix whose row t is [word_row ; branch_row] for its
+t-th token, gathered from the word table at once; ablation runs drop the
+branch part entirely. Its gradient comes back as a matrix of the same
+shape and is scattered into the table rows in token order.
 
 Both tables live in the model's ParamStore, so their rows receive
 gradients and are updated during training like any other weight.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -175,7 +178,7 @@ class BranchTable:
 
 
 class Embedder:
-    """Assembles per-token input vectors and routes gradients back."""
+    """Assembles a branch's input matrix and routes its gradients back."""
 
     def __init__(self, word: WordTable, branch: BranchTable | None) -> None:
         self.word = word
@@ -185,17 +188,28 @@ class Embedder:
     def input_dim(self) -> int:
         return self.word.dim + (self.branch.dim if self.branch else 0)
 
-    def assemble_input(self, text: str, branch: Branch) -> tuple[np.ndarray, int]:
-        """(input vector, word row). [word_row ; branch_row], or the word
-        row alone when branch embeddings are disabled."""
-        row = self.word.row(text)
-        word_vec = self.word.tensor.values[row]
+    def assemble_input(
+        self, texts: Sequence[str], branch: Branch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(T, input_dim) input matrix of a branch's tokens, and their word
+        rows. Row t is [word_row ; branch_row], or the word row alone when
+        branch embeddings are disabled."""
+        rows = np.array([self.word.row(t) for t in texts], dtype=np.intp)
         if self.branch is None:
-            return word_vec.copy(), row
-        return np.concatenate([word_vec, self.branch.tensor.values[branch]]), row
+            return self.word.tensor.values[rows], rows
+        x = np.empty((len(rows), self.input_dim))
+        x[:, : self.word.dim] = self.word.tensor.values[rows]
+        x[:, self.word.dim :] = self.branch.tensor.values[branch]
+        return x, rows
 
-    def accumulate_grad(self, word_row: int, branch: Branch, d_vec: np.ndarray) -> None:
+    def accumulate_grad(self, rows: np.ndarray, branch: Branch, d_inputs: np.ndarray) -> None:
+        """Add a branch's (T, input_dim) input gradients to the table rows.
+
+        np.add.at applies the rows one by one in token order, so a word
+        used twice receives both gradients, summed as a per-token loop
+        would sum them.
+        """
         d_w = self.word.dim
-        self.word.tensor.grad[word_row] += d_vec[:d_w]
+        np.add.at(self.word.tensor.grad, rows, d_inputs[:, :d_w])
         if self.branch is not None:
-            self.branch.tensor.grad[branch] += d_vec[d_w:]
+            np.add.at(self.branch.tensor.grad, np.full(len(rows), branch), d_inputs[:, d_w:])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .candidates import LabeledExample, build_datasets
-from .corpus import Corpus, GoldNugget
+from .corpus import Corpus
 from .errors import ConfigurationError, DataError, FBRNNError
 from .model import NuggetModel
 
@@ -82,18 +82,9 @@ class PredictedNugget:
     types: tuple[str, ...]
 
 
-def _gold_pairs(gold: Corpus | Iterable[tuple[int, GoldNugget]]):
-    if isinstance(gold, Corpus):
-        for i, sentence in enumerate(gold):
-            for nugget in sentence.nuggets:
-                yield i, nugget
-    else:
-        yield from gold
-
-
 def score(
     predicted: Iterable[PredictedNugget],
-    gold: Corpus | Iterable[tuple[int, GoldNugget]],
+    gold: Corpus,
     span_only: bool = False,
 ) -> PRFReport:
     """Micro P/R/F1 over pooled (sentence, span, type) triples."""
@@ -118,12 +109,13 @@ def score(
         warnings.warn(f"deduplicated {duplicates} identical predicted triples")
 
     gold_triples = set()
-    for sid, nugget in _gold_pairs(gold):
-        if span_only:
-            gold_triples.add((sid, nugget.start, nugget.end))
-        else:
-            for t in nugget.types:
-                gold_triples.add((sid, nugget.start, nugget.end, t))
+    for sid, sentence in enumerate(gold):
+        for nugget in sentence.nuggets:
+            if span_only:
+                gold_triples.add((sid, nugget.start, nugget.end))
+            else:
+                for t in nugget.types:
+                    gold_triples.add((sid, nugget.start, nugget.end, t))
 
     tp = len(pred_triples & gold_triples)
     return PRFReport(tp, len(pred_triples), len(gold_triples))
@@ -227,11 +219,13 @@ def run_ablation(
     base_cfg,
     labels,
     paraphrase_path=None,
+    pretrained=None,
 ) -> AblationGrid:
     """Train the four {LSTM, GRU} x {+branch, -branch} configurations.
 
-    All four runs share the base config's seed and data. A failed cell is
-    recorded with its error; the remaining cells still run.
+    All four runs share the base config's seed, data and pretrained word
+    vectors (a word -> vector dict, as `train_model` takes). A failed cell
+    is recorded with its error; the remaining cells still run.
     """
     from .training import train_model
 
@@ -244,7 +238,9 @@ def run_ablation(
         for use_branch in (True, False):
             cfg = replace(base_cfg, cell=cell, use_branch=use_branch)
             try:
-                model, _ = train_model(cfg, train_ex, dev_ex, dev_corpus, vocab, labels)
+                model, _ = train_model(
+                    cfg, train_ex, dev_ex, dev_corpus, vocab, labels, pretrained
+                )
                 report = evaluate_model(model, dev_ex, dev_corpus, cfg.threshold)
                 grid.cells.append(AblationCell(cell, use_branch, report))
             except FBRNNError as e:

@@ -1,17 +1,19 @@
 """The forward-backward recurrent classifier.
 
 Three separately parameterized recurrent encoders read the left context and
-the nugget span left-to-right and the right context right-to-left. Their
-final hidden states are concatenated, passed through dropout and a small
-fully connected stack, and classified by either a softmax over all classes
+the nugget span left-to-right and the right context right-to-left. Each
+branch reaches its encoder as one (T, d) input matrix gathered by the
+embedder. The final hidden states are concatenated, passed through dropout
+(applied exactly when the caller passes an Rng) and a small fully
+connected stack, and classified by either a softmax over all classes
 (non-event included) or independent sigmoids over the event types
 (multi-label mode, where predicting nothing encodes non-event).
 
 Gradients are computed analytically: each cell step caches its gates, the
 encoder replays the steps in reverse (backpropagation through time, layer
-by layer for stacked cells), and per-token input gradients flow back into
-the word and branch embedding rows. Gradients accumulate; callers zero the
-store between optimizer steps.
+by layer for stacked cells), and each branch's (T, d) input gradient is
+scattered back into the word and branch embedding rows. Gradients
+accumulate; callers zero the store between optimizer steps.
 
 Conventions fixed here:
     GRU   z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br)
@@ -40,7 +42,6 @@ from .embeddings import Branch, BranchTable, Embedder, WordTable, UNK
 from .errors import ConfigurationError, NumericError
 from .numerics import (
     GradCheckReport,
-    Mode,
     ParamStore,
     ParamTensor,
     Rng,
@@ -282,7 +283,6 @@ def lstm_step_backward(
 
 @dataclass
 class EncoderCache:
-    length: int
     layer_caches: list[list]  # [layer][t] step caches, in processing order
 
 
@@ -290,7 +290,7 @@ class BranchEncoder:
     """One stacked recurrent encoder with a fixed reading direction.
 
     LEFT and NUGGET branches read forward; the RIGHT branch reads backward
-    (its token list is reversed before encoding). The representation is the
+    (its inputs are reversed before encoding). The representation is the
     final hidden state of the top layer; an empty branch yields the zero
     vector and touches no parameters.
     """
@@ -325,13 +325,14 @@ class BranchEncoder:
         return cls(branch, kind, hidden, layers, backward=(branch is Branch.RIGHT))
 
     def encode(
-        self, vectors: Sequence[np.ndarray]
+        self, vectors: np.ndarray | Sequence[np.ndarray]
     ) -> tuple[np.ndarray, EncoderCache]:
-        seq = list(reversed(vectors)) if self.backward else list(vectors)
-        cache = EncoderCache(length=len(seq), layer_caches=[])
-        if not seq:
+        """Encode a (T, d_in) input matrix, or any sequence of T vectors,
+        given in the branch's token order."""
+        cache = EncoderCache(layer_caches=[])
+        if len(vectors) == 0:
             return np.zeros(self.hidden), cache
-        inputs = seq
+        inputs = vectors[::-1] if self.backward else vectors
         for layer in self.layers:
             h = np.zeros(self.hidden)
             c = np.zeros(self.hidden)
@@ -348,20 +349,18 @@ class BranchEncoder:
             inputs = outputs
         return inputs[-1], cache
 
-    def backprop(self, d_rep: np.ndarray, cache: EncoderCache) -> list[np.ndarray]:
-        """BPTT from the representation gradient; returns per-token input
-        gradients in the branch's original token order."""
-        T = cache.length
-        if T == 0:
-            return []
-        d_above = [np.zeros(self.hidden) for _ in range(T)]
-        d_above[T - 1] = d_rep
-        for l in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[l]
-            steps = cache.layer_caches[l]
+    def backprop(self, d_rep: np.ndarray, cache: EncoderCache) -> np.ndarray:
+        """BPTT from the representation gradient; returns the (T, d_in) input
+        gradients in the branch's token order."""
+        if not cache.layer_caches:
+            return np.zeros((0, self.layers[0].W.shape[1]))
+        T = len(cache.layer_caches[0])
+        d_above = np.zeros((T, self.hidden))
+        d_above[-1] = d_rep
+        for layer, steps in zip(reversed(self.layers), reversed(cache.layer_caches)):
             dh_next = np.zeros(self.hidden)
             dc_next = np.zeros(self.hidden)
-            d_inputs: list[np.ndarray] = [None] * T  # type: ignore[list-item]
+            d_inputs = np.empty((T, layer.W.shape[1]))
             for t in range(T - 1, -1, -1):
                 dh = d_above[t] + dh_next
                 if self.kind == "gru":
@@ -372,7 +371,7 @@ class BranchEncoder:
                     )
                 d_inputs[t] = dx
             d_above = d_inputs
-        return list(reversed(d_above)) if self.backward else d_above
+        return d_above[::-1] if self.backward else d_above
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +421,11 @@ class Head:
         return cls(hidden, out_w, out_b, cfg.head_mode, cfg.dropout)
 
     def forward(
-        self, rep: np.ndarray, mode: Mode, rng: Rng | None
+        self, rep: np.ndarray, rng: Rng | None = None
     ) -> tuple[np.ndarray, HeadCache]:
-        if mode is Mode.TRAIN and self.dropout > 0.0:
-            if rng is None:
-                raise ConfigurationError("training-mode dropout needs an rng")
-            mask = dropout_mask(rep.shape[0], self.dropout, rng, mode)
+        """Dropout draws its mask from `rng`; without one it is the identity."""
+        if rng is not None and self.dropout > 0.0:
+            mask = dropout_mask(rep.shape[0], self.dropout, rng)
             x = rep * mask
         else:
             mask = None
@@ -478,9 +476,12 @@ def sigmoid_bce(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarr
 # ---------------------------------------------------------------------------
 
 
+_BRANCHES = (Branch.LEFT, Branch.NUGGET, Branch.RIGHT)  # order of the concatenated reps
+
+
 @dataclass
 class ModelCache:
-    rows: dict[Branch, list[int]]
+    rows: dict[Branch, np.ndarray]
     enc: dict[Branch, EncoderCache]
     head: HeadCache
 
@@ -521,61 +522,41 @@ class NuggetModel:
 
     # -- forward / backward -------------------------------------------
 
-    def _branch_inputs(
-        self, texts: Sequence[str], branch: Branch
-    ) -> tuple[list[np.ndarray], list[int]]:
-        vectors, rows = [], []
-        for text in texts:
-            vec, row = self.embedder.assemble_input(text, branch)
-            vectors.append(vec)
-            rows.append(row)
-        return vectors, rows
-
     def forward(
-        self, split: BranchSplit, mode: Mode = Mode.EVAL, rng: Rng | None = None
+        self, split: BranchSplit, rng: Rng | None = None
     ) -> tuple[np.ndarray, ModelCache]:
-        rows: dict[Branch, list[int]] = {}
+        """Class probabilities; dropout applies exactly when `rng` is given."""
+        rows: dict[Branch, np.ndarray] = {}
         caches: dict[Branch, EncoderCache] = {}
         reps = []
-        for branch, texts in (
-            (Branch.LEFT, split.left),
-            (Branch.NUGGET, split.nugget),
-            (Branch.RIGHT, split.right),
-        ):
-            vectors, branch_rows = self._branch_inputs(texts, branch)
-            rep, cache = self.encoders[branch].encode(vectors)
-            rows[branch] = branch_rows
-            caches[branch] = cache
+        for branch, texts in zip(_BRANCHES, (split.left, split.nugget, split.right)):
+            inputs, rows[branch] = self.embedder.assemble_input(texts, branch)
+            rep, caches[branch] = self.encoders[branch].encode(inputs)
             reps.append(rep)
-        concat = np.concatenate(reps)
-        probs, head_cache = self.head.forward(concat, mode, rng)
+        probs, head_cache = self.head.forward(np.concatenate(reps), rng)
         return probs, ModelCache(rows, caches, head_cache)
 
     def forward_backward(
-        self,
-        split: BranchSplit,
-        types: tuple[str, ...],
-        mode: Mode = Mode.TRAIN,
-        rng: Rng | None = None,
+        self, split: BranchSplit, types: tuple[str, ...], rng: Rng | None = None
     ) -> float:
         """One example's loss; accumulates gradients into the store."""
-        probs, cache = self.forward(split, mode, rng)
+        probs, cache = self.forward(split, rng)
         loss, d_logits = self._loss(probs, types)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss {loss!r}")
         d_concat = self.head.backprop(d_logits, cache.head)
         h = self.cfg.hidden_size
-        for k, branch in enumerate((Branch.LEFT, Branch.NUGGET, Branch.RIGHT)):
-            d_rep = d_concat[k * h : (k + 1) * h]
-            d_inputs = self.encoders[branch].backprop(d_rep, cache.enc[branch])
-            for row, d_vec in zip(cache.rows[branch], d_inputs):
-                self.embedder.accumulate_grad(row, branch, d_vec)
+        for k, branch in enumerate(_BRANCHES):
+            d_inputs = self.encoders[branch].backprop(
+                d_concat[k * h : (k + 1) * h], cache.enc[branch]
+            )
+            self.embedder.accumulate_grad(cache.rows[branch], branch, d_inputs)
         return loss
 
     # -- inference ------------------------------------------------------
 
     def predict_proba(self, split: BranchSplit) -> np.ndarray:
-        probs, _ = self.forward(split, Mode.EVAL, None)
+        probs, _ = self.forward(split)
         return probs
 
     def predict(self, split: BranchSplit, threshold: float = 0.5) -> tuple[str, ...]:
@@ -597,8 +578,8 @@ class NuggetModel:
         return tuple(picked)
 
     def loss(self, split: BranchSplit, types: tuple[str, ...]) -> float:
-        """Evaluation-mode loss without touching gradients."""
-        probs, _ = self.forward(split, Mode.EVAL, None)
+        """Loss without dropout and without touching gradients."""
+        probs, _ = self.forward(split)
         return self._loss(probs, types)[0]
 
     def _loss(
@@ -639,7 +620,7 @@ def assemble_model(
         b: BranchEncoder.build(
             b, cfg.cell, embedder.input_dim, cfg.hidden_size, cfg.layers, store, rng
         )
-        for b in (Branch.LEFT, Branch.NUGGET, Branch.RIGHT)
+        for b in _BRANCHES
     }
     head = Head.build(cfg, labels, store, rng)
     store.pack()
@@ -681,15 +662,15 @@ def tiny_gradcheck(
         branch_dim=2,
         use_branch=use_branch,
         head_mode=head_mode,
-        dropout=0.5,  # irrelevant: the check runs in EVAL mode
+        dropout=0.5,  # inactive: the check passes no rng
     )
     model = build_model(cfg, list(_TINY_SENTENCE), labels, Rng(seed))
     positive = BranchSplit(_TINY_SENTENCE[:2], _TINY_SENTENCE[2:4], _TINY_SENTENCE[4:])
     negative = BranchSplit(_TINY_SENTENCE[:1], _TINY_SENTENCE[1:2], _TINY_SENTENCE[2:])
     pos_types = ("TypeA", "TypeC") if head_mode == "sigmoid" else ("TypeB",)
 
-    model.forward_backward(positive, pos_types, Mode.EVAL)
-    model.forward_backward(negative, (), Mode.EVAL)
+    model.forward_backward(positive, pos_types)
+    model.forward_backward(negative, ())
 
     def loss_fn() -> float:
         return model.loss(positive, pos_types) + model.loss(negative, ())

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 
 __all__ = [
-    "Mode",
     "Rng",
     "ParamTensor",
     "ParamStore",
@@ -39,13 +37,6 @@ __all__ = [
     "GradCheckReport",
     "grad_check",
 ]
-
-
-class Mode(Enum):
-    """Dropout scheduling: TRAIN draws masks, EVAL is the identity."""
-
-    TRAIN = "train"
-    EVAL = "eval"
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +59,6 @@ class Rng:
 
     def __init__(self, seed: int) -> None:
         self._state = int(seed) & _MASK64
-
-    @property
-    def state(self) -> int:
-        return self._state
 
     def u64_block(self, n: int) -> np.ndarray:
         """Next `n` raw 64-bit draws as a uint64 array."""
@@ -328,14 +315,14 @@ def init_uniform_scaled(
     return ParamTensor(name, np.asarray(flat).reshape(shape))
 
 
-def dropout_mask(length: int, rate: float, rng: Rng, mode: Mode) -> np.ndarray:
+def dropout_mask(length: int, rate: float, rng: Rng) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate).
 
-    EVAL mode returns all ones so evaluation needs no rescaling.
+    A zero rate returns all ones and draws nothing from `rng`.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode is Mode.EVAL or rate == 0.0:
+    if rate == 0.0:
         return np.ones(length, dtype=np.float64)
     keep = rng.random(length) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
@@ -526,7 +513,7 @@ def grad_check(
 
     The caller runs its backward pass first and leaves the analytic
     gradient in `store.grad`. `loss_fn` only returns the loss; it must be
-    deterministic (run dropout in EVAL mode, fix any rng). For every
+    deterministic (pass the model no dropout rng, fix any other rng). For every
     checked entry the relative error is |a - n| / max(|a|, |n|, 1e-8)
     where n = (f(x+eps) - f(x-eps)) / (2 eps). Gradient buffers are left
     zeroed on return.

@@ -26,7 +26,7 @@ from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
 from .fileio import read_json, write_text_atomic
 from .model import GATE_ORDER, ModelConfig, NuggetModel, assemble_model, build_model
-from .numerics import Mode, Optimizer, Rng, check_optimizer_hyperparameters
+from .numerics import Optimizer, Rng, check_optimizer_hyperparameters
 
 __all__ = [
     "TrainConfig",
@@ -209,9 +209,7 @@ def train_model(
         for pos, idx in enumerate(order):
             ex = train_examples[idx]
             try:
-                total_loss += model.forward_backward(
-                    ex.split, ex.candidate.types, Mode.TRAIN, rng
-                )
+                total_loss += model.forward_backward(ex.split, ex.candidate.types, rng)
             except NumericError as e:
                 raise NumericError(
                     f"epoch {epoch}, example {idx} "

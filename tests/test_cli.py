@@ -232,6 +232,29 @@ class TestTrainVariants:
         assert (run_dir / "checkpoint.json").is_file()
 
 
+class TestAblate:
+    def test_without_dev_corpus_splits_the_train_corpus(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        code = run_cli(
+            "ablate",
+            "--train-corpus", synth_dir / "train.jsonl",
+            "--labels", synth_dir / "labels.json",
+            "--embeddings", FIXTURES / "mini_word2vec.txt",
+            "--hidden-size", 4,
+            "--word-dim", 8,
+            "--branch-dim", 2,
+            "--max-epochs", 1,
+            "--out", out,
+        )
+        assert code == 0
+        table = capsys.readouterr().out.strip().splitlines()
+        assert [row.split()[:2] for row in table[2:]] == [
+            ["LSTM", "+branch"], ["LSTM", "-branch"], ["GRU", "+branch"], ["GRU", "-branch"],
+        ]
+        cells = json.loads(out.read_text())["cells"]
+        assert all(c["report"] is not None and c["error"] is None for c in cells)
+
+
 class TestGradcheckCommand:
     def test_passes_and_exits_zero(self, capsys):
         assert run_cli("gradcheck", "--cell", "gru", "--seed", 7) == 0
@@ -424,6 +447,12 @@ def _train_threshold(synth_dir, run_dir, tmp_path):
             synth_dir / "labels.json", "--threshold", "7", "--out-dir", tmp_path]
 
 
+def _ablate_missing_embeddings(synth_dir, run_dir, tmp_path):
+    return ["ablate", "--train-corpus", synth_dir / "train.jsonl", "--labels",
+            synth_dir / "labels.json", "--dev-corpus", synth_dir / "dev.jsonl",
+            "--embeddings", tmp_path / "missing-vectors.txt", "--max-epochs", "1"]
+
+
 def _out_dir_is_a_file(synth_dir, run_dir, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -534,6 +563,8 @@ _MALFORMED = [
     ("threshold-evaluate", _threshold("evaluate"), 1, "threshold"),
     ("threshold-predict", _threshold("predict"), 1, "threshold"),
     ("threshold-train", _train_threshold, 1, "threshold"),
+    ("ablate-missing-embeddings", _ablate_missing_embeddings, 1,
+     "missing-vectors.txt"),
     ("out-dir-file", _out_dir_is_a_file, 1, "file"),
     ("out-under-file", _out_is_under_a_file, 1, "file"),
 ]

@@ -17,7 +17,7 @@ from fbrnn.embeddings import (
 )
 from fbrnn.errors import ConfigurationError, DataError
 from fbrnn.model import ModelConfig, build_model
-from fbrnn.numerics import Mode, ParamStore, Rng
+from fbrnn.numerics import ParamStore, Rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI_W2V = FIXTURES / "mini_word2vec.txt"
@@ -97,30 +97,59 @@ class TestAssembly:
 
     def test_concatenated_width(self):
         emb = self.build_embedder(300, 20)
-        vec, _ = emb.assemble_input("alpha", Branch.LEFT)
-        assert vec.shape == (320,)
+        x, rows = emb.assemble_input(("alpha", "beta", "gamma"), Branch.LEFT)
+        assert x.shape == (3, 320)
+        assert rows.tolist() == [1, 2, 0]  # the unknown word maps to UNK
+
+    def test_rows_are_word_row_then_branch_row(self):
+        emb = self.build_embedder(8, 3)
+        x, rows = emb.assemble_input(("beta", "alpha", "beta"), Branch.NUGGET)
+        for t, row in enumerate(rows):
+            assert np.array_equal(x[t, :8], emb.word.tensor.values[row])
+            assert np.array_equal(x[t, 8:], emb.branch.tensor.values[Branch.NUGGET])
 
     def test_same_word_different_branch(self):
         emb = self.build_embedder(8, 3)
-        left, _ = emb.assemble_input("alpha", Branch.LEFT)
-        nugget, _ = emb.assemble_input("alpha", Branch.NUGGET)
-        assert np.array_equal(left[:8], nugget[:8])
-        assert not np.array_equal(left[8:], nugget[8:])
+        left, _ = emb.assemble_input(("alpha",), Branch.LEFT)
+        nugget, _ = emb.assemble_input(("alpha",), Branch.NUGGET)
+        assert np.array_equal(left[:, :8], nugget[:, :8])
+        assert not np.array_equal(left[:, 8:], nugget[:, 8:])
 
     def test_branch_disabled_width(self):
         store = ParamStore()
         word = WordTable.build([UNK, "alpha"], 300, Rng(0), store)
         emb = Embedder(word, None)
-        vec, _ = emb.assemble_input("alpha", Branch.RIGHT)
-        assert vec.shape == (300,)
+        x, _ = emb.assemble_input(("alpha", "alpha"), Branch.RIGHT)
+        assert x.shape == (2, 300)
+        x[0, 0] += 1.0  # a copy, not a view of the table
+        assert x[0, 0] != word.tensor.values[1, 0]
+
+    def test_empty_branch(self):
+        emb = self.build_embedder(4, 2)
+        x, rows = emb.assemble_input((), Branch.LEFT)
+        assert x.shape == (0, 6) and rows.shape == (0,)
+        emb.accumulate_grad(rows, Branch.LEFT, np.zeros((0, 6)))
+        assert not emb.word.tensor.grad.any() and not emb.branch.tensor.grad.any()
 
     def test_grad_routing(self):
         emb = self.build_embedder(4, 2)
-        _, row = emb.assemble_input("beta", Branch.RIGHT)
-        d_vec = np.arange(6, dtype=float)
-        emb.accumulate_grad(row, Branch.RIGHT, d_vec)
-        assert np.array_equal(emb.word.tensor.grad[row], [0.0, 1.0, 2.0, 3.0])
+        _, rows = emb.assemble_input(("beta",), Branch.RIGHT)
+        d_inputs = np.arange(6, dtype=float).reshape(1, 6)
+        emb.accumulate_grad(rows, Branch.RIGHT, d_inputs)
+        assert np.array_equal(emb.word.tensor.grad[rows[0]], [0.0, 1.0, 2.0, 3.0])
         assert np.array_equal(emb.branch.tensor.grad[Branch.RIGHT], [4.0, 5.0])
+
+    def test_repeated_word_rows_accumulate_in_token_order(self):
+        emb = self.build_embedder(4, 2)
+        _, rows = emb.assemble_input(("beta", "alpha", "beta"), Branch.LEFT)
+        d_inputs = np.asarray(Rng(4).uniform(-1, 1, 18)).reshape(3, 6)
+        emb.accumulate_grad(rows, Branch.LEFT, d_inputs)
+        beta, alpha = emb.word.tensor.grad[2], emb.word.tensor.grad[1]
+        assert np.array_equal(beta, (0.0 + d_inputs[0, :4]) + d_inputs[2, :4])
+        assert np.array_equal(alpha, d_inputs[1, :4])
+        branch = emb.branch.tensor.grad[Branch.LEFT]
+        d_branch = d_inputs[:, 4:]
+        assert np.array_equal(branch, ((0.0 + d_branch[0]) + d_branch[1]) + d_branch[2])
 
 
 class TestGradientFlowInvariant:
@@ -131,7 +160,7 @@ class TestGradientFlowInvariant:
         model = build_model(cfg, words, labels, Rng(6))
         split = BranchSplit(("w0",), ("w1", "unseen-word"), ("w2",))
         model.store.zero_grads()
-        loss = model.forward_backward(split, ("A",), Mode.EVAL)
+        loss = model.forward_backward(split, ("A",))
         assert loss > 0.0
         word_grad = model.store["word_emb"].grad
         used_rows = {model.embedder.word.row(w) for w in ("w0", "w1", "w2")}
@@ -151,6 +180,6 @@ class TestGradientFlowInvariant:
         assert model.embedder.input_dim == 6
         split = BranchSplit(("w0",), ("w1",), ())
         model.store.zero_grads()
-        loss = model.forward_backward(split, ("B",), Mode.EVAL)
+        loss = model.forward_backward(split, ("B",))
         assert loss > 0.0
         assert model.predict(split) in ((), ("A",), ("B",))

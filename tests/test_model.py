@@ -19,7 +19,7 @@ from fbrnn.model import (
     softmax_nll,
     tiny_gradcheck,
 )
-from fbrnn.numerics import Mode, ParamStore, Rng, sigmoid
+from fbrnn.numerics import ParamStore, Rng, sigmoid
 
 
 def make_gru_layer(store, d_in, h, rng, prefix="cell"):
@@ -339,7 +339,8 @@ class TestStackedGatesMatchPerGateFormulas:
         enc = BranchEncoder.build(Branch.LEFT, kind, 3, 4, 2, store, Rng(2))
         rep, cache = enc.encode([])
         assert np.array_equal(rep, np.zeros(4))
-        assert enc.backprop(np.ones(4), cache) == []
+        d_xs = enc.backprop(np.ones(4), cache)
+        assert d_xs.shape == (0, 3)
         assert not store.grad.any()
 
     @pytest.mark.parametrize("kind,n_gates", [("gru", 3), ("lstm", 4)])
@@ -456,7 +457,7 @@ class TestForwardBackward:
         model, words = self.build()
         split = BranchSplit((), tuple(words[:3]), ())
         model.store.zero_grads()
-        model.forward_backward(split, ("B",), Mode.EVAL)
+        model.forward_backward(split, ("B",))
         for name in model.store.names():
             grad = model.store[name].grad
             if name.startswith(("left.", "right.")):
@@ -468,14 +469,14 @@ class TestForwardBackward:
         ex1 = (BranchSplit((words[0],), (words[1],), (words[2],)), ("A",))
         ex2 = (BranchSplit((), (words[3], words[4]), (words[5],)), ())
         model.store.zero_grads()
-        model.forward_backward(*ex1, Mode.EVAL)
+        model.forward_backward(*ex1)
         g1 = {n: model.store[n].grad.copy() for n in model.store.names()}
         model.store.zero_grads()
-        model.forward_backward(*ex2, Mode.EVAL)
+        model.forward_backward(*ex2)
         g2 = {n: model.store[n].grad.copy() for n in model.store.names()}
         model.store.zero_grads()
-        model.forward_backward(*ex1, Mode.EVAL)
-        model.forward_backward(*ex2, Mode.EVAL)
+        model.forward_backward(*ex1)
+        model.forward_backward(*ex2)
         # additive up to float addition order (rows touched more than once)
         for n in model.store.names():
             assert np.allclose(
@@ -486,7 +487,7 @@ class TestForwardBackward:
         model, words = self.build()
         split = BranchSplit((words[0],), (words[1],), (words[2],))
         model.store.zero_grads()
-        model.forward_backward(split, ("A",), Mode.EVAL)
+        model.forward_backward(split, ("A",))
         word_grad = model.store["word_emb"].grad
         used = {model.embedder.word.row(w) for w in (words[0], words[1], words[2])}
         for row in range(word_grad.shape[0]):
@@ -512,12 +513,40 @@ class TestForwardBackward:
         gold = model.labels.class_index("B")
         assert model.loss(split, ("B",)) == pytest.approx(-math.log(probs[gold]))
 
-    def test_train_mode_requires_rng_for_dropout(self):
+    def test_dropout_applies_exactly_when_an_rng_is_given(self):
         labels = LabelSet(["A"])
         cfg = ModelConfig(hidden_size=3, word_dim=4, branch_dim=2, dropout=0.5)
-        model = build_model(cfg, ["u"], labels, Rng(0))
-        with pytest.raises(ConfigurationError):
-            model.forward_backward(BranchSplit((), ("u",), ()), (), Mode.TRAIN, None)
+        model = build_model(cfg, ["u", "v"], labels, Rng(0))
+        split = BranchSplit(("v",), ("u",), ("v",))
+        assert model.forward_backward(split, ("A",)) == model.loss(split, ("A",))
+        rng, reference = Rng(1), Rng(1)
+        model.forward_backward(split, ("A",), rng)
+        reference.random(9)  # one mask over the 3 * 3 concatenated units
+        assert rng.random() == reference.random()
+        _, cache = model.forward(split, Rng(1))
+        assert set(np.unique(cache.head.mask)) == {0.0, 2.0}
+
+
+class TestRepeatedWordsGradCheck:
+    """Word rows used more than once in one example, within a branch and
+    across branches: a scatter that keeps one gradient per repeated row
+    fails this check."""
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_word_and_branch_embeddings(self, cell):
+        from fbrnn.numerics import grad_check
+
+        cfg = ModelConfig(cell=cell, hidden_size=4, word_dim=5, branch_dim=2)
+        model = build_model(cfg, ["the", "past"], LabelSet(["A", "B"]), Rng(5))
+        split = BranchSplit(("the", "the"), ("the", "past"), ("past", "the"))
+        model.forward_backward(split, ("B",))
+        report = grad_check(
+            lambda: model.loss(split, ("B",)),
+            model.store,
+            eps=2e-4,
+            tensors=["word_emb", "branch_emb"],
+        )
+        assert report.max_rel_error < 1e-4, report.per_tensor
 
 
 class TestFullGradCheck:

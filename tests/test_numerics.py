@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fbrnn.errors import ConfigurationError, NumericError
 from fbrnn.numerics import (
-    Mode,
     UPDATE_BLOCK,
     Optimizer,
     ParamStore,
@@ -118,22 +117,18 @@ class TestInit:
 
 
 class TestDropout:
-    def test_eval_mode_identity(self):
-        mask = dropout_mask(64, 0.9, Rng(0), Mode.EVAL)
-        assert np.array_equal(mask, np.ones(64))
-
     def test_zero_rate_identity(self):
-        mask = dropout_mask(64, 0.0, Rng(0), Mode.TRAIN)
+        mask = dropout_mask(64, 0.0, Rng(0))
         assert np.array_equal(mask, np.ones(64))
 
     def test_inverted_dropout_preserves_expectation(self):
-        mask = dropout_mask(100_000, 0.5, Rng(21), Mode.TRAIN)
+        mask = dropout_mask(100_000, 0.5, Rng(21))
         assert set(np.unique(mask)) == {0.0, 2.0}
         assert abs(mask.mean() - 1.0) < 0.02
 
     def test_invalid_rate(self):
         with pytest.raises(ConfigurationError):
-            dropout_mask(4, 1.0, Rng(0), Mode.TRAIN)
+            dropout_mask(4, 1.0, Rng(0))
 
 
 def one_tensor_store(name, values):

@@ -44,7 +44,7 @@ def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
     tracer = tracing.Tracer()
     tracing.install(tracer, clip_norm=5.0)
     try:
-        nugget_model.forward_backward(split, ("A",), numerics.Mode.EVAL)
+        nugget_model.forward_backward(split, ("A",))
     finally:
         tracer.restore()
     for name in (
@@ -57,4 +57,7 @@ def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
     ):
         assert tracer.calls(name) == 1, name
     assert tracer.calls("model.encoder_backprop") == 3
+    # one input matrix per branch, and one gradient scatter per branch
+    assert tracer.calls("embeddings.assemble_input") == 3
+    assert tracer.calls("embeddings.accumulate_grad") == 3
     assert tracer.counts["encode_tokens"] == 4

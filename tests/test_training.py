@@ -17,7 +17,7 @@ from fbrnn.corpus import (
 from fbrnn.errors import ConfigurationError, DataError, NumericError
 from fbrnn.evaluation import evaluate_model
 from fbrnn.model import ModelConfig, build_model
-from fbrnn.numerics import Mode, Rng
+from fbrnn.numerics import Rng
 from fbrnn.training import (
     TrainConfig,
     load_checkpoint,
@@ -158,7 +158,7 @@ class TestLoop:
         model = build_model(cfg, ["u", "v"], labels, Rng(0))
         model.store["word_emb"].values[:] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
-            model.forward_backward(BranchSplit((), ("u",), ("v",)), (), Mode.EVAL)
+            model.forward_backward(BranchSplit((), ("u",), ("v",)), ())
 
     def test_nan_aborts_with_epoch_example_diagnostics(self, small_data, monkeypatch):
         from fbrnn.model import NuggetModel
