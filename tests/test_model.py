@@ -513,7 +513,9 @@ class TestForwardBackward:
         gold = model.labels.class_index("B")
         assert model.loss(split, ("B",)) == pytest.approx(-math.log(probs[gold]))
 
-    def test_dropout_applies_exactly_when_an_rng_is_given(self):
+    def test_train_mode_requires_rng_for_dropout(self):
+        # Training dropout is drawn from the rng the caller passes: without
+        # one forward_backward runs as evaluation does, with one it masks.
         labels = LabelSet(["A"])
         cfg = ModelConfig(hidden_size=3, word_dim=4, branch_dim=2, dropout=0.5)
         model = build_model(cfg, ["u", "v"], labels, Rng(0))

@@ -117,6 +117,20 @@ class TestInit:
 
 
 class TestDropout:
+    def test_eval_mode_identity(self):
+        # Evaluation passes no rng: the head's dropout is then the identity,
+        # even at a rate that would zero nearly every unit.
+        from fbrnn.model import Head
+
+        store = ParamStore()
+        out_w = store.add(init_uniform_scaled("out.W", (3, 64), Rng(4)))
+        out_b = store.create("out.b", np.zeros(3))
+        rep = np.linspace(-1.0, 1.0, 64)
+        probs, cache = Head([], out_w, out_b, "softmax", 0.9).forward(rep)
+        assert cache.mask is None
+        assert np.array_equal(cache.acts[0], rep)
+        assert np.array_equal(probs, softmax(out_w.values @ rep))
+
     def test_zero_rate_identity(self):
         mask = dropout_mask(64, 0.0, Rng(0))
         assert np.array_equal(mask, np.ones(64))
