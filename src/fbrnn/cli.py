@@ -263,6 +263,9 @@ def _training_inputs(values: dict, cfg: TrainConfig):
     return labels, train, dev, paraphrases, pretrained
 
 
+_CLIP_WARN_RATE = 0.5  # warn when more than this share of an epoch's steps was clipped
+
+
 def cmd_train(args) -> int:
     values = _resolve_run_config(args)
     cfg = _train_config_from(values)
@@ -310,7 +313,14 @@ def cmd_train(args) -> int:
         )
         + "\n",
     )
-    print(log.format_table())
+    print(log.format_table(), flush=True)
+    for e in log.epochs:
+        if e.clip_rate > _CLIP_WARN_RATE:
+            print(
+                f"warning: epoch {e.epoch} clipped {100 * e.clip_rate:.1f}% of its steps "
+                f"(clip_rate {e.clip_rate:.3f} > {_CLIP_WARN_RATE}); clip_norm may be too small",
+                file=sys.stderr,
+            )
     if log.best_dev_f1() is not None:
         print(f"best epoch {log.best_epoch}: dev F1 {100 * log.best_dev_f1():.2f}")
     print(f"artifacts -> {run_dir}")

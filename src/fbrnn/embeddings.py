@@ -183,6 +183,8 @@ class Embedder:
     def __init__(self, word: WordTable, branch: BranchTable | None) -> None:
         self.word = word
         self.branch = branch
+        # an empty branch's input: zero-size, so sharing one pair is safe
+        self._empty = (np.empty((0, self.input_dim)), np.empty(0, dtype=np.intp))
 
     @property
     def input_dim(self) -> int:
@@ -194,6 +196,8 @@ class Embedder:
         """(T, input_dim) input matrix of a branch's tokens, and their word
         rows. Row t is [word_row ; branch_row], or the word row alone when
         branch embeddings are disabled."""
+        if not texts:
+            return self._empty
         rows = np.array([self.word.row(t) for t in texts], dtype=np.intp)
         if self.branch is None:
             return self.word.tensor.values[rows], rows
@@ -207,8 +211,10 @@ class Embedder:
 
         np.add.at applies the rows one by one in token order, so a word
         used twice receives both gradients, summed as a per-token loop
-        would sum them.
+        would sum them. An empty branch returns at once.
         """
+        if len(rows) == 0:
+            return
         d_w = self.word.dim
         np.add.at(self.word.tensor.grad, rows, d_inputs[:, :d_w])
         if self.branch is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .candidates import LabeledExample, build_datasets
@@ -135,17 +136,30 @@ def predict_examples(
     examples: Sequence[LabeledExample],
     threshold: float = 0.5,
 ) -> list[PredictedNugget]:
-    """Model predictions over candidate examples, non-events dropped."""
+    """Model predictions over candidate examples, non-events dropped.
+
+    Each run of consecutive examples with the same sentence index and the
+    same tokens is predicted by one `sentence_proba` call, which shares one
+    LEFT and one RIGHT encoder pass among them; the probabilities are
+    bit-identical to `predict_proba` example by example.
+    """
     out = []
-    for ex in examples:
-        types = model.predict(ex.split, threshold)
-        if types:
-            out.append(
-                PredictedNugget(
-                    ex.sentence_index, ex.candidate.start, ex.candidate.end, types
+    for _, group in groupby(examples, key=_sentence_key):
+        group = list(group)
+        probs = model.sentence_proba([ex.split for ex in group])
+        for ex, p in zip(group, probs):
+            types = model.decode(p, threshold)
+            if types:
+                out.append(
+                    PredictedNugget(
+                        ex.sentence_index, ex.candidate.start, ex.candidate.end, types
+                    )
                 )
-            )
     return out
+
+
+def _sentence_key(ex: LabeledExample) -> tuple:
+    return ex.sentence_index, ex.split.left + ex.split.nugget + ex.split.right
 
 
 def evaluate_model(

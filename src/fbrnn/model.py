@@ -284,6 +284,7 @@ def lstm_step_backward(
 @dataclass
 class EncoderCache:
     layer_caches: list[list]  # [layer][t] step caches, in processing order
+    outputs: list[np.ndarray]  # top-layer hidden state after each step, same order
 
 
 class BranchEncoder:
@@ -328,8 +329,12 @@ class BranchEncoder:
         self, vectors: np.ndarray | Sequence[np.ndarray]
     ) -> tuple[np.ndarray, EncoderCache]:
         """Encode a (T, d_in) input matrix, or any sequence of T vectors,
-        given in the branch's token order."""
-        cache = EncoderCache(layer_caches=[])
+        given in the branch's token order.
+
+        The cache keeps the top layer's state after every step, so one pass
+        also yields the representation of each prefix of the processing
+        order (each suffix of the tokens, for the RIGHT branch)."""
+        cache = EncoderCache(layer_caches=[], outputs=[])
         if len(vectors) == 0:
             return np.zeros(self.hidden), cache
         inputs = vectors[::-1] if self.backward else vectors
@@ -347,6 +352,7 @@ class BranchEncoder:
                 outputs.append(h)
             cache.layer_caches.append(step_caches)
             inputs = outputs
+        cache.outputs = inputs
         return inputs[-1], cache
 
     def backprop(self, d_rep: np.ndarray, cache: EncoderCache) -> np.ndarray:
@@ -559,13 +565,57 @@ class NuggetModel:
         probs, _ = self.forward(split)
         return probs
 
+    def sentence_proba(self, splits: Sequence[BranchSplit]) -> list[np.ndarray]:
+        """`predict_proba` of every split, for candidates of one sentence.
+
+        Every split must partition the same tokens. One LEFT pass over the
+        tokens before the last candidate start and one RIGHT pass over the
+        tokens after the first candidate end serve all candidates: the LEFT
+        state after token s - 1 is the left representation of a candidate
+        starting at s, and the RIGHT state after reading token e + 1 is the
+        right representation of one ending at e. A direction no candidate
+        needs is not run. The nugget branch and the head run per candidate
+        exactly as in `forward`, so the result is bit-identical to
+        `predict_proba(split)` for each split.
+        """
+        if not splits:
+            return []
+        tokens = splits[0].left + splits[0].nugget + splits[0].right
+        spans = []
+        for split in splits:
+            if split.left + split.nugget + split.right != tokens:
+                raise ValueError("sentence_proba: splits of different sentences")
+            spans.append((len(split.left), len(split.left) + len(split.nugget) - 1))
+        T = len(tokens)
+        left = self._pass_outputs(Branch.LEFT, tokens[: max(s for s, _ in spans)])
+        right = self._pass_outputs(Branch.RIGHT, tokens[min(e for _, e in spans) + 1 :])
+        empty = np.zeros(self.cfg.hidden_size)
+        probs = []
+        for split, (s, e) in zip(splits, spans):
+            nugget, _ = self.embedder.assemble_input(split.nugget, Branch.NUGGET)
+            rep, _ = self.encoders[Branch.NUGGET].encode(nugget)
+            reps = (left[s - 1] if s else empty, rep, right[T - 2 - e] if e < T - 1 else empty)
+            probs.append(self.head.forward(np.concatenate(reps))[0])
+        return probs
+
+    def _pass_outputs(self, branch: Branch, texts: tuple[str, ...]) -> list[np.ndarray]:
+        """Top-layer states of one encoder pass in processing order; an
+        empty branch runs no pass."""
+        if not texts:
+            return []
+        inputs, _ = self.embedder.assemble_input(texts, branch)
+        return self.encoders[branch].encode(inputs)[1].outputs
+
     def predict(self, split: BranchSplit, threshold: float = 0.5) -> tuple[str, ...]:
-        """Predicted event types; empty tuple means non-event.
+        """Predicted event types of one split; see `decode`."""
+        return self.decode(self.predict_proba(split), threshold)
+
+    def decode(self, probs: np.ndarray, threshold: float = 0.5) -> tuple[str, ...]:
+        """Event types of a probability vector; empty tuple means non-event.
 
         Softmax: the argmax class (ties broken toward the lowest class
         index). Sigmoid: every type whose probability exceeds `threshold`.
         """
-        probs = self.predict_proba(split)
         if self.cfg.head_mode == "softmax":
             k = int(np.argmax(probs))
             t = self.labels.type_at(k)

@@ -232,6 +232,27 @@ class TestTrainVariants:
         assert (run_dir / "checkpoint.json").is_file()
 
 
+class TestClipWarning:
+    @pytest.mark.parametrize("clip_norm,warns", [("0.001", True), ("none", False)])
+    def test_warns_when_most_steps_are_clipped(
+        self, train_cfg_file, tmp_path, capsys, clip_norm, warns
+    ):
+        code = run_cli(
+            "train", "--config", train_cfg_file, "--out-dir", tmp_path,
+            "--max-epochs", 2, "--clip-norm", clip_norm,
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "clip %" in captured.out  # the table itself is on stdout
+        warnings_ = [line for line in captured.err.splitlines() if "clipped" in line]
+        if warns:
+            assert len(warnings_) == 2
+            for epoch, line in enumerate(warnings_, 1):
+                assert line.startswith(f"warning: epoch {epoch} clipped 100.0% of its steps")
+        else:
+            assert warnings_ == []
+
+
 class TestAblate:
     def test_without_dev_corpus_splits_the_train_corpus(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "grid.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fbrnn.candidates import BranchSplit
+from fbrnn import embeddings
 from fbrnn.corpus import LabelSet
 from fbrnn.embeddings import (
     Branch,
@@ -124,12 +125,23 @@ class TestAssembly:
         x[0, 0] += 1.0  # a copy, not a view of the table
         assert x[0, 0] != word.tensor.values[1, 0]
 
-    def test_empty_branch(self):
-        emb = self.build_embedder(4, 2)
-        x, rows = emb.assemble_input((), Branch.LEFT)
-        assert x.shape == (0, 6) and rows.shape == (0,)
-        emb.accumulate_grad(rows, Branch.LEFT, np.zeros((0, 6)))
-        assert not emb.word.tensor.grad.any() and not emb.branch.tensor.grad.any()
+    def test_empty_branch(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"an empty branch called np.{name}")
+
+        with_branch = self.build_embedder(4, 2)
+        for emb in (with_branch, Embedder(with_branch.word, None)):
+            d_in = emb.input_dim
+            d_empty = np.zeros((0, d_in))
+            # both methods return before any numpy call
+            monkeypatch.setattr(embeddings, "np", NoNumpy())
+            x, rows = emb.assemble_input((), Branch.LEFT)
+            emb.accumulate_grad(rows, Branch.LEFT, d_empty)
+            monkeypatch.undo()
+            assert x.shape == (0, d_in) and rows.shape == (0,) and rows.dtype == np.intp
+        assert not with_branch.word.tensor.grad.any()
+        assert not with_branch.branch.tensor.grad.any()
 
     def test_grad_routing(self):
         emb = self.build_embedder(4, 2)

@@ -1,12 +1,16 @@
-"""Scoring: micro P/R/F1 over (sentence, span, type) triples."""
+"""Scoring: micro P/R/F1 over (sentence, span, type) triples, and the
+shared-pass prediction of candidate examples."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbrnn.corpus import Corpus, GoldNugget, Sentence, Token
+from fbrnn.candidates import LabeledExample, NuggetCandidate, split_branches
+from fbrnn.corpus import Corpus, GoldNugget, LabelSet, Sentence, Token
 from fbrnn.errors import ConfigurationError, DataError
-from fbrnn.evaluation import PredictedNugget, PRFReport, f1, score
+from fbrnn.evaluation import PredictedNugget, PRFReport, f1, predict_examples, score
+from fbrnn.model import ModelConfig, build_model
+from fbrnn.numerics import Rng
 
 
 def corpus_with(*nuggets_per_sentence):
@@ -153,3 +157,111 @@ class TestF1Arithmetic:
     def test_range_validated(self):
         with pytest.raises(ConfigurationError):
             f1(101.0, 50.0)
+
+
+# ---------------------------------------------------------------------------
+# Prediction with one LEFT and one RIGHT pass per sentence
+# ---------------------------------------------------------------------------
+
+SEVEN = Sentence(tuple(Token(w) for w in "the crowd broke into the old office".split()))
+OTHER = Sentence(tuple(Token(w) for w in "police had fired on the crowd".split()))
+SINGLE = Sentence((Token("attacked"),))
+
+# (start, end): a candidate at token 0, one ending at the last token, one
+# spanning the whole sentence, and overlapping ones in between.
+SEVEN_SPANS = [(0, 0), (6, 6), (0, 6), (2, 3), (3, 5), (3, 3), (1, 2)]
+
+
+def examples_of(index, sentence, spans):
+    candidates = [NuggetCandidate(s, e) for s, e in spans]
+    return [LabeledExample(index, c, split_branches(sentence, c)) for c in candidates]
+
+
+def reference_predictions(model, examples, threshold):
+    """The per-example loop: one full forward pass per candidate."""
+    out = []
+    for ex in examples:
+        types = model.predict(ex.split, threshold)
+        if types:
+            out.append(
+                PredictedNugget(ex.sentence_index, ex.candidate.start, ex.candidate.end, types)
+            )
+    return out
+
+
+MODEL_GRID = [
+    (cell, layers, head_mode, use_branch)
+    for cell in ("gru", "lstm")
+    for layers in (1, 2)
+    for head_mode in ("softmax", "sigmoid")
+    for use_branch in (True, False)
+]
+
+
+class TestPredictExamples:
+    @staticmethod
+    def model(cell="gru", layers=1, head_mode="softmax", use_branch=True):
+        cfg = ModelConfig(
+            cell=cell, hidden_size=5, layers=layers, word_dim=4, branch_dim=3,
+            use_branch=use_branch, head_mode=head_mode,
+        )
+        words = [t.text for s in (SEVEN, OTHER, SINGLE) for t in s.tokens]
+        return build_model(cfg, words, LabelSet(["Attack", "Move"]), Rng(11))
+
+    @pytest.mark.parametrize("cell,layers,head_mode,use_branch", MODEL_GRID)
+    def test_sentence_proba_is_bit_identical(self, cell, layers, head_mode, use_branch):
+        model = self.model(cell, layers, head_mode, use_branch)
+        for sentence, spans in ((SEVEN, SEVEN_SPANS), (SINGLE, [(0, 0)]), (SEVEN, [(6, 6)])):
+            splits = [ex.split for ex in examples_of(0, sentence, spans)]
+            shared = model.sentence_proba(splits)
+            assert len(shared) == len(splits)
+            for split, probs in zip(splits, shared):
+                assert probs.tobytes() == model.predict_proba(split).tobytes(), split
+
+    @pytest.mark.parametrize("cell,layers,head_mode,use_branch", MODEL_GRID)
+    def test_predict_examples_equals_per_example_loop(self, cell, layers, head_mode, use_branch):
+        model = self.model(cell, layers, head_mode, use_branch)
+        # sentence 0's examples are split by sentence 1's; sentence 2 has
+        # the same index as sentence 1 but other tokens
+        examples = (
+            examples_of(0, SEVEN, SEVEN_SPANS[:4])
+            + examples_of(1, OTHER, [(2, 2), (0, 5)])
+            + examples_of(1, SINGLE, [(0, 0)])
+            + examples_of(0, SEVEN, SEVEN_SPANS[4:])
+        )
+        threshold = 0.5 if head_mode == "softmax" else 0.45
+        expected = reference_predictions(model, examples, threshold)
+        assert predict_examples(model, examples, threshold) == expected
+        assert expected  # the comparison covers some predicted nuggets
+
+    def test_groups_are_consecutive_runs_of_one_sentence(self, monkeypatch):
+        model = self.model()
+        calls = []
+        original = model.sentence_proba
+
+        def spy(splits):
+            calls.append([s.left + s.nugget + s.right for s in splits])
+            return original(splits)
+
+        monkeypatch.setattr(model, "sentence_proba", spy)
+        examples = (
+            examples_of(0, SEVEN, [(0, 0), (2, 3)])
+            + examples_of(1, OTHER, [(2, 2)])
+            + examples_of(1, SINGLE, [(0, 0)])
+            + examples_of(0, SEVEN, [(6, 6)])
+        )
+        predict_examples(model, examples)
+        seven, other, single = (s.texts() for s in (SEVEN, OTHER, SINGLE))
+        assert calls == [[seven, seven], [other], [single], [seven]]
+
+    def test_splits_of_different_sentences_are_rejected(self):
+        model = self.model()
+        examples = examples_of(0, SEVEN, [(0, 0)]) + examples_of(0, OTHER, [(0, 0)])
+        splits = [ex.split for ex in examples]
+        with pytest.raises(ValueError, match="different sentences"):
+            model.sentence_proba(splits)
+
+    def test_no_examples(self):
+        model = self.model()
+        assert model.sentence_proba([]) == []
+        assert predict_examples(model, []) == []

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import numpy as np
 
-from fbrnn import model, numerics
-from fbrnn.candidates import BranchSplit
-from fbrnn.corpus import LabelSet
+from fbrnn import evaluation, model, numerics
+from fbrnn.candidates import BranchSplit, LabeledExample, NuggetCandidate, split_branches
+from fbrnn.corpus import LabelSet, Sentence, Token
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +61,34 @@ def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
     assert tracer.calls("embeddings.assemble_input") == 3
     assert tracer.calls("embeddings.accumulate_grad") == 3
     assert tracer.counts["encode_tokens"] == 4
+
+
+def test_predict_examples_shares_one_left_and_one_right_pass(monkeypatch):
+    """One sentence with k candidates: one LEFT pass up to the last start,
+    one RIGHT pass down to the first end, and one NUGGET pass each."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    words = ("a", "b", "c", "d", "e", "f", "g", "h")
+    cfg = model.ModelConfig(hidden_size=3, word_dim=4, branch_dim=2, dropout=0.0)
+    nugget_model = model.build_model(cfg, words, LabelSet(["A"]), numerics.Rng(0))
+    spans = [(1, 2), (3, 3), (5, 6), (2, 4)]
+    sentence = Sentence(tuple(Token(w) for w in words))
+    examples = [
+        LabeledExample(0, NuggetCandidate(s, e), split_branches(sentence, NuggetCandidate(s, e)))
+        for s, e in spans
+    ]
+    tracer = tracing.Tracer()
+    tracing.install(tracer, clip_norm=5.0)
+    try:
+        evaluation.predict_examples(nugget_model, examples)
+    finally:
+        tracer.restore()
+    T, k = len(words), len(spans)
+    assert tracer.calls("model.encode.left") == 1
+    assert tracer.calls("model.encode.right") == 1
+    assert tracer.calls("model.encode.nugget") == k
+    max_start = max(s for s, _ in spans)
+    min_end = min(e for _, e in spans)
+    nugget_tokens = sum(e - s + 1 for s, e in spans)
+    assert tracer.counts["encode_tokens"] == max_start + (T - min_end - 1) + nugget_tokens
