@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -67,6 +68,11 @@ class BranchSplit:
     left: tuple[str, ...]
     nugget: tuple[str, ...]
     right: tuple[str, ...]
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The sentence: left + nugget + right, built once per split."""
+        return self.left + self.nugget + self.right
 
 
 @dataclass(frozen=True)

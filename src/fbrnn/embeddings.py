@@ -6,8 +6,10 @@ file. The branch table holds exactly three rows, one per relative position
 of a token: left context, nugget span, right context. A branch's model
 input is one (T, d) matrix whose row t is [word_row ; branch_row] for its
 t-th token, gathered from the word table at once; ablation runs drop the
-branch part entirely. Its gradient comes back as a matrix of the same
-shape and is scattered into the table rows in token order.
+branch part entirely. A minibatch's branch is gathered the same way, its
+examples' tokens concatenated in example order. The gradient comes back
+as a matrix of the same shape and is scattered into the table rows in
+token order.
 
 Both tables live in the model's ParamStore, so their rows receive
 gradients and are updated during training like any other weight.

@@ -18,4 +18,12 @@ class DataError(FBRNNError):
 
 
 class NumericError(FBRNNError):
-    """Numeric failure: NaN/Inf values, failed gradient check, non-deterministic loss."""
+    """Numeric failure: NaN/Inf values, failed gradient check, non-deterministic loss.
+
+    `position` is the index within its minibatch of the example that failed,
+    when the failure belongs to one example.
+    """
+
+    def __init__(self, message: str = "", position: int | None = None) -> None:
+        super().__init__(message)
+        self.position = position

@@ -159,7 +159,7 @@ def predict_examples(
 
 
 def _sentence_key(ex: LabeledExample) -> tuple:
-    return ex.sentence_index, ex.split.left + ex.split.nugget + ex.split.right
+    return ex.sentence_index, ex.split.tokens
 
 
 def evaluate_model(

@@ -3,7 +3,8 @@
 Three separately parameterized recurrent encoders read the left context and
 the nugget span left-to-right and the right context right-to-left. Each
 branch reaches its encoder as one (T, d) input matrix gathered by the
-embedder. The final hidden states are concatenated, passed through dropout
+embedder; a minibatch's branch is one (N, d) matrix of its B sequences,
+run as one recurrence over them. The final hidden states are concatenated, passed through dropout
 (applied exactly when the caller passes an Rng) and a small fully
 connected stack, and classified by either a softmax over all classes
 (non-event included) or independent sigmoids over the event types
@@ -32,6 +33,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -184,7 +187,11 @@ def _build_layer(
 
 
 def _check_shapes(step: str, x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer) -> None:
-    if x.shape[0] != p.W.shape[1] or h_prev.shape[0] != p.U.shape[1]:
+    if (
+        x.shape[-1] != p.W.shape[1]
+        or h_prev.shape[-1] != p.U.shape[1]
+        or x.shape[:-1] != h_prev.shape[:-1]
+    ):
         raise ConfigurationError(
             f"{step} shape mismatch: x {x.shape}, h {h_prev.shape}, W {p.W.shape}"
         )
@@ -202,14 +209,34 @@ class GruStepCache:
 def gru_step(
     x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer
 ) -> tuple[np.ndarray, GruStepCache]:
+    """One step for one input vector, or for n rows at once: x (n, d_in),
+    h_prev (n, h). Every product is `rows @ M.T`, which for one row gives
+    the bits of `M @ vector`.
+
+    The backward steps take rows. They add each weight gradient as one
+    `np.dot(da.T, rows)`: a BLAS product, which for one row gives the bits
+    of `np.outer` (`@` would run numpy's slower non-BLAS loop there)."""
     _check_shapes("gru_step", x, h_prev, p)
-    h = h_prev.shape[0]
+    return _gru_step(x, h_prev, _gru_weights(p))
+
+
+def _gru_weights(p: RecurrentLayer) -> tuple[np.ndarray, ...]:
+    """What a GRU step multiplies by: W^T, U_zr^T, U_c^T, b_zr, b_c."""
+    h = p.U.shape[1]
     U, b = p.U.values, p.b.values
-    wx = p.W.values @ x
-    zr = sigmoid(wx[: 2 * h] + U[: 2 * h] @ h_prev + b[: 2 * h])
-    z, r = zr[:h], zr[h:]
+    return p.W.values.T, U[: 2 * h].T, U[2 * h :].T, b[: 2 * h], b[2 * h :]
+
+
+def _gru_step(
+    x: np.ndarray, h_prev: np.ndarray, weights: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, GruStepCache]:
+    W_t, U_zr, U_c, b_zr, b_c = weights
+    h = h_prev.shape[-1]
+    wx = x @ W_t
+    zr = sigmoid(wx[..., : 2 * h] + h_prev @ U_zr + b_zr)
+    z, r = zr[..., :h], zr[..., h:]
     rh = r * h_prev
-    hc = np.tanh(wx[2 * h :] + U[2 * h :] @ rh + b[2 * h :])
+    hc = np.tanh(wx[..., 2 * h :] + rh @ U_c + b_c)
     h_new = (1.0 - z) * h_prev + z * hc
     return h_new, GruStepCache(x, h_prev, zr, rh, hc)
 
@@ -217,22 +244,23 @@ def gru_step(
 def gru_step_backward(
     dh: np.ndarray, cache: GruStepCache, p: RecurrentLayer
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulates parameter grads; returns (dh_prev, dx)."""
-    h = dh.shape[0]
-    z, r = cache.zr[:h], cache.zr[h:]
+    """Accumulates parameter grads, summed over the rows; returns
+    (dh_prev, dx)."""
+    h = dh.shape[1]
+    z, r = cache.zr[:, :h], cache.zr[:, h:]
     U = p.U.values
-    da = np.empty(3 * h)  # pre-activation gradients of z, r, c
-    da[2 * h :] = dh * z * (1.0 - cache.hc * cache.hc)
-    drh = U[2 * h :].T @ da[2 * h :]
-    da[:h] = dh * (cache.hc - cache.h_prev) * z * (1.0 - z)
-    da[h : 2 * h] = drh * cache.h_prev * r * (1.0 - r)
+    da = np.empty((dh.shape[0], 3 * h))  # pre-activation gradients of z, r, c
+    da[:, 2 * h :] = dh * z * (1.0 - cache.hc * cache.hc)
+    drh = da[:, 2 * h :] @ U[2 * h :]
+    da[:, :h] = dh * (cache.hc - cache.h_prev) * z * (1.0 - z)
+    da[:, h : 2 * h] = drh * cache.h_prev * r * (1.0 - r)
 
-    p.W.grad += np.outer(da, cache.x)
-    p.U.grad[: 2 * h] += np.outer(da[: 2 * h], cache.h_prev)
-    p.U.grad[2 * h :] += np.outer(da[2 * h :], cache.rh)
-    p.b.grad += da
-    dh_prev = dh * (1.0 - z) + drh * r + U[: 2 * h].T @ da[: 2 * h]
-    return dh_prev, p.W.values.T @ da
+    p.W.grad += np.dot(da.T, cache.x)
+    p.U.grad[: 2 * h] += np.dot(da[:, : 2 * h].T, cache.h_prev)
+    p.U.grad[2 * h :] += np.dot(da[:, 2 * h :].T, cache.rh)
+    p.b.grad += da.sum(axis=0)
+    dh_prev = dh * (1.0 - z) + drh * r + da[:, : 2 * h] @ U[: 2 * h]
+    return dh_prev, da @ p.W.values
 
 
 @dataclass
@@ -247,12 +275,25 @@ class LstmStepCache:
 def lstm_step(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: RecurrentLayer
 ) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
+    """One step for one vector or for n rows, as `gru_step`."""
     _check_shapes("lstm_step", x, h_prev, p)
-    h = h_prev.shape[0]
-    gates = (p.W.values @ x + p.U.values @ h_prev) + p.b.values
-    gates[: 3 * h] = sigmoid(gates[: 3 * h])
-    np.tanh(gates[3 * h :], out=gates[3 * h :])
-    i, f, o, g = gates[:h], gates[h : 2 * h], gates[2 * h : 3 * h], gates[3 * h :]
+    return _lstm_step(x, h_prev, c_prev, _lstm_weights(p))
+
+
+def _lstm_weights(p: RecurrentLayer) -> tuple[np.ndarray, ...]:
+    """What an LSTM step multiplies by: W^T, U^T, b."""
+    return p.W.values.T, p.U.values.T, p.b.values
+
+
+def _lstm_step(
+    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, weights: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
+    W_t, U_t, b = weights
+    h = h_prev.shape[-1]
+    gates = (x @ W_t + h_prev @ U_t) + b
+    gates[..., : 3 * h] = sigmoid(gates[..., : 3 * h])
+    np.tanh(gates[..., 3 * h :], out=gates[..., 3 * h :])
+    i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
@@ -262,18 +303,19 @@ def lstm_step(
 def lstm_step_backward(
     dh: np.ndarray, dc_in: np.ndarray, cache: LstmStepCache, p: RecurrentLayer
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulates parameter grads; returns (dh_prev, dc_prev, dx)."""
-    h = dh.shape[0]
-    s = cache.gates[: 3 * h]  # the sigmoid gates i, f, o
-    i, f, o, g = s[:h], s[h : 2 * h], s[2 * h :], cache.gates[3 * h :]
+    """Accumulates parameter grads, summed over the rows; returns
+    (dh_prev, dc_prev, dx)."""
+    h = dh.shape[1]
+    s = cache.gates[:, : 3 * h]  # the sigmoid gates i, f, o
+    i, f, o, g = s[:, :h], s[:, h : 2 * h], s[:, 2 * h :], cache.gates[:, 3 * h :]
     dc = dc_in + dh * o * (1.0 - cache.tc * cache.tc)
-    d_ifo = np.concatenate((dc * g, dc * cache.c_prev, dh * cache.tc))
-    da = np.concatenate((d_ifo * s * (1.0 - s), dc * i * (1.0 - g * g)))
+    d_ifo = np.concatenate((dc * g, dc * cache.c_prev, dh * cache.tc), axis=1)
+    da = np.concatenate((d_ifo * s * (1.0 - s), dc * i * (1.0 - g * g)), axis=1)
 
-    p.W.grad += np.outer(da, cache.x)
-    p.U.grad += np.outer(da, cache.h_prev)
-    p.b.grad += da
-    return p.U.values.T @ da, dc * f, p.W.values.T @ da
+    p.W.grad += np.dot(da.T, cache.x)
+    p.U.grad += np.dot(da.T, cache.h_prev)
+    p.b.grad += da.sum(axis=0)
+    return da @ p.U.values, dc * f, da @ p.W.values
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +324,62 @@ def lstm_step_backward(
 
 
 @dataclass
+class PackedLayout:
+    """Where the steps of a batch of sequences sit in packed, step-major rows.
+
+    The sequences are ordered by length, descending, ties in batch order, so
+    the rows still running at step t are the first sizes[t] of that order:
+    step t owns packed rows offsets[t] : offsets[t] + sizes[t]. An empty
+    sequence is never running.
+    """
+
+    order: np.ndarray  # batch positions, longest sequence first
+    sizes: list[int]  # sequences running at each step
+    offsets: list[int]  # first packed row of each step
+    rows: np.ndarray | slice  # input row of each packed row; slice(None): the inputs as given
+    last: np.ndarray  # packed row of each non-empty sequence's last step, in `order`
+    n_rows: int  # packed rows: the total length
+
+    @classmethod
+    def of(cls, lengths: Sequence[int], backward: bool) -> "PackedLayout":
+        """Layout of sequences of these lengths, whose inputs are stacked in
+        batch order, each in its token order; a backward encoder reads
+        each sequence from its last token."""
+        if len(lengths) == 1:
+            return _single_layout(int(lengths[0]), backward)
+        lengths = np.asarray(lengths, dtype=np.intp)
+        order = np.argsort(-lengths, kind="stable")
+        by_length = lengths[order]
+        T = int(by_length[0]) if len(by_length) else 0
+        running = by_length > np.arange(T)[:, None]  # (T, B)
+        sizes = running.sum(axis=1)
+        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        t, j = np.nonzero(running)  # packed rows, step-major
+        starts = (np.cumsum(lengths) - lengths)[order]
+        rows = starts[j] + (by_length[j] - 1 - t if backward else t)
+        ended = by_length[by_length > 0]
+        last = offsets[ended - 1] + np.arange(len(ended))
+        return cls(order, sizes.tolist(), offsets.tolist(), rows, last, len(rows))
+
+
+@lru_cache(maxsize=1024)
+def _single_layout(T: int, backward: bool) -> PackedLayout:
+    """One sequence: its steps are the packed rows. Shared; never mutated."""
+    return PackedLayout(
+        np.zeros(1, dtype=np.intp),
+        [1] * T,
+        list(range(T)),
+        np.arange(T - 1, -1, -1) if backward else slice(None),
+        np.array([T - 1] if T else [], dtype=np.intp),
+        T,
+    )
+
+
+@dataclass
 class EncoderCache:
+    layout: PackedLayout
     layer_caches: list[list]  # [layer][t] step caches, in processing order
-    outputs: list[np.ndarray]  # top-layer hidden state after each step, same order
+    outputs: np.ndarray  # top-layer state after each step, packed rows of the layout
 
 
 class BranchEncoder:
@@ -294,6 +389,10 @@ class BranchEncoder:
     (its inputs are reversed before encoding). The representation is the
     final hidden state of the top layer; an empty branch yields the zero
     vector and touches no parameters.
+
+    A batch of sequences runs as one recurrence: each step is one product
+    over the rows of the sequences still running (see PackedLayout). One
+    sequence is the batch of one.
     """
 
     def __init__(
@@ -326,58 +425,86 @@ class BranchEncoder:
         return cls(branch, kind, hidden, layers, backward=(branch is Branch.RIGHT))
 
     def encode(
-        self, vectors: np.ndarray | Sequence[np.ndarray]
+        self,
+        vectors: np.ndarray | Sequence[np.ndarray],
+        *,
+        lengths: Sequence[int] | None = None,
     ) -> tuple[np.ndarray, EncoderCache]:
         """Encode a (T, d_in) input matrix, or any sequence of T vectors,
-        given in the branch's token order.
+        given in the branch's token order: returns the (hidden,)
+        representation. With `lengths`, the rows are a batch of sequences
+        stacked in batch order: returns one representation per sequence,
+        (B, hidden) in batch order.
 
-        The cache keeps the top layer's state after every step, so one pass
-        also yields the representation of each prefix of the processing
-        order (each suffix of the tokens, for the RIGHT branch)."""
-        cache = EncoderCache(layer_caches=[], outputs=[])
-        if len(vectors) == 0:
-            return np.zeros(self.hidden), cache
-        inputs = vectors[::-1] if self.backward else vectors
+        The cache keeps the top layer's state after every step, so for one
+        sequence one pass also yields the representation of each prefix of
+        the processing order (each suffix of the tokens, for the RIGHT
+        branch): `cache.outputs[t]`."""
+        inputs = np.asarray(vectors, dtype=np.float64)
+        layout = PackedLayout.of([len(inputs)] if lengths is None else lengths, self.backward)
+        if layout.n_rows != len(inputs):
+            raise ConfigurationError(
+                f"encode: lengths sum to {layout.n_rows}, inputs have {len(inputs)} rows"
+            )
+        if not len(inputs):
+            cache = EncoderCache(layout, [], np.zeros((0, self.hidden)))
+            reps = np.zeros(self.hidden if lengths is None else (len(lengths), self.hidden))
+            return reps, cache
+        if inputs.shape[1] != self.layers[0].W.shape[1]:
+            raise ConfigurationError(
+                f"encode: inputs {inputs.shape}, layer 0 W {self.layers[0].W.shape}"
+            )
+        inputs = inputs[layout.rows]
+        xs = [inputs[o : o + n] for o, n in zip(layout.offsets, layout.sizes)]
+        layer_caches = []
         for layer in self.layers:
-            h = np.zeros(self.hidden)
-            c = np.zeros(self.hidden)
+            h = c = np.zeros((layout.sizes[0], self.hidden))
+            weights = _gru_weights(layer) if self.kind == "gru" else _lstm_weights(layer)
             step_caches = []
-            outputs = []
-            for x in inputs:
+            for t, x in enumerate(xs):
+                n = len(x)
                 if self.kind == "gru":
-                    h, sc = gru_step(x, h, layer)
+                    h, sc = _gru_step(x, h[:n], weights)
                 else:
-                    h, c, sc = lstm_step(x, h, c, layer)
+                    h, c, sc = _lstm_step(x, h[:n], c[:n], weights)
                 step_caches.append(sc)
-                outputs.append(h)
-            cache.layer_caches.append(step_caches)
-            inputs = outputs
-        cache.outputs = inputs
-        return inputs[-1], cache
+                xs[t] = h
+            layer_caches.append(step_caches)
+        cache = EncoderCache(layout, layer_caches, np.concatenate(xs))
+        if lengths is None:
+            return h[0], cache
+        reps = np.zeros((len(lengths), self.hidden))
+        reps[layout.order[: len(layout.last)]] = cache.outputs[layout.last]
+        return reps, cache
 
     def backprop(self, d_rep: np.ndarray, cache: EncoderCache) -> np.ndarray:
-        """BPTT from the representation gradient; returns the (T, d_in) input
-        gradients in the branch's token order."""
+        """BPTT from the representation gradient, shaped as `encode`
+        returned the representation; returns the input gradients, (T, d_in)
+        rows in the order of `encode`'s inputs."""
         if not cache.layer_caches:
             return np.zeros((0, self.layers[0].W.shape[1]))
-        T = len(cache.layer_caches[0])
-        d_above = np.zeros((T, self.hidden))
-        d_above[-1] = d_rep
-        for layer, steps in zip(reversed(self.layers), reversed(cache.layer_caches)):
-            dh_next = np.zeros(self.hidden)
-            dc_next = np.zeros(self.hidden)
-            d_inputs = np.empty((T, layer.W.shape[1]))
-            for t in range(T - 1, -1, -1):
-                dh = d_above[t] + dh_next
+        layout = cache.layout
+        d_top = np.zeros((layout.n_rows, self.hidden))
+        d_top[layout.last] = d_rep.reshape(-1, self.hidden)[layout.order[: len(layout.last)]]
+        d_above = [d_top[o : o + n] for o, n in zip(layout.offsets, layout.sizes)]
+        for layer, step_caches in zip(reversed(self.layers), reversed(cache.layer_caches)):
+            dh_next = np.zeros((layout.sizes[0], self.hidden))
+            dc_next = np.zeros((layout.sizes[0], self.hidden))
+            for t in range(len(d_above) - 1, -1, -1):
+                n = len(d_above[t])
+                dh = d_above[t] + dh_next[:n]
                 if self.kind == "gru":
-                    dh_next, dx = gru_step_backward(dh, steps[t], layer)
+                    dh_next[:n], d_above[t] = gru_step_backward(dh, step_caches[t], layer)
                 else:
-                    dh_next, dc_next, dx = lstm_step_backward(
-                        dh, dc_next, steps[t], layer
+                    dh_next[:n], dc_next[:n], d_above[t] = lstm_step_backward(
+                        dh, dc_next[:n], step_caches[t], layer
                     )
-                d_inputs[t] = dx
-            d_above = d_inputs
-        return d_above[::-1] if self.backward else d_above
+        d_inputs = np.concatenate(d_above)
+        if isinstance(layout.rows, slice):
+            return d_inputs
+        d_unpacked = np.empty_like(d_inputs)
+        d_unpacked[layout.rows] = d_inputs
+        return d_unpacked
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +520,11 @@ class HeadCache:
 
 
 class Head:
-    """Dropout on the concatenated representation, tanh FC stack, output."""
+    """Dropout on the concatenated representation, tanh FC stack, output.
+
+    Works on (B, 3h) rows, one per example; `forward` also takes one
+    (3h,) vector.
+    """
 
     def __init__(
         self,
@@ -429,34 +560,36 @@ class Head:
     def forward(
         self, rep: np.ndarray, rng: Rng | None = None
     ) -> tuple[np.ndarray, HeadCache]:
-        """Dropout draws its mask from `rng`; without one it is the identity."""
+        """Dropout draws its mask from `rng`; without one it is the identity.
+        The mask of a batch is one draw of B * 3h values: row by row, the
+        masks B single examples would draw in turn."""
         if rng is not None and self.dropout > 0.0:
-            mask = dropout_mask(rep.shape[0], self.dropout, rng)
+            mask = dropout_mask(rep.size, self.dropout, rng).reshape(rep.shape)
             x = rep * mask
         else:
             mask = None
             x = rep
         acts = [x]
         for W, b in self.hidden:
-            x = np.tanh(W.values @ x + b.values)
+            x = np.tanh(x @ W.values.T + b.values)
             acts.append(x)
-        logits = self.out_w.values @ x + self.out_b.values
+        logits = x @ self.out_w.values.T + self.out_b.values
         probs = softmax(logits) if self.head_mode == "softmax" else sigmoid(logits)
         return probs, HeadCache(mask, acts, probs)
 
     def backprop(self, d_logits: np.ndarray, cache: HeadCache) -> np.ndarray:
-        """Accumulates head grads; returns the gradient w.r.t. the
-        (pre-dropout) concatenated representation."""
-        self.out_w.grad += np.outer(d_logits, cache.acts[-1])
-        self.out_b.grad += d_logits
-        dx = self.out_w.values.T @ d_logits
+        """Accumulates head grads, summed over the rows; returns the
+        gradient w.r.t. the (pre-dropout) concatenated representation."""
+        self.out_w.grad += np.dot(d_logits.T, cache.acts[-1])
+        self.out_b.grad += d_logits.sum(axis=0)
+        dx = d_logits @ self.out_w.values
         for k in range(len(self.hidden) - 1, -1, -1):
             W, b = self.hidden[k]
             post = cache.acts[k + 1]
             da = dx * (1.0 - post * post)
-            W.grad += np.outer(da, cache.acts[k])
-            b.grad += da
-            dx = W.values.T @ da
+            W.grad += np.dot(da.T, cache.acts[k])
+            b.grad += da.sum(axis=0)
+            dx = da @ W.values
         if cache.mask is not None:
             dx = dx * cache.mask
         return dx
@@ -510,6 +643,7 @@ class NuggetModel:
         self.embedder = embedder
         self.encoders = encoders
         self.head = head
+        self._empty_rep = np.zeros(cfg.hidden_size)  # an empty branch's representation; read only
 
     # -- targets ------------------------------------------------------
 
@@ -529,35 +663,63 @@ class NuggetModel:
     # -- forward / backward -------------------------------------------
 
     def forward(
-        self, split: BranchSplit, rng: Rng | None = None
+        self, splits: BranchSplit | Sequence[BranchSplit], rng: Rng | None = None
     ) -> tuple[np.ndarray, ModelCache]:
-        """Class probabilities; dropout applies exactly when `rng` is given."""
+        """Class probabilities of one split, (K,), or of a minibatch of
+        splits, (B, K); dropout applies exactly when `rng` is given.
+
+        Each branch gathers the tokens of all B splits as one input matrix,
+        in batch order, and runs one recurrence over its B sequences."""
+        single = isinstance(splits, BranchSplit)
+        batch = [splits] if single else splits
         rows: dict[Branch, np.ndarray] = {}
         caches: dict[Branch, EncoderCache] = {}
         reps = []
-        for branch, texts in zip(_BRANCHES, (split.left, split.nugget, split.right)):
-            inputs, rows[branch] = self.embedder.assemble_input(texts, branch)
-            rep, caches[branch] = self.encoders[branch].encode(inputs)
+        for branch, part in zip(_BRANCHES, ("left", "nugget", "right")):
+            texts = [getattr(split, part) for split in batch]
+            inputs, rows[branch] = self.embedder.assemble_input(
+                tuple(chain.from_iterable(texts)), branch
+            )
+            rep, caches[branch] = self.encoders[branch].encode(
+                inputs, lengths=[len(t) for t in texts]
+            )
             reps.append(rep)
-        probs, head_cache = self.head.forward(np.concatenate(reps), rng)
-        return probs, ModelCache(rows, caches, head_cache)
+        probs, head_cache = self.head.forward(np.concatenate(reps, axis=1), rng)
+        return (probs[0] if single else probs), ModelCache(rows, caches, head_cache)
 
     def forward_backward(
-        self, split: BranchSplit, types: tuple[str, ...], rng: Rng | None = None
-    ) -> float:
-        """One example's loss; accumulates gradients into the store."""
-        probs, cache = self.forward(split, rng)
-        loss, d_logits = self._loss(probs, types)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite loss {loss!r}")
+        self,
+        splits: BranchSplit | Sequence[BranchSplit],
+        types: tuple[str, ...] | Sequence[tuple[str, ...]],
+        rng: Rng | None = None,
+    ) -> float | list[float]:
+        """The loss of one split with its gold types, or the per-example
+        losses of a minibatch (a sequence of splits and one of their types);
+        accumulates the gradient of their sum into the store.
+
+        A non-finite loss raises NumericError before any gradient is
+        accumulated; its `position` is the first such example's index."""
+        single = isinstance(splits, BranchSplit)
+        if single:
+            splits, types = [splits], [types]
+        if len(splits) != len(types):
+            raise ConfigurationError(f"{len(splits)} splits but {len(types)} type tuples")
+        probs, cache = self.forward(splits, rng)
+        losses = []
+        d_logits = np.empty_like(probs)
+        for k, (p, t) in enumerate(zip(probs, types)):
+            loss, d_logits[k] = self._loss(p, t)
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss {loss!r}", position=k)
+            losses.append(loss)
         d_concat = self.head.backprop(d_logits, cache.head)
         h = self.cfg.hidden_size
         for k, branch in enumerate(_BRANCHES):
             d_inputs = self.encoders[branch].backprop(
-                d_concat[k * h : (k + 1) * h], cache.enc[branch]
+                d_concat[:, k * h : (k + 1) * h], cache.enc[branch]
             )
             self.embedder.accumulate_grad(cache.rows[branch], branch, d_inputs)
-        return loss
+        return losses[0] if single else losses
 
     # -- inference ------------------------------------------------------
 
@@ -580,16 +742,16 @@ class NuggetModel:
         """
         if not splits:
             return []
-        tokens = splits[0].left + splits[0].nugget + splits[0].right
+        tokens = splits[0].tokens
         spans = []
         for split in splits:
-            if split.left + split.nugget + split.right != tokens:
+            if split.tokens != tokens:
                 raise ValueError("sentence_proba: splits of different sentences")
             spans.append((len(split.left), len(split.left) + len(split.nugget) - 1))
         T = len(tokens)
         left = self._pass_outputs(Branch.LEFT, tokens[: max(s for s, _ in spans)])
         right = self._pass_outputs(Branch.RIGHT, tokens[min(e for _, e in spans) + 1 :])
-        empty = np.zeros(self.cfg.hidden_size)
+        empty = self._empty_rep
         probs = []
         for split, (s, e) in zip(splits, spans):
             nugget, _ = self.embedder.assemble_input(split.nugget, Branch.NUGGET)
@@ -598,11 +760,11 @@ class NuggetModel:
             probs.append(self.head.forward(np.concatenate(reps))[0])
         return probs
 
-    def _pass_outputs(self, branch: Branch, texts: tuple[str, ...]) -> list[np.ndarray]:
-        """Top-layer states of one encoder pass in processing order; an
-        empty branch runs no pass."""
+    def _pass_outputs(self, branch: Branch, texts: tuple[str, ...]) -> np.ndarray:
+        """Top-layer states of one encoder pass in processing order, one row
+        per step; an empty branch runs no pass."""
         if not texts:
-            return []
+            return self._empty_rep[:0]
         inputs, _ = self.embedder.assemble_input(texts, branch)
         return self.encoders[branch].encode(inputs)[1].outputs
 

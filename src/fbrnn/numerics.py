@@ -273,23 +273,24 @@ class ParamStore:
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray:
-    """Elementwise logistic function, overflow-safe at both tails."""
+    """Elementwise logistic function, overflow-safe at both tails:
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e^-|x| <= 1."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Stable softmax over a vector: max subtraction, sums to 1."""
+    """Stable softmax over a vector, or over each row of a matrix: max
+    subtraction, sums to 1."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size < 1:
-        raise ConfigurationError(f"softmax expects a non-empty vector, got shape {z.shape}")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    if z.ndim not in (1, 2) or z.shape[-1] < 1:
+        raise ConfigurationError(
+            f"softmax expects a non-empty vector or rows, got shape {z.shape}"
+        )
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Supervised training loop with early stopping and checkpointing.
 
-Updates are per example by default (batch_size gives plain gradient
-accumulation over several examples per optimizer step). Every stochastic
-choice (init, shuffling, dropout, negative downsampling) is driven by one
-seeded stream, so a fixed seed reproduces the parameter trajectory
-bitwise. Early stopping watches dev micro-F1; the returned model is the
-best-dev checkpoint.
+Each optimizer step takes one minibatch of `batch_size` examples (one by
+default) through one batched forward and backward pass: every branch
+encoder runs one recurrence over the batch's sequences. The step's
+gradient is the *sum* of the per-example gradients, not their mean, so
+the clip norm bounds the batch's summed gradient: at clip_norm 5 and
+batch 32 about half of the steps are clipped. Every stochastic choice
+(init, shuffling, dropout, negative downsampling) is driven by one seeded
+stream, so a fixed seed reproduces the parameter trajectory bitwise.
+Early stopping watches dev micro-F1; the returned model is the best-dev
+checkpoint.
 """
 
 from __future__ import annotations
@@ -175,6 +179,11 @@ def train_model(
     cfg.validate()
     if not train_examples:
         raise ConfigurationError("training set is empty")
+    if cfg.negative_ratio is not None and not any(ex.candidate.types for ex in train_examples):
+        raise ConfigurationError(
+            "negative_ratio keeps a multiple of the positive examples, and no "
+            "training example is positive: every epoch would be empty"
+        )
     has_dev = bool(dev_examples) and dev_gold is not None and len(dev_gold) > 0
     if not has_dev:
         warnings.warn("no dev set: early stopping disabled, returning final epoch")
@@ -201,32 +210,33 @@ def train_model(
         started = time.perf_counter()
         order = _epoch_order(train_examples, rng, cfg.negative_ratio)
         total_loss = 0.0
-        batch_fill = 0
         steps = clipped = 0
         norm_sum = norm_max = 0.0
         # Gradients are zero here: the model starts with zero gradients and
-        # every epoch ends with a step followed by zero_grads.
-        for pos, idx in enumerate(order):
-            ex = train_examples[idx]
+        # every step is followed by zero_grads.
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_examples[i] for i in order[start : start + cfg.batch_size]]
             try:
-                total_loss += model.forward_backward(ex.split, ex.candidate.types, rng)
+                losses = model.forward_backward(
+                    [ex.split for ex in batch], [ex.candidate.types for ex in batch], rng
+                )
             except NumericError as e:
+                ex = batch[e.position or 0]
                 raise NumericError(
-                    f"epoch {epoch}, example {idx} "
+                    f"epoch {epoch}, example {order[start + (e.position or 0)]} "
                     f"(sentence {ex.sentence_index}, span {ex.candidate.span}): {e}"
                 ) from e
-            batch_fill += 1
-            if batch_fill == cfg.batch_size or pos == len(order) - 1:
-                try:
-                    norm = opt.step()
-                except NumericError as e:
-                    raise NumericError(f"epoch {epoch}: {e}") from e
-                model.store.zero_grads()
-                batch_fill = 0
-                steps += 1
-                norm_sum += norm
-                norm_max = max(norm_max, norm)
-                clipped += cfg.clip_norm is not None and norm > cfg.clip_norm
+            for loss in losses:
+                total_loss += loss
+            try:
+                norm = opt.step()
+            except NumericError as e:
+                raise NumericError(f"epoch {epoch}: {e}") from e
+            model.store.zero_grads()
+            steps += 1
+            norm_sum += norm
+            norm_max = max(norm_max, norm)
+            clipped += cfg.clip_norm is not None and norm > cfg.clip_norm
         mean_loss = total_loss / len(order)
 
         dev_p = dev_r = dev_f1 = None

@@ -1,0 +1,207 @@
+"""Minibatches: one recurrence per branch over B sequences of mixed length.
+
+The batched forward and backward must give the gradient of the summed
+per-example losses: checked against central differences on padded batches
+with empty branches, and against the per-example passes it replaced.
+"""
+
+import numpy as np
+import pytest
+
+from fbrnn.candidates import BranchSplit, build_examples, build_trigger_lexicon
+from fbrnn.corpus import LabelSet, default_synthetic_spec, make_synthetic_corpus, vocabulary_of
+from fbrnn.errors import NumericError
+from fbrnn.model import ModelConfig, build_model
+from fbrnn.numerics import Optimizer, Rng, grad_check
+from fbrnn.training import TrainConfig, _epoch_order, train_model
+
+LONG = ("officials", "had", "slipped", "past", "the", "checkpoint")
+SHORT = ("the", "guards", "fired")
+ONE = ("attack",)
+TYPES = ("TypeA", "TypeB", "TypeC")
+
+
+def split(tokens, start, end):
+    return BranchSplit(tokens[:start], tokens[start : end + 1], tokens[end + 1 :])
+
+
+# Mixed lengths in every branch: a candidate at token 0 (empty LEFT), one
+# ending at the last token (empty RIGHT), a 1-token sentence (both empty),
+# and "the" in several examples and branches.
+BATCH = [
+    (split(LONG, 0, 0), ()),
+    (split(LONG, 2, 3), ("TypeB",)),
+    (split(LONG, 5, 5), ()),
+    (split(ONE, 0, 0), ("TypeA",)),
+    (split(SHORT, 2, 2), ("TypeC", "TypeA")),
+    (split(SHORT, 0, 1), ()),
+]
+SPLITS = [s for s, _ in BATCH]
+GOLD = [t for _, t in BATCH]
+
+CONFIGS = [
+    dict(cell=cell, layers=layers, head_mode=head, use_branch=branch)
+    for cell in ("gru", "lstm")
+    for layers in (1, 2)
+    for head in ("softmax", "sigmoid")
+    for branch in (True, False)
+]
+
+
+def config_id(c):
+    branch = "branch" if c["use_branch"] else "nobranch"
+    return f"{c['cell']}-{c['layers']}l-{c['head_mode']}-{branch}"
+
+
+def make_model(dropout=0.0, seed=4, **over):
+    cfg = ModelConfig(hidden_size=2, word_dim=3, branch_dim=2, dropout=dropout, **over)
+    return build_model(cfg, LONG + SHORT + ONE, LabelSet(TYPES), Rng(seed))
+
+
+def grads(model):
+    return {t.name: t.grad.copy() for t in model.store}
+
+
+def max_rel_diff(a, b):
+    scale = max(float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+def test_batch_layout_is_mixed():
+    lengths = [[len(getattr(s, part)) for s in SPLITS] for part in ("left", "nugget", "right")]
+    assert len(SPLITS) >= 5
+    for branch in lengths:
+        assert len(set(branch)) >= 2
+    assert lengths[0][0] == 0 and lengths[2][2] == 0  # empty LEFT, empty RIGHT
+    assert sum(s.tokens.count("the") for s in SPLITS) > 1
+
+
+@pytest.mark.parametrize("over", CONFIGS, ids=config_id)
+def test_padded_batch_gradcheck(over):
+    """The batched gradient against central differences of the summed
+    per-example losses: every parameter of every branch and the head."""
+    model = make_model(**over)
+    model.forward_backward(SPLITS, GOLD)
+
+    def loss_fn():  # the batched forward of the same sum, to keep the check fast
+        probs, _ = model.forward(SPLITS)
+        return sum(model._loss(p, t)[0] for p, t in zip(probs, GOLD))
+
+    report = grad_check(loss_fn, model.store, eps=2e-4)
+    assert report.max_rel_error < 1e-4, report.per_tensor
+
+
+@pytest.mark.parametrize("over", CONFIGS, ids=config_id)
+def test_batched_gradient_is_the_sum_of_per_example_gradients(over):
+    """Only the summation order differs: within 1e-12 of the largest entry."""
+    model = make_model(**over)
+    losses = model.forward_backward(SPLITS, GOLD)
+    batched = grads(model)
+    model.store.zero_grads()
+    singles = [model.forward_backward(s, t) for s, t in BATCH]
+    for name, g in grads(model).items():
+        assert max_rel_diff(batched[name], g) <= 1e-12, name
+    assert np.max(np.abs(np.subtract(losses, singles))) <= 1e-12 * max(singles)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_dropout_masks_follow_the_per_example_stream(cell):
+    """A batch draws its masks in example order: the same masks, the same
+    rng state afterwards and the same gradients as B per-example passes."""
+    model = make_model(dropout=0.5, cell=cell, layers=2)
+    _, cache = model.forward(SPLITS, Rng(17))
+    per_example = Rng(17)
+    for k, s in enumerate(SPLITS):
+        _, single = model.forward(s, per_example)
+        assert single.head.mask[0].tobytes() == cache.head.mask[k].tobytes(), k
+
+    rng = Rng(17)
+    model.forward_backward(SPLITS, GOLD, rng)
+    batched = grads(model)
+    model.store.zero_grads()
+    reference = Rng(17)
+    for s, t in BATCH:
+        model.forward_backward(s, t, reference)
+    after = rng.random(4).tobytes()
+    assert after == reference.random(4).tobytes() == per_example.random(4).tobytes()
+    for name, g in grads(model).items():
+        assert max_rel_diff(batched[name], g) <= 1e-12, name
+
+
+def test_non_finite_loss_names_the_first_bad_example():
+    """Row k of every batched product depends on example k alone, so a NaN
+    word row poisons exactly the examples that use it; the error names the
+    first and no gradient has been accumulated."""
+    model = make_model()
+    model.store["word_emb"].values[model.embedder.word.row("guards")] = np.nan
+    with pytest.raises(NumericError, match="non-finite loss") as info:
+        model.forward_backward(SPLITS, GOLD)
+    assert info.value.position == 4
+    assert not model.store.grad.any()
+    assert np.isfinite(model.forward(SPLITS[:4])[0]).all()
+
+
+# -- the training loop: one forward_backward call per minibatch --------------
+
+
+@pytest.fixture(scope="module")
+def data():
+    spec = default_synthetic_spec(n_sentences=30)
+    corpus = make_synthetic_corpus(spec, Rng(100))
+    labels = spec.label_set()
+    lexicon = build_trigger_lexicon(corpus)
+    return build_examples(corpus, lexicon, labels, 3), vocabulary_of(corpus), labels
+
+
+def per_example_reference(cfg, examples, vocab, labels):
+    """Training as a loop over single examples: accumulate `batch_size`
+    per-example gradients, then step. Returns (parameters, epoch losses)."""
+    rng = Rng(cfg.seed)
+    model = build_model(cfg.model_config(), list(vocab), labels, rng)
+    opt = Optimizer(
+        model.store, kind=cfg.optimizer, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+        eps=cfg.eps, clip_norm=cfg.clip_norm,
+    )
+    losses = []
+    for _ in range(cfg.max_epochs):
+        order = _epoch_order(examples, rng, cfg.negative_ratio)
+        total = 0.0
+        for pos, i in enumerate(order):
+            total += model.forward_backward(examples[i].split, examples[i].candidate.types, rng)
+            if (pos + 1) % cfg.batch_size == 0 or pos == len(order) - 1:
+                opt.step()
+                model.store.zero_grads()
+        losses.append(total / len(order))
+    return model.store.values, losses
+
+
+def train(cfg, data):
+    examples, vocab, labels = data
+    with pytest.warns(UserWarning, match="no dev set"):
+        model, log = train_model(cfg, examples, None, None, vocab, labels)
+    return model.store.values, [e.loss for e in log.epochs]
+
+
+TRAIN_CFG = dict(
+    hidden_size=4, word_dim=5, branch_dim=2, dropout=0.3, lr=3e-3, max_epochs=2, seed=3
+)
+
+
+@pytest.mark.parametrize("over", [{}, {"cell": "lstm", "layers": 2, "head_mode": "sigmoid"}])
+def test_batch_size_one_is_bit_identical_to_the_per_example_loop(data, over):
+    cfg = TrainConfig(batch_size=1, **TRAIN_CFG, **over)
+    values, losses = train(cfg, data)
+    ref_values, ref_losses = per_example_reference(cfg, *data)
+    assert values.tobytes() == ref_values.tobytes()
+    assert losses == ref_losses
+
+
+def test_minibatches_match_the_per_example_loop(data):
+    """Batch 8 with a short last batch: the same steps, up to summation
+    order (measured about 1e-16 relative; the bound leaves room for Adam)."""
+    cfg = TrainConfig(batch_size=8, **TRAIN_CFG)
+    assert len(data[0]) % 8
+    values, losses = train(cfg, data)
+    ref_values, ref_losses = per_example_reference(cfg, *data)
+    assert max_rel_diff(values, ref_values) <= 1e-10
+    assert max_rel_diff(np.array(losses), np.array(ref_losses)) <= 1e-10

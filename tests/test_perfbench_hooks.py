@@ -3,8 +3,9 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from fbrnn import evaluation, model, numerics
+from fbrnn import evaluation, model, numerics, training
 from fbrnn.candidates import BranchSplit, LabeledExample, NuggetCandidate, split_branches
 from fbrnn.corpus import LabelSet, Sentence, Token
 
@@ -92,3 +93,41 @@ def test_predict_examples_shares_one_left_and_one_right_pass(monkeypatch):
     min_end = min(e for _, e in spans)
     nugget_tokens = sum(e - s + 1 for s, e in spans)
     assert tracer.counts["encode_tokens"] == max_start + (T - min_end - 1) + nugget_tokens
+
+
+def test_one_batched_training_step_encodes_each_branch_once(monkeypatch):
+    """A minibatch is one forward_backward: one encode per branch over the
+    tokens of all its examples, one scatter per branch, one step."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    words = ("a", "b", "c", "d", "e", "f")
+    sentence = Sentence(tuple(Token(w) for w in words))
+    examples = [
+        LabeledExample(0, NuggetCandidate(s, e), split_branches(sentence, NuggetCandidate(s, e)))
+        for s, e in [(0, 0), (1, 2), (5, 5), (3, 3), (2, 4)]
+    ]
+    cfg = training.TrainConfig(
+        hidden_size=3, word_dim=4, branch_dim=2, batch_size=len(examples), max_epochs=1
+    )
+    tracer = tracing.Tracer()
+    tracing.install(tracer, clip_norm=5.0)
+    try:
+        with pytest.warns(UserWarning, match="no dev set"):
+            training.train_model(cfg, examples, None, None, words, LabelSet(["A"]))
+    finally:
+        tracer.restore()
+    assert tracer.calls("numerics.optimizer_step") == 1
+    for name in (
+        "model.encode.left",
+        "model.encode.nugget",
+        "model.encode.right",
+        "model.head_forward",
+        "model.head_backprop",
+        "model.forward_backward",
+    ):
+        assert tracer.calls(name) == 1, name
+    assert tracer.calls("model.encoder_backprop") == 3
+    assert tracer.calls("embeddings.assemble_input") == 3
+    assert tracer.calls("embeddings.accumulate_grad") == 3
+    assert tracer.counts["encode_tokens"] == len(examples) * len(words)

@@ -170,6 +170,31 @@ class TestLoop:
         with pytest.raises(NumericError, match=r"epoch 1, example \d+"):
             run(SMALL_CFG, small_data)
 
+    def test_nan_in_a_minibatch_names_the_first_bad_example(self, small_data, monkeypatch):
+        from fbrnn.model import NuggetModel
+
+        seen = []
+
+        def boom(self, splits, types, rng=None):
+            seen.append(splits[2])
+            raise NumericError("non-finite loss nan", position=2)
+
+        monkeypatch.setattr(NuggetModel, "forward_backward", boom)
+        with pytest.raises(NumericError, match=r"epoch 1, example \d+") as info:
+            run(dataclasses.replace(SMALL_CFG, batch_size=4), small_data)
+        idx = int(str(info.value).split("example ")[1].split(" ")[0])
+        ex = small_data["train_ex"][idx]
+        assert ex.split is seen[0]
+        assert f"(sentence {ex.sentence_index}, span {ex.candidate.span})" in str(info.value)
+
+    def test_negative_ratio_without_positives_rejected(self, small_data):
+        # _epoch_order would keep no example, and the mean epoch loss would
+        # divide by zero
+        negatives = [ex for ex in small_data["train_ex"] if not ex.candidate.types]
+        cfg = dataclasses.replace(SMALL_CFG, negative_ratio=1.0)
+        with pytest.raises(ConfigurationError, match="no training example is positive"):
+            train_model(cfg, negatives, None, None, small_data["vocab"], small_data["labels"])
+
     def test_negative_downsampling_shrinks_epoch(self, small_data):
         # with ratio 0.1 an epoch sees fewer examples => lower epoch loss sum
         cfg = dataclasses.replace(SMALL_CFG, max_epochs=1, negative_ratio=0.1)
