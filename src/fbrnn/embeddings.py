@@ -8,8 +8,8 @@ input is one (T, d) matrix whose row t is [word_row ; branch_row] for its
 t-th token, gathered from the word table at once; ablation runs drop the
 branch part entirely. A minibatch's branch is gathered the same way, its
 examples' tokens concatenated in example order. The gradient comes back
-as a matrix of the same shape and is scattered into the table rows in
-token order.
+as a matrix of the same shape; each table row it touches receives one
+sum of its terms, in token order.
 
 Both tables live in the model's ParamStore, so their rows receive
 gradients and are updated during training like any other weight.
@@ -211,13 +211,22 @@ class Embedder:
     def accumulate_grad(self, rows: np.ndarray, branch: Branch, d_inputs: np.ndarray) -> None:
         """Add a branch's (T, input_dim) input gradients to the table rows.
 
-        np.add.at applies the rows one by one in token order, so a word
-        used twice receives both gradients, summed as a per-token loop
-        would sum them. An empty branch returns at once.
+        The word rows are stably sorted, so each distinct row's terms stay
+        in token order, and each row receives one segment sum
+        (`np.add.reduceat`): a word used twice gets both gradients. The
+        branch row receives the column sum of the branch part. Against a
+        per-token loop only the summation order differs: a term is added
+        to its segment's sum before the sum meets the row's earlier
+        gradient. An empty branch returns at once.
         """
         if len(rows) == 0:
             return
         d_w = self.word.dim
-        np.add.at(self.word.tensor.grad, rows, d_inputs[:, :d_w])
+        order = np.argsort(rows, kind="stable")
+        ordered = rows[order]
+        firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        self.word.tensor.grad[ordered[firsts]] += np.add.reduceat(
+            d_inputs[order, :d_w], firsts, axis=0
+        )
         if self.branch is not None:
-            np.add.at(self.branch.tensor.grad, np.full(len(rows), branch), d_inputs[:, d_w:])
+            self.branch.tensor.grad[branch] += d_inputs[:, d_w:].sum(axis=0)

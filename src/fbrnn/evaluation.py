@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Iterable, Sequence
+from itertools import chain, groupby
+from typing import Iterable, Iterator, Sequence
 
 from .candidates import LabeledExample, build_datasets
 from .corpus import Corpus
@@ -131,6 +131,9 @@ def f1(p: float, r: float) -> float:
     return round(2.0 * p * r / (p + r), 2)
 
 
+BLOCK_EXAMPLES = 128  # examples per model call: bounds the memory one call holds
+
+
 def predict_examples(
     model: NuggetModel,
     examples: Sequence[LabeledExample],
@@ -139,15 +142,17 @@ def predict_examples(
     """Model predictions over candidate examples, non-events dropped.
 
     Each run of consecutive examples with the same sentence index and the
-    same tokens is predicted by one `sentence_proba` call, which shares one
-    LEFT and one RIGHT encoder pass among them; the probabilities are
-    bit-identical to `predict_proba` example by example.
+    same tokens is one group of `NuggetModel.batch_proba`, which shares one
+    LEFT and one RIGHT encoder pass among a group's candidates. Runs are
+    packed in order into blocks of at most BLOCK_EXAMPLES examples (a
+    longer run is a block of its own), and each block is one
+    `batch_proba` call. The probabilities are those of `predict_proba`
+    example by example up to summation order (within 1e-12).
     """
     out = []
-    for _, group in groupby(examples, key=_sentence_key):
-        group = list(group)
-        probs = model.sentence_proba([ex.split for ex in group])
-        for ex, p in zip(group, probs):
+    for block in _blocks(examples):
+        probs = model.batch_proba([[ex.split for ex in run] for run in block])
+        for ex, p in zip(chain.from_iterable(block), probs):
             types = model.decode(p, threshold)
             if types:
                 out.append(
@@ -156,6 +161,21 @@ def predict_examples(
                     )
                 )
     return out
+
+
+def _blocks(examples: Sequence[LabeledExample]) -> Iterator[list[list[LabeledExample]]]:
+    """The runs of `predict_examples`, packed in order into blocks."""
+    block: list[list[LabeledExample]] = []
+    size = 0
+    for _, run in groupby(examples, key=_sentence_key):
+        run = list(run)
+        if block and size + len(run) > BLOCK_EXAMPLES:
+            yield block
+            block, size = [], 0
+        block.append(run)
+        size += len(run)
+    if block:
+        yield block
 
 
 def _sentence_key(ex: LabeledExample) -> tuple:

@@ -4,7 +4,10 @@ Three separately parameterized recurrent encoders read the left context and
 the nugget span left-to-right and the right context right-to-left. Each
 branch reaches its encoder as one (T, d) input matrix gathered by the
 embedder; a minibatch's branch is one (N, d) matrix of its B sequences,
-run as one recurrence over them. The final hidden states are concatenated, passed through dropout
+run as one recurrence over them, and each layer projects all of its input
+rows (`x W^T + b`) in one product before its step loop. Prediction batches
+whole sentences the same way (`NuggetModel.batch_proba`). The final hidden
+states are concatenated, passed through dropout
 (applied exactly when the caller passes an Rng) and a small fully
 connected stack, and classified by either a softmax over all classes
 (non-event included) or independent sigmoids over the event types
@@ -211,32 +214,33 @@ def gru_step(
 ) -> tuple[np.ndarray, GruStepCache]:
     """One step for one input vector, or for n rows at once: x (n, d_in),
     h_prev (n, h). Every product is `rows @ M.T`, which for one row gives
-    the bits of `M @ vector`.
+    the bits of `M @ vector`. The input projection comes first, with the
+    bias: `(x W^T + b) + h U^T`.
 
     The backward steps take rows. They add each weight gradient as one
     `np.dot(da.T, rows)`: a BLAS product, which for one row gives the bits
     of `np.outer` (`@` would run numpy's slower non-BLAS loop there)."""
     _check_shapes("gru_step", x, h_prev, p)
-    return _gru_step(x, h_prev, _gru_weights(p))
+    return _gru_step(x, x @ p.W.values.T + p.b.values, h_prev, _gru_weights(p))
 
 
-def _gru_weights(p: RecurrentLayer) -> tuple[np.ndarray, ...]:
-    """What a GRU step multiplies by: W^T, U_zr^T, U_c^T, b_zr, b_c."""
+def _gru_weights(p: RecurrentLayer) -> tuple[np.ndarray, np.ndarray]:
+    """What a GRU step multiplies the state by: U_zr^T, U_c^T."""
     h = p.U.shape[1]
-    U, b = p.U.values, p.b.values
-    return p.W.values.T, U[: 2 * h].T, U[2 * h :].T, b[: 2 * h], b[2 * h :]
+    U = p.U.values
+    return U[: 2 * h].T, U[2 * h :].T
 
 
 def _gru_step(
-    x: np.ndarray, h_prev: np.ndarray, weights: tuple[np.ndarray, ...]
+    x: np.ndarray, wx: np.ndarray, h_prev: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, GruStepCache]:
-    W_t, U_zr, U_c, b_zr, b_c = weights
+    """A step given its input projection `wx = x W^T + b`."""
+    U_zr, U_c = weights
     h = h_prev.shape[-1]
-    wx = x @ W_t
-    zr = sigmoid(wx[..., : 2 * h] + h_prev @ U_zr + b_zr)
+    zr = sigmoid(wx[..., : 2 * h] + h_prev @ U_zr)
     z, r = zr[..., :h], zr[..., h:]
     rh = r * h_prev
-    hc = np.tanh(wx[..., 2 * h :] + rh @ U_c + b_c)
+    hc = np.tanh(wx[..., 2 * h :] + rh @ U_c)
     h_new = (1.0 - z) * h_prev + z * hc
     return h_new, GruStepCache(x, h_prev, zr, rh, hc)
 
@@ -277,20 +281,15 @@ def lstm_step(
 ) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
     """One step for one vector or for n rows, as `gru_step`."""
     _check_shapes("lstm_step", x, h_prev, p)
-    return _lstm_step(x, h_prev, c_prev, _lstm_weights(p))
-
-
-def _lstm_weights(p: RecurrentLayer) -> tuple[np.ndarray, ...]:
-    """What an LSTM step multiplies by: W^T, U^T, b."""
-    return p.W.values.T, p.U.values.T, p.b.values
+    return _lstm_step(x, x @ p.W.values.T + p.b.values, h_prev, c_prev, p.U.values.T)
 
 
 def _lstm_step(
-    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, weights: tuple[np.ndarray, ...]
+    x: np.ndarray, wx: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    W_t, U_t, b = weights
+    """A step given its input projection `wx = x W^T + b`."""
     h = h_prev.shape[-1]
-    gates = (x @ W_t + h_prev @ U_t) + b
+    gates = wx + h_prev @ U_t
     gates[..., : 3 * h] = sigmoid(gates[..., : 3 * h])
     np.tanh(gates[..., 3 * h :], out=gates[..., 3 * h :])
     i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
@@ -334,8 +333,9 @@ class PackedLayout:
     """
 
     order: np.ndarray  # batch positions, longest sequence first
+    rank: np.ndarray  # position of each batch sequence in `order`: its inverse
     sizes: list[int]  # sequences running at each step
-    offsets: list[int]  # first packed row of each step
+    offsets: np.ndarray  # first packed row of each step
     rows: np.ndarray | slice  # input row of each packed row; slice(None): the inputs as given
     last: np.ndarray  # packed row of each non-empty sequence's last step, in `order`
     n_rows: int  # packed rows: the total length
@@ -344,35 +344,40 @@ class PackedLayout:
     def of(cls, lengths: Sequence[int], backward: bool) -> "PackedLayout":
         """Layout of sequences of these lengths, whose inputs are stacked in
         batch order, each in its token order; a backward encoder reads
-        each sequence from its last token."""
-        if len(lengths) == 1:
-            return _single_layout(int(lengths[0]), backward)
-        lengths = np.asarray(lengths, dtype=np.intp)
-        order = np.argsort(-lengths, kind="stable")
-        by_length = lengths[order]
-        T = int(by_length[0]) if len(by_length) else 0
-        running = by_length > np.arange(T)[:, None]  # (T, B)
-        sizes = running.sum(axis=1)
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
-        t, j = np.nonzero(running)  # packed rows, step-major
-        starts = (np.cumsum(lengths) - lengths)[order]
-        rows = starts[j] + (by_length[j] - 1 - t if backward else t)
-        ended = by_length[by_length > 0]
-        last = offsets[ended - 1] + np.arange(len(ended))
-        return cls(order, sizes.tolist(), offsets.tolist(), rows, last, len(rows))
+        each sequence from its last token. Shared between calls with the
+        same lengths; never mutated."""
+        return _layout(tuple(lengths), backward)
+
+    def row(self, step: np.ndarray, seq: np.ndarray) -> np.ndarray:
+        """Packed row of step `step` of the sequence at batch position
+        `seq`, elementwise; the sequence must be running at that step."""
+        return self.offsets[step] + self.rank[seq]
 
 
-@lru_cache(maxsize=1024)
-def _single_layout(T: int, backward: bool) -> PackedLayout:
-    """One sequence: its steps are the packed rows. Shared; never mutated."""
-    return PackedLayout(
-        np.zeros(1, dtype=np.intp),
-        [1] * T,
-        list(range(T)),
-        np.arange(T - 1, -1, -1) if backward else slice(None),
-        np.array([T - 1] if T else [], dtype=np.intp),
-        T,
-    )
+@lru_cache(maxsize=64)  # one sentence's small batches repeat; a minibatch's rarely do
+def _layout(lengths: tuple[int, ...], backward: bool) -> PackedLayout:
+    if len(lengths) == 1:  # one sequence: its steps are the packed rows
+        T = int(lengths[0])
+        first = np.zeros(1, dtype=np.intp)
+        rows = np.arange(T)
+        return PackedLayout(
+            first, first, [1] * T, rows, rows[::-1] if backward else slice(None), rows[-1:], T
+        )
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    by_length = lengths[order]
+    T = int(by_length[0]) if len(by_length) else 0
+    running = by_length > np.arange(T)[:, None]  # (T, B)
+    sizes = running.sum(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+    t, j = np.nonzero(running)  # packed rows, step-major
+    starts = (np.cumsum(lengths) - lengths)[order]
+    rows = starts[j] + (by_length[j] - 1 - t if backward else t)
+    ended = by_length[by_length > 0]
+    last = offsets[ended - 1] + np.arange(len(ended))
+    return PackedLayout(order, rank, sizes.tolist(), offsets, rows, last, len(rows))
 
 
 @dataclass
@@ -390,9 +395,10 @@ class BranchEncoder:
     final hidden state of the top layer; an empty branch yields the zero
     vector and touches no parameters.
 
-    A batch of sequences runs as one recurrence: each step is one product
-    over the rows of the sequences still running (see PackedLayout). One
-    sequence is the batch of one.
+    A batch of sequences runs as one recurrence: each layer first projects
+    all of its packed input rows in one product, then each step is one
+    product of the states of the sequences still running (see
+    PackedLayout). One sequence is the batch of one.
     """
 
     def __init__(
@@ -436,10 +442,11 @@ class BranchEncoder:
         stacked in batch order: returns one representation per sequence,
         (B, hidden) in batch order.
 
-        The cache keeps the top layer's state after every step, so for one
-        sequence one pass also yields the representation of each prefix of
-        the processing order (each suffix of the tokens, for the RIGHT
-        branch): `cache.outputs[t]`."""
+        The cache keeps the top layer's state after every step, so one pass
+        also yields the representation of each prefix of each sequence's
+        processing order (each suffix of its tokens, for the RIGHT branch):
+        `cache.outputs[cache.layout.row(t, seq)]`, which for one sequence
+        is `cache.outputs[t]`."""
         inputs = np.asarray(vectors, dtype=np.float64)
         layout = PackedLayout.of([len(inputs)] if lengths is None else lengths, self.backward)
         if layout.n_rows != len(inputs):
@@ -455,22 +462,25 @@ class BranchEncoder:
                 f"encode: inputs {inputs.shape}, layer 0 W {self.layers[0].W.shape}"
             )
         inputs = inputs[layout.rows]
-        xs = [inputs[o : o + n] for o, n in zip(layout.offsets, layout.sizes)]
+        steps = list(zip(layout.offsets.tolist(), layout.sizes))
         layer_caches = []
         for layer in self.layers:
+            # every step's input projection, with the bias, as one product
+            wx = inputs @ layer.W.values.T + layer.b.values
             h = c = np.zeros((layout.sizes[0], self.hidden))
-            weights = _gru_weights(layer) if self.kind == "gru" else _lstm_weights(layer)
-            step_caches = []
-            for t, x in enumerate(xs):
-                n = len(x)
+            weights = _gru_weights(layer) if self.kind == "gru" else layer.U.values.T
+            step_caches, states = [], []
+            for o, n in steps:
+                x, x_w = inputs[o : o + n], wx[o : o + n]
                 if self.kind == "gru":
-                    h, sc = _gru_step(x, h[:n], weights)
+                    h, sc = _gru_step(x, x_w, h[:n], weights)
                 else:
-                    h, c, sc = _lstm_step(x, h[:n], c[:n], weights)
+                    h, c, sc = _lstm_step(x, x_w, h[:n], c[:n], weights)
                 step_caches.append(sc)
-                xs[t] = h
+                states.append(h)
             layer_caches.append(step_caches)
-        cache = EncoderCache(layout, layer_caches, np.concatenate(xs))
+            inputs = np.concatenate(states)
+        cache = EncoderCache(layout, layer_caches, inputs)
         if lengths is None:
             return h[0], cache
         reps = np.zeros((len(lengths), self.hidden))
@@ -486,7 +496,7 @@ class BranchEncoder:
         layout = cache.layout
         d_top = np.zeros((layout.n_rows, self.hidden))
         d_top[layout.last] = d_rep.reshape(-1, self.hidden)[layout.order[: len(layout.last)]]
-        d_above = [d_top[o : o + n] for o, n in zip(layout.offsets, layout.sizes)]
+        d_above = [d_top[o : o + n] for o, n in zip(layout.offsets.tolist(), layout.sizes)]
         for layer, step_caches in zip(reversed(self.layers), reversed(cache.layer_caches)):
             dh_next = np.zeros((layout.sizes[0], self.hidden))
             dc_next = np.zeros((layout.sizes[0], self.hidden))
@@ -643,7 +653,6 @@ class NuggetModel:
         self.embedder = embedder
         self.encoders = encoders
         self.head = head
-        self._empty_rep = np.zeros(cfg.hidden_size)  # an empty branch's representation; read only
 
     # -- targets ------------------------------------------------------
 
@@ -676,12 +685,8 @@ class NuggetModel:
         caches: dict[Branch, EncoderCache] = {}
         reps = []
         for branch, part in zip(_BRANCHES, ("left", "nugget", "right")):
-            texts = [getattr(split, part) for split in batch]
-            inputs, rows[branch] = self.embedder.assemble_input(
-                tuple(chain.from_iterable(texts)), branch
-            )
-            rep, caches[branch] = self.encoders[branch].encode(
-                inputs, lengths=[len(t) for t in texts]
+            rows[branch], rep, caches[branch] = self._encode(
+                branch, [getattr(split, part) for split in batch]
             )
             reps.append(rep)
         probs, head_cache = self.head.forward(np.concatenate(reps, axis=1), rng)
@@ -728,45 +733,70 @@ class NuggetModel:
         return probs
 
     def sentence_proba(self, splits: Sequence[BranchSplit]) -> list[np.ndarray]:
-        """`predict_proba` of every split, for candidates of one sentence.
+        """`predict_proba` of every split, for candidates of one sentence:
+        `batch_proba([splits])`, row by row. Every split must partition the
+        same tokens."""
+        return list(self.batch_proba([splits]))
 
-        Every split must partition the same tokens. One LEFT pass over the
-        tokens before the last candidate start and one RIGHT pass over the
-        tokens after the first candidate end serve all candidates: the LEFT
-        state after token s - 1 is the left representation of a candidate
-        starting at s, and the RIGHT state after reading token e + 1 is the
-        right representation of one ending at e. A direction no candidate
-        needs is not run. The nugget branch and the head run per candidate
-        exactly as in `forward`, so the result is bit-identical to
-        `predict_proba(split)` for each split.
+    def batch_proba(self, groups: Sequence[Sequence[BranchSplit]]) -> np.ndarray:
+        """Class probabilities of every split, (C, K) in the order given,
+        for groups of candidates, each group's splits partitioning the same
+        sentence; two groups may hold the same sentence.
+
+        One recurrence per branch serves the whole batch: the LEFT encoder
+        reads each group's tokens before its last candidate start, the
+        RIGHT encoder each group's tokens after its first candidate end,
+        and the NUGGET encoder every candidate's span; one head forward
+        classifies the C candidates. The LEFT state after token s - 1 is
+        the left representation of a candidate starting at s, and the
+        RIGHT state after reading token e + 1 the right representation of
+        one ending at e. Only the summation order of the matrix products
+        differs from `predict_proba(split)` (measured within 1e-15).
         """
-        if not splits:
-            return []
-        tokens = splits[0].tokens
-        spans = []
-        for split in splits:
-            if split.tokens != tokens:
-                raise ValueError("sentence_proba: splits of different sentences")
-            spans.append((len(split.left), len(split.left) + len(split.nugget) - 1))
-        T = len(tokens)
-        left = self._pass_outputs(Branch.LEFT, tokens[: max(s for s, _ in spans)])
-        right = self._pass_outputs(Branch.RIGHT, tokens[min(e for _, e in spans) + 1 :])
-        empty = self._empty_rep
-        probs = []
-        for split, (s, e) in zip(splits, spans):
-            nugget, _ = self.embedder.assemble_input(split.nugget, Branch.NUGGET)
-            rep, _ = self.encoders[Branch.NUGGET].encode(nugget)
-            reps = (left[s - 1] if s else empty, rep, right[T - 2 - e] if e < T - 1 else empty)
-            probs.append(self.head.forward(np.concatenate(reps))[0])
-        return probs
+        lefts, rights, nuggets = [], [], []
+        # (candidate, step, sequence) of each candidate whose LEFT (RIGHT)
+        # branch is not empty: it reads its group's state after step
+        # len(left) - 1 (len(right) - 1)
+        needs = {Branch.LEFT: [], Branch.RIGHT: []}
+        for splits in filter(None, groups):
+            tokens = splits[0].tokens
+            j = len(lefts)
+            for split in splits:
+                if split.tokens != tokens:
+                    raise ValueError("batch_proba: one group holds splits of different sentences")
+                if split.left:
+                    needs[Branch.LEFT].append((len(nuggets), len(split.left) - 1, j))
+                if split.right:
+                    needs[Branch.RIGHT].append((len(nuggets), len(split.right) - 1, j))
+                nuggets.append(split.nugget)
+            lefts.append(max((split.left for split in splits), key=len))
+            rights.append(max((split.right for split in splits), key=len))
+        h = self.cfg.hidden_size
+        reps = np.zeros((len(nuggets), 3 * h))
+        reps[:, h : 2 * h] = self._encode(Branch.NUGGET, nuggets)[1]
+        for k, branch, texts in ((0, Branch.LEFT, lefts), (2, Branch.RIGHT, rights)):
+            if needs[branch]:
+                candidate, step, seq = np.array(needs[branch], dtype=np.intp).T
+                reps[candidate, k * h : (k + 1) * h] = self._states(branch, texts, step, seq)
+        return self.head.forward(reps)[0]
 
-    def _pass_outputs(self, branch: Branch, texts: tuple[str, ...]) -> np.ndarray:
-        """Top-layer states of one encoder pass in processing order, one row
-        per step; an empty branch runs no pass."""
-        if not texts:
-            return self._empty_rep[:0]
-        inputs, _ = self.embedder.assemble_input(texts, branch)
-        return self.encoders[branch].encode(inputs)[1].outputs
+    def _states(
+        self, branch: Branch, texts: Sequence[tuple[str, ...]], step: np.ndarray, seq: np.ndarray
+    ) -> np.ndarray:
+        """Top-layer states of one recurrence of the branch's encoder over
+        these token sequences: of sequence seq[i] after its step step[i].
+        The pass's cache is dropped on return."""
+        cache = self._encode(branch, texts)[2]
+        return cache.outputs[cache.layout.row(step, seq)]
+
+    def _encode(
+        self, branch: Branch, texts: Sequence[tuple[str, ...]]
+    ) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
+        """One recurrence of the branch's encoder over these token
+        sequences: their word rows, (B, h) representations and cache."""
+        inputs, rows = self.embedder.assemble_input(tuple(chain.from_iterable(texts)), branch)
+        rep, cache = self.encoders[branch].encode(inputs, lengths=[len(t) for t in texts])
+        return rows, rep, cache
 
     def predict(self, split: BranchSplit, threshold: float = 0.5) -> tuple[str, ...]:
         """Predicted event types of one split; see `decode`."""

@@ -163,6 +163,31 @@ class TestAssembly:
         d_branch = d_inputs[:, 4:]
         assert np.array_equal(branch, ((0.0 + d_branch[0]) + d_branch[1]) + d_branch[2])
 
+    def test_scatter_matches_a_per_token_loop(self):
+        """Segment sums against adding token by token: a word repeated
+        within a branch and across branches, onto gradients that are not
+        zero. Only the summation order differs (a segment is summed before
+        it meets the row), so within 1e-13; measured about 1e-15."""
+        emb = self.build_embedder(4, 2)
+        rng = Rng(9)
+        for t in (emb.word.tensor, emb.branch.tensor):
+            t.grad[:] = np.asarray(rng.uniform(-1, 1, t.size)).reshape(t.shape)
+        word_ref, branch_ref = emb.word.tensor.grad.copy(), emb.branch.tensor.grad.copy()
+        texts = {
+            Branch.LEFT: ("beta", "alpha", "beta", "gamma", "beta", "alpha"),
+            Branch.NUGGET: ("alpha",),
+            Branch.RIGHT: ("gamma", "beta", "delta", "beta"),
+        }
+        for branch, words in texts.items():
+            _, rows = emb.assemble_input(words, branch)
+            d_inputs = np.asarray(rng.uniform(-1, 1, len(words) * 6)).reshape(-1, 6)
+            emb.accumulate_grad(rows, branch, d_inputs)
+            for row, d in zip(rows, d_inputs):
+                word_ref[row] += d[:4]
+                branch_ref[branch] += d[4:]
+        np.testing.assert_allclose(emb.word.tensor.grad, word_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(emb.branch.tensor.grad, branch_ref, rtol=0, atol=1e-13)
+
 
 class TestGradientFlowInvariant:
     def test_one_step_touches_used_word_and_branch_rows_only(self):

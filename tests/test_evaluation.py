@@ -1,6 +1,7 @@
 """Scoring: micro P/R/F1 over (sentence, span, type) triples, and the
-shared-pass prediction of candidate examples."""
+batched prediction of candidate examples."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 from fbrnn.candidates import LabeledExample, NuggetCandidate, split_branches
 from fbrnn.corpus import Corpus, GoldNugget, LabelSet, Sentence, Token
 from fbrnn.errors import ConfigurationError, DataError
-from fbrnn.evaluation import PredictedNugget, PRFReport, f1, predict_examples, score
+from fbrnn.evaluation import (
+    BLOCK_EXAMPLES,
+    PredictedNugget,
+    PRFReport,
+    f1,
+    predict_examples,
+    score,
+)
 from fbrnn.model import ModelConfig, build_model
 from fbrnn.numerics import Rng
 
@@ -160,7 +168,7 @@ class TestF1Arithmetic:
 
 
 # ---------------------------------------------------------------------------
-# Prediction with one LEFT and one RIGHT pass per sentence
+# Batched prediction: one LEFT, NUGGET and RIGHT pass per block of sentences
 # ---------------------------------------------------------------------------
 
 SEVEN = Sentence(tuple(Token(w) for w in "the crowd broke into the old office".split()))
@@ -210,13 +218,34 @@ class TestPredictExamples:
 
     @pytest.mark.parametrize("cell,layers,head_mode,use_branch", MODEL_GRID)
     def test_sentence_proba_is_bit_identical(self, cell, layers, head_mode, use_branch):
+        """`batch_proba` over several sentences and `sentence_proba` per
+        sentence against `predict_proba` per candidate: only the summation
+        order of the matrix products differs, so within 1e-12 (measured
+        below 1e-15), and every decoded type tuple is equal. The groups
+        hold candidates at the first and the last token, the whole
+        sentence, a 1-token sentence and one sentence twice."""
         model = self.model(cell, layers, head_mode, use_branch)
-        for sentence, spans in ((SEVEN, SEVEN_SPANS), (SINGLE, [(0, 0)]), (SEVEN, [(6, 6)])):
-            splits = [ex.split for ex in examples_of(0, sentence, spans)]
-            shared = model.sentence_proba(splits)
-            assert len(shared) == len(splits)
-            for split, probs in zip(splits, shared):
-                assert probs.tobytes() == model.predict_proba(split).tobytes(), split
+        groups = [
+            [ex.split for ex in examples_of(0, sentence, spans)]
+            for sentence, spans in (
+                (SEVEN, SEVEN_SPANS),
+                (SINGLE, [(0, 0)]),
+                (SEVEN, [(6, 6)]),
+                (OTHER, [(5, 5), (0, 1), (2, 2)]),
+            )
+        ]
+        splits = [split for group in groups for split in group]
+        batched = model.batch_proba(groups)
+        assert batched.shape == (len(splits), model.head.out_b.size)
+        shared = [probs for group in groups for probs in model.sentence_proba(group)]
+        assert len(shared) == len(splits)
+        threshold = 0.5 if head_mode == "softmax" else 0.45
+        for split, together, alone in zip(splits, batched, shared):
+            single = model.predict_proba(split)
+            np.testing.assert_allclose(together, single, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(alone, single, rtol=0, atol=1e-12)
+            decoded = model.decode(single, threshold)
+            assert model.decode(together, threshold) == model.decode(alone, threshold) == decoded
 
     @pytest.mark.parametrize("cell,layers,head_mode,use_branch", MODEL_GRID)
     def test_predict_examples_equals_per_example_loop(self, cell, layers, head_mode, use_branch):
@@ -237,13 +266,13 @@ class TestPredictExamples:
     def test_groups_are_consecutive_runs_of_one_sentence(self, monkeypatch):
         model = self.model()
         calls = []
-        original = model.sentence_proba
+        original = model.batch_proba
 
-        def spy(splits):
-            calls.append([s.left + s.nugget + s.right for s in splits])
-            return original(splits)
+        def spy(groups):
+            calls.append([[s.left + s.nugget + s.right for s in splits] for splits in groups])
+            return original(groups)
 
-        monkeypatch.setattr(model, "sentence_proba", spy)
+        monkeypatch.setattr(model, "batch_proba", spy)
         examples = (
             examples_of(0, SEVEN, [(0, 0), (2, 3)])
             + examples_of(1, OTHER, [(2, 2)])
@@ -252,7 +281,53 @@ class TestPredictExamples:
         )
         predict_examples(model, examples)
         seven, other, single = (s.texts() for s in (SEVEN, OTHER, SINGLE))
-        assert calls == [[seven, seven], [other], [single], [seven]]
+        assert calls == [[[seven, seven], [other], [single], [seven]]]
+
+    @pytest.mark.parametrize("head_mode", ["softmax", "sigmoid"])
+    def test_one_call_for_many_sentences_equals_per_sentence_calls(self, head_mode):
+        model = self.model(head_mode=head_mode)
+        runs = [
+            examples_of(0, SEVEN, SEVEN_SPANS),
+            examples_of(1, SINGLE, [(0, 0)]),
+            examples_of(1, OTHER, [(0, 0), (5, 5), (0, 5), (3, 4)]),
+            examples_of(2, SEVEN, [(6, 6), (0, 0)]),
+        ]
+        threshold = 0.5 if head_mode == "softmax" else 0.45
+        together = predict_examples(model, [ex for run in runs for ex in run], threshold)
+        assert together == [p for run in runs for p in predict_examples(model, run, threshold)]
+        assert together
+
+    def test_blocks_hold_whole_runs_of_at_most_block_examples(self, monkeypatch):
+        """Runs are packed into blocks until the next would overflow; a
+        run longer than a block is a block of its own."""
+        model = self.model()
+        short = BLOCK_EXAMPLES // len(SEVEN_SPANS)
+        runs = [examples_of(i, SEVEN, SEVEN_SPANS) for i in range(short)]
+        runs.append(examples_of(short, OTHER, [(0, 0), (2, 3), (5, 5)] * (BLOCK_EXAMPLES // 3 + 1)))
+        runs += [examples_of(short + 1 + i, SEVEN, SEVEN_SPANS[:3]) for i in range(2)]
+        blocks = [runs[:short], runs[short : short + 1], runs[short + 1 :]]
+        assert sum(map(len, blocks[0])) + len(runs[short]) > BLOCK_EXAMPLES >= sum(
+            map(len, blocks[0])
+        )
+        assert len(runs[short]) > BLOCK_EXAMPLES
+        sizes = []
+        original = model.batch_proba
+
+        def spy(groups):
+            sizes.append([len(splits) for splits in groups])
+            return original(groups)
+
+        monkeypatch.setattr(model, "batch_proba", spy)
+        examples = [ex for run in runs for ex in run]
+        predictions = predict_examples(model, examples)
+        assert sizes == [[len(run) for run in block] for block in blocks]
+        per_block = [
+            p
+            for block in blocks
+            for p in predict_examples(model, [ex for run in block for ex in run])
+        ]
+        assert predictions == per_block == reference_predictions(model, examples, 0.5)
+        assert predictions
 
     def test_splits_of_different_sentences_are_rejected(self):
         model = self.model()

@@ -358,6 +358,45 @@ class TestStackedGatesMatchPerGateFormulas:
             assert not b.any()
 
 
+class TestHoistedInputProjection:
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("branch", [Branch.LEFT, Branch.RIGHT])
+    def test_hoisted_projection_matches_a_loop_of_public_steps(self, kind, layers, branch):
+        """`encode` computes each layer's `x W^T + b` for all packed rows
+        in one product before its step loop; the public cells compute it
+        for one vector per step. A multi-row product may sum in another
+        order, so at this size the two agree within 1e-12 (measured up to
+        1.4e-15), not bit for bit. Every step's state is also read back
+        through `PackedLayout.row`."""
+        d_in, hidden = 320, 32
+        rng = Rng(31)
+        enc = BranchEncoder.build(branch, kind, d_in, hidden, layers, ParamStore(), rng)
+        for layer in enc.layers:
+            layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
+        lengths = [5, 0, 17, 1, 9, 17]
+        inputs = np.asarray(rng.uniform(-1, 1, sum(lengths) * d_in)).reshape(-1, d_in)
+        reps, cache = enc.encode(inputs, lengths=lengths)
+        ends = np.cumsum(lengths)
+        for seq, (n, end) in enumerate(zip(lengths, ends)):
+            states = inputs[end - n : end][:: -1 if enc.backward else 1]
+            for layer in enc.layers:
+                h = c = np.zeros(hidden)
+                outputs = []
+                for x in states:
+                    if kind == "gru":
+                        h, _ = gru_step(x, h, layer)
+                    else:
+                        h, c, _ = lstm_step(x, h, c, layer)
+                    outputs.append(h)
+                states = outputs
+            expected = states[-1] if n else np.zeros(hidden)
+            assert np.max(np.abs(reps[seq] - expected)) <= 1e-12, seq
+            for step, state in enumerate(states):
+                packed = cache.outputs[cache.layout.row(step, seq)]
+                assert np.max(np.abs(packed - state)) <= 1e-12, (seq, step)
+
+
 class TestHeadAndLosses:
     def test_zero_weights_give_uniform_softmax(self):
         labels = LabelSet([f"T{i}" for i in range(33)])  # 34 classes

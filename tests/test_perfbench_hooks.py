@@ -65,8 +65,9 @@ def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
 
 
 def test_predict_examples_shares_one_left_and_one_right_pass(monkeypatch):
-    """One sentence with k candidates: one LEFT pass up to the last start,
-    one RIGHT pass down to the first end, and one NUGGET pass each."""
+    """One sentence with k candidates is one model call: one LEFT pass up to
+    the last start, one RIGHT pass down to the first end, and one NUGGET
+    pass over the k spans."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -85,10 +86,11 @@ def test_predict_examples_shares_one_left_and_one_right_pass(monkeypatch):
         evaluation.predict_examples(nugget_model, examples)
     finally:
         tracer.restore()
-    T, k = len(words), len(spans)
+    T = len(words)
     assert tracer.calls("model.encode.left") == 1
     assert tracer.calls("model.encode.right") == 1
-    assert tracer.calls("model.encode.nugget") == k
+    assert tracer.calls("model.encode.nugget") == 1
+    assert tracer.calls("model.head_forward") == 1
     max_start = max(s for s, _ in spans)
     min_end = min(e for _, e in spans)
     nugget_tokens = sum(e - s + 1 for s, e in spans)
