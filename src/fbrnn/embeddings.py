@@ -110,7 +110,7 @@ class WordTable:
         cls,
         words: list[str],
         dim: int,
-        rng: Rng,
+        rng: Rng | None,
         store: ParamStore,
         pretrained: dict[str, np.ndarray] | None = None,
         name: str = "word_emb",
@@ -170,7 +170,7 @@ class BranchTable:
 
     @classmethod
     def build(
-        cls, dim: int, rng: Rng, store: ParamStore, name: str = "branch_emb"
+        cls, dim: int, rng: Rng | None, store: ParamStore, name: str = "branch_emb"
     ) -> "BranchTable":
         return cls(store.add(init_uniform_scaled(name, (3, dim), rng)))
 

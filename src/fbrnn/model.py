@@ -171,7 +171,7 @@ GATE_ORDER = {"gru": "zrc", "lstm": "ifog"}  # row blocks of W, U and b
 
 
 def _build_layer(
-    store: ParamStore, prefix: str, kind: str, d_in: int, h: int, rng: Rng
+    store: ParamStore, prefix: str, kind: str, d_in: int, h: int, rng: Rng | None
 ) -> RecurrentLayer:
     # W_g then U_g, gate by gate: the values per-gate tensors would draw.
     blocks = [
@@ -419,7 +419,7 @@ class BranchEncoder:
         hidden: int,
         n_layers: int,
         store: ParamStore,
-        rng: Rng,
+        rng: Rng | None,
     ) -> "BranchEncoder":
         prefix = branch.name.lower()
         layers = [
@@ -552,7 +552,7 @@ class Head:
 
     @classmethod
     def build(
-        cls, cfg: ModelConfig, labels: LabelSet, store: ParamStore, rng: Rng
+        cls, cfg: ModelConfig, labels: LabelSet, store: ParamStore, rng: Rng | None
     ) -> "Head":
         widths = cfg.resolved_head_hidden()
         n_out = labels.n_classes if cfg.head_mode == "softmax" else len(labels.event_types)
@@ -849,10 +849,13 @@ def assemble_model(
     cfg: ModelConfig,
     ordered_words: list[str],
     labels: LabelSet,
-    rng: Rng,
+    rng: Rng | None,
     pretrained: dict[str, np.ndarray] | None = None,
 ) -> NuggetModel:
-    """Assemble a model from an explicit row-ordered word list (UNK first)."""
+    """Assemble a model from an explicit row-ordered word list (UNK first).
+
+    Without an rng every tensor is zero-filled, ready for `load_values`.
+    """
     cfg.validate()
     store = ParamStore()
     word = WordTable.build(ordered_words, cfg.word_dim, rng, store, pretrained)

@@ -299,16 +299,19 @@ def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
 
 
 def init_uniform_scaled(
-    name: str, shape: Sequence[int], rng: Rng
+    name: str, shape: Sequence[int], rng: Rng | None
 ) -> ParamTensor:
     """Uniform draws in [-b, b] with b = sqrt(6 / (fan_in + fan_out)).
 
     fan_out is shape[0]; fan_in is shape[-1] for matrices and shape[0] for
-    vectors. Deterministic given the rng state.
+    vectors. Deterministic given the rng state. Without an rng the tensor
+    is zero-filled, for a model whose values are loaded next.
     """
     shape = tuple(int(s) for s in shape)
     if not shape or any(s <= 0 for s in shape):
         raise ConfigurationError(f"invalid tensor shape {shape} for {name!r}")
+    if rng is None:
+        return ParamTensor(name, np.zeros(shape))
     fan_out = shape[0]
     fan_in = shape[-1] if len(shape) > 1 else shape[0]
     bound = math.sqrt(6.0 / (fan_in + fan_out))

@@ -14,6 +14,7 @@ checkpoint.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import time
@@ -274,7 +275,7 @@ def train_model(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2  # version 1 held one W, U and b per gate; still read
+CHECKPOINT_VERSION = 3  # 2 held each tensor as a JSON list of floats, 1 also per gate
 
 
 def save_checkpoint(
@@ -286,10 +287,19 @@ def save_checkpoint(
 ) -> None:
     """Self-describing JSON checkpoint: config, labels, vocab, every tensor.
 
-    Optionally embeds the trigger lexicon and candidate settings so that
-    prediction on a raw corpus needs nothing but the checkpoint. Written
-    atomically; floats round-trip exactly through JSON.
+    Each tensor is `{"shape": [...], "data": "<base64>"}`, the data being
+    its values as row-major little-endian float64 bytes, so the round trip
+    is exact by construction. Optionally embeds the trigger lexicon and
+    candidate settings so that prediction on a raw corpus needs nothing but
+    the checkpoint. A tensor holding NaN or Inf is a NumericError naming
+    it, and nothing is written. Written atomically.
     """
+    tensors = {}
+    for t in model.store:
+        if not np.isfinite(t.values).all():
+            raise NumericError(f"cannot save tensor {t.name!r}: it holds non-finite values")
+        raw = t.values.astype("<f8", copy=False).tobytes()
+        tensors[t.name] = {"shape": list(t.shape), "data": base64.b64encode(raw).decode("ascii")}
     data = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "fbrnn-checkpoint",
@@ -301,10 +311,7 @@ def save_checkpoint(
             "max_nugget_len": max_nugget_len,
             "threshold": threshold,
         },
-        "tensors": {
-            t.name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
-            for t in model.store
-        },
+        "tensors": tensors,
     }
     write_text_atomic(path, json.dumps(data))
 
@@ -322,12 +329,14 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Rebuild a model from a checkpoint file.
 
-    Reads versions 1 and 2. Rejects other versions, tensor entries without
-    `shape`/`values`, value counts that do not fill the shape, NaN or Inf
+    Reads versions 1 to 3; a version-3 tensor decodes to exactly the bits
+    that were saved. Rejects other versions, tensor entries without `shape`
+    and `data` (`values` before version 3), data that is not a base64
+    string, byte or value counts that do not fill the shape, NaN or Inf
     values, tensor names or shapes that differ from the model's, malformed
-    labels, vocabularies, lexicons and pipeline settings, and (when `expect` is given) any config
-    different from the expected one, each as a DataError naming the tensor
-    or field.
+    labels, vocabularies, lexicons and pipeline settings, and (when `expect`
+    is given) any config different from the expected one, each as a
+    DataError naming the tensor or field.
     A truncated or corrupt file fails cleanly without a partial model.
     """
     data = read_json(path, "checkpoint")
@@ -362,21 +371,25 @@ def load_checkpoint(
         )
 
     try:
-        model = assemble_model(cfg, vocab, labels, Rng(0))
+        model = assemble_model(cfg, vocab, labels, rng=None)
     except ConfigurationError as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
+    key = "data" if version >= 3 else "values"
     arrays = {}
     for name, entry in tensors.items():
         where = f"{path}: tensor {name!r}"
-        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
-            raise DataError(f"{where} needs 'shape' and 'values'")
+        if not isinstance(entry, dict) or "shape" not in entry or key not in entry:
+            raise DataError(f"{where} needs 'shape' and {key!r}")
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise DataError(f"{where}: 'shape' must be a list of non-negative integers")
-        try:
-            values = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"{where}: malformed entry: {e}") from e
+        if version >= 3:
+            values = _decode_data(where, entry["data"])
+        else:
+            try:
+                values = np.array(entry["values"], dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise DataError(f"{where}: malformed entry: {e}") from e
         if values.shape != (size := math.prod(shape),):
             raise DataError(f"{where} has {values.size} values, its shape {shape} needs {size}")
         if not np.isfinite(values).all():
@@ -407,3 +420,16 @@ def _stack_gates(path: str | Path, arrays: dict[str, np.ndarray], model: NuggetM
                         arrays[t.name] = np.concatenate([arrays.pop(n) for n in names])
                     except ValueError as e:
                         raise DataError(f"{path}: tensor {t.name!r}: {e}") from e
+
+
+def _decode_data(where: str, data: object) -> np.ndarray:
+    """The little-endian float64 values that the base64 string `data` holds."""
+    if not isinstance(data, str):
+        raise DataError(f"{where}: 'data' must be a base64 string, not {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"{where}: 'data' is not valid base64: {e}") from e
+    if len(raw) % 8:
+        raise DataError(f"{where} has {len(raw)} bytes of data, not a multiple of 8")
+    return np.frombuffer(raw, "<f8")

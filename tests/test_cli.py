@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: pipeline smoke, exit codes, determinism."""
 
+import base64
 import io
 import json
 import subprocess
@@ -8,6 +9,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -435,6 +437,26 @@ def _tensor(data):
     return data["tensors"]["head.out.b"]
 
 
+def _version_2_with(mutate):
+    """`_checkpoint_with(mutate)` on the checkpoint rewritten as format
+    version 2 held it: each tensor's values as a JSON list under `values`."""
+    def to_version_2(data):
+        for entry in data["tensors"].values():
+            entry["values"] = np.frombuffer(base64.b64decode(entry.pop("data")), "<f8").tolist()
+        data["format_version"] = 2
+        mutate(data)
+    return _checkpoint_with(to_version_2)
+
+
+def _data_with(edit):
+    """`_checkpoint_with` re-encoding head.out.b's values after `edit` changes their list."""
+    def mutate(data):
+        values = np.frombuffer(base64.b64decode(_tensor(data)["data"]), "<f8").tolist()
+        edit(values)
+        _tensor(data)["data"] = base64.b64encode(np.array(values, "<f8").tobytes()).decode()
+    return _checkpoint_with(mutate)
+
+
 def _prediction(**fields):
     def build(synth_dir, run_dir, tmp_path):
         record = {"sentence": 0, "start": 0, "end": 0, "types": ["Conflict.Attack"], **fields}
@@ -563,13 +585,23 @@ _MALFORMED = [
      "checkpoint.json: corrupt"),
     ("ckpt-huge-integer", _input_file("checkpoint", "1" * 5000), 2, "checkpoint.json: corrupt"),
     ("ckpt-no-shape", _checkpoint_with(lambda d: _tensor(d).pop("shape")), 2, "head.out.b"),
-    ("ckpt-no-values", _checkpoint_with(lambda d: _tensor(d).pop("values")), 2, "head.out.b"),
-    ("ckpt-value-count", _checkpoint_with(lambda d: _tensor(d)["values"].pop()), 2,
+    ("ckpt-no-values", _version_2_with(lambda d: _tensor(d).pop("values")), 2, "head.out.b"),
+    ("ckpt-value-count", _version_2_with(lambda d: _tensor(d)["values"].pop()), 2,
      "head.out.b"),
-    ("ckpt-nan", _checkpoint_with(lambda d: _tensor(d)["values"].__setitem__(0, float("nan"))),
+    ("ckpt-nan", _version_2_with(lambda d: _tensor(d)["values"].__setitem__(0, float("nan"))),
      2, "head.out.b"),
-    ("ckpt-inf", _checkpoint_with(lambda d: _tensor(d)["values"].__setitem__(0, float("inf"))),
+    ("ckpt-inf", _version_2_with(lambda d: _tensor(d)["values"].__setitem__(0, float("inf"))),
      2, "head.out.b"),
+    ("ckpt-no-data", _checkpoint_with(lambda d: _tensor(d).pop("data")), 2, "head.out.b"),
+    ("ckpt-data-not-string", _checkpoint_with(lambda d: _tensor(d).__setitem__("data", [0.0])),
+     2, "head.out.b"),
+    ("ckpt-data-not-base64",
+     _checkpoint_with(lambda d: _tensor(d).__setitem__("data", "AAAA*AAA")), 2, "head.out.b"),
+    ("ckpt-data-partial-value",
+     _checkpoint_with(lambda d: _tensor(d).__setitem__("data", "A" * 16)), 2, "head.out.b"),
+    ("ckpt-data-count", _data_with(list.pop), 2, "head.out.b"),
+    ("ckpt-data-nan", _data_with(lambda v: v.__setitem__(0, float("nan"))), 2, "head.out.b"),
+    ("ckpt-data-inf", _data_with(lambda v: v.__setitem__(0, float("-inf"))), 2, "head.out.b"),
     ("ckpt-lexicon", _checkpoint_with(
         lambda d: d["pipeline"].__setitem__("lexicon", {"entries": {"x": 5}})), 2, "'x'"),
     ("ckpt-threshold", _checkpoint_with(lambda d: d["pipeline"].__setitem__("threshold", "a")),

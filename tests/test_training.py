@@ -1,7 +1,10 @@
 """Training loop determinism, early stopping, checkpoint persistence."""
 
+import base64
 import dataclasses
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from fbrnn.evaluation import evaluate_model
 from fbrnn.model import ModelConfig, build_model
 from fbrnn.numerics import Rng
 from fbrnn.training import (
+    CHECKPOINT_VERSION,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -298,7 +302,7 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         data = json.loads(path.read_text())
         data["tensors"]["head.out.b"]["shape"] = [99]
-        data["tensors"]["head.out.b"]["values"] = [0.0] * 99
+        data["tensors"]["head.out.b"]["data"] = base64.b64encode(bytes(8 * 99)).decode()
         path.write_text(json.dumps(data))
         with pytest.raises(DataError, match="head.out.b"):
             load_checkpoint(path)
@@ -334,12 +338,65 @@ class TestCheckpoint:
         split = BranchSplit((words[0],), (words[1],), (words[2],))
         assert np.array_equal(model.predict_proba(split), loaded.predict_proba(split))
 
+    def test_roundtrip_is_bit_exact_and_little_endian(self, tmp_path):
+        model, _ = self.build_model()
+        edge = [-0.0, 5e-324, 1 / 3, 1e308]
+        model.store["head.out.b"].values[:] = edge[:3]
+        model.store["head.out.W"].values[0, :4] = edge
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path).model
+        assert loaded.store.values.tobytes() == model.store.values.tobytes()
+        raw = base64.b64decode(json.loads(path.read_text())["tensors"]["head.out.b"]["data"])
+        first, *rest = struct.unpack("<3d", raw)
+        assert str(first) == "-0.0" and rest == [5e-324, 1 / 3]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_model_is_not_saved(self, tmp_path, bad):
+        model, _ = self.build_model()
+        model.store["head.out.b"].values[0] = bad
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(NumericError, match="head.out.b"):
+            save_checkpoint(path, model)
+        assert list(tmp_path.iterdir()) == []
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_version_2_file_written_before_version_3_predicts_identically():
+    """`checkpoint_v2.json` was written by the version-2 `save_checkpoint`;
+    `checkpoint_v2_proba.json` holds that model's probabilities."""
+    path = FIXTURES / "checkpoint_v2.json"
+    data = json.loads(path.read_text())
+    assert data["format_version"] == 2
+    loaded = load_checkpoint(path)
+    for t in loaded.model.store:
+        expected = np.array(data["tensors"][t.name]["values"]).reshape(t.shape)
+        assert t.values.tobytes() == expected.tobytes(), t.name
+    assert "met" in loaded.lexicon and loaded.max_nugget_len == 2 and loaded.threshold == 0.4
+    cases = json.loads((FIXTURES / "checkpoint_v2_proba.json").read_text())["cases"]
+    for case in cases:
+        proba = loaded.model.predict_proba(BranchSplit(*map(tuple, case["split"])))
+        assert proba.tobytes() == np.array(case["proba"]).tobytes(), case["split"]
+
+
+def write_version_2(path, model):
+    """Save `model` as format version 2 wrote it: every tensor's values as a
+    JSON list of floats under `values`."""
+    save_checkpoint(path, model)
+    data = json.loads(path.read_text())
+    for entry in data["tensors"].values():
+        entry["values"] = np.frombuffer(base64.b64decode(entry.pop("data")), "<f8").tolist()
+    data["format_version"] = 2
+    path.write_text(json.dumps(data))
+    return data
+
 
 def write_version_1(path, model):
     """Save `model` as format version 1 wrote it: one W, U and b per gate,
     named `<branch>.l<k>.W_<gate>` and so on."""
-    save_checkpoint(path, model)
-    data = json.loads(path.read_text())
+    data = write_version_2(path, model)
     gates = "zrc" if model.cfg.cell == "gru" else "ifog"
     tensors = {}
     for name, entry in data["tensors"].items():
@@ -385,7 +442,7 @@ class TestVersion1Checkpoint:
         with pytest.raises(DataError, match="parameter set mismatch.*nugget.l0.U"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 3, True, "1"])
+    @pytest.mark.parametrize("version", [0, CHECKPOINT_VERSION + 1, True, "1"])
     def test_other_versions_rejected(self, tmp_path, version):
         model = build_model(
             ModelConfig(hidden_size=4, word_dim=5, branch_dim=2), ["a"], LabelSet(["A"]),
