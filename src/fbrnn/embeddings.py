@@ -126,7 +126,7 @@ class WordTable:
             raise ConfigurationError("word list must start with the UNK row")
         if len(set(words)) != len(words):
             raise ConfigurationError("duplicate words in vocabulary")
-        tensor = store.add(init_uniform_scaled(name, (len(words), dim), rng))
+        tensor = store.create(name, init_uniform_scaled((len(words), dim), rng))
         vocab = {w: i for i, w in enumerate(words)}
         hits = 0
         oov = []
@@ -172,7 +172,7 @@ class BranchTable:
     def build(
         cls, dim: int, rng: Rng | None, store: ParamStore, name: str = "branch_emb"
     ) -> "BranchTable":
-        return cls(store.add(init_uniform_scaled(name, (3, dim), rng)))
+        return cls(store.create(name, init_uniform_scaled((3, dim), rng)))
 
     @property
     def dim(self) -> int:

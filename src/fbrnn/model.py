@@ -176,8 +176,8 @@ def _build_layer(
     # W_g then U_g, gate by gate: the values per-gate tensors would draw.
     blocks = [
         (
-            init_uniform_scaled("W", (h, d_in), rng).values,
-            init_uniform_scaled("U", (h, h), rng).values,
+            init_uniform_scaled((h, d_in), rng),
+            init_uniform_scaled((h, h), rng),
         )
         for _ in GATE_ORDER[kind]
     ]
@@ -336,7 +336,7 @@ class PackedLayout:
     rank: np.ndarray  # position of each batch sequence in `order`: its inverse
     sizes: list[int]  # sequences running at each step
     offsets: np.ndarray  # first packed row of each step
-    rows: np.ndarray | slice  # input row of each packed row; slice(None): the inputs as given
+    rows: np.ndarray  # input row of each packed row
     last: np.ndarray  # packed row of each non-empty sequence's last step, in `order`
     n_rows: int  # packed rows: the total length
 
@@ -356,13 +356,6 @@ class PackedLayout:
 
 @lru_cache(maxsize=64)  # one sentence's small batches repeat; a minibatch's rarely do
 def _layout(lengths: tuple[int, ...], backward: bool) -> PackedLayout:
-    if len(lengths) == 1:  # one sequence: its steps are the packed rows
-        T = int(lengths[0])
-        first = np.zeros(1, dtype=np.intp)
-        rows = np.arange(T)
-        return PackedLayout(
-            first, first, [1] * T, rows, rows[::-1] if backward else slice(None), rows[-1:], T
-        )
     lengths = np.asarray(lengths, dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
@@ -510,8 +503,6 @@ class BranchEncoder:
                         dh, dc_next[:n], step_caches[t], layer
                     )
         d_inputs = np.concatenate(d_above)
-        if isinstance(layout.rows, slice):
-            return d_inputs
         d_unpacked = np.empty_like(d_inputs)
         d_unpacked[layout.rows] = d_inputs
         return d_unpacked
@@ -559,11 +550,11 @@ class Head:
         hidden = []
         d = 3 * cfg.hidden_size
         for i, w in enumerate(widths):
-            W = store.add(init_uniform_scaled(f"head.l{i}.W", (w, d), rng))
+            W = store.create(f"head.l{i}.W", init_uniform_scaled((w, d), rng))
             b = store.create(f"head.l{i}.b", np.zeros(w))
             hidden.append((W, b))
             d = w
-        out_w = store.add(init_uniform_scaled("head.out.W", (n_out, d), rng))
+        out_w = store.create("head.out.W", init_uniform_scaled((n_out, d), rng))
         out_b = store.create("head.out.b", np.zeros(n_out))
         return cls(hidden, out_w, out_b, cfg.head_mode, cfg.dropout)
 
@@ -672,41 +663,35 @@ class NuggetModel:
     # -- forward / backward -------------------------------------------
 
     def forward(
-        self, splits: BranchSplit | Sequence[BranchSplit], rng: Rng | None = None
+        self, splits: Sequence[BranchSplit], rng: Rng | None = None
     ) -> tuple[np.ndarray, ModelCache]:
-        """Class probabilities of one split, (K,), or of a minibatch of
-        splits, (B, K); dropout applies exactly when `rng` is given.
+        """Class probabilities of a minibatch of splits, (B, K); dropout
+        applies exactly when `rng` is given.
 
         Each branch gathers the tokens of all B splits as one input matrix,
         in batch order, and runs one recurrence over its B sequences."""
-        single = isinstance(splits, BranchSplit)
-        batch = [splits] if single else splits
         rows: dict[Branch, np.ndarray] = {}
         caches: dict[Branch, EncoderCache] = {}
         reps = []
         for branch, part in zip(_BRANCHES, ("left", "nugget", "right")):
             rows[branch], rep, caches[branch] = self._encode(
-                branch, [getattr(split, part) for split in batch]
+                branch, [getattr(split, part) for split in splits]
             )
             reps.append(rep)
         probs, head_cache = self.head.forward(np.concatenate(reps, axis=1), rng)
-        return (probs[0] if single else probs), ModelCache(rows, caches, head_cache)
+        return probs, ModelCache(rows, caches, head_cache)
 
     def forward_backward(
         self,
-        splits: BranchSplit | Sequence[BranchSplit],
-        types: tuple[str, ...] | Sequence[tuple[str, ...]],
+        splits: Sequence[BranchSplit],
+        types: Sequence[tuple[str, ...]],
         rng: Rng | None = None,
-    ) -> float | list[float]:
-        """The loss of one split with its gold types, or the per-example
-        losses of a minibatch (a sequence of splits and one of their types);
-        accumulates the gradient of their sum into the store.
+    ) -> list[float]:
+        """The per-example losses of a minibatch of splits with their gold
+        types; accumulates the gradient of their sum into the store.
 
         A non-finite loss raises NumericError before any gradient is
         accumulated; its `position` is the first such example's index."""
-        single = isinstance(splits, BranchSplit)
-        if single:
-            splits, types = [splits], [types]
         if len(splits) != len(types):
             raise ConfigurationError(f"{len(splits)} splits but {len(types)} type tuples")
         probs, cache = self.forward(splits, rng)
@@ -724,19 +709,12 @@ class NuggetModel:
                 d_concat[:, k * h : (k + 1) * h], cache.enc[branch]
             )
             self.embedder.accumulate_grad(cache.rows[branch], branch, d_inputs)
-        return losses[0] if single else losses
+        return losses
 
     # -- inference ------------------------------------------------------
 
     def predict_proba(self, split: BranchSplit) -> np.ndarray:
-        probs, _ = self.forward(split)
-        return probs
-
-    def sentence_proba(self, splits: Sequence[BranchSplit]) -> list[np.ndarray]:
-        """`predict_proba` of every split, for candidates of one sentence:
-        `batch_proba([splits])`, row by row. Every split must partition the
-        same tokens."""
-        return list(self.batch_proba([splits]))
+        return self.forward([split])[0][0]
 
     def batch_proba(self, groups: Sequence[Sequence[BranchSplit]]) -> np.ndarray:
         """Class probabilities of every split, (C, K) in the order given,
@@ -821,8 +799,7 @@ class NuggetModel:
 
     def loss(self, split: BranchSplit, types: tuple[str, ...]) -> float:
         """Loss without dropout and without touching gradients."""
-        probs, _ = self.forward(split)
-        return self._loss(probs, types)[0]
+        return self._loss(self.predict_proba(split), types)[0]
 
     def _loss(
         self, probs: np.ndarray, types: tuple[str, ...]
@@ -914,8 +891,8 @@ def tiny_gradcheck(
     negative = BranchSplit(_TINY_SENTENCE[:1], _TINY_SENTENCE[1:2], _TINY_SENTENCE[2:])
     pos_types = ("TypeA", "TypeC") if head_mode == "sigmoid" else ("TypeB",)
 
-    model.forward_backward(positive, pos_types)
-    model.forward_backward(negative, ())
+    model.forward_backward([positive], [pos_types])
+    model.forward_backward([negative], [()])
 
     def loss_fn() -> float:
         return model.loss(positive, pos_types) + model.loss(negative, ())

@@ -135,7 +135,7 @@ class ParamTensor:
     __slots__ = ("name", "values", "grad")
 
     def __init__(self, name: str, values: np.ndarray | Sequence) -> None:
-        arr = np.array(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
             raise ConfigurationError(f"tensor {name!r} has no elements")
         self.name = name
@@ -170,16 +170,12 @@ class ParamStore:
         self._grad: np.ndarray | None = None
 
     def create(self, name: str, values: np.ndarray | Sequence) -> ParamTensor:
-        return self.add(ParamTensor(name, values))
-
-    def add(self, tensor: ParamTensor) -> ParamTensor:
         if self._values is not None:
-            raise ConfigurationError(
-                f"cannot add tensor {tensor.name!r}: the store is already packed"
-            )
-        if tensor.name in self._tensors:
-            raise ConfigurationError(f"duplicate tensor name {tensor.name!r}")
-        self._tensors[tensor.name] = tensor
+            raise ConfigurationError(f"cannot add tensor {name!r}: the store is already packed")
+        if name in self._tensors:
+            raise ConfigurationError(f"duplicate tensor name {name!r}")
+        tensor = ParamTensor(name, values)
+        self._tensors[name] = tensor
         return tensor
 
     def pack(self) -> None:
@@ -298,25 +294,23 @@ def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def init_uniform_scaled(
-    name: str, shape: Sequence[int], rng: Rng | None
-) -> ParamTensor:
+def init_uniform_scaled(shape: Sequence[int], rng: Rng | None) -> np.ndarray:
     """Uniform draws in [-b, b] with b = sqrt(6 / (fan_in + fan_out)).
 
     fan_out is shape[0]; fan_in is shape[-1] for matrices and shape[0] for
-    vectors. Deterministic given the rng state. Without an rng the tensor
+    vectors. Deterministic given the rng state. Without an rng the array
     is zero-filled, for a model whose values are loaded next.
     """
     shape = tuple(int(s) for s in shape)
     if not shape or any(s <= 0 for s in shape):
-        raise ConfigurationError(f"invalid tensor shape {shape} for {name!r}")
+        raise ConfigurationError(f"invalid tensor shape {shape}")
     if rng is None:
-        return ParamTensor(name, np.zeros(shape))
+        return np.zeros(shape)
     fan_out = shape[0]
     fan_in = shape[-1] if len(shape) > 1 else shape[0]
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     flat = rng.uniform(-bound, bound, int(np.prod(shape)))
-    return ParamTensor(name, np.asarray(flat).reshape(shape))
+    return np.asarray(flat).reshape(shape)
 
 
 def dropout_mask(length: int, rate: float, rng: Rng) -> np.ndarray:

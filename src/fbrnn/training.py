@@ -30,7 +30,7 @@ from .corpus import Corpus, LabelSet
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
 from .fileio import read_json, write_text_atomic
-from .model import GATE_ORDER, ModelConfig, NuggetModel, assemble_model, build_model
+from .model import ModelConfig, NuggetModel, assemble_model, build_model
 from .numerics import Optimizer, Rng, check_optimizer_hyperparameters
 
 __all__ = [
@@ -275,7 +275,7 @@ def train_model(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3  # 2 held each tensor as a JSON list of floats, 1 also per gate
+CHECKPOINT_VERSION = 3  # 2 held each tensor as a JSON list of floats; 1 is no longer read
 
 
 def save_checkpoint(
@@ -329,7 +329,7 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Rebuild a model from a checkpoint file.
 
-    Reads versions 1 to 3; a version-3 tensor decodes to exactly the bits
+    Reads versions 2 and 3; a version-3 tensor decodes to exactly the bits
     that were saved. Rejects other versions, tensor entries without `shape`
     and `data` (`values` before version 3), data that is not a base64
     string, byte or value counts that do not fill the shape, NaN or Inf
@@ -343,7 +343,7 @@ def load_checkpoint(
     if not isinstance(data, dict) or data.get("kind") != "fbrnn-checkpoint":
         raise DataError(f"{path}: not a model checkpoint")
     version = data.get("format_version")
-    if type(version) is not int or not 1 <= version <= CHECKPOINT_VERSION:
+    if type(version) is not int or not 2 <= version <= CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         cfg = ModelConfig.from_dict(data["config"])
@@ -395,31 +395,12 @@ def load_checkpoint(
         if not np.isfinite(values).all():
             raise DataError(f"{where} holds non-finite values")
         arrays[name] = values.reshape(shape)
-    if version == 1:
-        _stack_gates(path, arrays, model)
     try:
         model.store.load_values(arrays)
     except ConfigurationError as e:
         raise DataError(f"{path}: {e}") from e
 
     return LoadedCheckpoint(model, lexicon, max_nugget_len, float(threshold))
-
-
-def _stack_gates(path: str | Path, arrays: dict[str, np.ndarray], model: NuggetModel) -> None:
-    """Replace version-1 per-gate entries (`left.l0.W_z`, ...) by the
-    stacked `left.l0.W`, gate blocks in the model's order. A layer missing
-    a gate keeps its per-gate entries, so `load_values` reports the
-    mismatch."""
-    gates = GATE_ORDER[model.cfg.cell]
-    for encoder in model.encoders.values():
-        for layer in encoder.layers:
-            for t in (layer.W, layer.U, layer.b):
-                names = [f"{t.name}_{g}" for g in gates]
-                if all(n in arrays for n in names):
-                    try:
-                        arrays[t.name] = np.concatenate([arrays.pop(n) for n in names])
-                    except ValueError as e:
-                        raise DataError(f"{path}: tensor {t.name!r}: {e}") from e
 
 
 def _decode_data(where: str, data: object) -> np.ndarray:

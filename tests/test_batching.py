@@ -98,7 +98,7 @@ def test_batched_gradient_is_the_sum_of_per_example_gradients(over):
     losses = model.forward_backward(SPLITS, GOLD)
     batched = grads(model)
     model.store.zero_grads()
-    singles = [model.forward_backward(s, t) for s, t in BATCH]
+    singles = [model.forward_backward([s], [t])[0] for s, t in BATCH]
     for name, g in grads(model).items():
         assert max_rel_diff(batched[name], g) <= 1e-12, name
     assert np.max(np.abs(np.subtract(losses, singles))) <= 1e-12 * max(singles)
@@ -112,7 +112,7 @@ def test_dropout_masks_follow_the_per_example_stream(cell):
     _, cache = model.forward(SPLITS, Rng(17))
     per_example = Rng(17)
     for k, s in enumerate(SPLITS):
-        _, single = model.forward(s, per_example)
+        _, single = model.forward([s], per_example)
         assert single.head.mask[0].tobytes() == cache.head.mask[k].tobytes(), k
 
     rng = Rng(17)
@@ -121,7 +121,7 @@ def test_dropout_masks_follow_the_per_example_stream(cell):
     model.store.zero_grads()
     reference = Rng(17)
     for s, t in BATCH:
-        model.forward_backward(s, t, reference)
+        model.forward_backward([s], [t], reference)
     after = rng.random(4).tobytes()
     assert after == reference.random(4).tobytes() == per_example.random(4).tobytes()
     for name, g in grads(model).items():
@@ -167,7 +167,8 @@ def per_example_reference(cfg, examples, vocab, labels):
         order = _epoch_order(examples, rng, cfg.negative_ratio)
         total = 0.0
         for pos, i in enumerate(order):
-            total += model.forward_backward(examples[i].split, examples[i].candidate.types, rng)
+            ex = examples[i]
+            total += model.forward_backward([ex.split], [ex.candidate.types], rng)[0]
             if (pos + 1) % cfg.batch_size == 0 or pos == len(order) - 1:
                 opt.step()
                 model.store.zero_grads()

@@ -606,6 +606,8 @@ _MALFORMED = [
         lambda d: d["pipeline"].__setitem__("lexicon", {"entries": {"x": 5}})), 2, "'x'"),
     ("ckpt-threshold", _checkpoint_with(lambda d: d["pipeline"].__setitem__("threshold", "a")),
      2, "threshold"),
+    ("ckpt-version-1", _checkpoint_with(lambda d: d.__setitem__("format_version", 1)), 2,
+     "unsupported checkpoint version 1"),
     ("pred-bool-sentence", _prediction(sentence=True), 2, "preds.jsonl:1"),
     ("pred-string-start", _prediction(start="0"), 2, "preds.jsonl:1"),
     ("pred-float-end", _prediction(end=0.9), 2, "preds.jsonl:1"),

@@ -197,7 +197,7 @@ class TestGradientFlowInvariant:
         model = build_model(cfg, words, labels, Rng(6))
         split = BranchSplit(("w0",), ("w1", "unseen-word"), ("w2",))
         model.store.zero_grads()
-        loss = model.forward_backward(split, ("A",))
+        [loss] = model.forward_backward([split], [("A",)])
         assert loss > 0.0
         word_grad = model.store["word_emb"].grad
         used_rows = {model.embedder.word.row(w) for w in ("w0", "w1", "w2")}
@@ -217,6 +217,6 @@ class TestGradientFlowInvariant:
         assert model.embedder.input_dim == 6
         split = BranchSplit(("w0",), ("w1",), ())
         model.store.zero_grads()
-        loss = model.forward_backward(split, ("B",))
+        [loss] = model.forward_backward([split], [("B",)])
         assert loss > 0.0
         assert model.predict(split) in ((), ("A",), ("B",))

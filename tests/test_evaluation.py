@@ -217,9 +217,9 @@ class TestPredictExamples:
         return build_model(cfg, words, LabelSet(["Attack", "Move"]), Rng(11))
 
     @pytest.mark.parametrize("cell,layers,head_mode,use_branch", MODEL_GRID)
-    def test_sentence_proba_is_bit_identical(self, cell, layers, head_mode, use_branch):
-        """`batch_proba` over several sentences and `sentence_proba` per
-        sentence against `predict_proba` per candidate: only the summation
+    def test_batch_proba_matches_predict_proba(self, cell, layers, head_mode, use_branch):
+        """`batch_proba` over several sentences and over each sentence alone
+        against `predict_proba` per candidate: only the summation
         order of the matrix products differs, so within 1e-12 (measured
         below 1e-15), and every decoded type tuple is equal. The groups
         hold candidates at the first and the last token, the whole
@@ -237,7 +237,7 @@ class TestPredictExamples:
         splits = [split for group in groups for split in group]
         batched = model.batch_proba(groups)
         assert batched.shape == (len(splits), model.head.out_b.size)
-        shared = [probs for group in groups for probs in model.sentence_proba(group)]
+        shared = [probs for group in groups for probs in model.batch_proba([group])]
         assert len(shared) == len(splits)
         threshold = 0.5 if head_mode == "softmax" else 0.45
         for split, together, alone in zip(splits, batched, shared):
@@ -334,9 +334,9 @@ class TestPredictExamples:
         examples = examples_of(0, SEVEN, [(0, 0)]) + examples_of(0, OTHER, [(0, 0)])
         splits = [ex.split for ex in examples]
         with pytest.raises(ValueError, match="different sentences"):
-            model.sentence_proba(splits)
+            model.batch_proba([splits])
 
     def test_no_examples(self):
         model = self.model()
-        assert model.sentence_proba([]) == []
+        assert model.batch_proba([[]]).shape == (0, model.head.out_b.size)
         assert predict_examples(model, []) == []

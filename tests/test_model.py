@@ -353,8 +353,8 @@ class TestStackedGatesMatchPerGateFormulas:
         assert store.names() == ["cell.W", "cell.U", "cell.b"]
         rng = Rng(8)
         for W, U, b in per_gate(layer, n_gates):
-            assert np.array_equal(W, init_uniform_scaled("W", (4, 3), rng).values)
-            assert np.array_equal(U, init_uniform_scaled("U", (4, 4), rng).values)
+            assert np.array_equal(W, init_uniform_scaled((4, 3), rng))
+            assert np.array_equal(U, init_uniform_scaled((4, 4), rng))
             assert not b.any()
 
 
@@ -496,7 +496,7 @@ class TestForwardBackward:
         model, words = self.build()
         split = BranchSplit((), tuple(words[:3]), ())
         model.store.zero_grads()
-        model.forward_backward(split, ("B",))
+        model.forward_backward([split], [("B",)])
         for name in model.store.names():
             grad = model.store[name].grad
             if name.startswith(("left.", "right.")):
@@ -505,8 +505,8 @@ class TestForwardBackward:
 
     def test_accumulation_is_additive(self):
         model, words = self.build()
-        ex1 = (BranchSplit((words[0],), (words[1],), (words[2],)), ("A",))
-        ex2 = (BranchSplit((), (words[3], words[4]), (words[5],)), ())
+        ex1 = ([BranchSplit((words[0],), (words[1],), (words[2],))], [("A",)])
+        ex2 = ([BranchSplit((), (words[3], words[4]), (words[5],))], [()])
         model.store.zero_grads()
         model.forward_backward(*ex1)
         g1 = {n: model.store[n].grad.copy() for n in model.store.names()}
@@ -526,7 +526,7 @@ class TestForwardBackward:
         model, words = self.build()
         split = BranchSplit((words[0],), (words[1],), (words[2],))
         model.store.zero_grads()
-        model.forward_backward(split, ("A",))
+        model.forward_backward([split], [("A",)])
         word_grad = model.store["word_emb"].grad
         used = {model.embedder.word.row(w) for w in (words[0], words[1], words[2])}
         for row in range(word_grad.shape[0]):
@@ -559,12 +559,12 @@ class TestForwardBackward:
         cfg = ModelConfig(hidden_size=3, word_dim=4, branch_dim=2, dropout=0.5)
         model = build_model(cfg, ["u", "v"], labels, Rng(0))
         split = BranchSplit(("v",), ("u",), ("v",))
-        assert model.forward_backward(split, ("A",)) == model.loss(split, ("A",))
+        assert model.forward_backward([split], [("A",)]) == [model.loss(split, ("A",))]
         rng, reference = Rng(1), Rng(1)
-        model.forward_backward(split, ("A",), rng)
+        model.forward_backward([split], [("A",)], rng)
         reference.random(9)  # one mask over the 3 * 3 concatenated units
         assert rng.random() == reference.random()
-        _, cache = model.forward(split, Rng(1))
+        _, cache = model.forward([split], Rng(1))
         assert set(np.unique(cache.head.mask)) == {0.0, 2.0}
 
 
@@ -580,7 +580,7 @@ class TestRepeatedWordsGradCheck:
         cfg = ModelConfig(cell=cell, hidden_size=4, word_dim=5, branch_dim=2)
         model = build_model(cfg, ["the", "past"], LabelSet(["A", "B"]), Rng(5))
         split = BranchSplit(("the", "the"), ("the", "past"), ("past", "the"))
-        model.forward_backward(split, ("B",))
+        model.forward_backward([split], [("B",)])
         report = grad_check(
             lambda: model.loss(split, ("B",)),
             model.store,

@@ -1,6 +1,7 @@
 """Kernel tests: tensors, activations, init, dropout, optimizers, grad check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestActivations:
         assert out[1] == pytest.approx(0.0, abs=1e-15)
         assert np.isfinite(out).all()
 
+    def test_sigmoid_is_exact_at_infinity_and_keeps_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([np.inf, -np.inf]))
+        assert out.tolist() == [1.0, 0.0]
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
     def test_softmax_symmetry(self):
         assert np.allclose(softmax([0.0, 0.0]), [0.5, 0.5])
 
@@ -102,18 +110,18 @@ class TestActivations:
 
 class TestInit:
     def test_bound(self):
-        t = init_uniform_scaled("t", (4, 4), Rng(0))
-        assert np.abs(t.values).max() <= math.sqrt(6 / 8)
+        t = init_uniform_scaled((4, 4), Rng(0))
+        assert np.abs(t).max() <= math.sqrt(6 / 8)
 
     def test_deterministic(self):
-        a = init_uniform_scaled("a", (5, 3), Rng(99))
-        b = init_uniform_scaled("b", (5, 3), Rng(99))
-        assert np.array_equal(a.values, b.values)
+        a = init_uniform_scaled((5, 3), Rng(99))
+        b = init_uniform_scaled((5, 3), Rng(99))
+        assert np.array_equal(a, b)
 
     def test_statistical_mean(self):
         # 1e5 draws: empirical mean of a zero-mean uniform is ~0
-        t = init_uniform_scaled("t", (50_000, 2), Rng(3))
-        assert abs(t.values.mean()) < 0.01
+        t = init_uniform_scaled((50_000, 2), Rng(3))
+        assert abs(t.mean()) < 0.01
 
 
 class TestDropout:
@@ -123,7 +131,7 @@ class TestDropout:
         from fbrnn.model import Head
 
         store = ParamStore()
-        out_w = store.add(init_uniform_scaled("out.W", (3, 64), Rng(4)))
+        out_w = store.create("out.W", init_uniform_scaled((3, 64), Rng(4)))
         out_b = store.create("out.b", np.zeros(3))
         rep = np.linspace(-1.0, 1.0, 64)
         probs, cache = Head([], out_w, out_b, "softmax", 0.9).forward(rep)

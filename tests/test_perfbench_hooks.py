@@ -45,7 +45,7 @@ def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
     tracer = tracing.Tracer()
     tracing.install(tracer, clip_norm=5.0)
     try:
-        nugget_model.forward_backward(split, ("A",))
+        nugget_model.forward_backward([split], [("A",)])
     finally:
         tracer.restore()
     for name in (

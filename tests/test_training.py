@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -162,7 +163,7 @@ class TestLoop:
         model = build_model(cfg, ["u", "v"], labels, Rng(0))
         model.store["word_emb"].values[:] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
-            model.forward_backward(BranchSplit((), ("u",), ("v",)), ())
+            model.forward_backward([BranchSplit((), ("u",), ("v",))], [()])
 
     def test_nan_aborts_with_epoch_example_diagnostics(self, small_data, monkeypatch):
         from fbrnn.model import NuggetModel
@@ -393,77 +394,29 @@ def write_version_2(path, model):
     return data
 
 
-def write_version_1(path, model):
-    """Save `model` as format version 1 wrote it: one W, U and b per gate,
-    named `<branch>.l<k>.W_<gate>` and so on."""
-    data = write_version_2(path, model)
-    gates = "zrc" if model.cfg.cell == "gru" else "ifog"
-    tensors = {}
-    for name, entry in data["tensors"].items():
-        if not name.startswith(("left.", "nugget.", "right.")):
-            tensors[name] = entry
-            continue
-        stacked = np.array(entry["values"]).reshape(entry["shape"])
-        for gate, block in zip(gates, np.split(stacked, len(gates))):
-            tensors[f"{name}_{gate}"] = {
-                "shape": list(block.shape),
-                "values": block.reshape(-1).tolist(),
-            }
-    data["format_version"] = 1
-    data["tensors"] = tensors
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_version_2_loads_and_predicts_bit_identically(small_data, tmp_path, cell):
+    cfg = dataclasses.replace(SMALL_CFG, cell=cell, layers=2, max_epochs=1)
+    model, _ = run(cfg, small_data)
+    path = tmp_path / "v2.json"
+    write_version_2(path, model)
+    loaded = load_checkpoint(path).model
+    assert np.array_equal(loaded.store.values, model.store.values)
+    for ex in small_data["dev_ex"]:
+        assert np.array_equal(loaded.predict_proba(ex.split), model.predict_proba(ex.split))
+
+
+@pytest.mark.parametrize("version", [0, 1, CHECKPOINT_VERSION + 1, True, "1"])
+def test_other_versions_rejected(tmp_path, version):
+    """Version 1, written by this package before it stacked each layer's
+    gates into one W, U and b, is no longer read."""
+    model = build_model(
+        ModelConfig(hidden_size=4, word_dim=5, branch_dim=2), ["a"], LabelSet(["A"]), Rng(3)
+    )
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model)
+    data = json.loads(path.read_text())
+    data["format_version"] = version
     path.write_text(json.dumps(data))
-    return data
-
-
-class TestVersion1Checkpoint:
-    @pytest.mark.parametrize("cell", ["gru", "lstm"])
-    def test_loads_and_predicts_bit_identically(self, small_data, tmp_path, cell):
-        cfg = dataclasses.replace(SMALL_CFG, cell=cell, layers=2, max_epochs=1)
-        model, _ = run(cfg, small_data)
-        path = tmp_path / "v1.json"
-        data = write_version_1(path, model)
-        assert f"left.l1.U_{'c' if cell == 'gru' else 'g'}" in data["tensors"]
-        loaded = load_checkpoint(path).model
-        assert np.array_equal(loaded.store.values, model.store.values)
-        for ex in small_data["dev_ex"]:
-            assert np.array_equal(
-                loaded.predict_proba(ex.split), model.predict_proba(ex.split)
-            )
-
-    def test_missing_gate_is_parameter_set_mismatch(self, tmp_path):
-        model = build_model(
-            ModelConfig(hidden_size=4, word_dim=5, branch_dim=2), ["a", "b"],
-            LabelSet(["A"]), Rng(3),
-        )
-        path = tmp_path / "v1.json"
-        data = write_version_1(path, model)
-        del data["tensors"]["nugget.l0.U_r"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(DataError, match="parameter set mismatch.*nugget.l0.U"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("version", [0, CHECKPOINT_VERSION + 1, True, "1"])
-    def test_other_versions_rejected(self, tmp_path, version):
-        model = build_model(
-            ModelConfig(hidden_size=4, word_dim=5, branch_dim=2), ["a"], LabelSet(["A"]),
-            Rng(3),
-        )
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model)
-        data = json.loads(path.read_text())
-        data["format_version"] = version
-        path.write_text(json.dumps(data))
-        with pytest.raises(DataError, match="unsupported checkpoint version"):
-            load_checkpoint(path)
-
-    def test_gate_blocks_that_do_not_stack_name_the_tensor(self, tmp_path):
-        model = build_model(
-            ModelConfig(hidden_size=4, word_dim=5, branch_dim=2), ["a"], LabelSet(["A"]),
-            Rng(3),
-        )
-        path = tmp_path / "v1.json"
-        data = write_version_1(path, model)
-        data["tensors"]["left.l0.W_r"] = {"shape": [4, 1], "values": [0.0] * 4}
-        path.write_text(json.dumps(data))
-        with pytest.raises(DataError, match="'left.l0.W'"):
-            load_checkpoint(path)
+    with pytest.raises(DataError, match=re.escape(f"unsupported checkpoint version {version!r}")):
+        load_checkpoint(path)
