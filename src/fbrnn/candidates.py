@@ -285,6 +285,8 @@ def labeled_candidates(
     max_nugget_len: int = 3,
 ) -> list[NuggetCandidate]:
     """Full per-sentence pipeline: extract, optionally expand, align."""
+    if max_nugget_len < 1:
+        raise ConfigurationError(f"max_nugget_len must be >= 1, got {max_nugget_len}")
     cands = extract_single_token_candidates(s, lex)
     if max_nugget_len > 1:
         cands = expand_candidates(s, cands, max_nugget_len)

@@ -1,23 +1,24 @@
 """The forward-backward recurrent classifier.
 
 Three separately parameterized recurrent encoders read the left context and
-the nugget span left-to-right and the right context right-to-left. Each
-branch reaches its encoder as one (T, d) input matrix gathered by the
-embedder; a minibatch's branch is one (N, d) matrix of its B sequences,
-run as one recurrence over them, and each layer projects all of its input
-rows (`x W^T + b`) in one product before its step loop. Prediction batches
-whole sentences the same way (`NuggetModel.batch_proba`). The final hidden
-states are concatenated, passed through dropout
+the nugget span left-to-right and the right context right-to-left. One model
+pass (`NuggetModel._forward`) serves training and prediction: it gathers a
+batch's tokens of each branch as one (N, d) input matrix and runs one
+recurrence per branch, each layer projecting all of its input rows
+(`x W^T + b`) in one product before its step loop. A candidate reads each
+branch's representation at the packed row of its state after its part's
+last token. The representations are concatenated, passed through dropout
 (applied exactly when the caller passes an Rng) and a small fully
 connected stack, and classified by either a softmax over all classes
 (non-event included) or independent sigmoids over the event types
 (multi-label mode, where predicting nothing encodes non-event).
 
-Gradients are computed analytically: each cell step caches its gates, the
-encoder replays the steps in reverse (backpropagation through time, layer
-by layer for stacked cells), and each branch's (T, d) input gradient is
-scattered back into the word and branch embedding rows. Gradients
-accumulate; callers zero the store between optimizer steps.
+Gradients are computed analytically: each candidate's slice of the head
+gradient enters its encoder at the row it read, the encoder replays the
+cached steps in reverse (backpropagation through time, layer by layer for
+stacked cells), and each branch's (T, d) input gradient is scattered back
+into the word and branch embedding rows. Gradients accumulate; callers
+zero the store between optimizer steps.
 
 Conventions fixed here:
     GRU   z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br)
@@ -480,16 +481,18 @@ class BranchEncoder:
         reps[layout.order[: len(layout.last)]] = cache.outputs[layout.last]
         return reps, cache
 
-    def backprop(self, d_rep: np.ndarray, cache: EncoderCache) -> np.ndarray:
-        """BPTT from the representation gradient, shaped as `encode`
-        returned the representation; returns the input gradients, (T, d_in)
+    def backprop(self, d_outputs: np.ndarray, cache: EncoderCache) -> np.ndarray:
+        """BPTT from the gradient of `cache.outputs`, (n_rows, hidden), which
+        may enter at any packed row; returns the input gradients, (T, d_in)
         rows in the order of `encode`'s inputs."""
+        if d_outputs.shape != cache.outputs.shape:
+            raise ConfigurationError(
+                f"backprop: d_outputs {d_outputs.shape}, outputs {cache.outputs.shape}"
+            )
         if not cache.layer_caches:
             return np.zeros((0, self.layers[0].W.shape[1]))
         layout = cache.layout
-        d_top = np.zeros((layout.n_rows, self.hidden))
-        d_top[layout.last] = d_rep.reshape(-1, self.hidden)[layout.order[: len(layout.last)]]
-        d_above = [d_top[o : o + n] for o, n in zip(layout.offsets.tolist(), layout.sizes)]
+        d_above = [d_outputs[o : o + n] for o, n in zip(layout.offsets.tolist(), layout.sizes)]
         for layer, step_caches in zip(reversed(self.layers), reversed(cache.layer_caches)):
             dh_next = np.zeros((layout.sizes[0], self.hidden))
             dc_next = np.zeros((layout.sizes[0], self.hidden))
@@ -621,8 +624,9 @@ _BRANCHES = (Branch.LEFT, Branch.NUGGET, Branch.RIGHT)  # order of the concatena
 
 @dataclass
 class ModelCache:
-    rows: dict[Branch, np.ndarray]
+    rows: dict[Branch, np.ndarray]  # word rows of each branch's inputs
     enc: dict[Branch, EncoderCache]
+    reads: dict[Branch, tuple[np.ndarray, np.ndarray]]  # (candidates, packed rows they read)
     head: HeadCache
 
 
@@ -665,21 +669,10 @@ class NuggetModel:
     def forward(
         self, splits: Sequence[BranchSplit], rng: Rng | None = None
     ) -> tuple[np.ndarray, ModelCache]:
-        """Class probabilities of a minibatch of splits, (B, K); dropout
-        applies exactly when `rng` is given.
-
-        Each branch gathers the tokens of all B splits as one input matrix,
-        in batch order, and runs one recurrence over its B sequences."""
-        rows: dict[Branch, np.ndarray] = {}
-        caches: dict[Branch, EncoderCache] = {}
-        reps = []
-        for branch, part in zip(_BRANCHES, ("left", "nugget", "right")):
-            rows[branch], rep, caches[branch] = self._encode(
-                branch, [getattr(split, part) for split in splits]
-            )
-            reps.append(rep)
-        probs, head_cache = self.head.forward(np.concatenate(reps, axis=1), rng)
-        return probs, ModelCache(rows, caches, head_cache)
+        """Class probabilities of a minibatch of splits, (B, K), and the
+        cache `forward_backward` reads: `_forward` with each split a group
+        of one. Dropout applies exactly when `rng` is given."""
+        return self._forward([[split] for split in splits], rng, keep=True)
 
     def forward_backward(
         self,
@@ -705,9 +698,11 @@ class NuggetModel:
         d_concat = self.head.backprop(d_logits, cache.head)
         h = self.cfg.hidden_size
         for k, branch in enumerate(_BRANCHES):
-            d_inputs = self.encoders[branch].backprop(
-                d_concat[:, k * h : (k + 1) * h], cache.enc[branch]
-            )
+            candidate, row = cache.reads[branch]
+            # every split is its own group, so no two candidates read one row
+            d_outputs = np.zeros_like(cache.enc[branch].outputs)
+            d_outputs[row] = d_concat[candidate, k * h : (k + 1) * h]
+            d_inputs = self.encoders[branch].backprop(d_outputs, cache.enc[branch])
             self.embedder.accumulate_grad(cache.rows[branch], branch, d_inputs)
         return losses
 
@@ -719,62 +714,64 @@ class NuggetModel:
     def batch_proba(self, groups: Sequence[Sequence[BranchSplit]]) -> np.ndarray:
         """Class probabilities of every split, (C, K) in the order given,
         for groups of candidates, each group's splits partitioning the same
-        sentence; two groups may hold the same sentence.
+        sentence; two groups may hold the same sentence. See `_forward`.
+        Only the summation order of the matrix products differs from
+        `predict_proba(split)` (measured within 1e-15)."""
+        return self._forward(groups)[0]
 
-        One recurrence per branch serves the whole batch: the LEFT encoder
-        reads each group's tokens before its last candidate start, the
-        RIGHT encoder each group's tokens after its first candidate end,
-        and the NUGGET encoder every candidate's span; one head forward
-        classifies the C candidates. The LEFT state after token s - 1 is
-        the left representation of a candidate starting at s, and the
-        RIGHT state after reading token e + 1 the right representation of
-        one ending at e. Only the summation order of the matrix products
-        differs from `predict_proba(split)` (measured within 1e-15).
-        """
+    def _forward(
+        self, groups: Sequence[Sequence[BranchSplit]], rng: Rng | None = None, keep: bool = False
+    ) -> tuple[np.ndarray, ModelCache]:
+        """The one model pass: the probabilities of `batch_proba`, and the
+        pass's cache.
+
+        NUGGET reads every candidate's span, LEFT each group's tokens before
+        its last candidate start, RIGHT those after its first candidate end.
+        A candidate reads each non-empty part's representation at the packed
+        row of its state after step len(part) - 1. With `keep` the cache
+        holds what a backward pass needs; without it each encoder cache is
+        dropped once read, so a forward-only pass holds one at a time."""
         lefts, rights, nuggets = [], [], []
-        # (candidate, step, sequence) of each candidate whose LEFT (RIGHT)
-        # branch is not empty: it reads its group's state after step
-        # len(left) - 1 (len(right) - 1)
-        needs = {Branch.LEFT: [], Branch.RIGHT: []}
+        # per branch, flat (candidate, step, sequence) triples of the non-empty parts
+        left_needs, nugget_needs, right_needs = needs = [], [], []
         for splits in filter(None, groups):
-            tokens = splits[0].tokens
+            if any(split.tokens != splits[0].tokens for split in splits[1:]):
+                raise ValueError("batch_proba: one group holds splits of different sentences")
             j = len(lefts)
             for split in splits:
-                if split.tokens != tokens:
-                    raise ValueError("batch_proba: one group holds splits of different sentences")
+                c = len(nuggets)
                 if split.left:
-                    needs[Branch.LEFT].append((len(nuggets), len(split.left) - 1, j))
+                    left_needs += c, len(split.left) - 1, j
+                if split.nugget:
+                    nugget_needs += c, len(split.nugget) - 1, c
                 if split.right:
-                    needs[Branch.RIGHT].append((len(nuggets), len(split.right) - 1, j))
+                    right_needs += c, len(split.right) - 1, j
                 nuggets.append(split.nugget)
             lefts.append(max((split.left for split in splits), key=len))
             rights.append(max((split.right for split in splits), key=len))
         h = self.cfg.hidden_size
         reps = np.zeros((len(nuggets), 3 * h))
-        reps[:, h : 2 * h] = self._encode(Branch.NUGGET, nuggets)[1]
-        for k, branch, texts in ((0, Branch.LEFT, lefts), (2, Branch.RIGHT, rights)):
-            if needs[branch]:
-                candidate, step, seq = np.array(needs[branch], dtype=np.intp).T
-                reps[candidate, k * h : (k + 1) * h] = self._states(branch, texts, step, seq)
-        return self.head.forward(reps)[0]
-
-    def _states(
-        self, branch: Branch, texts: Sequence[tuple[str, ...]], step: np.ndarray, seq: np.ndarray
-    ) -> np.ndarray:
-        """Top-layer states of one recurrence of the branch's encoder over
-        these token sequences: of sequence seq[i] after its step step[i].
-        The pass's cache is dropped on return."""
-        cache = self._encode(branch, texts)[2]
-        return cache.outputs[cache.layout.row(step, seq)]
+        rows, encs, reads = {}, {}, {}
+        # any order gives the same bits; LEFT first measured more page faults
+        for k, branch, texts in ((1, Branch.NUGGET, nuggets), (0, Branch.LEFT, lefts),
+                                 (2, Branch.RIGHT, rights)):
+            word_rows, enc = self._encode(branch, texts)
+            candidate, step, seq = np.array(needs[k], dtype=np.intp).reshape(-1, 3).T
+            row = enc.layout.row(step, seq)
+            reps[candidate, k * h : (k + 1) * h] = enc.outputs[row]
+            if keep:
+                rows[branch], encs[branch], reads[branch] = word_rows, enc, (candidate, row)
+            del word_rows, enc
+        probs, head_cache = self.head.forward(reps, rng)
+        return probs, ModelCache(rows, encs, reads, head_cache)
 
     def _encode(
         self, branch: Branch, texts: Sequence[tuple[str, ...]]
-    ) -> tuple[np.ndarray, np.ndarray, EncoderCache]:
+    ) -> tuple[np.ndarray, EncoderCache]:
         """One recurrence of the branch's encoder over these token
-        sequences: their word rows, (B, h) representations and cache."""
+        sequences: their word rows and the pass's cache."""
         inputs, rows = self.embedder.assemble_input(tuple(chain.from_iterable(texts)), branch)
-        rep, cache = self.encoders[branch].encode(inputs, lengths=[len(t) for t in texts])
-        return rows, rep, cache
+        return rows, self.encoders[branch].encode(inputs, lengths=[len(t) for t in texts])[1]
 
     def predict(self, split: BranchSplit, threshold: float = 0.5) -> tuple[str, ...]:
         """Predicted event types of one split; see `decode`."""

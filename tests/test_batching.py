@@ -5,14 +5,17 @@ per-example losses: checked against central differences on padded batches
 with empty branches, and against the per-example passes it replaced.
 """
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
 from fbrnn.candidates import BranchSplit, build_examples, build_trigger_lexicon
 from fbrnn.corpus import LabelSet, default_synthetic_spec, make_synthetic_corpus, vocabulary_of
+from fbrnn.embeddings import Branch
 from fbrnn.errors import NumericError
-from fbrnn.model import ModelConfig, build_model
-from fbrnn.numerics import Optimizer, Rng, grad_check
+from fbrnn.model import BranchEncoder, ModelConfig, build_model
+from fbrnn.numerics import Optimizer, ParamStore, Rng, grad_check
 from fbrnn.training import TrainConfig, _epoch_order, train_model
 
 LONG = ("officials", "had", "slipped", "past", "the", "checkpoint")
@@ -76,11 +79,25 @@ def test_batch_layout_is_mixed():
     assert sum(s.tokens.count("the") for s in SPLITS) > 1
 
 
+def branchwise_forward(model, splits):
+    """Each branch's `encode(..., lengths=...)` representations of the
+    splits, concatenated, through the head: the formula the model's pass
+    replaces by reading packed rows."""
+    reps = []
+    for branch in (Branch.LEFT, Branch.NUGGET, Branch.RIGHT):
+        texts = [getattr(s, branch.name.lower()) for s in splits]
+        inputs, _ = model.embedder.assemble_input(tuple(chain.from_iterable(texts)), branch)
+        reps.append(model.encoders[branch].encode(inputs, lengths=[len(t) for t in texts])[0])
+    return model.head.forward(np.concatenate(reps, axis=1))[0]
+
+
 @pytest.mark.parametrize("over", CONFIGS, ids=config_id)
 def test_padded_batch_gradcheck(over):
     """The batched gradient against central differences of the summed
-    per-example losses: every parameter of every branch and the head."""
+    per-example losses: every parameter of every branch and the head. The
+    forward pass differentiated is, bit for bit, the branchwise formula."""
     model = make_model(**over)
+    assert model.forward(SPLITS)[0].tobytes() == branchwise_forward(model, SPLITS).tobytes()
     model.forward_backward(SPLITS, GOLD)
 
     def loss_fn():  # the batched forward of the same sum, to keep the check fast
@@ -102,6 +119,44 @@ def test_batched_gradient_is_the_sum_of_per_example_gradients(over):
     for name, g in grads(model).items():
         assert max_rel_diff(batched[name], g) <= 1e-12, name
     assert np.max(np.abs(np.subtract(losses, singles))) <= 1e-12 * max(singles)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("backward", [False, True], ids=["reads-forward", "reads-backward"])
+def test_backprop_from_every_packed_row_gradcheck(cell, layers, backward):
+    """Gradient entering at every packed row, not only at each sequence's
+    last state, over sequences of mixed length, 0 and 1 among them: the
+    loss sum_r readout_r . outputs[r] against central differences, for
+    every parameter and every input entry."""
+    store = ParamStore()
+    rng = Rng(31)
+    branch = Branch.RIGHT if backward else Branch.LEFT
+    enc = BranchEncoder.build(branch, cell, 3, 2, layers, store, rng)
+    for layer in enc.layers:
+        layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
+    lengths = [3, 0, 1, 4, 1, 2]
+    inputs = rng.uniform(-1, 1, 3 * sum(lengths)).reshape(-1, 3)
+    _, cache = enc.encode(inputs, lengths=lengths)
+    readout = rng.uniform(-1, 1, cache.outputs.size).reshape(cache.outputs.shape)
+    d_inputs = enc.backprop(readout, cache)
+
+    def loss_fn():
+        return float(np.sum(enc.encode(inputs, lengths=lengths)[1].outputs * readout))
+
+    eps = 1e-5
+    numeric = np.empty_like(inputs)
+    for i in np.ndindex(inputs.shape):
+        orig = inputs[i]
+        inputs[i] = orig + eps
+        f_plus = loss_fn()
+        inputs[i] = orig - eps
+        f_minus = loss_fn()
+        inputs[i] = orig
+        numeric[i] = (f_plus - f_minus) / (2 * eps)
+    assert max_rel_diff(d_inputs, numeric) < 1e-7
+    report = grad_check(loss_fn, store, eps=2e-4)
+    assert report.max_rel_error < 1e-4, report.per_tensor
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])

@@ -25,7 +25,7 @@ from fbrnn.corpus import (
     default_synthetic_spec,
     make_synthetic_corpus,
 )
-from fbrnn.errors import DataError
+from fbrnn.errors import ConfigurationError, DataError
 from fbrnn.numerics import Rng
 
 
@@ -243,3 +243,11 @@ class TestBuildExamples:
             assert (
                 ex.split.left + ex.split.nugget + ex.split.right == sentence.texts()
             )
+
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_max_nugget_len_below_one_is_rejected(self, max_len):
+        spec = default_synthetic_spec(n_sentences=5)
+        corpus = make_synthetic_corpus(spec, Rng(4))
+        lex = build_trigger_lexicon(corpus)
+        with pytest.raises(ConfigurationError, match="max_nugget_len"):
+            build_examples(corpus, lex, spec.label_set(), max_len)

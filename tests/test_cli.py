@@ -124,6 +124,34 @@ class TestLexiconAndCandidates:
         assert any(c["label"] for c in some)
         assert all(c["start"] <= c["end"] for c in some)
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_candidate_dump_rejects_max_nugget_len_below_one(
+        self, synth_dir, tmp_path, capsys, max_len
+    ):
+        """As `train` does: exit 1 with one error line, and no output."""
+        lex_path = tmp_path / "lexicon.json"
+        run_cli(
+            "build-lexicon",
+            "--corpus", synth_dir / "train.jsonl",
+            "--labels", synth_dir / "labels.json",
+            "--out", lex_path,
+        )
+        capsys.readouterr()
+        out = tmp_path / "cands.jsonl"
+        code = run_cli(
+            "candidates",
+            "--corpus", synth_dir / "train.jsonl",
+            "--labels", synth_dir / "labels.json",
+            "--lexicon", lex_path,
+            "--max-nugget-len", max_len,
+            "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_nugget_len" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainEvaluatePredict:
     def test_run_dir_artifacts(self, trained_run):

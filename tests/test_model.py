@@ -147,6 +147,14 @@ class TestLstmStep:
         assert np.allclose(c_new, oracle_c, atol=1e-12)
 
 
+def at_last_row(d_rep, cache):
+    """The gradient of one sequence's packed outputs, entering at its last
+    state only."""
+    d_outputs = np.zeros_like(cache.outputs)
+    d_outputs[-1] = d_rep
+    return d_outputs
+
+
 class TestBranchEncoder:
     def build(self, kind, backward=False, layers=1, seed=3):
         store = ParamStore()
@@ -179,6 +187,18 @@ class TestBranchEncoder:
             assert np.max(np.abs(rep_b - rep_f)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_backprop_rejects_a_representation_gradient(self, kind):
+        """The (hidden,) gradient of the representation is not the
+        gradient of the outputs: numpy would broadcast it over every row."""
+        enc, store, rng = self.build(kind)
+        xs = [np.asarray(rng.uniform(-1, 1, 3)) for _ in range(3)]
+        _, cache = enc.encode(xs)
+        for d in (np.ones(4), np.ones((1, 4)), np.ones((3, 3))):
+            with pytest.raises(ConfigurationError, match="d_outputs"):
+                enc.backprop(d, cache)
+        assert not store.grad.any()
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_stacked_layers_gradcheck(self, kind):
         from fbrnn.numerics import grad_check
 
@@ -187,7 +207,7 @@ class TestBranchEncoder:
         readout = np.asarray(rng.uniform(-1, 1, 4))
 
         rep, cache = enc.encode(xs)
-        enc.backprop(readout.copy(), cache)
+        enc.backprop(at_last_row(readout, cache), cache)
 
         def loss_fn():
             return float(enc.encode(xs)[0] @ readout)
@@ -323,7 +343,7 @@ class TestStackedGatesMatchPerGateFormulas:
         d_rep = np.asarray(rng.uniform(-1, 1, hidden))
 
         rep, cache = enc.encode(xs)
-        d_xs = enc.backprop(d_rep, cache)
+        d_xs = enc.backprop(at_last_row(d_rep, cache), cache)
         ref_rep, ref_d_xs, ref_grads = ref_encode_backprop(enc, xs, d_rep)
 
         assert np.max(np.abs(rep - ref_rep)) <= 1e-12
@@ -339,7 +359,7 @@ class TestStackedGatesMatchPerGateFormulas:
         enc = BranchEncoder.build(Branch.LEFT, kind, 3, 4, 2, store, Rng(2))
         rep, cache = enc.encode([])
         assert np.array_equal(rep, np.zeros(4))
-        d_xs = enc.backprop(np.ones(4), cache)
+        d_xs = enc.backprop(np.zeros((0, 4)), cache)
         assert d_xs.shape == (0, 3)
         assert not store.grad.any()
 
