@@ -35,6 +35,7 @@ __all__ = [
     "expand_candidates",
     "align_labels",
     "split_branches",
+    "check_max_nugget_len",
     "labeled_candidates",
     "build_examples",
     "build_datasets",
@@ -278,6 +279,11 @@ def split_branches(s: Sentence, c: NuggetCandidate) -> BranchSplit:
     )
 
 
+def check_max_nugget_len(max_nugget_len: int) -> None:
+    if max_nugget_len < 1:
+        raise ConfigurationError(f"max_nugget_len must be >= 1, got {max_nugget_len}")
+
+
 def labeled_candidates(
     s: Sentence,
     lex: TriggerLexicon,
@@ -285,8 +291,7 @@ def labeled_candidates(
     max_nugget_len: int = 3,
 ) -> list[NuggetCandidate]:
     """Full per-sentence pipeline: extract, optionally expand, align."""
-    if max_nugget_len < 1:
-        raise ConfigurationError(f"max_nugget_len must be >= 1, got {max_nugget_len}")
+    check_max_nugget_len(max_nugget_len)
     cands = extract_single_token_candidates(s, lex)
     if max_nugget_len > 1:
         cands = expand_candidates(s, cands, max_nugget_len)
@@ -300,6 +305,7 @@ def build_examples(
     max_nugget_len: int = 3,
 ) -> list[LabeledExample]:
     """Labeled, branch-split classification instances for a whole corpus."""
+    check_max_nugget_len(max_nugget_len)  # an empty corpus would never check it
     examples = []
     for i, sentence in enumerate(corpus):
         for cand in labeled_candidates(sentence, lex, labels, max_nugget_len):

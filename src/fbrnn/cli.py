@@ -22,6 +22,7 @@ from .candidates import (
     build_datasets,
     build_examples,
     build_trigger_lexicon,
+    check_max_nugget_len,
     labeled_candidates,
     load_lexicon,
     save_lexicon,
@@ -210,6 +211,7 @@ def cmd_build_lexicon(args) -> int:
 
 
 def cmd_candidates(args) -> int:
+    check_max_nugget_len(args.max_nugget_len)  # an empty corpus would never check it
     labels = load_label_set(_require_file(args.labels, "label file"))
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     lex = load_lexicon(_require_file(args.lexicon, "lexicon"))

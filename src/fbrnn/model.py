@@ -14,11 +14,11 @@ connected stack, and classified by either a softmax over all classes
 (multi-label mode, where predicting nothing encodes non-event).
 
 Gradients are computed analytically: each candidate's slice of the head
-gradient enters its encoder at the row it read, the encoder replays the
-cached steps in reverse (backpropagation through time, layer by layer for
-stacked cells), and each branch's (T, d) input gradient is scattered back
-into the word and branch embedding rows. Gradients accumulate; callers
-zero the store between optimizer steps.
+gradient enters its encoder at the row it read; per layer, top first, the
+encoder recomputes every step's activations in one call from the states it
+kept, loops back over the steps for the state gradients only (BPTT), and
+takes each weight gradient as one product; each branch's (T, d) input
+gradient is scattered into the embedding rows. Gradients accumulate.
 
 Conventions fixed here:
     GRU   z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br)
@@ -66,9 +66,7 @@ __all__ = [
     "ModelConfig",
     "RecurrentLayer",
     "gru_step",
-    "gru_step_backward",
     "lstm_step",
-    "lstm_step_backward",
     "BranchEncoder",
     "Head",
     "NuggetModel",
@@ -201,28 +199,16 @@ def _check_shapes(step: str, x: np.ndarray, h_prev: np.ndarray, p: RecurrentLaye
         )
 
 
-@dataclass
-class GruStepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    zr: np.ndarray  # z and r, stacked
-    rh: np.ndarray
-    hc: np.ndarray
-
-
 def gru_step(
     x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer
-) -> tuple[np.ndarray, GruStepCache]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One step for one input vector, or for n rows at once: x (n, d_in),
-    h_prev (n, h). Every product is `rows @ M.T`, which for one row gives
-    the bits of `M @ vector`. The input projection comes first, with the
-    bias: `(x W^T + b) + h U^T`.
-
-    The backward steps take rows. They add each weight gradient as one
-    `np.dot(da.T, rows)`: a BLAS product, which for one row gives the bits
-    of `np.outer` (`@` would run numpy's slower non-BLAS loop there)."""
+    h_prev (n, h). Returns the new state and the step's activations
+    (z, r, candidate). Every product is `rows @ M.T`, which for one row
+    gives the bits of `M @ vector`. The input projection comes first, with
+    the bias: `(x W^T + b) + h U^T`."""
     _check_shapes("gru_step", x, h_prev, p)
-    return _gru_step(x, x @ p.W.values.T + p.b.values, h_prev, _gru_weights(p))
+    return _gru_step(x @ p.W.values.T + p.b.values, h_prev, _gru_weights(p))
 
 
 def _gru_weights(p: RecurrentLayer) -> tuple[np.ndarray, np.ndarray]:
@@ -233,61 +219,28 @@ def _gru_weights(p: RecurrentLayer) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gru_step(
-    x: np.ndarray, wx: np.ndarray, h_prev: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, GruStepCache]:
+    wx: np.ndarray, h_prev: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A step given its input projection `wx = x W^T + b`."""
     U_zr, U_c = weights
     h = h_prev.shape[-1]
     zr = sigmoid(wx[..., : 2 * h] + h_prev @ U_zr)
     z, r = zr[..., :h], zr[..., h:]
-    rh = r * h_prev
-    hc = np.tanh(wx[..., 2 * h :] + rh @ U_c)
-    h_new = (1.0 - z) * h_prev + z * hc
-    return h_new, GruStepCache(x, h_prev, zr, rh, hc)
-
-
-def gru_step_backward(
-    dh: np.ndarray, cache: GruStepCache, p: RecurrentLayer
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulates parameter grads, summed over the rows; returns
-    (dh_prev, dx)."""
-    h = dh.shape[1]
-    z, r = cache.zr[:, :h], cache.zr[:, h:]
-    U = p.U.values
-    da = np.empty((dh.shape[0], 3 * h))  # pre-activation gradients of z, r, c
-    da[:, 2 * h :] = dh * z * (1.0 - cache.hc * cache.hc)
-    drh = da[:, 2 * h :] @ U[2 * h :]
-    da[:, :h] = dh * (cache.hc - cache.h_prev) * z * (1.0 - z)
-    da[:, h : 2 * h] = drh * cache.h_prev * r * (1.0 - r)
-
-    p.W.grad += np.dot(da.T, cache.x)
-    p.U.grad[: 2 * h] += np.dot(da[:, : 2 * h].T, cache.h_prev)
-    p.U.grad[2 * h :] += np.dot(da[:, 2 * h :].T, cache.rh)
-    p.b.grad += da.sum(axis=0)
-    dh_prev = dh * (1.0 - z) + drh * r + da[:, : 2 * h] @ U[: 2 * h]
-    return dh_prev, da @ p.W.values
-
-
-@dataclass
-class LstmStepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    gates: np.ndarray  # i, f, o, g, stacked
-    tc: np.ndarray  # tanh(c_new)
+    hc = np.tanh(wx[..., 2 * h :] + (r * h_prev) @ U_c)
+    return (1.0 - z) * h_prev + z * hc, (z, r, hc)
 
 
 def lstm_step(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: RecurrentLayer
-) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    """One step for one vector or for n rows, as `gru_step`."""
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One step for one vector or for n rows, as `gru_step`: activations i, f, o, g, tanh c'."""
     _check_shapes("lstm_step", x, h_prev, p)
-    return _lstm_step(x, x @ p.W.values.T + p.b.values, h_prev, c_prev, p.U.values.T)
+    return _lstm_step(x @ p.W.values.T + p.b.values, h_prev, c_prev, p.U.values.T)
 
 
 def _lstm_step(
-    x: np.ndarray, wx: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
+    wx: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """A step given its input projection `wx = x W^T + b`."""
     h = h_prev.shape[-1]
     gates = wx + h_prev @ U_t
@@ -296,26 +249,7 @@ def _lstm_step(
     i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
-    h_new = o * tc
-    return h_new, c_new, LstmStepCache(x, h_prev, c_prev, gates, tc)
-
-
-def lstm_step_backward(
-    dh: np.ndarray, dc_in: np.ndarray, cache: LstmStepCache, p: RecurrentLayer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulates parameter grads, summed over the rows; returns
-    (dh_prev, dc_prev, dx)."""
-    h = dh.shape[1]
-    s = cache.gates[:, : 3 * h]  # the sigmoid gates i, f, o
-    i, f, o, g = s[:, :h], s[:, h : 2 * h], s[:, 2 * h :], cache.gates[:, 3 * h :]
-    dc = dc_in + dh * o * (1.0 - cache.tc * cache.tc)
-    d_ifo = np.concatenate((dc * g, dc * cache.c_prev, dh * cache.tc), axis=1)
-    da = np.concatenate((d_ifo * s * (1.0 - s), dc * i * (1.0 - g * g)), axis=1)
-
-    p.W.grad += np.dot(da.T, cache.x)
-    p.U.grad += np.dot(da.T, cache.h_prev)
-    p.b.grad += da.sum(axis=0)
-    return da @ p.U.values, dc * f, da @ p.W.values
+    return o * tc, c_new, (i, f, o, g, tc)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +273,7 @@ class PackedLayout:
     offsets: np.ndarray  # first packed row of each step
     rows: np.ndarray  # input row of each packed row
     last: np.ndarray  # packed row of each non-empty sequence's last step, in `order`
+    prev: np.ndarray  # packed row of the step before, for each row after step 0's
     n_rows: int  # packed rows: the total length
 
     @classmethod
@@ -371,14 +306,24 @@ def _layout(lengths: tuple[int, ...], backward: bool) -> PackedLayout:
     rows = starts[j] + (by_length[j] - 1 - t if backward else t)
     ended = by_length[by_length > 0]
     last = offsets[ended - 1] + np.arange(len(ended))
-    return PackedLayout(order, rank, sizes.tolist(), offsets, rows, last, len(rows))
+    prev = (offsets[t - 1] + j)[t > 0]
+    return PackedLayout(order, rank, sizes.tolist(), offsets, rows, last, prev, len(rows))
 
 
 @dataclass
 class EncoderCache:
+    """Per layer, arrays in packed rows: what `backprop` recomputes from."""
+
     layout: PackedLayout
-    layer_caches: list[list]  # [layer][t] step caches, in processing order
-    outputs: np.ndarray  # top-layer state after each step, packed rows of the layout
+    inputs: np.ndarray  # layer 0's input rows, (N, d_in); layer k's are states[k - 1]
+    projections: list[np.ndarray]  # each layer's x W^T + b, (N, G*h)
+    states: list[np.ndarray]  # each layer's state after each step, (N, h)
+    cells: list[np.ndarray]  # each LSTM layer's cell after each step; none for a GRU
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """The top layer's state after each step, (N, h)."""
+        return self.states[-1]
 
 
 class BranchEncoder:
@@ -392,7 +337,8 @@ class BranchEncoder:
     A batch of sequences runs as one recurrence: each layer first projects
     all of its packed input rows in one product, then each step is one
     product of the states of the sequences still running (see
-    PackedLayout). One sequence is the batch of one.
+    PackedLayout), keeping whole arrays per layer (see EncoderCache) and no
+    per-step activations. One sequence is the batch of one.
     """
 
     def __init__(
@@ -447,39 +393,37 @@ class BranchEncoder:
             raise ConfigurationError(
                 f"encode: lengths sum to {layout.n_rows}, inputs have {len(inputs)} rows"
             )
+        d_in = self.layers[0].W.shape[1]
         if not len(inputs):
-            cache = EncoderCache(layout, [], np.zeros((0, self.hidden)))
-            reps = np.zeros(self.hidden if lengths is None else (len(lengths), self.hidden))
-            return reps, cache
-        if inputs.shape[1] != self.layers[0].W.shape[1]:
+            inputs = inputs.reshape(0, d_in)  # an empty list has shape (0,)
+        if inputs.shape[1] != d_in:
             raise ConfigurationError(
                 f"encode: inputs {inputs.shape}, layer 0 W {self.layers[0].W.shape}"
             )
-        inputs = inputs[layout.rows]
+        x = inputs = inputs[layout.rows]
         steps = list(zip(layout.offsets.tolist(), layout.sizes))
-        layer_caches = []
+        projections, states, cells = [], [], []
         for layer in self.layers:
             # every step's input projection, with the bias, as one product
-            wx = inputs @ layer.W.values.T + layer.b.values
-            h = c = np.zeros((layout.sizes[0], self.hidden))
+            wx = x @ layer.W.values.T + layer.b.values
+            x = np.empty((layout.n_rows, self.hidden))
+            if self.kind == "lstm":
+                cells.append(np.empty_like(x))
+            h = c = np.zeros((len(layout.last), self.hidden))  # sizes[0] sequences run
             weights = _gru_weights(layer) if self.kind == "gru" else layer.U.values.T
-            step_caches, states = [], []
             for o, n in steps:
-                x, x_w = inputs[o : o + n], wx[o : o + n]
                 if self.kind == "gru":
-                    h, sc = _gru_step(x, x_w, h[:n], weights)
+                    h, _ = _gru_step(wx[o : o + n], h[:n], weights)
                 else:
-                    h, c, sc = _lstm_step(x, x_w, h[:n], c[:n], weights)
-                step_caches.append(sc)
-                states.append(h)
-            layer_caches.append(step_caches)
-            inputs = np.concatenate(states)
-        cache = EncoderCache(layout, layer_caches, inputs)
-        if lengths is None:
-            return h[0], cache
-        reps = np.zeros((len(lengths), self.hidden))
+                    h, c, _ = _lstm_step(wx[o : o + n], h[:n], c[:n], weights)
+                    cells[-1][o : o + n] = c
+                x[o : o + n] = h
+            projections.append(wx)
+            states.append(x)
+        cache = EncoderCache(layout, inputs, projections, states, cells)
+        reps = np.zeros((len(layout.order), self.hidden))
         reps[layout.order[: len(layout.last)]] = cache.outputs[layout.last]
-        return reps, cache
+        return (reps[0] if lengths is None else reps), cache
 
     def backprop(self, d_outputs: np.ndarray, cache: EncoderCache) -> np.ndarray:
         """BPTT from the gradient of `cache.outputs`, (n_rows, hidden), which
@@ -489,26 +433,55 @@ class BranchEncoder:
             raise ConfigurationError(
                 f"backprop: d_outputs {d_outputs.shape}, outputs {cache.outputs.shape}"
             )
-        if not cache.layer_caches:
-            return np.zeros((0, self.layers[0].W.shape[1]))
         layout = cache.layout
-        d_above = [d_outputs[o : o + n] for o, n in zip(layout.offsets.tolist(), layout.sizes)]
-        for layer, step_caches in zip(reversed(self.layers), reversed(cache.layer_caches)):
-            dh_next = np.zeros((layout.sizes[0], self.hidden))
-            dc_next = np.zeros((layout.sizes[0], self.hidden))
-            for t in range(len(d_above) - 1, -1, -1):
-                n = len(d_above[t])
-                dh = d_above[t] + dh_next[:n]
+        if not layout.n_rows:
+            return np.zeros((0, self.layers[0].W.shape[1]))
+        h, steps = self.hidden, list(zip(layout.offsets.tolist(), layout.sizes))
+        xs = [cache.inputs, *cache.states[:-1]]
+        zeros = np.zeros((layout.sizes[0], h))  # the state before step 0
+        d_states = d_outputs
+        for k in reversed(range(len(self.layers))):
+            p, wx, U = self.layers[k], cache.projections[k], self.layers[k].U.values
+            # every row's previous state, then every step's activations in one call
+            h_prev = np.concatenate((zeros, cache.states[k][layout.prev]))
+            if self.kind == "gru":
+                _, (z, r, hc) = _gru_step(wx, h_prev, _gru_weights(p))
+            else:
+                c_prev = np.concatenate((zeros, cache.cells[k][layout.prev]))
+                _, _, (i, f, o, g, tc) = _lstm_step(wx, h_prev, c_prev, U.T)
+            da = np.empty_like(wx)  # pre-activation gradients, gate blocks as in W
+            dh_next, dc_next = np.zeros((2, *zeros.shape))
+            for start, n in reversed(steps):  # the state gradients run back through time
+                t = slice(start, start + n)
+                dh = d_states[t] + dh_next[:n]
                 if self.kind == "gru":
-                    dh_next[:n], d_above[t] = gru_step_backward(dh, step_caches[t], layer)
+                    z_t, r_t, hc_t, hp_t = z[t], r[t], hc[t], h_prev[t]
+                    da[t, 2 * h :] = dh * z_t * (1.0 - hc_t * hc_t)
+                    drh = da[t, 2 * h :] @ U[2 * h :]
+                    da[t, :h] = dh * (hc_t - hp_t) * z_t * (1.0 - z_t)
+                    da[t, h : 2 * h] = drh * hp_t * r_t * (1.0 - r_t)
+                    dh_next[:n] = dh * (1.0 - z_t) + drh * r_t + da[t, : 2 * h] @ U[: 2 * h]
                 else:
-                    dh_next[:n], dc_next[:n], d_above[t] = lstm_step_backward(
-                        dh, dc_next[:n], step_caches[t], layer
-                    )
-        d_inputs = np.concatenate(d_above)
-        d_unpacked = np.empty_like(d_inputs)
-        d_unpacked[layout.rows] = d_inputs
-        return d_unpacked
+                    i_t, f_t, o_t, g_t, tc_t = i[t], f[t], o[t], g[t], tc[t]
+                    dc = dc_next[:n] + dh * o_t * (1.0 - tc_t * tc_t)
+                    da[t, :h] = dc * g_t * i_t * (1.0 - i_t)
+                    da[t, h : 2 * h] = dc * c_prev[t] * f_t * (1.0 - f_t)
+                    da[t, 2 * h : 3 * h] = dh * tc_t * o_t * (1.0 - o_t)
+                    da[t, 3 * h :] = dc * i_t * (1.0 - g_t * g_t)
+                    dh_next[:n] = da[t] @ U
+                    dc_next[:n] = dc * f_t
+            # one product per gradient; np.dot, not @: a BLAS product even when N is 1
+            if self.kind == "gru":
+                p.U.grad[: 2 * h] += np.dot(da[:, : 2 * h].T, h_prev)
+                p.U.grad[2 * h :] += np.dot(da[:, 2 * h :].T, r * h_prev)
+            else:
+                p.U.grad += np.dot(da.T, h_prev)
+            p.W.grad += np.dot(da.T, xs[k])
+            p.b.grad += da.sum(axis=0)
+            d_states = da @ p.W.values
+        d_inputs = np.empty_like(d_states)
+        d_inputs[layout.rows] = d_states
+        return d_inputs
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,7 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray:
     1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e^-|x| <= 1."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:

@@ -251,3 +251,9 @@ class TestBuildExamples:
         lex = build_trigger_lexicon(corpus)
         with pytest.raises(ConfigurationError, match="max_nugget_len"):
             build_examples(corpus, lex, spec.label_set(), max_len)
+
+    def test_max_nugget_len_below_one_is_rejected_on_an_empty_corpus(self):
+        spec = default_synthetic_spec(n_sentences=5)
+        lex = build_trigger_lexicon(make_synthetic_corpus(spec, Rng(4)))
+        with pytest.raises(ConfigurationError, match="max_nugget_len"):
+            build_examples(Corpus(()), lex, spec.label_set(), 0)

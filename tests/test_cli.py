@@ -152,6 +152,36 @@ class TestLexiconAndCandidates:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_candidate_dump_rejects_max_nugget_len_below_one_on_an_empty_corpus(
+        self, synth_dir, tmp_path, capsys
+    ):
+        """The check comes before the sentence loop, so a corpus without
+        sentences cannot skip it."""
+        lex_path = tmp_path / "lexicon.json"
+        run_cli(
+            "build-lexicon",
+            "--corpus", synth_dir / "train.jsonl",
+            "--labels", synth_dir / "labels.json",
+            "--out", lex_path,
+        )
+        capsys.readouterr()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        out = tmp_path / "cands.jsonl"
+        code = run_cli(
+            "candidates",
+            "--corpus", corpus,
+            "--labels", synth_dir / "labels.json",
+            "--lexicon", lex_path,
+            "--max-nugget-len", 0,
+            "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_nugget_len" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainEvaluatePredict:
     def test_run_dir_artifacts(self, trained_run):

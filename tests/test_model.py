@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbrnn.candidates import BranchSplit
 from fbrnn.corpus import LabelSet
@@ -12,6 +14,7 @@ from fbrnn.errors import ConfigurationError
 from fbrnn.model import (
     BranchEncoder,
     ModelConfig,
+    PackedLayout,
     build_model,
     gru_step,
     lstm_step,
@@ -70,7 +73,7 @@ def scalar_gru(x, h_prev, p):
     r = [scalar_sigmoid(v) for v in scalar_affine(*gate_block(p, 1, n), x, h_prev)]
     rh = [r[i] * h_prev[i] for i in range(n)]
     hc = [math.tanh(v) for v in scalar_affine(*gate_block(p, 2, n), x, rh)]
-    return [(1 - z[i]) * h_prev[i] + z[i] * hc[i] for i in range(n)]
+    return [(1 - z[i]) * h_prev[i] + z[i] * hc[i] for i in range(n)], (z, r, hc)
 
 
 def scalar_lstm(x, h_prev, c_prev, p):
@@ -80,8 +83,9 @@ def scalar_lstm(x, h_prev, c_prev, p):
     o = [scalar_sigmoid(v) for v in scalar_affine(*gate_block(p, 2, n), x, h_prev)]
     g = [math.tanh(v) for v in scalar_affine(*gate_block(p, 3, n), x, h_prev)]
     c = [f[k] * c_prev[k] + i[k] * g[k] for k in range(len(c_prev))]
-    h = [o[k] * math.tanh(c[k]) for k in range(len(c_prev))]
-    return h, c
+    tc = [math.tanh(v) for v in c]
+    h = [o[k] * tc[k] for k in range(len(c_prev))]
+    return h, c, (i, f, o, g, tc)
 
 
 class TestGruStep:
@@ -106,9 +110,12 @@ class TestGruStep:
         layer = make_gru_layer(store, 3, 4, rng)
         x = np.asarray(rng.uniform(-1, 1, 3))
         h_prev = np.asarray(rng.uniform(-1, 1, 4))
-        h_new, _ = gru_step(x, h_prev, layer)
-        oracle = scalar_gru(list(x), list(h_prev), layer)
+        h_new, acts = gru_step(x, h_prev, layer)
+        oracle, oracle_acts = scalar_gru(list(x), list(h_prev), layer)
         assert np.allclose(h_new, oracle, atol=1e-12)
+        assert len(acts) == len(oracle_acts) == 3  # z, r, candidate
+        for a, ref in zip(acts, oracle_acts):
+            assert np.max(np.abs(a - ref)) <= 1e-12
 
     def test_shape_mismatch_fatal(self):
         store = ParamStore()
@@ -141,10 +148,15 @@ class TestLstmStep:
         x = np.asarray(rng.uniform(-1, 1, 3))
         h_prev = np.asarray(rng.uniform(-1, 1, 4))
         c_prev = np.asarray(rng.uniform(-1, 1, 4))
-        h_new, c_new, _ = lstm_step(x, h_prev, c_prev, layer)
-        oracle_h, oracle_c = scalar_lstm(list(x), list(h_prev), list(c_prev), layer)
+        h_new, c_new, acts = lstm_step(x, h_prev, c_prev, layer)
+        oracle_h, oracle_c, oracle_acts = scalar_lstm(
+            list(x), list(h_prev), list(c_prev), layer
+        )
         assert np.allclose(h_new, oracle_h, atol=1e-12)
         assert np.allclose(c_new, oracle_c, atol=1e-12)
+        assert len(acts) == len(oracle_acts) == 5  # i, f, o, g, tanh c'
+        for a, ref in zip(acts, oracle_acts):
+            assert np.max(np.abs(a - ref)) <= 1e-12
 
 
 def at_last_row(d_rep, cache):
@@ -376,6 +388,24 @@ class TestStackedGatesMatchPerGateFormulas:
             assert np.array_equal(W, init_uniform_scaled((4, 3), rng))
             assert np.array_equal(U, init_uniform_scaled((4, 4), rng))
             assert not b.any()
+
+
+class TestPackedLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 6), max_size=8),
+        backward=st.booleans(),
+    )
+    def test_previous_row_is_the_same_sequence_one_step_earlier(self, lengths, backward):
+        """`prev` holds, for each packed row after step 0's, the row of the
+        same sequence at the step before."""
+        layout = PackedLayout.of(lengths, backward)
+        first = layout.sizes[0] if layout.sizes else 0
+        assert len(layout.prev) == layout.n_rows - first
+        for seq, n in enumerate(lengths):
+            for step in range(1, n):
+                row = layout.row(step, seq)
+                assert layout.prev[row - first] == layout.row(step - 1, seq)
 
 
 class TestHoistedInputProjection:

@@ -80,6 +80,25 @@ class TestActivations:
         assert out.tolist() == [1.0, 0.0]
         assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
+    def test_sigmoid_has_the_bits_of_the_two_divide_formula(self):
+        """One divide, `where(x >= 0, 1, e) / (1 + e)`, against the formula
+        it replaced, `where(x >= 0, 1 / (1 + e), e / (1 + e))`, bit for bit
+        over normal draws and the tails: +-0, +-inf, NaN, the edges of
+        exp's range (+-710, +-745) and subnormal inputs."""
+        x = np.concatenate(
+            (
+                np.random.default_rng(0).normal(0.0, 10.0, 1_000_000),
+                [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.0, -745.0],
+                [1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7, 1e-17, -1e-17],
+            )
+        )
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        two_divides = np.where(x >= 0, 1.0 / d, e / d)
+        out = sigmoid(x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        assert out.tobytes() == two_divides.tobytes()
+
     def test_softmax_symmetry(self):
         assert np.allclose(softmax([0.0, 0.0]), [0.5, 0.5])
 
