@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 import typing
@@ -399,6 +400,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigurationError(f"--tol must be finite and positive, got {args.tol}")
     combos = (
         [
             ("gru", "softmax", True),

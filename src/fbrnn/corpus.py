@@ -322,6 +322,10 @@ def make_synthetic_corpus(spec: SyntheticSpec, rng: Rng) -> Corpus:
         raise ConfigurationError("synthetic spec has no event templates")
     if not spec.subjects or not spec.objects or not spec.tails:
         raise ConfigurationError("synthetic spec needs subjects, objects and tails")
+    if spec.n_sentences < 0:
+        raise ConfigurationError(f"sentence count must be >= 0, got {spec.n_sentences}")
+    if not 0.0 <= spec.negative_rate <= 1.0:
+        raise ConfigurationError(f"negative rate must be in [0, 1], got {spec.negative_rate}")
     weights = [t.weight for t in spec.templates]
     sentences = []
     for _ in range(spec.n_sentences):
@@ -474,6 +478,8 @@ def make_positional_corpus(n_sentences: int, rng: Rng) -> Corpus:
     candidate's position (is there another trigger to its left?) rather
     than from the trigger's surface form. Label set: one event type.
     """
+    if n_sentences < 0:
+        raise ConfigurationError(f"sentence count must be >= 0, got {n_sentences}")
     sentences = []
     for _ in range(n_sentences):
         n_pre = rng.randint(4)

@@ -123,11 +123,6 @@ class ModelConfig:
         if self.head_hidden is not None and any(w < 1 for w in self.head_hidden):
             raise ConfigurationError("head_hidden widths must be >= 1")
 
-    def resolved_head_hidden(self) -> tuple[int, ...]:
-        if self.head_hidden is None:
-            return (3 * self.hidden_size,)
-        return tuple(self.head_hidden)
-
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         if d["head_hidden"] is not None:
@@ -492,28 +487,22 @@ class BranchEncoder:
 @dataclass
 class HeadCache:
     mask: np.ndarray | None
-    acts: list[np.ndarray]  # acts[0] = (dropped) input, then post-tanh per layer
-    probs: np.ndarray
+    acts: list[np.ndarray]  # acts[0] = input after dropout, then each tanh output
 
 
 class Head:
-    """Dropout on the concatenated representation, tanh FC stack, output.
+    """Dropout on the concatenated representation, then one dense stack:
+    `layers` holds (W, b) of each tanh layer in order, then the output
+    layer last.
 
     Works on (B, 3h) rows, one per example; `forward` also takes one
     (3h,) vector.
     """
 
     def __init__(
-        self,
-        hidden: list[tuple[ParamTensor, ParamTensor]],
-        out_w: ParamTensor,
-        out_b: ParamTensor,
-        head_mode: str,
-        dropout: float,
+        self, layers: list[tuple[ParamTensor, ParamTensor]], head_mode: str, dropout: float
     ) -> None:
-        self.hidden = hidden
-        self.out_w = out_w
-        self.out_b = out_b
+        self.layers = layers
         self.head_mode = head_mode
         self.dropout = dropout
 
@@ -521,18 +510,17 @@ class Head:
     def build(
         cls, cfg: ModelConfig, labels: LabelSet, store: ParamStore, rng: Rng | None
     ) -> "Head":
-        widths = cfg.resolved_head_hidden()
+        hidden = (3 * cfg.hidden_size,) if cfg.head_hidden is None else cfg.head_hidden
         n_out = labels.n_classes if cfg.head_mode == "softmax" else len(labels.event_types)
-        hidden = []
+        layers = []
         d = 3 * cfg.hidden_size
-        for i, w in enumerate(widths):
-            W = store.create(f"head.l{i}.W", init_uniform_scaled((w, d), rng))
-            b = store.create(f"head.l{i}.b", np.zeros(w))
-            hidden.append((W, b))
+        for i, w in enumerate((*hidden, n_out)):
+            name = "head.out" if i == len(hidden) else f"head.l{i}"
+            W = store.create(f"{name}.W", init_uniform_scaled((w, d), rng))
+            b = store.create(f"{name}.b", np.zeros(w))
+            layers.append((W, b))
             d = w
-        out_w = store.create("head.out.W", init_uniform_scaled((n_out, d), rng))
-        out_b = store.create("head.out.b", np.zeros(n_out))
-        return cls(hidden, out_w, out_b, cfg.head_mode, cfg.dropout)
+        return cls(layers, cfg.head_mode, cfg.dropout)
 
     def forward(
         self, rep: np.ndarray, rng: Rng | None = None
@@ -547,26 +535,25 @@ class Head:
             mask = None
             x = rep
         acts = [x]
-        for W, b in self.hidden:
+        for W, b in self.layers[:-1]:
             x = np.tanh(x @ W.values.T + b.values)
             acts.append(x)
-        logits = x @ self.out_w.values.T + self.out_b.values
+        W, b = self.layers[-1]
+        logits = x @ W.values.T + b.values
         probs = softmax(logits) if self.head_mode == "softmax" else sigmoid(logits)
-        return probs, HeadCache(mask, acts, probs)
+        return probs, HeadCache(mask, acts)
 
     def backprop(self, d_logits: np.ndarray, cache: HeadCache) -> np.ndarray:
         """Accumulates head grads, summed over the rows; returns the
         gradient w.r.t. the (pre-dropout) concatenated representation."""
-        self.out_w.grad += np.dot(d_logits.T, cache.acts[-1])
-        self.out_b.grad += d_logits.sum(axis=0)
-        dx = d_logits @ self.out_w.values
-        for k in range(len(self.hidden) - 1, -1, -1):
-            W, b = self.hidden[k]
-            post = cache.acts[k + 1]
-            da = dx * (1.0 - post * post)
+        da = d_logits
+        for k in reversed(range(len(self.layers))):
+            W, b = self.layers[k]
             W.grad += np.dot(da.T, cache.acts[k])
             b.grad += da.sum(axis=0)
             dx = da @ W.values
+            if k > 0:  # through the tanh whose output is acts[k]
+                da = dx * (1.0 - cache.acts[k] * cache.acts[k])
         if cache.mask is not None:
             dx = dx * cache.mask
         return dx

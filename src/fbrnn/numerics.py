@@ -512,11 +512,14 @@ def grad_check(
     gradient in `store.grad`. `loss_fn` only returns the loss; it must be
     deterministic (pass the model no dropout rng, fix any other rng). For every
     checked entry the relative error is |a - n| / max(|a|, |n|, 1e-8)
-    where n = (f(x+eps) - f(x-eps)) / (2 eps). Gradient buffers are left
+    where n = (f(x+eps) - f(x-eps)) / (2 eps); an entry where a or n is
+    NaN or infinite counts as an error of inf. Gradient buffers are left
     zeroed on return.
     """
-    if not eps > 0.0:
-        raise ConfigurationError(f"gradient-check step must be positive, got {eps!r}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigurationError(
+            f"gradient-check step must be finite and positive, got {eps!r}"
+        )
     names = list(tensors) if tensors is not None else store.names()
     selected = [store[n] for n in names]
 
@@ -542,7 +545,10 @@ def grad_check(
             flat_values[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = float(flat_analytic[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            if math.isfinite(a) and math.isfinite(numeric):
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            else:
+                rel = math.inf
             if rel > worst:
                 worst = rel
         report.per_tensor[t.name] = worst

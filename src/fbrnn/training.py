@@ -80,8 +80,12 @@ class TrainConfig(ModelConfig):
             )
         if self.patience < 0:
             raise ConfigurationError("patience must be >= 0")
-        if self.negative_ratio is not None and self.negative_ratio <= 0:
-            raise ConfigurationError("negative_ratio must be positive or unset")
+        if self.negative_ratio is not None and not (
+            math.isfinite(self.negative_ratio) and self.negative_ratio > 0
+        ):
+            raise ConfigurationError(
+                f"negative_ratio must be finite and positive or unset, got {self.negative_ratio}"
+            )
         if not 0.0 < self.threshold < 1.0:
             raise ConfigurationError(f"threshold must be in (0, 1), got {self.threshold}")
 

@@ -108,6 +108,33 @@ def test_padded_batch_gradcheck(over):
     assert report.max_rel_error < 1e-4, report.per_tensor
 
 
+@pytest.mark.parametrize("head_mode", ["softmax", "sigmoid"])
+@pytest.mark.parametrize("head_hidden", [(), (5,), (5, 4)], ids=["0tanh", "1tanh", "2tanh"])
+def test_head_depth_gradcheck(head_hidden, head_mode):
+    """The head's one reverse loop with no tanh layer below the output
+    layer, and with two, on the padded batch."""
+    model = make_model(head_hidden=head_hidden, head_mode=head_mode)
+    assert len(model.head.layers) == len(head_hidden) + 1
+    model.forward_backward(SPLITS, GOLD)
+
+    def loss_fn():
+        probs, _ = model.forward(SPLITS)
+        return sum(model._loss(p, t)[0] for p, t in zip(probs, GOLD))
+
+    report = grad_check(loss_fn, model.store, eps=2e-4)
+    assert report.max_rel_error < 1e-4, report.per_tensor
+
+
+def test_head_store_names_follow_the_layer_list():
+    model = make_model(head_hidden=(5, 4))
+    names = [n for n in model.store.names() if n.startswith("head.")]
+    assert names == ["head.l0.W", "head.l0.b", "head.l1.W", "head.l1.b", "head.out.W", "head.out.b"]
+    assert [(W.name, b.name) for W, b in model.head.layers] == [
+        ("head.l0.W", "head.l0.b"), ("head.l1.W", "head.l1.b"), ("head.out.W", "head.out.b")
+    ]
+    assert [W.values.shape for W, _ in model.head.layers] == [(5, 6), (4, 5), (4, 4)]
+
+
 @pytest.mark.parametrize("over", CONFIGS, ids=config_id)
 def test_batched_gradient_is_the_sum_of_per_example_gradients(over):
     """Only the summation order differs: within 1e-12 of the largest entry."""

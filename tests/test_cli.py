@@ -3,6 +3,7 @@
 import base64
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import fbrnn.model
 
 from fbrnn.cli import (
     _CONFIG_KEYS,
@@ -345,6 +348,26 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", "--cell", "gru", "--tol", "1e-18") == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("poison", ["nan-gradient", "inf-gradient", "nan-loss-at-a-probe"])
+    def test_non_finite_entry_exits_three(self, poison, monkeypatch, capsys):
+        real = fbrnn.model.grad_check
+
+        def poisoned(loss_fn, store, eps):
+            t = store["head.out.b"]
+            if poison == "nan-loss-at-a-probe":
+                base = float(t.values[0])
+                return real(
+                    lambda: math.nan if t.values[0] != base else loss_fn(), store, eps=eps
+                )
+            t.grad[0] = math.nan if poison == "nan-gradient" else math.inf
+            return real(loss_fn, store, eps=eps)
+
+        monkeypatch.setattr(fbrnn.model, "grad_check", poisoned)
+        assert run_cli("gradcheck", "--cell", "gru") == 3
+        out = capsys.readouterr().out
+        assert "max relative error inf (worst tensor: head.out.b)" in out
+        assert "FAIL" in out
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
@@ -399,6 +422,41 @@ class TestExitCodes:
     def test_gradcheck_non_positive_eps_is_config_error(self, eps, capsys):
         assert run_cli("gradcheck", "--cell", "gru", "--eps", eps) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+    def test_gradcheck_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        assert run_cli("gradcheck", "--cell", "gru", "--tol", tol) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "--tol" in err
+        assert out == ""  # rejected before any check runs
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_negative_ratio_is_config_error(
+        self, train_cfg_file, tmp_path, ratio, capsys
+    ):
+        code = run_cli(
+            "train", "--config", train_cfg_file, "--out-dir", tmp_path, "--negative-ratio", ratio
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "negative_ratio" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--sentences", "-1"),
+            ("--grammar", "positional", "--sentences", "-1"),
+            ("--negative-rate", "5"),
+            ("--negative-rate", "-0.5"),
+            ("--negative-rate", "nan"),
+        ],
+    )
+    def test_invalid_synth_setting_is_config_error(self, tmp_path, flags, capsys):
+        assert run_cli("synth", "--out", tmp_path / "out", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / "train.jsonl").exists()
 
     def test_evaluate_needs_exactly_one_source(self, synth_dir):
         assert run_cli("evaluate", "--corpus", synth_dir / "dev.jsonl") == 1

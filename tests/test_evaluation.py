@@ -236,7 +236,7 @@ class TestPredictExamples:
         ]
         splits = [split for group in groups for split in group]
         batched = model.batch_proba(groups)
-        assert batched.shape == (len(splits), model.head.out_b.size)
+        assert batched.shape == (len(splits), model.head.layers[-1][1].size)
         shared = [probs for group in groups for probs in model.batch_proba([group])]
         assert len(shared) == len(splits)
         threshold = 0.5 if head_mode == "softmax" else 0.45
@@ -338,5 +338,5 @@ class TestPredictExamples:
 
     def test_no_examples(self):
         model = self.model()
-        assert model.batch_proba([[]]).shape == (0, model.head.out_b.size)
+        assert model.batch_proba([[]]).shape == (0, model.head.layers[-1][1].size)
         assert predict_examples(model, []) == []

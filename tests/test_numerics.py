@@ -153,7 +153,7 @@ class TestDropout:
         out_w = store.create("out.W", init_uniform_scaled((3, 64), Rng(4)))
         out_b = store.create("out.b", np.zeros(3))
         rep = np.linspace(-1.0, 1.0, 64)
-        probs, cache = Head([], out_w, out_b, "softmax", 0.9).forward(rep)
+        probs, cache = Head([(out_w, out_b)], "softmax", 0.9).forward(rep)
         assert cache.mask is None
         assert np.array_equal(cache.acts[0], rep)
         assert np.array_equal(probs, softmax(out_w.values @ rep))
@@ -405,6 +405,31 @@ class TestGradCheck:
         report = grad_check(lambda: float(x.values[0] ** 2), store)
         assert report.max_rel_error > 0.1
         assert report.worst_tensor == "x"
+
+    @pytest.mark.parametrize(
+        "bad_grad, bad_loss",
+        [(math.nan, False), (math.inf, False), (None, True)],
+        ids=["nan-gradient", "inf-gradient", "nan-loss-at-a-probe"],
+    )
+    def test_non_finite_entry_fails(self, bad_grad, bad_loss):
+        """NaN compares false with every bound, so it must not be dropped
+        as a small error: it counts as inf, and the report names its tensor."""
+        store = ParamStore()
+        store.create("w", [3.0])
+        x = store.create("x", [1.0, 2.0])
+        x.grad += 2.0 * x.values
+        if bad_grad is not None:
+            x.grad[0] = bad_grad
+
+        def loss_fn():
+            if bad_loss and x.values[0] != 1.0:
+                return math.nan
+            return float(np.sum(x.values**2))
+
+        report = grad_check(loss_fn, store)
+        assert report.max_rel_error == math.inf
+        assert report.worst_tensor == "x"
+        assert report.per_tensor == {"w": 0.0, "x": math.inf}
 
 
 class TestParamStore:
