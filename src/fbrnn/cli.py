@@ -175,18 +175,21 @@ def _require_file(path: str | None, what: str) -> Path:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # generating and splitting checks every setting, so a rejected run
+    # writes nothing
     rng = Rng(args.seed)
     if args.grammar == "default":
         spec = default_synthetic_spec(args.sentences, args.negative_rate)
         corpus = make_synthetic_corpus(spec, rng)
         labels = spec.label_set()
-        write_text_atomic(out / "paraphrases.tsv", _STAND_IN_PARAPHRASES)
     else:
         corpus = make_positional_corpus(args.sentences, rng)
         labels = LabelSet([POSITIONAL_EVENT_TYPE])
     train, dev = split_corpus(corpus, args.dev_fraction, rng)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.grammar == "default":
+        write_text_atomic(out / "paraphrases.tsv", _STAND_IN_PARAPHRASES)
     save_corpus(train, out / "train.jsonl")
     save_corpus(dev, out / "dev.jsonl")
     save_label_set(labels, out / "labels.json")

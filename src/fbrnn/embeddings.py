@@ -126,7 +126,9 @@ class WordTable:
             raise ConfigurationError("word list must start with the UNK row")
         if len(set(words)) != len(words):
             raise ConfigurationError("duplicate words in vocabulary")
-        tensor = store.create(name, init_uniform_scaled((len(words), dim), rng))
+        tensor = store.create(
+            name, init_uniform_scaled((len(words), dim), rng), track_rows=True
+        )
         vocab = {w: i for i, w in enumerate(words)}
         hits = 0
         oov = []
@@ -217,7 +219,9 @@ class Embedder:
         branch row receives the column sum of the branch part. Against a
         per-token loop only the summation order differs: a term is added
         to its segment's sum before the sum meets the row's earlier
-        gradient. An empty branch returns at once.
+        gradient. The rows it writes are marked reached, which keeps the
+        word table's entries in the optimizer's live regions (see
+        `ParamStore`). An empty branch returns at once.
         """
         if len(rows) == 0:
             return
@@ -225,7 +229,9 @@ class Embedder:
         order = np.argsort(rows, kind="stable")
         ordered = rows[order]
         firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        self.word.tensor.grad[ordered[firsts]] += np.add.reduceat(
+        distinct = ordered[firsts]
+        self.word.tensor.reached[distinct] = True
+        self.word.tensor.grad[distinct] += np.add.reduceat(
             d_inputs[order, :d_w], firsts, axis=0
         )
         if self.branch is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "Rng",
     "ParamTensor",
     "ParamStore",
+    "RowRegion",
     "sigmoid",
     "softmax",
     "init_uniform_scaled",
@@ -129,18 +130,23 @@ class ParamTensor:
     """Named float64 array with a same-shaped gradient buffer.
 
     Once the owning ParamStore is packed, `values` and `grad` are views into
-    the store's flat arrays.
+    the store's flat arrays. A row-tracked tensor also holds `reached`, one
+    boolean per row that its gradient writer sets and nothing clears; for
+    any other tensor `reached` is None.
     """
 
-    __slots__ = ("name", "values", "grad")
+    __slots__ = ("name", "values", "grad", "reached")
 
-    def __init__(self, name: str, values: np.ndarray | Sequence) -> None:
+    def __init__(
+        self, name: str, values: np.ndarray | Sequence, track_rows: bool = False
+    ) -> None:
         arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
             raise ConfigurationError(f"tensor {name!r} has no elements")
         self.name = name
         self.values = arr
         self.grad = np.zeros(arr.shape)
+        self.reached = np.zeros(arr.shape[0], dtype=bool) if track_rows else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -154,6 +160,23 @@ class ParamTensor:
         return f"ParamTensor({self.name!r}, shape={self.shape})"
 
 
+class RowRegion(NamedTuple):
+    """The reached rows of a row-tracked tensor, within a flat store array."""
+
+    span: slice  # the tensor's entries
+    width: int  # entries per row
+    rows: np.ndarray  # reached row numbers, ascending
+
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        """A copy of these rows of `flat`, as one 1-D array."""
+        return flat[self.span].reshape(-1, self.width)[self.rows].reshape(-1)
+
+    def put(self, flat: np.ndarray, part: np.ndarray | float) -> None:
+        """Write a scalar, or an array shaped like `take`'s, into these rows."""
+        matrix = flat[self.span].reshape(-1, self.width)
+        matrix[self.rows] = part if np.isscalar(part) else part.reshape(-1, self.width)
+
+
 class ParamStore:
     """Ordered collection of named ParamTensors; one writer at a time.
 
@@ -162,19 +185,33 @@ class ParamStore:
     them. `assemble_model` packs when the model is complete; a hand-built
     store packs on first use of `values` or `grad`. A packed store accepts
     no new tensors.
+
+    Zeroing, clipping and the optimizer step visit `live_regions()` only:
+    every untracked tensor, and the rows of each row-tracked tensor that
+    its `reached` marks. Invariant: outside the live regions `grad` and the
+    optimizer's `m` and `v` are exactly zero, so skipping those entries
+    gives the same bits as updating them (see `Optimizer`). Any code that
+    writes a gradient row of a row-tracked tensor must therefore set that
+    row's `reached` flag. A flag set on a row whose gradient stays zero
+    costs only time, never correctness.
     """
 
     def __init__(self) -> None:
         self._tensors: dict[str, ParamTensor] = {}
         self._values: np.ndarray | None = None
         self._grad: np.ndarray | None = None
+        # merged flat slices of untracked tensors, and each row-tracked
+        # tensor with its slice, in store order; set by pack
+        self._segments: list[slice | tuple[ParamTensor, slice]] = []
 
-    def create(self, name: str, values: np.ndarray | Sequence) -> ParamTensor:
+    def create(
+        self, name: str, values: np.ndarray | Sequence, track_rows: bool = False
+    ) -> ParamTensor:
         if self._values is not None:
             raise ConfigurationError(f"cannot add tensor {name!r}: the store is already packed")
         if name in self._tensors:
             raise ConfigurationError(f"duplicate tensor name {name!r}")
-        tensor = ParamTensor(name, values)
+        tensor = ParamTensor(name, values, track_rows)
         self._tensors[name] = tensor
         return tensor
 
@@ -201,6 +238,13 @@ class ParamStore:
             if t.grad.any():
                 view[...] = t.grad
             t.grad = view
+            last = self._segments[-1] if self._segments else None
+            if t.reached is not None:
+                self._segments.append((t, slice(offset, end)))
+            elif isinstance(last, slice) and last.stop == offset:
+                self._segments[-1] = slice(last.start, end)
+            else:
+                self._segments.append(slice(offset, end))
             offset = end
         self._values, self._grad = values, grad
 
@@ -231,8 +275,29 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._tensors)
 
+    def live_regions(self) -> list[slice | RowRegion]:
+        """Where the flat arrays' gradients may be non-zero, in store order:
+        a slice per run of untracked tensors, and a RowRegion per row-tracked
+        tensor with a reached row. A store without row-tracked tensors is
+        one slice over everything."""
+        self.pack()
+        regions = []
+        for seg in self._segments:
+            if isinstance(seg, slice):
+                regions.append(seg)
+                continue
+            t, span = seg
+            rows = np.flatnonzero(t.reached)
+            if rows.size:
+                regions.append(RowRegion(span, t.size // len(t.reached), rows))
+        return regions
+
     def zero_grads(self) -> None:
-        self.grad.fill(0.0)
+        for region in self.live_regions():
+            if isinstance(region, slice):
+                self.grad[region] = 0.0
+            else:
+                region.put(self.grad, 0.0)
 
     def clone_values(self) -> dict[str, np.ndarray]:
         """Snapshot of every tensor: views into one copy of `values`."""
@@ -421,18 +486,26 @@ def adam_step(
 def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
     """Global-norm clipping across every tensor in the store.
 
-    Returns the pre-clip norm, summed tensor by tensor in store order.
-    Raises NumericError naming the first tensor with a non-finite gradient.
+    Returns the pre-clip norm, summed tensor by tensor in store order; a
+    row-tracked tensor's sum of squares runs over its reached rows only,
+    which changes the summation order but not the terms. Raises
+    NumericError naming the first tensor with a non-finite gradient.
     """
     total = 0.0
     for t in store:
-        sq = float(np.dot(t.grad.reshape(-1), t.grad.reshape(-1)))
+        g = (t.grad if t.reached is None else t.grad[t.reached]).reshape(-1)
+        sq = float(np.dot(g, g))
         if not math.isfinite(sq):
             raise NumericError(f"non-finite gradient in tensor {t.name!r}")
         total += sq
     norm = math.sqrt(total)
     if max_norm is not None and norm > max_norm > 0.0:
-        np.multiply(store.grad, max_norm / norm, out=store.grad)
+        scale = max_norm / norm
+        for region in store.live_regions():
+            if isinstance(region, slice):
+                store.grad[region] *= scale
+            else:
+                region.put(store.grad, region.take(store.grad) * scale)
     return norm
 
 
@@ -441,6 +514,13 @@ class Optimizer:
 
     Owns the Adam moments and two scratch blocks, so optimizer state lives
     exactly as long as the optimizer.
+
+    A step visits the store's live regions only: a slice is updated in
+    place, the rows of a row-tracked tensor are gathered, stepped and
+    scattered back. An entry outside them has grad = m = v = 0, so dense
+    Adam would subtract lr * (0 / c1) / (sqrt(0 / c2) + eps) = +0.0 and SGD
+    lr * 0 = +0.0; p - (+0.0) is p for every p, -0.0 included. Skipping it
+    therefore leaves the same bits as the dense step.
     """
 
     def __init__(
@@ -476,14 +556,29 @@ class Optimizer:
         """
         norm = clip_gradients(self.store, self.clip_norm)
         self.step_count += 1
+        flats = (self.store.values, self.store.grad)
+        if self.kind == "adam":
+            flats += (self.m, self.v)
+        for region in self.store.live_regions():
+            if isinstance(region, slice):
+                self._update(*(f[region] for f in flats))
+                continue
+            values, grad, *moments = (region.take(f) for f in flats)
+            self._update(values, grad, *moments)
+            region.put(self.store.values, values)  # the step only reads grad
+            for flat, moment in zip(flats[2:], moments):
+                region.put(flat, moment)
+        return norm
+
+    def _update(self, values, grad, m=None, v=None) -> None:
+        """The unchanged dense step, on one region's arrays."""
         if self.kind == "adam":
             adam_step(
-                self.store.values, self.store.grad, self.m, self.v, self.step_count,
+                values, grad, m, v, self.step_count,
                 self.lr, self.beta1, self.beta2, self.eps, self._scratch,
             )
         else:
-            sgd_step(self.store.values, self.store.grad, self.lr, self._scratch[0])
-        return norm
+            sgd_step(values, grad, self.lr, self._scratch[0])
 
 
 # ---------------------------------------------------------------------------

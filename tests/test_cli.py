@@ -88,6 +88,21 @@ class TestSynth:
         labels = json.loads((tmp_path / "labels.json").read_text())
         assert labels == ["Lead.Strike"]
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(("--dev-fraction", 2, "--sentences", 5), "dev_fraction"),
+         (("--sentences", -1), "sentence count"),
+         (("--grammar", "positional", "--dev-fraction", 2, "--sentences", 5), "dev_fraction"),
+         (("--grammar", "positional", "--sentences", -1), "sentence count"),
+         (("--negative-rate", 5), "negative rate")],
+    )
+    def test_rejected_settings_write_nothing(self, tmp_path, capsys, bad, message):
+        out = tmp_path / "X"
+        assert run_cli("synth", "--out", out, *bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestLexiconAndCandidates:
     def test_build_lexicon(self, synth_dir, tmp_path, capsys):

@@ -34,6 +34,29 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     assert tracer.counts["adam_elements"] == store.values.size
 
 
+def test_tracer_counts_the_reached_word_rows_of_a_model_step(monkeypatch):
+    """The step visits every non-word entry and the word rows a gradient
+    reached: adam_elements counts exactly those."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    cfg = model.ModelConfig(hidden_size=3, word_dim=4, branch_dim=2, dropout=0.0)
+    words = ["a", "b", "c"] + [f"idle{i}" for i in range(20)]
+    nugget_model = model.build_model(cfg, words, LabelSet(["A"]), numerics.Rng(0))
+    store, word = nugget_model.store, nugget_model.store["word_emb"]
+    tracer = tracing.Tracer()
+    tracing.install(tracer, clip_norm=5.0)
+    try:
+        nugget_model.forward_backward([BranchSplit(("a",), ("b", "c"), ("a",))], [("A",)])
+        numerics.Optimizer(store).step()
+    finally:
+        tracer.restore()
+    assert word.reached.sum() == 3
+    assert tracer.calls("numerics.adam_step") == len(store.live_regions())
+    dense = store.values.size - word.size
+    assert tracer.counts["adam_elements"] == dense + 3 * cfg.word_dim
+
+
 def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
     """The benchmark's per-layer encoder and head metrics read these calls."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
