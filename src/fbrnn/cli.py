@@ -557,6 +557,9 @@ def main(argv=None) -> int:
     except OSError as e:  # e.g. an artifact that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # e.g. a model too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -161,18 +161,20 @@ class ParamTensor:
 
 
 class RowRegion(NamedTuple):
-    """The reached rows of a row-tracked tensor, within a flat store array."""
+    """Rows of a flat store array: a row-tracked tensor's reached rows, or a
+    run of untracked tensors as one row (`rows=slice(None)`)."""
 
-    span: slice  # the tensor's entries
+    span: slice  # the entries of the tensor or run
     width: int  # entries per row
-    rows: np.ndarray  # reached row numbers, ascending
+    rows: np.ndarray | slice  # reached row numbers, ascending, or slice(None)
 
     def take(self, flat: np.ndarray) -> np.ndarray:
-        """A copy of these rows of `flat`, as one 1-D array."""
+        """These rows of `flat` as one 1-D array: a view if `rows` is a slice."""
         return flat[self.span].reshape(-1, self.width)[self.rows].reshape(-1)
 
     def put(self, flat: np.ndarray, part: np.ndarray | float) -> None:
-        """Write a scalar, or an array shaped like `take`'s, into these rows."""
+        """Write a scalar, or an array shaped like `take`'s, into these rows;
+        putting back `take`'s own view copies nothing."""
         matrix = flat[self.span].reshape(-1, self.width)
         matrix[self.rows] = part if np.isscalar(part) else part.reshape(-1, self.width)
 
@@ -275,16 +277,16 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._tensors)
 
-    def live_regions(self) -> list[slice | RowRegion]:
+    def live_regions(self) -> list[RowRegion]:
         """Where the flat arrays' gradients may be non-zero, in store order:
-        a slice per run of untracked tensors, and a RowRegion per row-tracked
+        one region per run of untracked tensors, and one per row-tracked
         tensor with a reached row. A store without row-tracked tensors is
-        one slice over everything."""
+        one region over everything."""
         self.pack()
         regions = []
         for seg in self._segments:
             if isinstance(seg, slice):
-                regions.append(seg)
+                regions.append(RowRegion(seg, seg.stop - seg.start, slice(None)))
                 continue
             t, span = seg
             rows = np.flatnonzero(t.reached)
@@ -294,10 +296,7 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for region in self.live_regions():
-            if isinstance(region, slice):
-                self.grad[region] = 0.0
-            else:
-                region.put(self.grad, 0.0)
+            region.put(self.grad, 0.0)
 
     def clone_values(self) -> dict[str, np.ndarray]:
         """Snapshot of every tensor: views into one copy of `values`."""
@@ -502,10 +501,9 @@ def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
     if max_norm is not None and norm > max_norm > 0.0:
         scale = max_norm / norm
         for region in store.live_regions():
-            if isinstance(region, slice):
-                store.grad[region] *= scale
-            else:
-                region.put(store.grad, region.take(store.grad) * scale)
+            g = region.take(store.grad)
+            g *= scale
+            region.put(store.grad, g)
     return norm
 
 
@@ -515,12 +513,12 @@ class Optimizer:
     Owns the Adam moments and two scratch blocks, so optimizer state lives
     exactly as long as the optimizer.
 
-    A step visits the store's live regions only: a slice is updated in
-    place, the rows of a row-tracked tensor are gathered, stepped and
-    scattered back. An entry outside them has grad = m = v = 0, so dense
-    Adam would subtract lr * (0 / c1) / (sqrt(0 / c2) + eps) = +0.0 and SGD
-    lr * 0 = +0.0; p - (+0.0) is p for every p, -0.0 included. Skipping it
-    therefore leaves the same bits as the dense step.
+    A step visits the store's live regions only: each is gathered, stepped
+    and scattered back (a run of untracked tensors through views, in place).
+    An entry outside them has grad = m = v = 0, so dense Adam would subtract
+    lr * (0 / c1) / (sqrt(0 / c2) + eps) = +0.0 and SGD lr * 0 = +0.0;
+    p - (+0.0) is p for every p, -0.0 included. Skipping it therefore leaves
+    the same bits as the dense step.
     """
 
     def __init__(
@@ -560,9 +558,6 @@ class Optimizer:
         if self.kind == "adam":
             flats += (self.m, self.v)
         for region in self.store.live_regions():
-            if isinstance(region, slice):
-                self._update(*(f[region] for f in flats))
-                continue
             values, grad, *moments = (region.take(f) for f in flats)
             self._update(values, grad, *moments)
             region.put(self.store.values, values)  # the step only reads grad

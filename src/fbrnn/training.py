@@ -279,7 +279,7 @@ def train_model(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3  # 2 held each tensor as a JSON list of floats; 1 is no longer read
+CHECKPOINT_VERSION = 3  # the only version `load_checkpoint` reads
 
 
 def save_checkpoint(
@@ -333,21 +333,21 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Rebuild a model from a checkpoint file.
 
-    Reads versions 2 and 3; a version-3 tensor decodes to exactly the bits
-    that were saved. Rejects other versions, tensor entries without `shape`
-    and `data` (`values` before version 3), data that is not a base64
-    string, byte or value counts that do not fill the shape, NaN or Inf
-    values, tensor names or shapes that differ from the model's, malformed
-    labels, vocabularies, lexicons and pipeline settings, and (when `expect`
-    is given) any config different from the expected one, each as a
-    DataError naming the tensor or field.
+    Reads version 3 only; each tensor decodes to exactly the bits that were
+    saved. Rejects other versions, tensor entries without `shape` and
+    `data`, data that is not a base64 string, byte counts that do not fill
+    the shape, NaN or Inf values, tensor names or shapes that differ from
+    the model's, malformed labels, vocabularies, lexicons and pipeline
+    settings, a model too large to allocate, and (when `expect` is given)
+    any config different from the expected one, each as a DataError naming
+    the tensor or field.
     A truncated or corrupt file fails cleanly without a partial model.
     """
     data = read_json(path, "checkpoint")
     if not isinstance(data, dict) or data.get("kind") != "fbrnn-checkpoint":
         raise DataError(f"{path}: not a model checkpoint")
     version = data.get("format_version")
-    if type(version) is not int or not 2 <= version <= CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         cfg = ModelConfig.from_dict(data["config"])
@@ -378,22 +378,17 @@ def load_checkpoint(
         model = assemble_model(cfg, vocab, labels, rng=None)
     except ConfigurationError as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
-    key = "data" if version >= 3 else "values"
+    except MemoryError as e:
+        raise DataError(f"{path}: malformed checkpoint: the model is too large to allocate") from e
     arrays = {}
     for name, entry in tensors.items():
         where = f"{path}: tensor {name!r}"
-        if not isinstance(entry, dict) or "shape" not in entry or key not in entry:
-            raise DataError(f"{where} needs 'shape' and {key!r}")
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            raise DataError(f"{where} needs 'shape' and 'data'")
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise DataError(f"{where}: 'shape' must be a list of non-negative integers")
-        if version >= 3:
-            values = _decode_data(where, entry["data"])
-        else:
-            try:
-                values = np.array(entry["values"], dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise DataError(f"{where}: malformed entry: {e}") from e
+        values = _decode_data(where, entry["data"])
         if values.shape != (size := math.prod(shape),):
             raise DataError(f"{where} has {values.size} values, its shape {shape} needs {size}")
         if not np.isfinite(values).all():

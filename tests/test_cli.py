@@ -568,17 +568,6 @@ def _tensor(data):
     return data["tensors"]["head.out.b"]
 
 
-def _version_2_with(mutate):
-    """`_checkpoint_with(mutate)` on the checkpoint rewritten as format
-    version 2 held it: each tensor's values as a JSON list under `values`."""
-    def to_version_2(data):
-        for entry in data["tensors"].values():
-            entry["values"] = np.frombuffer(base64.b64decode(entry.pop("data")), "<f8").tolist()
-        data["format_version"] = 2
-        mutate(data)
-    return _checkpoint_with(to_version_2)
-
-
 def _data_with(edit):
     """`_checkpoint_with` re-encoding head.out.b's values after `edit` changes their list."""
     def mutate(data):
@@ -619,6 +608,13 @@ def _threshold(command):
 def _train_threshold(synth_dir, run_dir, tmp_path):
     return ["train", "--train-corpus", synth_dir / "train.jsonl", "--labels",
             synth_dir / "labels.json", "--threshold", "7", "--out-dir", tmp_path]
+
+
+def _train_too_large(synth_dir, run_dir, tmp_path):
+    """A word table of 10**15 columns: hundreds of PiB, beyond any address
+    space, so the first allocation fails and nothing is allocated."""
+    return ["train", "--train-corpus", synth_dir / "train.jsonl", "--labels",
+            synth_dir / "labels.json", "--word-dim", str(10**15), "--out-dir", tmp_path]
 
 
 def _ablate_missing_embeddings(synth_dir, run_dir, tmp_path):
@@ -716,13 +712,6 @@ _MALFORMED = [
      "checkpoint.json: corrupt"),
     ("ckpt-huge-integer", _input_file("checkpoint", "1" * 5000), 2, "checkpoint.json: corrupt"),
     ("ckpt-no-shape", _checkpoint_with(lambda d: _tensor(d).pop("shape")), 2, "head.out.b"),
-    ("ckpt-no-values", _version_2_with(lambda d: _tensor(d).pop("values")), 2, "head.out.b"),
-    ("ckpt-value-count", _version_2_with(lambda d: _tensor(d)["values"].pop()), 2,
-     "head.out.b"),
-    ("ckpt-nan", _version_2_with(lambda d: _tensor(d)["values"].__setitem__(0, float("nan"))),
-     2, "head.out.b"),
-    ("ckpt-inf", _version_2_with(lambda d: _tensor(d)["values"].__setitem__(0, float("inf"))),
-     2, "head.out.b"),
     ("ckpt-no-data", _checkpoint_with(lambda d: _tensor(d).pop("data")), 2, "head.out.b"),
     ("ckpt-data-not-string", _checkpoint_with(lambda d: _tensor(d).__setitem__("data", [0.0])),
      2, "head.out.b"),
@@ -739,6 +728,10 @@ _MALFORMED = [
      2, "threshold"),
     ("ckpt-version-1", _checkpoint_with(lambda d: d.__setitem__("format_version", 1)), 2,
      "unsupported checkpoint version 1"),
+    ("ckpt-version-2", _checkpoint_with(lambda d: d.__setitem__("format_version", 2)), 2,
+     "unsupported checkpoint version 2"),
+    ("ckpt-too-large", _checkpoint_with(lambda d: d["config"].__setitem__("word_dim", 10**15)),
+     2, "too large to allocate"),
     ("pred-bool-sentence", _prediction(sentence=True), 2, "preds.jsonl:1"),
     ("pred-string-start", _prediction(start="0"), 2, "preds.jsonl:1"),
     ("pred-float-end", _prediction(end=0.9), 2, "preds.jsonl:1"),
@@ -749,6 +742,7 @@ _MALFORMED = [
     ("threshold-evaluate", _threshold("evaluate"), 1, "threshold"),
     ("threshold-predict", _threshold("predict"), 1, "threshold"),
     ("threshold-train", _train_threshold, 1, "threshold"),
+    ("train-too-large", _train_too_large, 1, "out of memory"),
     ("ablate-missing-embeddings", _ablate_missing_embeddings, 1,
      "missing-vectors.txt"),
     ("out-dir-file", _out_dir_is_a_file, 1, "file"),

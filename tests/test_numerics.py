@@ -17,6 +17,7 @@ from fbrnn.numerics import (
     Optimizer,
     ParamStore,
     Rng,
+    RowRegion,
     adam_step,
     clip_gradients,
     dropout_mask,
@@ -462,7 +463,8 @@ class TestLiveRows:
 
     def test_hand_built_store_is_one_dense_region(self):
         store = flat_store(0)
-        assert store.live_regions() == [slice(0, store.values.size)]
+        n = store.values.size
+        assert store.live_regions() == [RowRegion(slice(0, n), n, slice(None))]
 
 
 class TestGradCheck:

@@ -365,51 +365,43 @@ class TestCheckpoint:
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_version_2_file_written_before_version_3_predicts_identically():
-    """`checkpoint_v2.json` was written by the version-2 `save_checkpoint`;
-    `checkpoint_v2_proba.json` holds that model's probabilities."""
-    path = FIXTURES / "checkpoint_v2.json"
+def test_golden_checkpoint_predicts_identically():
+    """The pin on forward bits across commits. `checkpoint_v3.json` holds a
+    small GRU model, first written in format version 2 and converted to
+    version 3 bit for bit; `checkpoint_v3_proba.json` holds the
+    probabilities that model gave when it was written."""
+    path = FIXTURES / "checkpoint_v3.json"
     data = json.loads(path.read_text())
-    assert data["format_version"] == 2
+    assert data["format_version"] == 3
     loaded = load_checkpoint(path)
     for t in loaded.model.store:
-        expected = np.array(data["tensors"][t.name]["values"]).reshape(t.shape)
-        assert t.values.tobytes() == expected.tobytes(), t.name
+        raw = base64.b64decode(data["tensors"][t.name]["data"])
+        assert struct.pack(f"<{t.size}d", *t.values.flat) == raw, t.name
     assert "met" in loaded.lexicon and loaded.max_nugget_len == 2 and loaded.threshold == 0.4
-    cases = json.loads((FIXTURES / "checkpoint_v2_proba.json").read_text())["cases"]
+    cases = json.loads((FIXTURES / "checkpoint_v3_proba.json").read_text())["cases"]
+    assert len(cases) == 6
     for case in cases:
         proba = loaded.model.predict_proba(BranchSplit(*map(tuple, case["split"])))
         assert proba.tobytes() == np.array(case["proba"]).tobytes(), case["split"]
 
 
-def write_version_2(path, model):
-    """Save `model` as format version 2 wrote it: every tensor's values as a
-    JSON list of floats under `values`."""
-    save_checkpoint(path, model)
-    data = json.loads(path.read_text())
-    for entry in data["tensors"].values():
-        entry["values"] = np.frombuffer(base64.b64decode(entry.pop("data")), "<f8").tolist()
-    data["format_version"] = 2
-    path.write_text(json.dumps(data))
-    return data
-
-
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
-def test_version_2_loads_and_predicts_bit_identically(small_data, tmp_path, cell):
+def test_trained_stacked_model_loads_and_predicts_bit_identically(small_data, tmp_path, cell):
+    """A trained two-layer GRU or LSTM survives a save and load bit for bit."""
     cfg = dataclasses.replace(SMALL_CFG, cell=cell, layers=2, max_epochs=1)
     model, _ = run(cfg, small_data)
-    path = tmp_path / "v2.json"
-    write_version_2(path, model)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model)
     loaded = load_checkpoint(path).model
-    assert np.array_equal(loaded.store.values, model.store.values)
+    assert loaded.store.values.tobytes() == model.store.values.tobytes()
     for ex in small_data["dev_ex"]:
         assert np.array_equal(loaded.predict_proba(ex.split), model.predict_proba(ex.split))
 
 
-@pytest.mark.parametrize("version", [0, 1, CHECKPOINT_VERSION + 1, True, "1"])
+@pytest.mark.parametrize("version", [0, 1, 2, CHECKPOINT_VERSION + 1, True, "1"])
 def test_other_versions_rejected(tmp_path, version):
-    """Version 1, written by this package before it stacked each layer's
-    gates into one W, U and b, is no longer read."""
+    """Versions 1 (each gate its own W, U and b) and 2 (each tensor a JSON
+    list of floats under `values`) are no longer read."""
     model = build_model(
         ModelConfig(hidden_size=4, word_dim=5, branch_dim=2), ["a"], LabelSet(["A"]), Rng(3)
     )
