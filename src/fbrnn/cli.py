@@ -280,13 +280,19 @@ def cmd_train(args) -> int:
         train, dev, labels, cfg.max_nugget_len, paraphrases
     )
     # The run id hashes the resolved config; the directory is made before
-    # training so that an unusable out_dir fails at once.
+    # training so that an unusable out_dir fails at once, and removed again
+    # if training fails while it is still empty.
     resolved = "\n".join(f"{k} = {values[k]}" for k in sorted(values))
     run_id = hashlib.sha256(resolved.encode("utf-8")).hexdigest()[:12]
     run_dir = Path(values.get("out_dir") or "runs") / run_id
+    made = not run_dir.is_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-
-    model, log = train_model(cfg, train_ex, dev_ex, dev, vocab, labels, pretrained)
+    try:
+        model, log = train_model(cfg, train_ex, dev_ex, dev, vocab, labels, pretrained)
+    except BaseException:
+        if made and not any(run_dir.iterdir()):
+            run_dir.rmdir()
+        raise
     if pretrained is not None:
         table = model.embedder.word
         print(

@@ -167,19 +167,17 @@ GATE_ORDER = {"gru": "zrc", "lstm": "ifog"}  # row blocks of W, U and b
 def _build_layer(
     store: ParamStore, prefix: str, kind: str, d_in: int, h: int, rng: Rng | None
 ) -> RecurrentLayer:
-    # W_g then U_g, gate by gate: the values per-gate tensors would draw.
-    blocks = [
-        (
-            init_uniform_scaled((h, d_in), rng),
-            init_uniform_scaled((h, h), rng),
-        )
-        for _ in GATE_ORDER[kind]
-    ]
-    W, U = (np.concatenate(parts) for parts in zip(*blocks))
+    n = len(GATE_ORDER[kind]) * h
+    W, U = np.zeros((n, d_in)), np.zeros((n, h))
+    if rng is not None:
+        # W_g then U_g, gate by gate: the values per-gate tensors would draw.
+        for rows in range(0, n, h):
+            W[rows : rows + h] = init_uniform_scaled((h, d_in), rng)
+            U[rows : rows + h] = init_uniform_scaled((h, h), rng)
     return RecurrentLayer(
         store.create(f"{prefix}.W", W),
         store.create(f"{prefix}.U", U),
-        store.create(f"{prefix}.b", np.zeros(len(blocks) * h)),
+        store.create(f"{prefix}.b", np.zeros(n)),
     )
 
 
@@ -788,7 +786,9 @@ def assemble_model(
 ) -> NuggetModel:
     """Assemble a model from an explicit row-ordered word list (UNK first).
 
-    Without an rng every tensor is zero-filled, ready for `load_values`.
+    The store is left unpacked: it packs when its flat arrays are first
+    used. Without an rng every tensor is zero-filled, and neither the
+    tensors nor the packed arrays touch a page until a value is written.
     """
     cfg.validate()
     store = ParamStore()
@@ -802,7 +802,6 @@ def assemble_model(
         for b in _BRANCHES
     }
     head = Head.build(cfg, labels, store, rng)
-    store.pack()
     return NuggetModel(cfg, labels, store, embedder, encoders, head)
 
 

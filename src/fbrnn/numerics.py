@@ -179,14 +179,22 @@ class RowRegion(NamedTuple):
         matrix[self.rows] = part if np.isscalar(part) else part.reshape(-1, self.width)
 
 
+def _moved(old: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """`span` of a zeroed flat array shaped as `old` and holding its values.
+    An `old` whose bits are all zero is not copied, so those pages of the
+    flat array stay untouched; -0.0 has its sign bit set and is copied."""
+    view = span.reshape(old.shape)
+    if old.reshape(-1).view(np.uint64).any():
+        view[...] = old
+    return view
+
+
 class ParamStore:
     """Ordered collection of named ParamTensors; one writer at a time.
 
-    The store packs its tensors once into one contiguous `values` array and
-    one `grad` array, in insertion order; each tensor becomes a view into
-    them. `assemble_model` packs when the model is complete; a hand-built
-    store packs on first use of `values` or `grad`. A packed store accepts
-    no new tensors.
+    The store packs its tensors into one contiguous `values` array and one
+    `grad` array, in insertion order, on first use of either; each tensor
+    becomes a view into them. A packed store accepts no new tensors.
 
     Zeroing, clipping and the optimizer step visit `live_regions()` only:
     every untracked tensor, and the rows of each row-tracked tensor that
@@ -220,26 +228,21 @@ class ParamStore:
     def pack(self) -> None:
         """Move every tensor into the flat arrays; a no-op once packed.
 
-        Each old array is released as soon as it has been copied, so the
-        word table never exists twice for long. The flat gradient starts
-        from `np.zeros` and only non-zero gradients are copied into it, so
-        its pages stay unallocated until the first backward pass.
+        Both flat arrays start from `np.zeros`, and a tensor's values or
+        gradient are copied only if some bit of them is set, so a
+        zero-filled model touches no page of them. Each old array is
+        released as soon as it has been moved, so the word table never
+        exists twice for long.
         """
         if self._values is not None:
             return
         total = sum(t.size for t in self._tensors.values())
-        values = np.empty(total)
-        grad = np.zeros(total)
+        values, grad = np.zeros(total), np.zeros(total)
         offset = 0
         for t in self._tensors.values():
             end = offset + t.size
-            view = values[offset:end].reshape(t.shape)
-            view[...] = t.values
-            t.values = view
-            view = grad[offset:end].reshape(t.shape)
-            if t.grad.any():
-                view[...] = t.grad
-            t.grad = view
+            t.values = _moved(t.values, values[offset:end])
+            t.grad = _moved(t.grad, grad[offset:end])
             last = self._segments[-1] if self._segments else None
             if t.reached is not None:
                 self._segments.append((t, slice(offset, end)))
@@ -298,33 +301,13 @@ class ParamStore:
         for region in self.live_regions():
             region.put(self.grad, 0.0)
 
-    def clone_values(self) -> dict[str, np.ndarray]:
-        """Snapshot of every tensor: views into one copy of `values`."""
-        flat = self.values.copy()
-        views, offset = {}, 0
-        for name, t in self._tensors.items():
-            views[name] = flat[offset : offset + t.size].reshape(t.shape)
-            offset += t.size
-        return views
+    def clone_values(self) -> np.ndarray:
+        """A copy of the flat `values`, for `load_values` to restore."""
+        return self.values.copy()
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite every tensor from `values`; names and shapes must match."""
-        missing = [n for n in self._tensors if n not in values]
-        extra = [n for n in values if n not in self._tensors]
-        if missing or extra:
-            raise ConfigurationError(
-                f"parameter set mismatch: missing={missing!r} extra={extra!r}"
-            )
-        parts = []
-        for name, t in self._tensors.items():
-            arr = np.asarray(values[name], dtype=np.float64)
-            if tuple(arr.shape) != t.shape:
-                raise ConfigurationError(
-                    f"shape mismatch for tensor {name!r}: "
-                    f"got {tuple(arr.shape)}, expected {t.shape}"
-                )
-            parts.append(arr.reshape(-1))
-        np.concatenate(parts, out=self.values)
+    def load_values(self, snapshot: np.ndarray) -> None:
+        """Overwrite every value from a `clone_values` copy of this store."""
+        np.copyto(self.values, snapshot)
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def train_model(
 
     log = TrainLog()
     best_f1 = -1.0
-    best_state: dict[str, np.ndarray] | None = None
+    best_state: np.ndarray | None = None
     best_epoch: int | None = None
     epochs_since_best = 0
 
@@ -333,14 +333,18 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Rebuild a model from a checkpoint file.
 
-    Reads version 3 only; each tensor decodes to exactly the bits that were
-    saved. Rejects other versions, tensor entries without `shape` and
-    `data`, data that is not a base64 string, byte counts that do not fill
-    the shape, NaN or Inf values, tensor names or shapes that differ from
-    the model's, malformed labels, vocabularies, lexicons and pipeline
-    settings, a model too large to allocate, and (when `expect` is given)
-    any config different from the expected one, each as a DataError naming
-    the tensor or field.
+    Reads version 3 only. Builds the config's zero-filled model, then in
+    store order checks each tensor's entry, shape, value count and
+    finiteness and decodes its data straight into the tensor's view of the
+    flat buffer, to exactly the bits that were saved. A shape is checked
+    before its data is decoded, so a config asking for a larger model than
+    the file holds fails without touching the memory it would add. Rejects
+    other versions, tensor names or shapes that differ from the model's,
+    entries without `shape` and `data`, data that is not a base64 string,
+    byte counts that do not fill the shape, NaN or Inf values, malformed
+    labels, vocabularies, lexicons and pipeline settings, a model too large
+    to allocate, and (when `expect` is given) any config different from
+    the expected one, each as a DataError naming the tensor or field.
     A truncated or corrupt file fails cleanly without a partial model.
     """
     data = read_json(path, "checkpoint")
@@ -376,28 +380,29 @@ def load_checkpoint(
 
     try:
         model = assemble_model(cfg, vocab, labels, rng=None)
+        model.store.pack()
     except ConfigurationError as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
     except MemoryError as e:
         raise DataError(f"{path}: malformed checkpoint: the model is too large to allocate") from e
-    arrays = {}
-    for name, entry in tensors.items():
-        where = f"{path}: tensor {name!r}"
+    missing = [n for n in model.store.names() if n not in tensors]
+    extra = [n for n in tensors if n not in model.store]
+    if missing or extra:
+        raise DataError(f"{path}: tensor set mismatch: missing={missing!r} extra={extra!r}")
+    for t in model.store:
+        where = f"{path}: tensor {t.name!r}"
+        entry = tensors.pop(t.name)
         if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
             raise DataError(f"{where} needs 'shape' and 'data'")
         shape = entry["shape"]
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise DataError(f"{where}: 'shape' must be a list of non-negative integers")
-        values = _decode_data(where, entry["data"])
-        if values.shape != (size := math.prod(shape),):
-            raise DataError(f"{where} has {values.size} values, its shape {shape} needs {size}")
+        if shape != list(t.shape) or any(type(d) is not int for d in shape):
+            raise DataError(f"{where}: 'shape' {shape!r} differs from the model's {list(t.shape)}")
+        values = _decode_data(where, entry.pop("data"))
+        if values.size != t.size:
+            raise DataError(f"{where} has {values.size} values, its shape {shape} needs {t.size}")
         if not np.isfinite(values).all():
             raise DataError(f"{where} holds non-finite values")
-        arrays[name] = values.reshape(shape)
-    try:
-        model.store.load_values(arrays)
-    except ConfigurationError as e:
-        raise DataError(f"{path}: {e}") from e
+        t.values[...] = values.reshape(t.shape)
 
     return LoadedCheckpoint(model, lexicon, max_nugget_len, float(threshold))
 

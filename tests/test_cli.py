@@ -473,6 +473,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out" / "train.jsonl").exists()
 
+    def test_failed_train_keeps_a_run_directory_with_artifacts(
+        self, train_cfg_file, trained_run, monkeypatch
+    ):
+        """Retraining a finished run's config into the same directory and
+        failing leaves the earlier run's artifacts where they were."""
+        before = sorted(p.name for p in trained_run.iterdir())
+
+        def fail(*args):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr("fbrnn.cli.train_model", fail)
+        assert run_cli("train", "--config", train_cfg_file, "--out-dir", trained_run.parent) == 1
+        assert sorted(p.name for p in trained_run.iterdir()) == before
+
     def test_evaluate_needs_exactly_one_source(self, synth_dir):
         assert run_cli("evaluate", "--corpus", synth_dir / "dev.jsonl") == 1
 
@@ -732,6 +746,8 @@ _MALFORMED = [
      "unsupported checkpoint version 2"),
     ("ckpt-too-large", _checkpoint_with(lambda d: d["config"].__setitem__("word_dim", 10**15)),
      2, "too large to allocate"),
+    ("ckpt-extra-tensor", _checkpoint_with(lambda d: d["tensors"].__setitem__(
+        "extra.b", {"shape": [1], "data": "AAAAAAAAAAA="})), 2, "extra.b"),
     ("pred-bool-sentence", _prediction(sentence=True), 2, "preds.jsonl:1"),
     ("pred-string-start", _prediction(start="0"), 2, "preds.jsonl:1"),
     ("pred-float-end", _prediction(end=0.9), 2, "preds.jsonl:1"),
@@ -762,6 +778,7 @@ class TestMalformedInputs:
         assert err.startswith("error: " if code == 1 else "data error: ")
         assert needle in err
         assert "Traceback" not in err
+        assert [p for p in tmp_path.iterdir() if p.is_dir()] == []  # no run directory left
 
 
 # Replacement JSON values; integers stay small so that a mutated model

@@ -552,19 +552,22 @@ class TestParamStore:
         assert list(t.values) == [1.0, 2.0]
 
     def test_load_rejects_shape_mismatch(self):
+        """The snapshot is flat: one of another store's size does not fit."""
         store = ParamStore()
         store.create("w", [1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            store.load_values({"w": np.zeros(3)})
+        with pytest.raises(ValueError):
+            store.load_values(np.zeros(3))
 
     def test_pack_makes_tensors_views_of_flat_arrays(self):
         store = ParamStore()
         a = store.create("a", [[1.0, 2.0], [3.0, 4.0]])
         b = store.create("b", [5.0])
+        z = store.create("z", [-0.0, -0.0])  # all bits zero but the signs
         b.grad[0] = 0.5  # accumulated before packing survives it
         store.pack()
-        assert list(store.values) == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert list(store.grad) == [0.0, 0.0, 0.0, 0.0, 0.5]
+        assert list(store.values) == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0]
+        assert list(store.grad) == [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0]
+        assert np.signbit(z.values).all()
         assert np.shares_memory(a.values, store.values)
         assert np.shares_memory(b.grad, store.grad)
         store.values[4] = -1.0
@@ -582,4 +585,4 @@ class TestParamStore:
         t = store.create("w", [1.0, 2.0])
         snapshot = store.clone_values()
         t.values[:] = 7.0
-        assert list(snapshot["w"]) == [1.0, 2.0]
+        assert list(snapshot) == [1.0, 2.0]

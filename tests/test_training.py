@@ -3,8 +3,11 @@
 import base64
 import dataclasses
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +399,42 @@ def test_trained_stacked_model_loads_and_predicts_bit_identically(small_data, tm
     assert loaded.store.values.tobytes() == model.store.values.tobytes()
     for ex in small_data["dev_ex"]:
         assert np.array_equal(loaded.predict_proba(ex.split), model.predict_proba(ex.split))
+
+
+_LOAD_AND_MEASURE = """
+import json, resource, sys
+from fbrnn.errors import DataError
+from fbrnn.training import load_checkpoint
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    load_checkpoint(sys.argv[1])
+    error = None
+except DataError as e:
+    error = str(e)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"grown_kb": after - before, "error": error}))
+"""
+
+
+def test_oversized_config_is_rejected_without_touching_its_memory(tmp_path):
+    """The golden checkpoint with its config's `word_dim` set to 200,000:
+    its model would hold about 73 MB, the file holds 15 small tensors. The
+    shape check rejects `word_emb` before any of the model is written, so
+    the peak RSS of a fresh interpreter stays where it was."""
+    data = json.loads((FIXTURES / "checkpoint_v3.json").read_text())
+    data["config"]["word_dim"] = 200_000
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_AND_MEASURE, str(path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert "word_emb" in result["error"]
+    assert result["grown_kb"] < 10 * 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.parametrize("version", [0, 1, 2, CHECKPOINT_VERSION + 1, True, "1"])
