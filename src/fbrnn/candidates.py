@@ -138,8 +138,12 @@ class TriggerLexicon:
                     f"lexicon entry {word!r}: expected non-negative integer "
                     f"'gold'/'paraphrase' counts, got {counts!r}"
                 )
-            lex._gold[word.lower()] = gold
-            lex._paraphrase[word.lower()] = para
+            w = word.lower()
+            if w in lex._gold:
+                first = next(k for k in entries if k.lower() == w)
+                raise DataError(f"lexicon entries {first!r} and {word!r} differ only in case")
+            lex._gold[w] = gold
+            lex._paraphrase[w] = para
         # keep only words that actually carry a source
         lex._gold = {w: c for w, c in lex._gold.items() if c > 0}
         lex._paraphrase = {w: c for w, c in lex._paraphrase.items() if c > 0}

@@ -155,9 +155,7 @@ def _resolve_run_config(args) -> dict:
 
 def _train_config_from(values: dict) -> TrainConfig:
     names = [f.name for f in dataclasses.fields(TrainConfig)]
-    cfg = TrainConfig(**{key: values[key] for key in names if key in values})
-    cfg.validate()
-    return cfg
+    return TrainConfig(**{key: values[key] for key in names if key in values})
 
 
 def _require_file(path: str | None, what: str) -> Path:

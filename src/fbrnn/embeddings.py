@@ -113,7 +113,6 @@ class WordTable:
         rng: Rng | None,
         store: ParamStore,
         pretrained: dict[str, np.ndarray] | None = None,
-        name: str = "word_emb",
     ) -> "WordTable":
         """Build from an ordered word list (UNK first, no duplicates).
 
@@ -127,7 +126,7 @@ class WordTable:
         if len(set(words)) != len(words):
             raise ConfigurationError("duplicate words in vocabulary")
         tensor = store.create(
-            name, init_uniform_scaled((len(words), dim), rng), track_rows=True
+            "word_emb", init_uniform_scaled((len(words), dim), rng), track_rows=True
         )
         vocab = {w: i for i, w in enumerate(words)}
         hits = 0
@@ -171,10 +170,8 @@ class BranchTable:
         self.tensor = tensor
 
     @classmethod
-    def build(
-        cls, dim: int, rng: Rng | None, store: ParamStore, name: str = "branch_emb"
-    ) -> "BranchTable":
-        return cls(store.create(name, init_uniform_scaled((3, dim), rng)))
+    def build(cls, dim: int, rng: Rng | None, store: ParamStore) -> "BranchTable":
+        return cls(store.create("branch_emb", init_uniform_scaled((3, dim), rng)))
 
     @property
     def dim(self) -> int:
@@ -219,9 +216,9 @@ class Embedder:
         branch row receives the column sum of the branch part. Against a
         per-token loop only the summation order differs: a term is added
         to its segment's sum before the sum meets the row's earlier
-        gradient. The rows it writes are marked reached, which keeps the
-        word table's entries in the optimizer's live regions (see
-        `ParamStore`). An empty branch returns at once.
+        gradient. The word rows are written by `ParamTensor.add_row_grads`,
+        which marks them reached (see `ParamStore`). An empty branch
+        returns at once.
         """
         if len(rows) == 0:
             return
@@ -229,10 +226,8 @@ class Embedder:
         order = np.argsort(rows, kind="stable")
         ordered = rows[order]
         firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        distinct = ordered[firsts]
-        self.word.tensor.reached[distinct] = True
-        self.word.tensor.grad[distinct] += np.add.reduceat(
-            d_inputs[order, :d_w], firsts, axis=0
+        self.word.tensor.add_row_grads(
+            ordered[firsts], np.add.reduceat(d_inputs[order, :d_w], firsts, axis=0)
         )
         if self.branch is not None:
             self.branch.tensor.grad[branch] += d_inputs[:, d_w:].sum(axis=0)

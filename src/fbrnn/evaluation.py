@@ -97,29 +97,26 @@ def score(
                 f"non-event prediction passed to scorer "
                 f"(sentence {p.sentence}, span ({p.start},{p.end}))"
             )
-        keys = (
-            [(p.sentence, p.start, p.end)]
-            if span_only
-            else [(p.sentence, p.start, p.end, t) for t in p.types]
-        )
-        for key in keys:
+        for key in _triples(p.sentence, p.start, p.end, p.types, span_only):
             if key in pred_triples:
                 duplicates += 1
             pred_triples.add(key)
     if duplicates:
         warnings.warn(f"deduplicated {duplicates} identical predicted triples")
 
-    gold_triples = set()
-    for sid, sentence in enumerate(gold):
-        for nugget in sentence.nuggets:
-            if span_only:
-                gold_triples.add((sid, nugget.start, nugget.end))
-            else:
-                for t in nugget.types:
-                    gold_triples.add((sid, nugget.start, nugget.end, t))
-
+    gold_triples = {
+        key
+        for sid, sentence in enumerate(gold)
+        for n in sentence.nuggets
+        for key in _triples(sid, n.start, n.end, n.types, span_only)
+    }
     tp = len(pred_triples & gold_triples)
     return PRFReport(tp, len(pred_triples), len(gold_triples))
+
+
+def _triples(sentence: int, start: int, end: int, types: tuple[str, ...], span_only: bool):
+    """The keys one nugget counts under: its span, or its span with each type."""
+    return [(sentence, start, end)] if span_only else [(sentence, start, end, t) for t in types]
 
 
 def f1(p: float, r: float) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import typing
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
@@ -81,6 +82,13 @@ HEAD_MODES = ("softmax", "sigmoid")
 
 _LOG_CLAMP = 1e-12
 
+_type_hints = lru_cache(typing.get_type_hints)
+# each annotation a config field has -> the values that fit it, and their name
+_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "real numbers"),
+          float | None: ((numbers.Real, type(None)), "real numbers or None"),
+          bool: (bool, "true or false"), str: (str, "strings"),
+          tuple[int, ...] | None: ((tuple, type(None)), "tuples of integers or None")}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -96,29 +104,29 @@ class ModelConfig:
     head_hidden: tuple[int, ...] | None = None  # None -> one tanh layer, width 3h
     dropout: float = 0.5
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        """Raise ConfigurationError unless every field holds a value of its
+        annotated type (a bool is no number) in range; every new config runs it."""
+        hints = _type_hints(type(self))
+        checks = [(f.name, getattr(self, f.name), hints[f.name]) for f in fields(self)]
+        if isinstance(self.head_hidden, tuple):
+            checks += [(f"head_hidden[{k}]", w, int) for k, w in enumerate(self.head_hidden)]
+        for name, value, kind in checks:
+            fits, words = _KINDS[kind]
+            if not isinstance(value, fits) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigurationError(f"{name} takes {words}, got {value!r}")
         if self.cell not in CELL_KINDS:
             raise ConfigurationError(f"unknown cell kind {self.cell!r}")
         if self.head_mode not in HEAD_MODES:
             raise ConfigurationError(f"unknown head mode {self.head_mode!r}")
-        sizes = {n: getattr(self, n) for n in ("hidden_size", "layers", "word_dim", "branch_dim")}
-        sizes.update((f"head_hidden[{k}]", w) for k, w in enumerate(self.head_hidden or ()))
-        for name, n in sizes.items():
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise ConfigurationError(
-                    f"layer sizes and counts must be integers, got {name} = {n!r}"
-                )
         if self.hidden_size < 1 or self.layers < 1 or self.word_dim < 1:
             raise ConfigurationError("hidden_size, layers and word_dim must be >= 1")
-        if not isinstance(self.use_branch, bool):
-            raise ConfigurationError(f"use_branch must be true or false, got {self.use_branch!r}")
         if self.use_branch and self.branch_dim < 1:
             raise ConfigurationError("branch_dim must be >= 1 when branches are on")
-        if (
-            isinstance(self.dropout, bool)
-            or not isinstance(self.dropout, numbers.Real)
-            or not 0.0 <= self.dropout < 1.0
-        ):
+        if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
         if self.head_hidden is not None and any(w < 1 for w in self.head_hidden):
             raise ConfigurationError("head_hidden widths must be >= 1")
@@ -138,9 +146,7 @@ class ModelConfig:
         data = dict(data)
         if data.get("head_hidden") is not None:
             data["head_hidden"] = tuple(data["head_hidden"])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +291,10 @@ class PackedLayout:
 
 @lru_cache(maxsize=64)  # one sentence's small batches repeat; a minibatch's rarely do
 def _layout(lengths: tuple[int, ...], backward: bool) -> PackedLayout:
-    lengths = np.asarray(lengths, dtype=np.intp)
+    lengths = np.asarray(lengths)
+    if (lengths.size and lengths.dtype.kind not in "iu") or (lengths < 0).any():
+        raise ConfigurationError(f"encode: lengths must be integers >= 0, got {lengths.tolist()}")
+    lengths = lengths.astype(np.intp)
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -745,12 +754,7 @@ class NuggetModel:
             k = int(np.argmax(probs))
             t = self.labels.type_at(k)
             return () if t is None else (t,)
-        picked = [
-            self.labels.event_types[j]
-            for j in range(probs.shape[0])
-            if probs[j] > threshold
-        ]
-        return tuple(picked)
+        return tuple(t for t, p in zip(self.labels.event_types, probs) if p > threshold)
 
     def loss(self, split: BranchSplit, types: tuple[str, ...]) -> float:
         """Loss without dropout and without touching gradients."""
@@ -790,7 +794,6 @@ def assemble_model(
     used. Without an rng every tensor is zero-filled, and neither the
     tensors nor the packed arrays touch a page until a value is written.
     """
-    cfg.validate()
     store = ParamStore()
     word = WordTable.build(ordered_words, cfg.word_dim, rng, store, pretrained)
     branch = BranchTable.build(cfg.branch_dim, rng, store) if cfg.use_branch else None

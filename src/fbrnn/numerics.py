@@ -131,8 +131,8 @@ class ParamTensor:
 
     Once the owning ParamStore is packed, `values` and `grad` are views into
     the store's flat arrays. A row-tracked tensor also holds `reached`, one
-    boolean per row that its gradient writer sets and nothing clears; for
-    any other tensor `reached` is None.
+    boolean per row that `add_row_grads` sets and nothing clears; for any
+    other tensor `reached` is None.
     """
 
     __slots__ = ("name", "values", "grad", "reached")
@@ -147,6 +147,11 @@ class ParamTensor:
         self.values = arr
         self.grad = np.zeros(arr.shape)
         self.reached = np.zeros(arr.shape[0], dtype=bool) if track_rows else None
+
+    def add_row_grads(self, rows: np.ndarray, grads: np.ndarray) -> None:
+        """`grad[rows] += grads` for distinct rows of a row-tracked tensor; marks them reached."""
+        self.reached[rows] = True
+        self.grad[rows] += grads
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -200,10 +205,9 @@ class ParamStore:
     every untracked tensor, and the rows of each row-tracked tensor that
     its `reached` marks. Invariant: outside the live regions `grad` and the
     optimizer's `m` and `v` are exactly zero, so skipping those entries
-    gives the same bits as updating them (see `Optimizer`). Any code that
-    writes a gradient row of a row-tracked tensor must therefore set that
-    row's `reached` flag. A flag set on a row whose gradient stays zero
-    costs only time, never correctness.
+    gives the same bits as updating them (see `Optimizer`). Only
+    `ParamTensor.add_row_grads`, which marks them, writes tracked rows; a
+    flag on a row whose gradient stays zero costs time, never correctness.
     """
 
     def __init__(self) -> None:

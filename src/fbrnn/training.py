@@ -181,7 +181,6 @@ def train_model(
     Without a dev set early stopping is disabled (with a warning) and the
     final-epoch model is returned.
     """
-    cfg.validate()
     if not train_examples:
         raise ConfigurationError("training set is empty")
     if cfg.negative_ratio is not None and not any(ex.candidate.types for ex in train_examples):

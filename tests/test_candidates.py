@@ -69,6 +69,11 @@ class TestLexicon:
                 Corpus((break_in_sentence,)), tmp_path / "nope.tsv"
             )
 
+    def test_spellings_that_differ_only_in_case_are_rejected(self):
+        entries = {"Met": {"gold": 2}, "met": {"gold": 1}}
+        with pytest.raises(DataError, match="'Met' and 'met' differ only in case"):
+            TriggerLexicon.from_dict({"entries": entries})
+
     def test_lexicon_file_roundtrip(self, tmp_path):
         lex = lexicon_of("broken", "met")
         lex.add_paraphrase("smashed")

@@ -705,6 +705,12 @@ _MALFORMED = [
      "vectors.txt:2"),
     ("emb-header-not-decimal", _input_file("embeddings", "1 \u00b2\n"), 2, "vectors.txt:1"),
     ("lexicon-array", _input_file("lexicon", "[]\n"), 2, "lexicon.json: "),
+    ("lexicon-case-duplicate",
+     _input_file("lexicon", '{"entries": {"Met": {"gold": 2}, "met": {"gold": 1}}}'), 2,
+     "'Met' and 'met' differ only in case"),
+    ("ckpt-lexicon-case-duplicate", _checkpoint_with(lambda d: d["pipeline"].__setitem__(
+        "lexicon", {"entries": {"Met": {"gold": 2}, "met": {"gold": 1}}})), 2,
+     "'Met' and 'met' differ only in case"),
     ("ckpt-lexicon-array", _checkpoint_with(lambda d: d["pipeline"].__setitem__("lexicon", [1])),
      2, "lexicon"),
     ("ckpt-lexicon-string",

@@ -408,6 +408,15 @@ class TestPackedLayout:
                 assert layout.prev[row - first] == layout.row(step - 1, seq)
 
 
+    @pytest.mark.parametrize("lengths", [[3, -1], [2.7, 0.9], [1, "2"]])
+    def test_encode_rejects_lengths_that_are_not_counts(self, lengths):
+        """A negative or non-integer length is an error, not a zero
+        representation or a truncated count."""
+        enc = BranchEncoder.build(Branch.LEFT, "gru", 2, 3, 1, ParamStore(), Rng(0))
+        with pytest.raises(ConfigurationError, match="lengths must be integers >= 0"):
+            enc.encode(np.zeros((3, 2)), lengths=lengths)
+
+
 class TestHoistedInputProjection:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     @pytest.mark.parametrize("layers", [1, 2])

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +141,12 @@ class TestLoop:
     )
     def test_invalid_optimizer_hyperparameters_rejected(self, bad):
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(SMALL_CFG, **bad).validate()
+            dataclasses.replace(SMALL_CFG, **bad)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 7.0, -0.1, float("nan")])
     def test_threshold_outside_open_unit_interval_rejected(self, threshold):
         with pytest.raises(ConfigurationError, match="threshold"):
-            dataclasses.replace(SMALL_CFG, threshold=threshold).validate()
+            dataclasses.replace(SMALL_CFG, threshold=threshold)
 
     def test_epoch_records_gradient_norms(self, small_data):
         _, log = run(dataclasses.replace(SMALL_CFG, max_epochs=2, clip_norm=0.5), small_data)
@@ -234,6 +235,24 @@ class TestConfigSchema:
         ]
         # positional construction follows that order
         assert TrainConfig("lstm", 7).hidden_size == 7
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name, kind in typing.get_type_hints(TrainConfig).items()
+            if kind in (int, float, float | None)
+            for value in (("1", 1.5, True) if kind is int else ("1",))
+        ],
+    )
+    def test_wrong_typed_number_is_rejected_when_the_config_is_made(self, name, value):
+        """Every int and float field, the model's and the run's, takes a
+        number of its kind only, through the constructor and through
+        `dataclasses.replace`; a bool is not a number."""
+        with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
+            TrainConfig(**{name: value})
+        with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
+            dataclasses.replace(SMALL_CFG, **{name: value})
 
     def test_model_config_carries_every_model_field(self):
         cfg = dataclasses.replace(SMALL_CFG, head_mode="sigmoid", head_hidden=(5,), layers=2)
