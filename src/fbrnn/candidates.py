@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .corpus import Corpus, GoldNugget, LabelSet, Sentence, vocabulary_of
 from .errors import ConfigurationError, DataError
-from .fileio import read_json, read_utf8, write_text_atomic
+from .fileio import check, read_field, read_json, read_utf8, write_text_atomic
 
 __all__ = [
     "TriggerLexicon",
@@ -125,28 +125,22 @@ class TriggerLexicon:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TriggerLexicon":
-        entries = data.get("entries") if isinstance(data, dict) else None
-        if not isinstance(entries, dict):
-            raise DataError("lexicon must be a JSON object with an 'entries' mapping")
-        lex = cls()
+    def from_dict(cls, data: object, where: str = "lexicon") -> "TriggerLexicon":
+        """The lexicon `to_dict` wrote; `where` names it in errors."""
+        entries = read_field(check(data, dict, where), "entries", dict, where)
+        lex, spelled = cls(), {}
         for word, counts in entries.items():
-            gold = counts.get("gold", 0) if isinstance(counts, dict) else None
-            para = counts.get("paraphrase", 0) if isinstance(counts, dict) else None
-            if not all(type(c) is int and c >= 0 for c in (gold, para)):
-                raise DataError(
-                    f"lexicon entry {word!r}: expected non-negative integer "
-                    f"'gold'/'paraphrase' counts, got {counts!r}"
-                )
-            w = word.lower()
-            if w in lex._gold:
-                first = next(k for k in entries if k.lower() == w)
-                raise DataError(f"lexicon entries {first!r} and {word!r} differ only in case")
-            lex._gold[w] = gold
-            lex._paraphrase[w] = para
-        # keep only words that actually carry a source
-        lex._gold = {w: c for w, c in lex._gold.items() if c > 0}
-        lex._paraphrase = {w: c for w, c in lex._paraphrase.items() if c > 0}
+            at = f"{where}: entry {word!r}"
+            check(counts, dict, at)
+            gold, para = (read_field(counts, k, int, at, 0) for k in ("gold", "paraphrase"))
+            if gold < 0 or para < 0:
+                raise DataError(f"{at}: counts must be >= 0, got {counts!r}")
+            first = spelled.setdefault(word.lower(), word)
+            if first != word:
+                raise DataError(f"{where}: entries {first!r} and {word!r} differ only in case")
+            for source, count in ((lex._gold, gold), (lex._paraphrase, para)):
+                if count:  # keep only words that actually carry a source
+                    source[word.lower()] = count
         return lex
 
 
@@ -193,11 +187,7 @@ def save_lexicon(lex: TriggerLexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> TriggerLexicon:
-    data = read_json(path, "lexicon")
-    try:
-        return TriggerLexicon.from_dict(data)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from e
+    return TriggerLexicon.from_dict(read_json(path, "lexicon"), f"{path}: lexicon")
 
 
 def extract_single_token_candidates(

@@ -34,6 +34,7 @@ from .corpus import (
     load_corpus,
     load_label_set,
     make_positional_corpus,
+    read_span,
     make_synthetic_corpus,
     default_synthetic_spec,
     save_corpus,
@@ -44,7 +45,7 @@ from .corpus import (
 )
 from .embeddings import load_pretrained
 from .errors import ConfigurationError, DataError, NumericError
-from .fileio import json_lines, read_utf8, write_text_atomic
+from .fileio import check, json_lines, read_field, read_utf8, write_text_atomic
 from .evaluation import (
     PredictedNugget,
     PRFReport,
@@ -356,30 +357,17 @@ def _checkpoint_examples(args):
 
 
 def _score_predictions(args) -> PRFReport:
-    """Score a predictions file against a gold corpus.
-
-    Every record must name a sentence of the corpus, a span inside it (as
-    JSON integers) and event types of the label set.
-    """
+    """Score a predictions file against a gold corpus: each record names a
+    sentence of it by index, and a span and types as a nugget does."""
     labels = load_label_set(_require_file(args.labels, "label file"))
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     path = _require_file(args.predictions, "predictions")
     preds = []
     for where, obj in json_lines(read_utf8(path, "predictions file").splitlines(), str(path)):
-        try:
-            pred = PredictedNugget(obj["sentence"], obj["start"], obj["end"], tuple(obj["types"]))
-        except (KeyError, TypeError) as e:
-            raise DataError(f"{where}: bad prediction record: {e}") from e
-        if not all(type(v) is int for v in (pred.sentence, pred.start, pred.end)):
-            raise DataError(f"{where}: 'sentence', 'start' and 'end' must be integers")
-        if not 0 <= pred.sentence < len(corpus):
-            raise DataError(f"{where}: sentence {pred.sentence} is not in the corpus")
-        if not 0 <= pred.start <= pred.end < len(corpus[pred.sentence]):
-            raise DataError(f"{where}: span ({pred.start},{pred.end}) out of range")
-        unknown = [t for t in pred.types if not isinstance(t, str) or t not in labels]
-        if unknown:
-            raise DataError(f"{where}: unknown event types {unknown!r}")
-        preds.append(pred)
+        sid = read_field(check(obj, dict, f"{where}: record"), "sentence", int, where)
+        if not 0 <= sid < len(corpus):
+            raise DataError(f"{where}: sentence {sid} is not in the corpus")
+        preds.append(PredictedNugget(sid, *read_span(obj, len(corpus[sid]), labels, where)))
     return score(preds, corpus, span_only=args.span_only)
 
 

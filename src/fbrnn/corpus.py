@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
-from .fileio import json_lines, read_json, read_utf8, write_text_atomic
+from .fileio import check, json_lines, read_field, read_json, read_utf8, write_text_atomic
 from .numerics import Rng
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "Corpus",
     "LabelSet",
     "load_label_set",
+    "read_span",
     "save_label_set",
     "load_corpus",
     "save_corpus",
@@ -154,11 +155,8 @@ class LabelSet:
 
 
 def load_label_set(path: str | Path) -> LabelSet:
-    data = read_json(path, "label file")
-    if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
-        raise DataError(f"{path}: label file must be a JSON array of strings")
     try:
-        return LabelSet(data)
+        return LabelSet(check(read_json(path, "label file"), list[str], f"{path}: label file"))
     except ConfigurationError as e:
         raise DataError(f"{path}: {e}") from e
 
@@ -172,42 +170,36 @@ def save_label_set(labels: LabelSet, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_sentence(obj: dict, labels: LabelSet, where: str) -> Sentence:
-    if not isinstance(obj, dict):
-        raise DataError(f"{where}: expected a JSON object")
-    raw_tokens = obj.get("tokens")
-    if not isinstance(raw_tokens, list) or not raw_tokens:
+def read_span(obj: dict, n_tokens: int, labels: LabelSet, where: str):
+    """(start, end, types) of a gold nugget or a prediction: integers with
+    0 <= start <= end < `n_tokens`, and a non-empty array of `labels`' types."""
+    start, end = read_field(obj, "start", int, where), read_field(obj, "end", int, where)
+    if not 0 <= start <= end < n_tokens:
+        raise DataError(f"{where}: span ({start},{end}) out of range for {n_tokens} tokens")
+    types = read_field(obj, "types", list[str], where)
+    if not types:
+        raise DataError(f"{where}: field 'types' must be non-empty")
+    for t in types:
+        if t not in labels:
+            raise DataError(f"{where}: unknown event type {t!r}")
+    return start, end, tuple(types)
+
+
+def _parse_sentence(obj: object, labels: LabelSet, where: str) -> Sentence:
+    raw_tokens = read_field(check(obj, dict, f"{where}: line"), "tokens", list, where)
+    if not raw_tokens:
         raise DataError(f"{where}: field 'tokens' must be a non-empty array")
     tokens = []
     for k, tok in enumerate(raw_tokens):
-        if not isinstance(tok, dict) or not isinstance(tok.get("t"), str) or not tok["t"]:
-            raise DataError(f"{where}: token {k}: field 't' must be a non-empty string")
-        pos = tok.get("pos")
-        if pos is not None and not isinstance(pos, str):
-            raise DataError(f"{where}: token {k}: field 'pos' must be a string")
-        tokens.append(Token(tok["t"], pos))
-    raw_nuggets = obj.get("nuggets", [])
-    if not isinstance(raw_nuggets, list):
-        raise DataError(f"{where}: field 'nuggets' must be an array")
+        at = f"{where}: token {k}"
+        text = read_field(check(tok, dict, at), "t", str, at)
+        if not text:
+            raise DataError(f"{at}: field 't' must be a non-empty string")
+        tokens.append(Token(text, read_field(tok, "pos", str | None, at, None)))
     nuggets = []
-    for k, ng in enumerate(raw_nuggets):
-        if not isinstance(ng, dict):
-            raise DataError(f"{where}: nugget {k}: expected an object")
-        start, end = ng.get("start"), ng.get("end")
-        if type(start) is not int or type(end) is not int:
-            raise DataError(f"{where}: nugget {k}: 'start'/'end' must be integers")
-        if not 0 <= start <= end < len(tokens):
-            raise DataError(
-                f"{where}: nugget {k}: span ({start},{end}) out of range "
-                f"for sentence of {len(tokens)} tokens"
-            )
-        types = ng.get("types")
-        if not isinstance(types, list) or not types:
-            raise DataError(f"{where}: nugget {k}: field 'types' must be non-empty")
-        for t in types:
-            if not isinstance(t, str) or t not in labels:
-                raise DataError(f"{where}: nugget {k}: unknown event type {t!r}")
-        nuggets.append(GoldNugget(start, end, tuple(types)))
+    for k, ng in enumerate(read_field(obj, "nuggets", list, where, [])):
+        at = f"{where}: nugget {k}"
+        nuggets.append(GoldNugget(*read_span(check(ng, dict, at), len(tokens), labels, at)))
     return Sentence(tuple(tokens), tuple(nuggets))
 
 

@@ -35,7 +35,6 @@ z, r, c; LSTM i, f, o, g): one matrix product per gate group.
 from __future__ import annotations
 
 import math
-import numbers
 import typing
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -48,6 +47,7 @@ from .candidates import BranchSplit
 from .corpus import LabelSet
 from .embeddings import Branch, BranchTable, Embedder, WordTable, UNK
 from .errors import ConfigurationError, NumericError
+from .fileio import check
 from .numerics import (
     GradCheckReport,
     ParamStore,
@@ -83,11 +83,6 @@ HEAD_MODES = ("softmax", "sigmoid")
 _LOG_CLAMP = 1e-12
 
 _type_hints = lru_cache(typing.get_type_hints)
-# each annotation a config field has -> the values that fit it, and their name
-_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "real numbers"),
-          float | None: ((numbers.Real, type(None)), "real numbers or None"),
-          bool: (bool, "true or false"), str: (str, "strings"),
-          tuple[int, ...] | None: ((tuple, type(None)), "tuples of integers or None")}
 
 
 @dataclass(frozen=True)
@@ -109,15 +104,10 @@ class ModelConfig:
 
     def validate(self) -> None:
         """Raise ConfigurationError unless every field holds a value of its
-        annotated type (a bool is no number) in range; every new config runs it."""
+        annotated kind (`fileio.check`) in range; every new config runs it."""
         hints = _type_hints(type(self))
-        checks = [(f.name, getattr(self, f.name), hints[f.name]) for f in fields(self)]
-        if isinstance(self.head_hidden, tuple):
-            checks += [(f"head_hidden[{k}]", w, int) for k, w in enumerate(self.head_hidden)]
-        for name, value, kind in checks:
-            fits, words = _KINDS[kind]
-            if not isinstance(value, fits) or (isinstance(value, bool) and kind is not bool):
-                raise ConfigurationError(f"{name} takes {words}, got {value!r}")
+        for f in fields(self):
+            check(getattr(self, f.name), hints[f.name], f.name, error=ConfigurationError)
         if self.cell not in CELL_KINDS:
             raise ConfigurationError(f"unknown cell kind {self.cell!r}")
         if self.head_mode not in HEAD_MODES:
@@ -132,10 +122,8 @@ class ModelConfig:
             raise ConfigurationError("head_hidden widths must be >= 1")
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        if d["head_hidden"] is not None:
-            d["head_hidden"] = list(d["head_hidden"])
-        return d
+        """Every field; JSON writes `head_hidden`'s tuple as an array."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -143,9 +131,8 @@ class ModelConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
-        data = dict(data)
-        if data.get("head_hidden") is not None:
-            data["head_hidden"] = tuple(data["head_hidden"])
+        if isinstance(data.get("head_hidden"), list):  # as `to_dict` wrote it
+            data = {**data, "head_hidden": tuple(data["head_hidden"])}
         return cls(**data)
 
 
@@ -280,8 +267,9 @@ class PackedLayout:
         """Layout of sequences of these lengths, whose inputs are stacked in
         batch order, each in its token order; a backward encoder reads
         each sequence from its last token. Shared between calls with the
-        same lengths; never mutated."""
-        return _layout(tuple(lengths), backward)
+        same lengths of the same types (so [3.0] is refused after [3] too);
+        never mutated."""
+        return _layout(backward, *lengths)
 
     def row(self, step: np.ndarray, seq: np.ndarray) -> np.ndarray:
         """Packed row of step `step` of the sequence at batch position
@@ -289,8 +277,8 @@ class PackedLayout:
         return self.offsets[step] + self.rank[seq]
 
 
-@lru_cache(maxsize=64)  # one sentence's small batches repeat; a minibatch's rarely do
-def _layout(lengths: tuple[int, ...], backward: bool) -> PackedLayout:
+@lru_cache(maxsize=64, typed=True)  # one sentence's small batches repeat; a minibatch's rarely do
+def _layout(backward: bool, *lengths: int) -> PackedLayout:
     lengths = np.asarray(lengths)
     if (lengths.size and lengths.dtype.kind not in "iu") or (lengths < 0).any():
         raise ConfigurationError(f"encode: lengths must be integers >= 0, got {lengths.tolist()}")

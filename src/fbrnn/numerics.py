@@ -403,8 +403,8 @@ def check_optimizer_hyperparameters(
     for name, beta in (("beta1", beta1), ("beta2", beta2)):
         if not 0.0 <= beta < 1.0:
             raise ConfigurationError(f"{name} must be in [0, 1), got {beta!r}")
-    if not eps > 0.0:
-        raise ConfigurationError(f"eps must be positive, got {eps!r}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigurationError(f"eps must be finite and positive, got {eps!r}")
     if clip_norm is not None and not clip_norm > 0.0:
         raise ConfigurationError(f"clip_norm must be positive or unset, got {clip_norm!r}")
 

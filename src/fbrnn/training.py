@@ -29,7 +29,7 @@ from .candidates import LabeledExample, TriggerLexicon
 from .corpus import Corpus, LabelSet
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
-from .fileio import read_json, write_text_atomic
+from .fileio import check, read_field, read_json, write_text_atomic
 from .model import ModelConfig, NuggetModel, assemble_model, build_model
 from .numerics import Optimizer, Rng, check_optimizer_hyperparameters
 
@@ -338,12 +338,14 @@ def load_checkpoint(
     flat buffer, to exactly the bits that were saved. A shape is checked
     before its data is decoded, so a config asking for a larger model than
     the file holds fails without touching the memory it would add. Rejects
-    other versions, tensor names or shapes that differ from the model's,
-    entries without `shape` and `data`, data that is not a base64 string,
-    byte counts that do not fill the shape, NaN or Inf values, malformed
-    labels, vocabularies, lexicons and pipeline settings, a model too large
-    to allocate, and (when `expect` is given) any config different from
-    the expected one, each as a DataError naming the tensor or field.
+    a repeated key, a field of the wrong JSON kind (`labels` as a string,
+    `tensors` as an array of pairs: nothing is converted), other versions,
+    tensor names or shapes that differ from the model's, entries without
+    `shape` and `data`, data that is not valid base64, byte counts that do
+    not fill the shape, NaN or Inf values, invalid configs, label sets,
+    lexicons and pipeline settings, a model too large to allocate, and
+    (when `expect` is given) any config different from the expected one,
+    each as a DataError naming the file and the tensor or field.
     A truncated or corrupt file fails cleanly without a partial model.
     """
     data = read_json(path, "checkpoint")
@@ -352,32 +354,26 @@ def load_checkpoint(
     version = data.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
+    vocab = read_field(data, "vocab", list[str], path)
+    tensors = read_field(data, "tensors", dict, path)
+    where = f"{path}: pipeline"
+    pipeline = read_field(data, "pipeline", dict, path, {})
+    lex = read_field(pipeline, "lexicon", dict | None, where, None)
+    lexicon = None if lex is None else TriggerLexicon.from_dict(lex, f"{where}: lexicon")
+    max_nugget_len = read_field(pipeline, "max_nugget_len", int | None, where, None)
+    if max_nugget_len is not None and max_nugget_len < 1:
+        raise DataError(f"{where}: max_nugget_len must be >= 1 or null, got {max_nugget_len}")
+    threshold = read_field(pipeline, "threshold", float, where, 0.5)
+    if not 0.0 < threshold < 1.0:
+        raise DataError(f"{where}: threshold must be in (0, 1), got {threshold!r}")
     try:
-        cfg = ModelConfig.from_dict(data["config"])
-        labels = LabelSet(data["labels"])
-        vocab = list(data["vocab"])
-        tensors = dict(data["tensors"])
-        pipeline = dict(data.get("pipeline") or {})
-        lex = pipeline.get("lexicon")
-        lexicon = TriggerLexicon.from_dict(lex) if lex else None
-    except (KeyError, TypeError, ValueError, ConfigurationError, DataError) as e:
-        raise DataError(f"{path}: malformed checkpoint: {e}") from e
-    for name, words in (("labels", labels.event_types), ("vocab", vocab)):
-        if not all(isinstance(w, str) for w in words):
-            raise DataError(f"{path}: malformed checkpoint: {name} must hold strings")
-    max_nugget_len = pipeline.get("max_nugget_len")
-    if max_nugget_len is not None and (type(max_nugget_len) is not int or max_nugget_len < 1):
-        raise DataError(f"{path}: max_nugget_len must be an integer >= 1 or null")
-    threshold = pipeline.get("threshold", 0.5)
-    if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
-        raise DataError(f"{path}: threshold must be a number in (0, 1), got {threshold!r}")
-    if expect is not None and cfg != expect:
-        raise DataError(
-            f"{path}: checkpoint config does not match the requested run "
-            f"(checkpoint {cfg}, expected {expect})"
-        )
-
-    try:
+        cfg = ModelConfig.from_dict(read_field(data, "config", dict, path))
+        labels = LabelSet(read_field(data, "labels", list[str], path))
+        if expect is not None and cfg != expect:
+            raise DataError(
+                f"{path}: checkpoint config does not match the requested run "
+                f"(checkpoint {cfg}, expected {expect})"
+            )
         model = assemble_model(cfg, vocab, labels, rng=None)
         model.store.pack()
     except ConfigurationError as e:
@@ -390,30 +386,23 @@ def load_checkpoint(
         raise DataError(f"{path}: tensor set mismatch: missing={missing!r} extra={extra!r}")
     for t in model.store:
         where = f"{path}: tensor {t.name!r}"
-        entry = tensors.pop(t.name)
-        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
-            raise DataError(f"{where} needs 'shape' and 'data'")
-        shape = entry["shape"]
-        if shape != list(t.shape) or any(type(d) is not int for d in shape):
+        entry = check(tensors.pop(t.name), dict, where)
+        shape = read_field(entry, "shape", list[int], where)
+        if shape != list(t.shape):
             raise DataError(f"{where}: 'shape' {shape!r} differs from the model's {list(t.shape)}")
-        values = _decode_data(where, entry.pop("data"))
+        try:
+            raw = base64.b64decode(read_field(entry, "data", str, where), validate=True)
+        except ValueError as e:  # binascii.Error, or a non-ASCII character
+            raise DataError(f"{where}: 'data' is not valid base64: {e}") from e
+        del entry["data"]  # free the text once decoded
+        if len(raw) % 8:
+            raise DataError(f"{where} has {len(raw)} bytes of data, not a multiple of 8")
+        values = np.frombuffer(raw, "<f8")
         if values.size != t.size:
             raise DataError(f"{where} has {values.size} values, its shape {shape} needs {t.size}")
         if not np.isfinite(values).all():
             raise DataError(f"{where} holds non-finite values")
         t.values[...] = values.reshape(t.shape)
 
-    return LoadedCheckpoint(model, lexicon, max_nugget_len, float(threshold))
+    return LoadedCheckpoint(model, lexicon, max_nugget_len, threshold)
 
-
-def _decode_data(where: str, data: object) -> np.ndarray:
-    """The little-endian float64 values that the base64 string `data` holds."""
-    if not isinstance(data, str):
-        raise DataError(f"{where}: 'data' must be a base64 string, not {type(data).__name__}")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as e:  # binascii.Error, or a non-ASCII character
-        raise DataError(f"{where}: 'data' is not valid base64: {e}") from e
-    if len(raw) % 8:
-        raise DataError(f"{where} has {len(raw)} bytes of data, not a multiple of 8")
-    return np.frombuffer(raw, "<f8")

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import typing
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -695,6 +696,28 @@ def _corpus_line(**fields):
     return json.dumps({"tokens": [{"t": "they"}, {"t": "met"}], **fields}) + "\n"
 
 
+def _unannotated(build):
+    """`build` reading the dev sentences without their nuggets, which a
+    checkpoint whose event types were renamed still reads."""
+    def wrapped(synth_dir, run_dir, tmp_path):
+        argv = build(synth_dir, run_dir, tmp_path)
+        corpus = tmp_path / "unannotated.jsonl"
+        lines = (synth_dir / "dev.jsonl").read_text().splitlines()
+        corpus.write_text("".join(
+            json.dumps({"tokens": json.loads(line)["tokens"]}) + "\n" for line in lines))
+        argv[argv.index("--corpus") + 1] = corpus
+        return argv
+    return wrapped
+
+
+def _checkpoint_text(edit):
+    """The trained run's checkpoint with its JSON text changed by `edit`."""
+    def build(synth_dir, run_dir, tmp_path):
+        text = edit((run_dir / "checkpoint.json").read_text())
+        return _input_file("checkpoint", text)(synth_dir, run_dir, tmp_path)
+    return build
+
+
 _MALFORMED = [
     # (case, builder, exit code, text the message must contain)
     *[(f"{kind}-not-utf8", _input_file(kind, b"\xff\xfe"), 1 if kind == "config" else 2,
@@ -719,11 +742,12 @@ _MALFORMED = [
      "corpus.jsonl:1"),
     ("corpus-int-nuggets", _input_file("corpus", _corpus_line(nuggets=5)), 2, "corpus.jsonl:1"),
     ("ckpt-float-hidden-size",
-     _checkpoint_with(lambda d: d["config"].__setitem__("hidden_size", 2.5)), 2, "integers"),
+     _checkpoint_with(lambda d: d["config"].__setitem__("hidden_size", 2.5)), 2,
+     "hidden_size must be an integer"),
     ("ckpt-bool-hidden-size",
      _checkpoint_with(lambda d: d["config"].__setitem__("hidden_size", True)), 2, "hidden_size"),
     ("ckpt-int-labels", _checkpoint_with(lambda d: d.__setitem__("labels", [1, 2, 3, 4, 5])), 2,
-     "labels must hold strings"),
+     "field 'labels' must be an array of strings"),
     ("ckpt-string-use-branch",
      _checkpoint_with(lambda d: d["config"].__setitem__("use_branch", "x")), 2, "use_branch"),
     ("ckpt-string-dropout",
@@ -754,6 +778,31 @@ _MALFORMED = [
      2, "too large to allocate"),
     ("ckpt-extra-tensor", _checkpoint_with(lambda d: d["tensors"].__setitem__(
         "extra.b", {"shape": [1], "data": "AAAAAAAAAAA="})), 2, "extra.b"),
+    # a value of another JSON kind is rejected, not converted into a valid one
+    ("ckpt-labels-string",
+     _unannotated(_checkpoint_with(lambda d: d.__setitem__("labels", "ABCDE"))), 2,
+     "checkpoint.json: field 'labels' must be an array of strings"),
+    ("ckpt-vocab-object",
+     _checkpoint_with(lambda d: d.__setitem__("vocab", dict.fromkeys(d["vocab"], 0))), 2,
+     "checkpoint.json: field 'vocab' must be an array of strings"),
+    ("ckpt-tensors-pairs",
+     _checkpoint_with(lambda d: d.__setitem__("tensors", list(d["tensors"].items()))), 2,
+     "checkpoint.json: field 'tensors' must be an object"),
+    ("ckpt-pipeline-pairs",
+     _checkpoint_with(lambda d: d.__setitem__("pipeline", list(d["pipeline"].items()))), 2,
+     "checkpoint.json: field 'pipeline' must be an object"),
+    ("pred-types-object", _prediction(types={"Conflict.Attack": 1}), 2,
+     "preds.jsonl:1: field 'types' must be an array of strings"),
+    # a repeated key is rejected, not resolved to its last value
+    ("lexicon-repeated-key",
+     _input_file("lexicon", '{"entries": {"met": {"gold": 2}, "met": {"gold": 1}}}'), 2,
+     "lexicon.json: corrupt lexicon (invalid JSON): an object repeats the key 'met'"),
+    ("ckpt-repeated-tensor", _checkpoint_text(
+        lambda text: text.replace('"tensors": {', '"tensors": {"head.out.b": {}, ', 1)), 2,
+     "checkpoint.json: corrupt checkpoint (invalid JSON): an object repeats the key 'head.out.b'"),
+    ("corpus-repeated-key",
+     _input_file("corpus", '{"tokens": [], "tokens": [{"t": "they", "pos": "PRP"}]}\n'), 2,
+     "corpus.jsonl:1: invalid JSON: an object repeats the key 'tokens'"),
     ("pred-bool-sentence", _prediction(sentence=True), 2, "preds.jsonl:1"),
     ("pred-string-start", _prediction(start="0"), 2, "preds.jsonl:1"),
     ("pred-float-end", _prediction(end=0.9), 2, "preds.jsonl:1"),
@@ -865,6 +914,127 @@ class TestInputFuzz:
             warnings.simplefilter("ignore")
             code = run_cli(*build(synth_dir, trained_run, tmp_path))
         assert code in (0, 1, 2, 3)
+
+
+# Every field of every JSON input that the CLI reads: (input kind, path to the
+# field, the JSON kinds it takes). A path step "*" is an object's first key.
+_CONFIG_JSON_KINDS = {int: "int", float: "int float", bool: "bool", str: "string",
+                      tuple[int, ...] | None: "array null"}
+_FIELDS = [
+    ("corpus", (), "object"),
+    ("corpus", ("tokens",), "array"),
+    ("corpus", ("tokens", 0), "object"),
+    ("corpus", ("tokens", 0, "t"), "string"),
+    ("corpus", ("tokens", 0, "pos"), "string null"),
+    ("corpus", ("nuggets",), "array"),
+    ("corpus", ("nuggets", 0), "object"),
+    ("corpus", ("nuggets", 0, "start"), "int"),
+    ("corpus", ("nuggets", 0, "end"), "int"),
+    ("corpus", ("nuggets", 0, "types"), "array"),
+    ("corpus", ("nuggets", 0, "types", 0), "string"),
+    ("predictions", (), "object"),
+    ("predictions", ("sentence",), "int"),
+    ("predictions", ("start",), "int"),
+    ("predictions", ("end",), "int"),
+    ("predictions", ("types",), "array"),
+    ("predictions", ("types", 0), "string"),
+    ("labels", (), "array"),
+    ("labels", (0,), "string"),
+    ("lexicon", (), "object"),
+    ("lexicon", ("entries",), "object"),
+    ("lexicon", ("entries", "*"), "object"),
+    ("lexicon", ("entries", "*", "gold"), "int"),
+    ("lexicon", ("entries", "*", "paraphrase"), "int"),
+    ("checkpoint", (), "object"),
+    ("checkpoint", ("format_version",), "int"),
+    ("checkpoint", ("kind",), "string"),
+    ("checkpoint", ("config",), "object"),
+    *[("checkpoint", ("config", name), _CONFIG_JSON_KINDS[kind])
+      for name, kind in typing.get_type_hints(fbrnn.model.ModelConfig).items()],
+    ("checkpoint", ("labels",), "array"),
+    ("checkpoint", ("labels", 0), "string"),
+    ("checkpoint", ("vocab",), "array"),
+    ("checkpoint", ("vocab", 0), "string"),
+    ("checkpoint", ("pipeline",), "object"),
+    ("checkpoint", ("pipeline", "lexicon"), "object null"),
+    ("checkpoint", ("pipeline", "max_nugget_len"), "int null"),
+    ("checkpoint", ("pipeline", "threshold"), "int float"),
+    ("checkpoint", ("tensors",), "object"),
+    ("checkpoint", ("tensors", "*"), "object"),
+    ("checkpoint", ("tensors", "*", "shape"), "array"),
+    ("checkpoint", ("tensors", "*", "shape", 0), "int"),
+    ("checkpoint", ("tensors", "*", "data"), "string"),
+]
+
+# Each JSON kind, as a value made from the field's valid value `v` where it
+# can be, so that a reader which converts instead of checking would accept
+# it: labels as a string of as many letters, types as an object of them,
+# tensors as an array of pairs, a count as a bool or a float.
+_AS_KIND = {
+    "null": lambda v: None,
+    "bool": lambda v: bool(v) if type(v) in (int, float) else True,
+    "int": lambda v: int(v) if type(v) in (bool, float) else 1,
+    "float": lambda v: float(v) if type(v) is int else 0.5,
+    "string": lambda v: ("ABCDEFGHIJKLMNOPQRSTUVWXYZ" * 9)[: len(v)]
+    if isinstance(v, (list, dict)) else str(v),
+    "array": lambda v: list(v.items()) if isinstance(v, dict) else list(v)
+    if isinstance(v, str) else [v],
+    "object": lambda v: dict.fromkeys(v, 1)
+    if isinstance(v, list) and all(isinstance(x, str) for x in v) else {"k": v},
+}
+_WRONG_KINDS = [
+    (kind, path, json_kind)
+    for kind, path, takes in _FIELDS
+    for json_kind in _AS_KIND
+    if json_kind not in takes.split()
+]
+
+
+@pytest.fixture(scope="module")
+def valid_documents(synth_dir, trained_run):
+    """One valid JSON document (or line) of each JSON input kind."""
+    return {
+        "corpus": {"tokens": [{"t": "they", "pos": "PRP"}, {"t": "met", "pos": "VBD"}],
+                   "nuggets": [{"start": 1, "end": 1, "types": ["Contact.Meet"]}]},
+        "predictions": {"sentence": 0, "start": 0, "end": 0, "types": ["Conflict.Attack"]},
+        "labels": json.loads((synth_dir / "labels.json").read_text()),
+        "lexicon": json.loads((trained_run / "lexicon.json").read_text()),
+        "checkpoint": json.loads((trained_run / "checkpoint.json").read_text()),
+    }
+
+
+class TestWrongKinds:
+    """A value of a JSON kind that its field does not take is exit 2,
+    never read as a value of another kind."""
+
+    def test_the_valid_documents_are_read(self, synth_dir, trained_run, valid_documents,
+                                          tmp_path):
+        for kind, doc in valid_documents.items():
+            build = _input_file(kind, json.dumps(doc) + "\n")
+            assert run_cli(*build(synth_dir, trained_run, tmp_path)) == 0, kind
+
+    @pytest.mark.parametrize(
+        "kind, path, json_kind", _WRONG_KINDS,
+        ids=[f"{k}-{'.'.join(map(str, p)) or 'document'}-{j}" for k, p, j in _WRONG_KINDS],
+    )
+    def test_a_value_of_another_kind_is_exit_2(
+        self, synth_dir, trained_run, valid_documents, tmp_path, capsys, kind, path, json_kind
+    ):
+        root = {"": json.loads(json.dumps(valid_documents[kind]))}  # a deep copy
+        node, key = root, ""
+        for step in path:
+            node, key = node[key], step
+            if step == "*":
+                key = next(iter(node))
+        node[key] = _AS_KIND[json_kind](node[key])
+        build = _input_file(kind, json.dumps(root[""]) + "\n")
+        if kind == "checkpoint":  # so that renamed event types are read, not refused
+            build = _unannotated(build)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_cli(*build(synth_dir, trained_run, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
 
 
 class TestConsoleScript:

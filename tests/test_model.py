@@ -416,6 +416,16 @@ class TestPackedLayout:
         with pytest.raises(ConfigurationError, match="lengths must be integers >= 0"):
             enc.encode(np.zeros((3, 2)), lengths=lengths)
 
+    @pytest.mark.parametrize("other", [3.0, True])
+    def test_a_cached_layout_is_not_served_for_lengths_of_another_type(self, other):
+        """(3.0,) and (True,) hash and compare as (3,) and (1,) do, so a cache
+        keyed on the values alone would serve them a checked layout."""
+        with pytest.raises(ConfigurationError, match="lengths must be integers >= 0"):
+            PackedLayout.of([other], backward=False)
+        PackedLayout.of([int(other)], backward=False)  # now cached
+        with pytest.raises(ConfigurationError, match="lengths must be integers >= 0"):
+            PackedLayout.of([other], backward=False)
+
 
 class TestHoistedInputProjection:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])

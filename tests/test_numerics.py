@@ -189,6 +189,13 @@ class TestOptimizers:
         Optimizer(store, kind="sgd", lr=0.1, clip_norm=None).step()
         assert p.values[0] == pytest.approx(0.8)
 
+    def test_infinite_eps_is_rejected(self):
+        """eps = inf would turn every Adam step into p - 0: a run that
+        trains nothing and says nothing."""
+        store, _ = one_tensor_store("p", [1.0])
+        with pytest.raises(ConfigurationError, match="eps must be finite and positive"):
+            Optimizer(store, eps=float("inf"))
+
     def test_zero_grad_no_change(self):
         store, p = one_tensor_store("p", [1.5, -2.5])
         before = p.values.copy()

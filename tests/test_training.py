@@ -135,6 +135,7 @@ class TestLoop:
             {"beta1": 1.0},
             {"beta2": 1.5},
             {"eps": 0.0},
+            {"eps": float("inf")},
             {"clip_norm": 0.0},
             {"clip_norm": -3.0},
         ],
