@@ -300,7 +300,7 @@ def cmd_train(args) -> int:
         )
 
     save_checkpoint(
-        run_dir / "checkpoint.json",
+        run_dir / "checkpoint.fbrnn",
         model,
         lexicon=lexicon,
         max_nugget_len=cfg.max_nugget_len,

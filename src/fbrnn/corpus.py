@@ -116,6 +116,9 @@ class LabelSet:
             raise ConfigurationError("label set needs at least one event type")
         if len(set(types)) != len(types):
             raise ConfigurationError("duplicate labels in label set")
+        blank = next((t for t in types if not t.strip()), None)
+        if blank is not None:
+            raise ConfigurationError(f"event type {blank!r} is an empty or blank name")
         if NON_EVENT_LABEL in types:
             raise ConfigurationError(
                 f"{NON_EVENT_LABEL!r} is reserved and must not be listed"

@@ -1,8 +1,9 @@
 """The one place where files are read and written.
 
-Input files are UTF-8 text; a file that cannot be read, decoded or parsed,
-or whose JSON repeats a key, is a DataError naming it. JSON values and config
-fields are checked against one table of kinds. Artifacts are written atomically.
+Input files are UTF-8 text, or a UTF-8 JSON header line followed by raw
+bytes; a file that cannot be read, decoded or parsed, or whose JSON repeats
+a key, is a DataError naming it. JSON values and config fields are checked
+against one table of kinds. Artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import os
 import reprlib
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from types import UnionType
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DataError
 
@@ -91,6 +93,29 @@ def read_json(path: str | Path, what: str):
     return _parse(read_utf8(path, what), f"{path}: corrupt {what} (invalid JSON)")
 
 
+@contextmanager
+def header_and_payload(path: str | Path, what: str) -> Iterator[tuple[object, Callable]]:
+    """For a file of one UTF-8 JSON header line and a raw payload: yield the
+    parsed header and `read_payload(buffer)`, which checks that the payload
+    exactly fills the writable `buffer` and fills it with one `readinto`."""
+    try:
+        with open(path, "rb") as f:
+            line = f.readline()
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: {what} header is not UTF-8 text: {e}") from e
+
+            def read_payload(buffer) -> None:
+                size, need = os.fstat(f.fileno()).st_size - f.tell(), memoryview(buffer).nbytes
+                if size != need or f.readinto(buffer) != size:
+                    raise DataError(f"{path}: {what} payload holds {size} bytes, not {need}")
+
+            yield _parse(text, f"{path}: corrupt {what} header (invalid JSON)"), read_payload
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+
+
 def json_lines(lines: Iterable[str], source: str) -> Iterator[tuple[str, object]]:
     """(`source:lineno`, value) for every non-blank line, one JSON value each."""
     for lineno, line in enumerate(lines, 1):
@@ -99,14 +124,16 @@ def json_lines(lines: Iterable[str], source: str) -> Iterator[tuple[str, object]
             yield where, _parse(line, f"{where}: invalid JSON")
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so a failure leaves no partial file."""
+def write_text_atomic(path: str | Path, *parts: str | bytes | memoryview) -> None:
+    """Write `parts` in order, text as UTF-8 and the rest as raw bytes, via
+    temp file + rename so a failure leaves no partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            for part in parts:
+                f.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -7,19 +7,21 @@ gradient is the *sum* of the per-example gradients, not their mean, so
 the clip norm bounds the batch's summed gradient: at clip_norm 5 and
 batch 32 about half of the steps are clipped. Every stochastic choice
 (init, shuffling, dropout, negative downsampling) is driven by one seeded
-stream, so a fixed seed reproduces the parameter trajectory bitwise.
-Early stopping watches dev micro-F1; the returned model is the best-dev
-checkpoint.
+stream, so a fixed seed reproduces the parameter trajectory bitwise on
+one BLAS build and thread count (another thread count may split a product
+differently and move the bits). Early stopping watches dev micro-F1; the
+returned model is the best-dev checkpoint.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +31,7 @@ from .candidates import LabeledExample, TriggerLexicon
 from .corpus import Corpus, LabelSet
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
-from .fileio import check, read_field, read_json, write_text_atomic
+from .fileio import check, header_and_payload, read_field, write_text_atomic
 from .model import ModelConfig, NuggetModel, assemble_model, build_model
 from .numerics import Optimizer, Rng, check_optimizer_hyperparameters
 
@@ -278,7 +280,7 @@ def train_model(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3  # the only version `load_checkpoint` reads
+CHECKPOINT_VERSION = 4  # the only version `load_checkpoint` reads
 
 
 def save_checkpoint(
@@ -288,22 +290,21 @@ def save_checkpoint(
     max_nugget_len: int | None = None,
     threshold: float = 0.5,
 ) -> None:
-    """Self-describing JSON checkpoint: config, labels, vocab, every tensor.
+    """Self-describing checkpoint: one JSON header line, then every value.
 
-    Each tensor is `{"shape": [...], "data": "<base64>"}`, the data being
-    its values as row-major little-endian float64 bytes, so the round trip
-    is exact by construction. Optionally embeds the trigger lexicon and
-    candidate settings so that prediction on a raw corpus needs nothing but
-    the checkpoint. A tensor holding NaN or Inf is a NumericError naming
-    it, and nothing is written. Written atomically.
+    The header holds the config, labels, vocab, each tensor's shape by name
+    in store order, the payload's byte count and, optionally, the trigger
+    lexicon and candidate settings, so that prediction on a raw corpus needs
+    nothing but the checkpoint. The payload is the flat parameter buffer as
+    little-endian float64 bytes, so the round trip is exact by construction.
+    A tensor holding NaN or Inf is a NumericError naming it, and nothing is
+    written. Written atomically.
     """
-    tensors = {}
-    for t in model.store:
-        if not np.isfinite(t.values).all():
-            raise NumericError(f"cannot save tensor {t.name!r}: it holds non-finite values")
-        raw = t.values.astype("<f8", copy=False).tobytes()
-        tensors[t.name] = {"shape": list(t.shape), "data": base64.b64encode(raw).decode("ascii")}
-    data = {
+    if not np.isfinite(model.store.values).all():
+        bad = next(t.name for t in model.store if not np.isfinite(t.values).all())
+        raise NumericError(f"cannot save tensor {bad!r}: it holds non-finite values")
+    values = model.store.values.astype("<f8", copy=False)
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "fbrnn-checkpoint",
         "config": model.cfg.to_dict(),
@@ -314,9 +315,10 @@ def save_checkpoint(
             "max_nugget_len": max_nugget_len,
             "threshold": threshold,
         },
-        "tensors": tensors,
+        "tensors": {t.name: list(t.shape) for t in model.store},
+        "payload_bytes": values.nbytes,
     }
-    write_text_atomic(path, json.dumps(data))
+    write_text_atomic(path, json.dumps(header) + "\n", memoryview(values))
 
 
 @dataclass
@@ -330,34 +332,45 @@ class LoadedCheckpoint:
 def load_checkpoint(
     path: str | Path, expect: ModelConfig | None = None
 ) -> LoadedCheckpoint:
-    """Rebuild a model from a checkpoint file.
+    """Rebuild a model from a checkpoint file, to exactly the bits saved.
 
-    Reads version 3 only. Builds the config's zero-filled model, then in
-    store order checks each tensor's entry, shape, value count and
-    finiteness and decodes its data straight into the tensor's view of the
-    flat buffer, to exactly the bits that were saved. A shape is checked
-    before its data is decoded, so a config asking for a larger model than
-    the file holds fails without touching the memory it would add. Rejects
-    a repeated key, a field of the wrong JSON kind (`labels` as a string,
-    `tensors` as an array of pairs: nothing is converted), other versions,
-    tensor names or shapes that differ from the model's, entries without
-    `shape` and `data`, data that is not valid base64, byte counts that do
-    not fill the shape, NaN or Inf values, invalid configs, label sets,
-    lexicons and pipeline settings, a model too large to allocate, and
-    (when `expect` is given) any config different from the expected one,
-    each as a DataError naming the file and the tensor or field.
-    A truncated or corrupt file fails cleanly without a partial model.
+    Reads version 4 only. Checks the header, builds the config's zero-filled
+    model, and checks the header's tensor names (in store order), shapes and
+    byte count and the payload's size against it, so a small file whose
+    config asks for a larger model fails without touching that model's
+    memory. Then one `readinto` fills the flat buffer, and one pass checks
+    it for NaN or Inf. Rejects a header that is not UTF-8 JSON, a repeated
+    key, a field of the wrong JSON kind (`labels` as a string, `tensors` as
+    an array of pairs: nothing is converted), other versions, invalid
+    configs, label sets, lexicons and pipeline settings, a model too large
+    to allocate, (when `expect` is given) any other config, and a short or
+    long payload, each as a DataError naming the file and the tensor or
+    field. A file that fails leaves no partial model.
     """
-    data = read_json(path, "checkpoint")
-    if not isinstance(data, dict) or data.get("kind") != "fbrnn-checkpoint":
+    with header_and_payload(path, "checkpoint") as (header, read_payload):
+        loaded = _from_header(header, path, expect)
+        values = loaded.model.store.values
+        read_payload(values)
+    if sys.byteorder == "big":  # the payload is little-endian
+        values.byteswap(inplace=True)
+    if not np.isfinite(values).all():
+        bad = next(t.name for t in loaded.model.store if not np.isfinite(t.values).all())
+        raise DataError(f"{path}: tensor {bad!r} holds non-finite values")
+    return loaded
+
+
+def _from_header(header, path, expect: ModelConfig | None) -> LoadedCheckpoint:
+    """The checked header's settings and zero-filled model."""
+    if not isinstance(header, dict) or header.get("kind") != "fbrnn-checkpoint":
         raise DataError(f"{path}: not a model checkpoint")
-    version = data.get("format_version")
+    version = header.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
-    vocab = read_field(data, "vocab", list[str], path)
-    tensors = read_field(data, "tensors", dict, path)
+    vocab = read_field(header, "vocab", list[str], path)
+    shapes = read_field(header, "tensors", dict, path)
+    payload_bytes = read_field(header, "payload_bytes", int, path)
     where = f"{path}: pipeline"
-    pipeline = read_field(data, "pipeline", dict, path, {})
+    pipeline = read_field(header, "pipeline", dict, path, {})
     lex = read_field(pipeline, "lexicon", dict | None, where, None)
     lexicon = None if lex is None else TriggerLexicon.from_dict(lex, f"{where}: lexicon")
     max_nugget_len = read_field(pipeline, "max_nugget_len", int | None, where, None)
@@ -367,42 +380,28 @@ def load_checkpoint(
     if not 0.0 < threshold < 1.0:
         raise DataError(f"{where}: threshold must be in (0, 1), got {threshold!r}")
     try:
-        cfg = ModelConfig.from_dict(read_field(data, "config", dict, path))
-        labels = LabelSet(read_field(data, "labels", list[str], path))
+        cfg = ModelConfig.from_dict(read_field(header, "config", dict, path))
+        labels = LabelSet(read_field(header, "labels", list[str], path))
         if expect is not None and cfg != expect:
             raise DataError(
                 f"{path}: checkpoint config does not match the requested run "
                 f"(checkpoint {cfg}, expected {expect})"
             )
         model = assemble_model(cfg, vocab, labels, rng=None)
-        model.store.pack()
+        model.store.pack()  # zero-filled: no page is touched yet
     except ConfigurationError as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
     except MemoryError as e:
         raise DataError(f"{path}: malformed checkpoint: the model is too large to allocate") from e
-    missing = [n for n in model.store.names() if n not in tensors]
-    extra = [n for n in tensors if n not in model.store]
-    if missing or extra:
-        raise DataError(f"{path}: tensor set mismatch: missing={missing!r} extra={extra!r}")
+    for i, (listed, name) in enumerate(zip_longest(shapes, model.store.names())):
+        if listed != name:
+            raise DataError(f"{path}: tensor {i} is {listed!r}, the model's is {name!r}")
     for t in model.store:
-        where = f"{path}: tensor {t.name!r}"
-        entry = check(tensors.pop(t.name), dict, where)
-        shape = read_field(entry, "shape", list[int], where)
+        shape = check(shapes[t.name], list[int], f"{path}: tensor {t.name!r}", "shape")
         if shape != list(t.shape):
-            raise DataError(f"{where}: 'shape' {shape!r} differs from the model's {list(t.shape)}")
-        try:
-            raw = base64.b64decode(read_field(entry, "data", str, where), validate=True)
-        except ValueError as e:  # binascii.Error, or a non-ASCII character
-            raise DataError(f"{where}: 'data' is not valid base64: {e}") from e
-        del entry["data"]  # free the text once decoded
-        if len(raw) % 8:
-            raise DataError(f"{where} has {len(raw)} bytes of data, not a multiple of 8")
-        values = np.frombuffer(raw, "<f8")
-        if values.size != t.size:
-            raise DataError(f"{where} has {values.size} values, its shape {shape} needs {t.size}")
-        if not np.isfinite(values).all():
-            raise DataError(f"{where} holds non-finite values")
-        t.values[...] = values.reshape(t.shape)
-
+            raise DataError(f"{path}: tensor {t.name!r} has shape {shape}, not {list(t.shape)}")
+    if payload_bytes != model.store.values.nbytes:
+        raise DataError(
+            f"{path}: field 'payload_bytes' is {payload_bytes}, not {model.store.values.nbytes}"
+        )
     return LoadedCheckpoint(model, lexicon, max_nugget_len, threshold)
-

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: pipeline smoke, exit codes, determinism."""
 
-import base64
 import io
 import json
 import math
@@ -205,7 +204,7 @@ class TestLexiconAndCandidates:
 class TestTrainEvaluatePredict:
     def test_run_dir_artifacts(self, trained_run):
         for name in (
-            "checkpoint.json",
+            "checkpoint.fbrnn",
             "trainlog.csv",
             "lexicon.json",
             "config.resolved",
@@ -227,7 +226,7 @@ class TestTrainEvaluatePredict:
         report_path = tmp_path / "report.json"
         code = run_cli(
             "evaluate",
-            "--checkpoint", trained_run / "checkpoint.json",
+            "--checkpoint", trained_run / "checkpoint.fbrnn",
             "--corpus", synth_dir / "dev.jsonl",
             "--out", report_path,
         )
@@ -242,7 +241,7 @@ class TestTrainEvaluatePredict:
         assert (
             run_cli(
                 "predict",
-                "--checkpoint", trained_run / "checkpoint.json",
+                "--checkpoint", trained_run / "checkpoint.fbrnn",
                 "--corpus", synth_dir / "dev.jsonl",
                 "--out", preds,
             )
@@ -308,7 +307,7 @@ class TestTrainVariants:
         out = capsys.readouterr().out
         assert "pretrained coverage:" in out
         (run_dir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
-        assert (run_dir / "checkpoint.json").is_file()
+        assert (run_dir / "checkpoint.fbrnn").is_file()
 
 
 class TestClipWarning:
@@ -568,28 +567,32 @@ class TestConfigFlags:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def _checkpoint_with(mutate):
+def _checkpoint_bytes(edit):
+    """The trained run's checkpoint as `edit(header line, payload)` makes it,
+    the line being bytes without its newline."""
     def build(synth_dir, run_dir, tmp_path):
-        data = json.loads((run_dir / "checkpoint.json").read_text())
-        mutate(data)
-        path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "preds.jsonl"
-        return ["predict", "--checkpoint", path, "--corpus", synth_dir / "dev.jsonl", "--out", out]
+        line, payload = (run_dir / "checkpoint.fbrnn").read_bytes().split(b"\n", 1)
+        return _input_file("checkpoint", edit(line, payload))(synth_dir, run_dir, tmp_path)
     return build
 
 
-def _tensor(data):
-    return data["tensors"]["head.out.b"]
+def _checkpoint_with(mutate):
+    """The trained run's checkpoint after `mutate` changes its header object."""
+    def edit(line, payload):
+        header = json.loads(line)
+        mutate(header)
+        return (json.dumps(header) + "\n").encode() + payload
+    return _checkpoint_bytes(edit)
 
 
-def _data_with(edit):
-    """`_checkpoint_with` re-encoding head.out.b's values after `edit` changes their list."""
-    def mutate(data):
-        values = np.frombuffer(base64.b64decode(_tensor(data)["data"]), "<f8").tolist()
+def _values_with(edit):
+    """The trained run's checkpoint after `edit` changes its payload's values
+    in place; the last value is head.out.b's."""
+    def rewrite(line, payload):
+        values = np.frombuffer(payload, "<f8").copy()
         edit(values)
-        _tensor(data)["data"] = base64.b64encode(np.array(values, "<f8").tobytes()).decode()
-    return _checkpoint_with(mutate)
+        return line + b"\n" + values.tobytes()
+    return _checkpoint_bytes(rewrite)
 
 
 def _prediction(**fields):
@@ -614,7 +617,7 @@ def _bool_span_corpus(synth_dir, run_dir, tmp_path):
 
 def _threshold(command):
     def build(synth_dir, run_dir, tmp_path):
-        argv = [command, "--checkpoint", run_dir / "checkpoint.json",
+        argv = [command, "--checkpoint", run_dir / "checkpoint.fbrnn",
                 "--corpus", synth_dir / "dev.jsonl", "--threshold", "7"]
         return argv + (["--out", tmp_path / "preds.jsonl"] if command == "predict" else [])
     return build
@@ -648,7 +651,7 @@ def _out_dir_is_a_file(synth_dir, run_dir, tmp_path):
 def _out_is_under_a_file(synth_dir, run_dir, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    return ["predict", "--checkpoint", run_dir / "checkpoint.json",
+    return ["predict", "--checkpoint", run_dir / "checkpoint.fbrnn",
             "--corpus", synth_dir / "dev.jsonl", "--out", blocker / "preds.jsonl"]
 
 
@@ -656,7 +659,7 @@ def _out_is_under_a_file(synth_dir, run_dir, tmp_path):
 # (file name, argv builder given the file's path).
 _READERS = {
     "corpus": ("corpus.jsonl", lambda s, r, t, p: [
-        "predict", "--checkpoint", r / "checkpoint.json", "--corpus", p,
+        "predict", "--checkpoint", r / "checkpoint.fbrnn", "--corpus", p,
         "--out", t / "preds.jsonl"]),
     "labels": ("labels.json", lambda s, r, t, p: [
         "build-lexicon", "--corpus", s / "train.jsonl", "--labels", p,
@@ -671,7 +674,7 @@ _READERS = {
         "train", "--train-corpus", s / "train.jsonl", "--labels", s / "labels.json",
         "--embeddings", p, "--word-dim", "8", "--hidden-size", "4", "--branch-dim", "2",
         "--max-epochs", "1", "--out-dir", t]),
-    "checkpoint": ("checkpoint.json", lambda s, r, t, p: [
+    "checkpoint": ("checkpoint.fbrnn", lambda s, r, t, p: [
         "predict", "--checkpoint", p, "--corpus", s / "dev.jsonl",
         "--out", t / "preds.jsonl"]),
     "config": ("run.cfg", lambda s, r, t, p: [
@@ -710,14 +713,6 @@ def _unannotated(build):
     return wrapped
 
 
-def _checkpoint_text(edit):
-    """The trained run's checkpoint with its JSON text changed by `edit`."""
-    def build(synth_dir, run_dir, tmp_path):
-        text = edit((run_dir / "checkpoint.json").read_text())
-        return _input_file("checkpoint", text)(synth_dir, run_dir, tmp_path)
-    return build
-
-
 _MALFORMED = [
     # (case, builder, exit code, text the message must contain)
     *[(f"{kind}-not-utf8", _input_file(kind, b"\xff\xfe"), 1 if kind == "config" else 2,
@@ -752,20 +747,39 @@ _MALFORMED = [
      _checkpoint_with(lambda d: d["config"].__setitem__("use_branch", "x")), 2, "use_branch"),
     ("ckpt-string-dropout",
      _checkpoint_with(lambda d: d["config"].__setitem__("dropout", "a")), 2, "dropout"),
-    ("ckpt-deep-nesting", _input_file("checkpoint", "[" * 100_000 + "]" * 100_000), 2,
-     "checkpoint.json: corrupt"),
-    ("ckpt-huge-integer", _input_file("checkpoint", "1" * 5000), 2, "checkpoint.json: corrupt"),
-    ("ckpt-no-shape", _checkpoint_with(lambda d: _tensor(d).pop("shape")), 2, "head.out.b"),
-    ("ckpt-no-data", _checkpoint_with(lambda d: _tensor(d).pop("data")), 2, "head.out.b"),
-    ("ckpt-data-not-string", _checkpoint_with(lambda d: _tensor(d).__setitem__("data", [0.0])),
-     2, "head.out.b"),
-    ("ckpt-data-not-base64",
-     _checkpoint_with(lambda d: _tensor(d).__setitem__("data", "AAAA*AAA")), 2, "head.out.b"),
-    ("ckpt-data-partial-value",
-     _checkpoint_with(lambda d: _tensor(d).__setitem__("data", "A" * 16)), 2, "head.out.b"),
-    ("ckpt-data-count", _data_with(list.pop), 2, "head.out.b"),
-    ("ckpt-data-nan", _data_with(lambda v: v.__setitem__(0, float("nan"))), 2, "head.out.b"),
-    ("ckpt-data-inf", _data_with(lambda v: v.__setitem__(0, float("-inf"))), 2, "head.out.b"),
+    ("ckpt-deep-nesting", _input_file("checkpoint", "[" * 100_000 + "]" * 100_000 + "\n"), 2,
+     "checkpoint.fbrnn: corrupt"),
+    ("ckpt-huge-integer", _input_file("checkpoint", "1" * 5000 + "\n"), 2,
+     "checkpoint.fbrnn: corrupt"),
+    # format 4: one JSON header line, then the flat buffer's bytes
+    ("ckpt-header-array", _checkpoint_bytes(lambda line, p: b"[" + line + b"]\n" + p), 2,
+     "checkpoint.fbrnn: not a model checkpoint"),
+    ("ckpt-header-not-utf8", _checkpoint_bytes(lambda line, p: line + b"\xff\n" + p), 2,
+     "checkpoint.fbrnn: checkpoint header is not UTF-8 text"),
+    ("ckpt-header-no-newline", _checkpoint_bytes(lambda line, p: line), 2,
+     "checkpoint.fbrnn: checkpoint payload holds 0 bytes, not "),
+    ("ckpt-tensor-missing", _checkpoint_with(lambda d: d["tensors"].pop("head.out.b")), 2,
+     "head.out.b"),
+    ("ckpt-tensor-renamed", _checkpoint_bytes(
+        lambda line, p: line.replace(b'"head.out.b"', b'"out.b"') + b"\n" + p), 2,
+     "checkpoint.fbrnn: tensor 14 is 'out.b', the model's is 'head.out.b'"),
+    ("ckpt-tensor-order", _checkpoint_with(lambda d: d.__setitem__(
+        "tensors", dict(reversed(d["tensors"].items())))), 2,
+     "checkpoint.fbrnn: tensor 0 is 'head.out.b', the model's is 'word_emb'"),
+    ("ckpt-tensor-shape", _checkpoint_with(lambda d: d["tensors"].__setitem__("head.out.b", [99])),
+     2, "checkpoint.fbrnn: tensor 'head.out.b' has shape [99], not ["),
+    ("ckpt-payload-missing", _checkpoint_bytes(lambda line, p: line + b"\n"), 2,
+     "checkpoint.fbrnn: checkpoint payload holds 0 bytes, not "),
+    ("ckpt-payload-short", _checkpoint_bytes(lambda line, p: line + b"\n" + p[:-1]), 2,
+     "checkpoint.fbrnn: checkpoint payload holds"),
+    ("ckpt-payload-trailing-byte", _checkpoint_bytes(lambda line, p: line + b"\n" + p + b"\0"),
+     2, "checkpoint.fbrnn: checkpoint payload holds"),
+    ("ckpt-payload-bytes-field", _checkpoint_with(lambda d: d.__setitem__(
+        "payload_bytes", d["payload_bytes"] - 8)), 2, "checkpoint.fbrnn: field 'payload_bytes' is"),
+    ("ckpt-payload-nan", _values_with(lambda v: v.__setitem__(-1, float("nan"))), 2,
+     "checkpoint.fbrnn: tensor 'head.out.b' holds non-finite values"),
+    ("ckpt-payload-inf", _values_with(lambda v: v.__setitem__(-1, float("-inf"))), 2,
+     "checkpoint.fbrnn: tensor 'head.out.b' holds non-finite values"),
     ("ckpt-lexicon", _checkpoint_with(
         lambda d: d["pipeline"].__setitem__("lexicon", {"entries": {"x": 5}})), 2, "'x'"),
     ("ckpt-threshold", _checkpoint_with(lambda d: d["pipeline"].__setitem__("threshold", "a")),
@@ -774,32 +788,43 @@ _MALFORMED = [
      "unsupported checkpoint version 1"),
     ("ckpt-version-2", _checkpoint_with(lambda d: d.__setitem__("format_version", 2)), 2,
      "unsupported checkpoint version 2"),
+    ("ckpt-version-3", _checkpoint_with(lambda d: d.__setitem__("format_version", 3)), 2,
+     "unsupported checkpoint version 3"),
     ("ckpt-too-large", _checkpoint_with(lambda d: d["config"].__setitem__("word_dim", 10**15)),
      2, "too large to allocate"),
-    ("ckpt-extra-tensor", _checkpoint_with(lambda d: d["tensors"].__setitem__(
-        "extra.b", {"shape": [1], "data": "AAAAAAAAAAA="})), 2, "extra.b"),
+    ("ckpt-extra-tensor", _checkpoint_with(lambda d: d["tensors"].__setitem__("extra.b", [1])),
+     2, "extra.b"),
     # a value of another JSON kind is rejected, not converted into a valid one
     ("ckpt-labels-string",
      _unannotated(_checkpoint_with(lambda d: d.__setitem__("labels", "ABCDE"))), 2,
-     "checkpoint.json: field 'labels' must be an array of strings"),
+     "checkpoint.fbrnn: field 'labels' must be an array of strings"),
     ("ckpt-vocab-object",
      _checkpoint_with(lambda d: d.__setitem__("vocab", dict.fromkeys(d["vocab"], 0))), 2,
-     "checkpoint.json: field 'vocab' must be an array of strings"),
+     "checkpoint.fbrnn: field 'vocab' must be an array of strings"),
     ("ckpt-tensors-pairs",
      _checkpoint_with(lambda d: d.__setitem__("tensors", list(d["tensors"].items()))), 2,
-     "checkpoint.json: field 'tensors' must be an object"),
+     "checkpoint.fbrnn: field 'tensors' must be an object"),
     ("ckpt-pipeline-pairs",
      _checkpoint_with(lambda d: d.__setitem__("pipeline", list(d["pipeline"].items()))), 2,
-     "checkpoint.json: field 'pipeline' must be an object"),
+     "checkpoint.fbrnn: field 'pipeline' must be an object"),
+    # an event type is a name: empty or blank is no name
+    ("labels-empty-name", _input_file("labels", '[""]\n'), 2,
+     "labels.json: event type '' is an empty or blank name"),
+    ("ckpt-labels-blank", _checkpoint_with(lambda d: d["labels"].__setitem__(0, " ")), 2,
+     "checkpoint.fbrnn: malformed checkpoint: event type ' ' is an empty or blank name"),
+    ("corpus-empty-type", _input_file("corpus", _corpus_line(
+        nuggets=[{"start": 0, "end": 0, "types": [""]}])), 2,
+     "corpus.jsonl:1: nugget 0: unknown event type ''"),
     ("pred-types-object", _prediction(types={"Conflict.Attack": 1}), 2,
      "preds.jsonl:1: field 'types' must be an array of strings"),
     # a repeated key is rejected, not resolved to its last value
     ("lexicon-repeated-key",
      _input_file("lexicon", '{"entries": {"met": {"gold": 2}, "met": {"gold": 1}}}'), 2,
      "lexicon.json: corrupt lexicon (invalid JSON): an object repeats the key 'met'"),
-    ("ckpt-repeated-tensor", _checkpoint_text(
-        lambda text: text.replace('"tensors": {', '"tensors": {"head.out.b": {}, ', 1)), 2,
-     "checkpoint.json: corrupt checkpoint (invalid JSON): an object repeats the key 'head.out.b'"),
+    ("ckpt-repeated-tensor", _checkpoint_bytes(lambda line, p: line.replace(
+        b'"tensors": {', b'"tensors": {"head.out.b": [1], ', 1) + b"\n" + p), 2,
+     "checkpoint.fbrnn: corrupt checkpoint header (invalid JSON): an object repeats the key "
+     "'head.out.b'"),
     ("corpus-repeated-key",
      _input_file("corpus", '{"tokens": [], "tokens": [{"t": "they", "pos": "PRP"}]}\n'), 2,
      "corpus.jsonl:1: invalid JSON: an object repeats the key 'tokens'"),
@@ -871,6 +896,10 @@ def _mutate(draw, kind, blob):
         i = draw(st.integers(0, len(lines) - 1))
         lines[i] = json.dumps(_replace_somewhere(draw, json.loads(lines[i]), draw(_JSON_VALUES)))
         return ("\n".join(lines) + "\n").encode()
+    if kind == "checkpoint":  # mutate the header line, keep the payload
+        line, payload = blob.split(b"\n", 1)
+        doc = _replace_somewhere(draw, json.loads(line), draw(_JSON_VALUES))
+        return (json.dumps(doc) + "\n").encode() + payload
     doc = _replace_somewhere(draw, json.loads(blob), draw(_JSON_VALUES))
     return json.dumps(doc).encode()
 
@@ -889,7 +918,7 @@ def valid_inputs(synth_dir, trained_run, train_cfg_file):
         "paraphrases": synth_dir / "paraphrases.tsv",
         "lexicon": trained_run / "lexicon.json",
         "embeddings": FIXTURES / "mini_word2vec.txt",
-        "checkpoint": trained_run / "checkpoint.json",
+        "checkpoint": trained_run / "checkpoint.fbrnn",
         "config": train_cfg_file,
     }
     blobs = {kind: path.read_bytes() for kind, path in files.items()}
@@ -960,10 +989,9 @@ _FIELDS = [
     ("checkpoint", ("pipeline", "max_nugget_len"), "int null"),
     ("checkpoint", ("pipeline", "threshold"), "int float"),
     ("checkpoint", ("tensors",), "object"),
-    ("checkpoint", ("tensors", "*"), "object"),
-    ("checkpoint", ("tensors", "*", "shape"), "array"),
-    ("checkpoint", ("tensors", "*", "shape", 0), "int"),
-    ("checkpoint", ("tensors", "*", "data"), "string"),
+    ("checkpoint", ("tensors", "*"), "array"),
+    ("checkpoint", ("tensors", "*", 0), "int"),
+    ("checkpoint", ("payload_bytes",), "int"),
 ]
 
 # Each JSON kind, as a value made from the field's valid value `v` where it
@@ -990,16 +1018,26 @@ _WRONG_KINDS = [
 ]
 
 
+def _document_file(kind, doc, run_dir):
+    """`doc` as a file of `kind`: one JSON line, which for a checkpoint is
+    the header, followed by the trained run's payload."""
+    text = (json.dumps(doc) + "\n").encode()
+    if kind == "checkpoint":
+        text += (run_dir / "checkpoint.fbrnn").read_bytes().split(b"\n", 1)[1]
+    return text
+
+
 @pytest.fixture(scope="module")
 def valid_documents(synth_dir, trained_run):
-    """One valid JSON document (or line) of each JSON input kind."""
+    """One valid JSON document (or line, or checkpoint header) of each JSON
+    input kind."""
     return {
         "corpus": {"tokens": [{"t": "they", "pos": "PRP"}, {"t": "met", "pos": "VBD"}],
                    "nuggets": [{"start": 1, "end": 1, "types": ["Contact.Meet"]}]},
         "predictions": {"sentence": 0, "start": 0, "end": 0, "types": ["Conflict.Attack"]},
         "labels": json.loads((synth_dir / "labels.json").read_text()),
         "lexicon": json.loads((trained_run / "lexicon.json").read_text()),
-        "checkpoint": json.loads((trained_run / "checkpoint.json").read_text()),
+        "checkpoint": json.loads((trained_run / "checkpoint.fbrnn").read_bytes().split(b"\n")[0]),
     }
 
 
@@ -1010,7 +1048,7 @@ class TestWrongKinds:
     def test_the_valid_documents_are_read(self, synth_dir, trained_run, valid_documents,
                                           tmp_path):
         for kind, doc in valid_documents.items():
-            build = _input_file(kind, json.dumps(doc) + "\n")
+            build = _input_file(kind, _document_file(kind, doc, trained_run))
             assert run_cli(*build(synth_dir, trained_run, tmp_path)) == 0, kind
 
     @pytest.mark.parametrize(
@@ -1027,7 +1065,7 @@ class TestWrongKinds:
             if step == "*":
                 key = next(iter(node))
         node[key] = _AS_KIND[json_kind](node[key])
-        build = _input_file(kind, json.dumps(root[""]) + "\n")
+        build = _input_file(kind, _document_file(kind, root[""], trained_run))
         if kind == "checkpoint":  # so that renamed event types are read, not refused
             build = _unannotated(build)
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Corpus model, JSON-lines IO, label sets, splitting, synthetic generators."""
 
 import json
+import re
 
 import pytest
 
@@ -67,6 +68,11 @@ class TestLabelSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ConfigurationError):
             LabelSet(["A", "A"])
+
+    @pytest.mark.parametrize("name", ["", " ", "\t\n"], ids=["empty", "space", "whitespace"])
+    def test_rejects_empty_and_blank_names(self, name):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(name))):
+            LabelSet(["A", name])
 
     def test_file_roundtrip(self, labels, tmp_path):
         path = tmp_path / "labels.json"

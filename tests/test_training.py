@@ -1,6 +1,5 @@
 """Training loop determinism, early stopping, checkpoint persistence."""
 
-import base64
 import dataclasses
 import json
 import os
@@ -13,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fbrnn.candidates import BranchSplit, build_examples, build_trigger_lexicon
 from fbrnn.corpus import (
@@ -24,7 +24,7 @@ from fbrnn.corpus import (
 )
 from fbrnn.errors import ConfigurationError, DataError, NumericError
 from fbrnn.evaluation import evaluate_model
-from fbrnn.model import ModelConfig, build_model
+from fbrnn.model import ModelConfig, assemble_model, build_model
 from fbrnn.numerics import Rng
 from fbrnn.training import (
     CHECKPOINT_VERSION,
@@ -278,6 +278,16 @@ class TestTrainLogCsv:
         assert not log.to_csv(timing=True).splitlines()[1].endswith(",0.000")
 
 
+def _split(path):
+    """A checkpoint file as (header object, payload bytes)."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def _write(path, header, payload):
+    path.write_bytes((json.dumps(header) + "\n").encode() + payload)
+
+
 class TestCheckpoint:
     def build_model(self, head_mode="softmax"):
         labels = LabelSet(["A", "B"])
@@ -287,9 +297,15 @@ class TestCheckpoint:
         words = [f"w{i}" for i in range(8)]
         return build_model(cfg, words, labels, Rng(77)), words
 
+    def saved(self, tmp_path):
+        model, _ = self.build_model()
+        path = tmp_path / "ckpt.fbrnn"
+        save_checkpoint(path, model)
+        return path
+
     def test_roundtrip_preserves_predictions_bitwise(self, tmp_path):
         model, words = self.build_model()
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.fbrnn"
         save_checkpoint(path, model)
         loaded = load_checkpoint(path).model
         rng = Rng(5)
@@ -303,42 +319,82 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
             assert model.predict(split) == loaded.predict(split)
 
-    def test_truncated_file_fails_cleanly(self, tmp_path):
-        model, _ = self.build_model()
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model)
-        blob = path.read_text()
-        path.write_text(blob[: len(blob) // 2])
-        with pytest.raises(DataError, match="corrupt"):
+    @pytest.mark.parametrize(
+        "cut, needle",
+        [
+            (lambda blob, n: blob[:-1], "payload holds 10103 bytes, not 10104"),
+            (lambda blob, n: blob + b"\0", "payload holds 10105 bytes, not 10104"),
+            (lambda blob, n: blob[:n], "payload holds 0 bytes"),
+            (lambda blob, n: blob[: n - 1], "payload holds 0 bytes"),
+            (lambda blob, n: blob[: n // 2], "corrupt checkpoint header"),
+            (lambda blob, n: b"", "corrupt checkpoint header"),
+        ],
+        ids=["payload-short", "trailing-byte", "no-payload", "no-newline", "half-header",
+             "empty"],
+    )
+    def test_truncated_file_fails_cleanly(self, tmp_path, cut, needle):
+        path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(cut(blob, blob.index(b"\n") + 1))
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{needle}"):
             load_checkpoint(path)
 
     def test_cell_kind_mismatch_rejected(self, tmp_path):
         model, _ = self.build_model()
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.fbrnn"
         save_checkpoint(path, model)
         wrong = dataclasses.replace(model.cfg, cell="lstm")
         with pytest.raises(DataError, match="does not match"):
             load_checkpoint(path, expect=wrong)
 
     def test_tensor_shape_mismatch_names_tensor(self, tmp_path):
-        model, _ = self.build_model()
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model)
-        data = json.loads(path.read_text())
-        data["tensors"]["head.out.b"]["shape"] = [99]
-        data["tensors"]["head.out.b"]["data"] = base64.b64encode(bytes(8 * 99)).decode()
-        path.write_text(json.dumps(data))
-        with pytest.raises(DataError, match="head.out.b"):
+        path = self.saved(tmp_path)
+        header, payload = _split(path)
+        header["tensors"]["head.out.b"] = [99]
+        _write(path, header, payload)
+        with pytest.raises(DataError, match=r"tensor 'head.out.b' has shape \[99\], not \[3\]"):
             load_checkpoint(path)
 
-    def test_missing_tensor_rejected(self, tmp_path):
-        model, _ = self.build_model()
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model)
-        data = json.loads(path.read_text())
-        del data["tensors"]["word_emb"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(DataError, match="word_emb"):
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda t: t.pop("word_emb"), "tensor 0 is 'branch_emb', the model's is 'word_emb'"),
+            (lambda t: t.pop("head.out.b"), "tensor 14 is None, the model's is 'head.out.b'"),
+            (lambda t: t.__setitem__("extra", [1]), "tensor 15 is 'extra', the model's is None"),
+            (lambda t: t.__setitem__("word_emb", t.pop("word_emb")),
+             "tensor 0 is 'branch_emb', the model's is 'word_emb'"),
+        ],
+        ids=["missing", "missing-last", "extra", "reordered"],
+    )
+    def test_tensor_names_must_be_the_models_in_order(self, tmp_path, edit, needle):
+        path = self.saved(tmp_path)
+        header, payload = _split(path)
+        edit(header["tensors"])
+        _write(path, header, payload)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {needle}")):
+            load_checkpoint(path)
+
+    def test_payload_byte_count_must_match(self, tmp_path):
+        path = self.saved(tmp_path)
+        header, payload = _split(path)
+        header["payload_bytes"] += 8
+        _write(path, header, payload + bytes(8))
+        with pytest.raises(DataError, match="field 'payload_bytes' is 10112, not 10104"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header", [[1], "fbrnn-checkpoint", {"kind": "other"}], ids=["array", "string", "other-kind"]
+    )
+    def test_header_that_is_not_a_checkpoint_object_rejected(self, tmp_path, header):
+        path = self.saved(tmp_path)
+        _write(path, header, _split(path)[1])
+        with pytest.raises(DataError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    def test_header_that_is_not_utf8_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(b'{"kind": "\xff"}\n' + _split(path)[1])
+        with pytest.raises(DataError, match="header is not UTF-8"):
             load_checkpoint(path)
 
     def test_lexicon_and_settings_travel_with_checkpoint(self, tmp_path):
@@ -347,7 +403,7 @@ class TestCheckpoint:
 
         lex = TriggerLexicon()
         lex.add_gold("struck")
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.fbrnn"
         save_checkpoint(path, model, lexicon=lex, max_nugget_len=3, threshold=0.4)
         loaded = load_checkpoint(path)
         assert "struck" in loaded.lexicon
@@ -356,7 +412,7 @@ class TestCheckpoint:
 
     def test_sigmoid_head_roundtrip(self, tmp_path):
         model, words = self.build_model(head_mode="sigmoid")
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.fbrnn"
         save_checkpoint(path, model)
         loaded = load_checkpoint(path).model
         split = BranchSplit((words[0],), (words[1],), (words[2],))
@@ -367,41 +423,78 @@ class TestCheckpoint:
         edge = [-0.0, 5e-324, 1 / 3, 1e308]
         model.store["head.out.b"].values[:] = edge[:3]
         model.store["head.out.W"].values[0, :4] = edge
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.fbrnn"
         save_checkpoint(path, model)
         loaded = load_checkpoint(path).model
         assert loaded.store.values.tobytes() == model.store.values.tobytes()
-        raw = base64.b64decode(json.loads(path.read_text())["tensors"]["head.out.b"]["data"])
-        first, *rest = struct.unpack("<3d", raw)
+        header, payload = _split(path)
+        assert header["payload_bytes"] == len(payload) == model.store.values.nbytes
+        first, *rest = struct.unpack("<3d", payload[-24:])  # head.out.b comes last
         assert str(first) == "-0.0" and rest == [5e-324, 1 / 3]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_model_is_not_saved(self, tmp_path, bad):
         model, _ = self.build_model()
         model.store["head.out.b"].values[0] = bad
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.fbrnn"
         with pytest.raises(NumericError, match="head.out.b"):
             save_checkpoint(path, model)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_payload_is_not_loaded(self, tmp_path, bad):
+        path = self.saved(tmp_path)
+        header, payload = _split(path)
+        _write(path, header, payload[:-8] + struct.pack("<d", bad))
+        with pytest.raises(DataError, match="tensor 'head.out.b' holds non-finite values"):
+            load_checkpoint(path)
+
+
+_EDGES = [-0.0, 5e-324, -5e-324, 2.225e-308, np.finfo(float).tiny, np.finfo(float).max,
+          -np.finfo(float).max]
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(writes=st.lists(st.tuples(
+    st.integers(0, 10**6),
+    st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+), max_size=30))
+@example(writes=list(enumerate(_EDGES)))
+def test_every_finite_value_round_trips_bit_for_bit(tmp_path_factory, writes):
+    """A zero-filled model, its untouched word rows left zero, with edge
+    values written at drawn places, loads back to the same bytes."""
+    words = ["<unk>"] + [f"w{i}" for i in range(40)]
+    model = assemble_model(
+        ModelConfig(hidden_size=3, word_dim=4, branch_dim=2), words, LabelSet(["A"]), rng=None
+    )
+    values = model.store.values
+    for place, value in writes:
+        values[place % values.size] = value
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.fbrnn"
+    save_checkpoint(path, model)
+    assert load_checkpoint(path).model.store.values.tobytes() == values.tobytes()
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_golden_checkpoint_predicts_identically():
-    """The pin on forward bits across commits. `checkpoint_v3.json` holds a
+    """The pin on forward bits across commits. `checkpoint_v4.fbrnn` holds a
     small GRU model, first written in format version 2 and converted to
-    version 3 bit for bit; `checkpoint_v3_proba.json` holds the
+    versions 3 and then 4 bit for bit; `checkpoint_v4_proba.json` holds the
     probabilities that model gave when it was written."""
-    path = FIXTURES / "checkpoint_v3.json"
-    data = json.loads(path.read_text())
-    assert data["format_version"] == 3
+    path = FIXTURES / "checkpoint_v4.fbrnn"
+    header, payload = _split(path)
+    assert header["format_version"] == 4
     loaded = load_checkpoint(path)
+    offset = 0
     for t in loaded.model.store:
-        raw = base64.b64decode(data["tensors"][t.name]["data"])
+        raw = payload[offset : offset + 8 * t.size]
         assert struct.pack(f"<{t.size}d", *t.values.flat) == raw, t.name
+        offset += len(raw)
+    assert offset == len(payload)
     assert "met" in loaded.lexicon and loaded.max_nugget_len == 2 and loaded.threshold == 0.4
-    cases = json.loads((FIXTURES / "checkpoint_v3_proba.json").read_text())["cases"]
+    cases = json.loads((FIXTURES / "checkpoint_v4_proba.json").read_text())["cases"]
     assert len(cases) == 6
     for case in cases:
         proba = loaded.model.predict_proba(BranchSplit(*map(tuple, case["split"])))
@@ -413,7 +506,7 @@ def test_trained_stacked_model_loads_and_predicts_bit_identically(small_data, tm
     """A trained two-layer GRU or LSTM survives a save and load bit for bit."""
     cfg = dataclasses.replace(SMALL_CFG, cell=cell, layers=2, max_epochs=1)
     model, _ = run(cfg, small_data)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.fbrnn"
     save_checkpoint(path, model)
     loaded = load_checkpoint(path).model
     assert loaded.store.values.tobytes() == model.store.values.tobytes()
@@ -437,14 +530,14 @@ print(json.dumps({"grown_kb": after - before, "error": error}))
 
 
 def test_oversized_config_is_rejected_without_touching_its_memory(tmp_path):
-    """The golden checkpoint with its config's `word_dim` set to 200,000:
+    """The golden checkpoint with its header's `word_dim` set to 200,000:
     its model would hold about 73 MB, the file holds 15 small tensors. The
     shape check rejects `word_emb` before any of the model is written, so
     the peak RSS of a fresh interpreter stays where it was."""
-    data = json.loads((FIXTURES / "checkpoint_v3.json").read_text())
-    data["config"]["word_dim"] = 200_000
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps(data))
+    header, payload = _split(FIXTURES / "checkpoint_v4.fbrnn")
+    header["config"]["word_dim"] = 200_000
+    path = tmp_path / "ckpt.fbrnn"
+    _write(path, header, payload)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path_var)
@@ -457,17 +550,27 @@ def test_oversized_config_is_rejected_without_touching_its_memory(tmp_path):
     assert result["grown_kb"] < 10 * 1024  # ru_maxrss is in KiB on Linux
 
 
-@pytest.mark.parametrize("version", [0, 1, 2, CHECKPOINT_VERSION + 1, True, "1"])
+@pytest.mark.parametrize("version", [0, 1, 2, 3, CHECKPOINT_VERSION + 1, True, "1"])
 def test_other_versions_rejected(tmp_path, version):
-    """Versions 1 (each gate its own W, U and b) and 2 (each tensor a JSON
-    list of floats under `values`) are no longer read."""
+    """Versions 1 (each gate its own W, U and b), 2 (each tensor a JSON list
+    of floats under `values`) and 3 (each tensor's bytes as base64 text in
+    one JSON document) are no longer read."""
     model = build_model(
         ModelConfig(hidden_size=4, word_dim=5, branch_dim=2), ["a"], LabelSet(["A"]), Rng(3)
     )
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.fbrnn"
     save_checkpoint(path, model)
-    data = json.loads(path.read_text())
-    data["format_version"] = version
-    path.write_text(json.dumps(data))
+    header, payload = _split(path)
+    header["format_version"] = version
+    _write(path, header, payload)
     with pytest.raises(DataError, match=re.escape(f"unsupported checkpoint version {version!r}")):
+        load_checkpoint(path)
+
+
+def test_format_3_document_names_its_version(tmp_path):
+    """A format-3 file is one JSON document with no newline; loading it says
+    which version it is, not that its payload is missing."""
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({"format_version": 3, "kind": "fbrnn-checkpoint", "tensors": {}}))
+    with pytest.raises(DataError, match="unsupported checkpoint version 3"):
         load_checkpoint(path)
