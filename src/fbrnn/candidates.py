@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .corpus import Corpus, GoldNugget, LabelSet, Sentence, vocabulary_of
 from .errors import ConfigurationError, DataError
-from .fileio import check, read_field, read_json, read_utf8, write_text_atomic
+from .fileio import object_kind, read_fields, read_json, read_lines, write_text_atomic
 
 __all__ = [
     "TriggerLexicon",
@@ -85,6 +85,10 @@ class LabeledExample:
     split: BranchSplit
 
 
+_LEXICON = object_kind("", ("entries", dict))
+_COUNTS = object_kind("", ("gold", int, 0), ("paraphrase", int, 0))  # of one entry
+
+
 class TriggerLexicon:
     """Lowercased candidate-trigger tokens with per-source counts."""
 
@@ -127,12 +131,11 @@ class TriggerLexicon:
     @classmethod
     def from_dict(cls, data: object, where: str = "lexicon") -> "TriggerLexicon":
         """The lexicon `to_dict` wrote; `where` names it in errors."""
-        entries = read_field(check(data, dict, where), "entries", dict, where)
+        (entries,) = read_fields(data, _LEXICON, where)
         lex, spelled = cls(), {}
         for word, counts in entries.items():
             at = f"{where}: entry {word!r}"
-            check(counts, dict, at)
-            gold, para = (read_field(counts, k, int, at, 0) for k in ("gold", "paraphrase"))
+            gold, para = read_fields(counts, _COUNTS, at)
             if gold < 0 or para < 0:
                 raise DataError(f"{at}: counts must be >= 0, got {counts!r}")
             first = spelled.setdefault(word.lower(), word)
@@ -147,7 +150,7 @@ class TriggerLexicon:
 def load_paraphrases(path: str | Path) -> list[tuple[str, str]]:
     """Parse a tab-separated `source<TAB>paraphrase` file; `#` comments."""
     pairs = []
-    for lineno, line in enumerate(read_utf8(path, "paraphrase file").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path, "paraphrase file"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

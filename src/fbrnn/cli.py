@@ -45,7 +45,7 @@ from .corpus import (
 )
 from .embeddings import load_pretrained
 from .errors import ConfigurationError, DataError, NumericError
-from .fileio import check, json_lines, read_field, read_utf8, write_text_atomic
+from .fileio import json_lines, object_kind, read_fields, read_lines, write_text_atomic
 from .evaluation import (
     PredictedNugget,
     PRFReport,
@@ -122,11 +122,11 @@ def _coerce(key: str, raw: str):
 def _read_config_file(path: str) -> dict:
     p = Path(path)
     try:
-        text = read_utf8(p, "config file")
+        lines = read_lines(p, "config file")
     except DataError as e:  # a config file is configuration: exit 1
         raise ConfigurationError(str(e)) from e
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -356,6 +356,9 @@ def _checkpoint_examples(args):
     return loaded.model, corpus, examples, threshold
 
 
+_RECORD = object_kind("record", ("sentence", int))  # a prediction; `read_span` reads its span
+
+
 def _score_predictions(args) -> PRFReport:
     """Score a predictions file against a gold corpus: each record names a
     sentence of it by index, and a span and types as a nugget does."""
@@ -363,8 +366,8 @@ def _score_predictions(args) -> PRFReport:
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     path = _require_file(args.predictions, "predictions")
     preds = []
-    for where, obj in json_lines(read_utf8(path, "predictions file").splitlines(), str(path)):
-        sid = read_field(check(obj, dict, f"{where}: record"), "sentence", int, where)
+    for where, obj in json_lines(read_lines(path, "predictions file"), str(path)):
+        (sid,) = read_fields(obj, _RECORD, where)
         if not 0 <= sid < len(corpus):
             raise DataError(f"{where}: sentence {sid} is not in the corpus")
         preds.append(PredictedNugget(sid, *read_span(obj, len(corpus[sid]), labels, where)))

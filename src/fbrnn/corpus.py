@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
-from .fileio import check, json_lines, read_field, read_json, read_utf8, write_text_atomic
+from .fileio import (
+    check, json_lines, object_kind, read_fields, read_json, read_lines, write_text_atomic,
+)
 from .numerics import Rng
 
 __all__ = [
@@ -173,13 +176,17 @@ def save_label_set(labels: LabelSet, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_span(obj: dict, n_tokens: int, labels: LabelSet, where: str):
+_SPAN = object_kind("", ("start", int), ("end", int), ("types", list[str]))
+_LINE = object_kind("line", ("tokens", list), ("nuggets", list, []))
+_TOKEN = object_kind("", ("t", str), ("pos", str | None, None))
+
+
+def read_span(obj: object, n_tokens: int, labels: LabelSet, where: str):
     """(start, end, types) of a gold nugget or a prediction: integers with
     0 <= start <= end < `n_tokens`, and a non-empty array of `labels`' types."""
-    start, end = read_field(obj, "start", int, where), read_field(obj, "end", int, where)
+    start, end, types = read_fields(obj, _SPAN, where)
     if not 0 <= start <= end < n_tokens:
         raise DataError(f"{where}: span ({start},{end}) out of range for {n_tokens} tokens")
-    types = read_field(obj, "types", list[str], where)
     if not types:
         raise DataError(f"{where}: field 'types' must be non-empty")
     for t in types:
@@ -188,34 +195,35 @@ def read_span(obj: dict, n_tokens: int, labels: LabelSet, where: str):
     return start, end, tuple(types)
 
 
-def _parse_sentence(obj: object, labels: LabelSet, where: str) -> Sentence:
-    raw_tokens = read_field(check(obj, dict, f"{where}: line"), "tokens", list, where)
+def _parse_sentence(obj: object, labels: LabelSet, where: str, token: Callable) -> Sentence:
+    raw_tokens, raw_nuggets = read_fields(obj, _LINE, where)
     if not raw_tokens:
         raise DataError(f"{where}: field 'tokens' must be a non-empty array")
     tokens = []
     for k, tok in enumerate(raw_tokens):
         at = f"{where}: token {k}"
-        text = read_field(check(tok, dict, at), "t", str, at)
+        text, pos = read_fields(tok, _TOKEN, at)
         if not text:
             raise DataError(f"{at}: field 't' must be a non-empty string")
-        tokens.append(Token(text, read_field(tok, "pos", str | None, at, None)))
-    nuggets = []
-    for k, ng in enumerate(read_field(obj, "nuggets", list, where, [])):
-        at = f"{where}: nugget {k}"
-        nuggets.append(GoldNugget(*read_span(check(ng, dict, at), len(tokens), labels, at)))
+        tokens.append(token(text, pos))
+    nuggets = (GoldNugget(*read_span(ng, len(tokens), labels, f"{where}: nugget {k}"))
+               for k, ng in enumerate(raw_nuggets))
     return Sentence(tuple(tokens), tuple(nuggets))
 
 
 def corpus_from_lines(
     lines: Iterable[str], labels: LabelSet, source: str = "<input>"
 ) -> Corpus:
-    return Corpus(
-        tuple(_parse_sentence(obj, labels, where) for where, obj in json_lines(lines, source))
-    )
+    # one Token per distinct (text, pos), shared by the sentences: a load then
+    # allocates (and the garbage collector walks) one per word, not per token
+    token = lru_cache(maxsize=None)(Token)
+    return Corpus(tuple(
+        _parse_sentence(obj, labels, where, token) for where, obj in json_lines(lines, source)
+    ))
 
 
 def load_corpus(path: str | Path, labels: LabelSet) -> Corpus:
-    return corpus_from_lines(read_utf8(path, "corpus").splitlines(), labels, source=str(path))
+    return corpus_from_lines(read_lines(path, "corpus"), labels, source=str(path))
 
 
 def _sentence_to_obj(s: Sentence) -> dict:

@@ -16,61 +16,86 @@ import tempfile
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from types import UnionType
 from typing import Callable, Iterable, Iterator
 
 from .errors import DataError
 
-# each kind a JSON value or config field may have -> the types that fit it, its
-# name, and the types that fit each element, if any; `kind | None` takes None too
+# each kind a JSON value or config field may have, and its `kind | None`,
+# resolved once -> (the one type that fits it at once, if any; the types that
+# fit it; its name; the types that fit each element, if any; takes None)
 KINDS = {
-    int: (numbers.Integral, "an integer", None),
-    float: (numbers.Real, "a real number", None),
-    bool: (bool, "true or false", None),
-    str: (str, "a string", None),
-    list: (list, "an array", None),
-    list[int]: (list, "an array of integers", numbers.Integral),
-    list[str]: (list, "an array of strings", str),
-    dict: (dict, "an object", None),
-    tuple[int, ...]: (tuple, "a tuple of integers", numbers.Integral),
+    kind | None if optional else kind:
+        (None if item else kind, types, words + " or None" * optional, item, optional)
+    for kind, types, words, item in [
+        (int, numbers.Integral, "an integer", None),
+        (float, numbers.Real, "a real number", None),
+        (bool, bool, "true or false", None),
+        (str, str, "a string", None),
+        (list, list, "an array", None),
+        (list[int], list, "an array of integers", numbers.Integral),
+        (list[str], list, "an array of strings", str),
+        (dict, dict, "an object", None),
+        (tuple[int, ...], tuple, "a tuple of integers", numbers.Integral),
+    ]
+    for optional in (False, True)
 }
 
 
-def check(value, kind, where: str, key: str | None = None, error: type = DataError):
-    """`value` if it is of `kind`, a KINDS key or one `| None` (a bool is no
-    number), else raise `error` naming `where` (the file and the line, tensor
-    or record) and the field `key`, if any."""
-    optional = isinstance(kind, UnionType)
-    base = kind.__args__[0] if optional else kind
-    types, words, item = KINDS[base]
+def check(value, kind, where: str, error: type = DataError):
+    """`value` if it is of `kind`, a KINDS key (a bool is no number), else
+    raise `error`: "`where` must be <kind>, got <value>"."""
+    exact, types, words, item, optional = KINDS[kind]
     if not (
-        type(value) is base or (value is None and optional)  # fits, found at once
-        or isinstance(value, types) and (base is bool or not isinstance(value, bool))
+        type(value) is exact or (value is None and optional)
+        or isinstance(value, types) and (exact is bool or not isinstance(value, bool))
         and (item is None or all(isinstance(v, item) and not isinstance(v, bool) for v in value))
     ):
-        what = where if key is None else f"{where}: field {key!r}"
-        words += " or None" if optional else ""
-        raise error(f"{what} must be {words}, got {reprlib.repr(value)}")
+        raise error(f"{where} must be {words}, got {reprlib.repr(value)}")
     return value
 
 
-def read_field(obj: dict, key: str, kind, where: str, default=...):
-    """`obj[key]`, or `default` if the key is absent, which must be of `kind`."""
-    value = obj.get(key, default)
-    if value is ...:  # absent, with no default
-        raise DataError(f"{where}: missing field {key!r}")
-    return check(value, kind, where, key)
+def object_kind(noun: str, *rows: tuple) -> tuple:
+    """A JSON object kind for `read_fields`: `(key, kind[, default])` rows (no
+    default: required), each kind resolved once, and `noun`, which names such
+    an object after its location in errors ("line"), or "" if that does."""
+    return noun, tuple(
+        (key, kind, default[0] if default else ..., KINDS[kind][0]) for key, kind, *default in rows
+    )
+
+
+def read_fields(obj, declared: tuple, where: str) -> list:
+    """Each field of `declared` (an `object_kind`) in the JSON object `obj`, or
+    its default if absent; else a DataError naming `where` and the field."""
+    noun, rows = declared
+    if type(obj) is not dict:
+        check(obj, dict, f"{where}: {noun}" if noun else where)
+    values = []
+    for key, kind, default, exact in rows:
+        value = obj.get(key, default)
+        if type(value) is not exact:  # else it fits at once
+            if value is ...:
+                raise DataError(f"{where}: missing field {key!r}")
+            check(value, kind, f"{where}: field {key!r}")
+        values.append(value)
+    return values
 
 
 def read_utf8(path: str | Path, what: str) -> str:
-    """The whole text of `path`; `what` names the kind of file in errors."""
+    """The whole text of `path`, its line ends as they are; `what` names the
+    kind of file in errors."""
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except OSError as e:
         raise DataError(f"cannot read {what} {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: {what} is not UTF-8 text: {e}") from e
+
+
+def read_lines(path: str | Path, what: str) -> list[str]:
+    r"""The lines of `path`, split at "\n" alone: U+2028 or a lone "\r" is data,
+    and the "\r" of a "\r\n" stays, for readers to strip as whitespace."""
+    return read_utf8(path, what).split("\n")
 
 
 def _object(pairs: list) -> dict:
@@ -81,9 +106,14 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)  # one, not one per parse
+
+
 def _parse(text: str, where: str):
     try:
-        return json.loads(text, object_pairs_hook=_object)
+        if text.startswith("\ufeff"):  # as `json.loads` rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError
         raise DataError(f"{where}: {e}") from e
 

@@ -31,7 +31,7 @@ from .candidates import LabeledExample, TriggerLexicon
 from .corpus import Corpus, LabelSet
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluation import evaluate_model
-from .fileio import check, header_and_payload, read_field, write_text_atomic
+from .fileio import check, header_and_payload, object_kind, read_fields, write_text_atomic
 from .model import ModelConfig, NuggetModel, assemble_model, build_model
 from .numerics import Optimizer, Rng, check_optimizer_hyperparameters
 
@@ -359,6 +359,12 @@ def load_checkpoint(
     return loaded
 
 
+_HEADER = object_kind("", ("config", dict), ("labels", list[str]), ("vocab", list[str]),
+                      ("pipeline", dict, {}), ("tensors", dict), ("payload_bytes", int))
+_PIPELINE = object_kind("", ("lexicon", dict | None, None), ("max_nugget_len", int | None, None),
+                        ("threshold", float, 0.5))
+
+
 def _from_header(header, path, expect: ModelConfig | None) -> LoadedCheckpoint:
     """The checked header's settings and zero-filled model."""
     if not isinstance(header, dict) or header.get("kind") != "fbrnn-checkpoint":
@@ -366,22 +372,17 @@ def _from_header(header, path, expect: ModelConfig | None) -> LoadedCheckpoint:
     version = header.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
-    vocab = read_field(header, "vocab", list[str], path)
-    shapes = read_field(header, "tensors", dict, path)
-    payload_bytes = read_field(header, "payload_bytes", int, path)
+    config, label_names, vocab, pipeline, shapes, payload_bytes = read_fields(header, _HEADER, path)
     where = f"{path}: pipeline"
-    pipeline = read_field(header, "pipeline", dict, path, {})
-    lex = read_field(pipeline, "lexicon", dict | None, where, None)
+    lex, max_nugget_len, threshold = read_fields(pipeline, _PIPELINE, where)
     lexicon = None if lex is None else TriggerLexicon.from_dict(lex, f"{where}: lexicon")
-    max_nugget_len = read_field(pipeline, "max_nugget_len", int | None, where, None)
     if max_nugget_len is not None and max_nugget_len < 1:
         raise DataError(f"{where}: max_nugget_len must be >= 1 or null, got {max_nugget_len}")
-    threshold = read_field(pipeline, "threshold", float, where, 0.5)
     if not 0.0 < threshold < 1.0:
         raise DataError(f"{where}: threshold must be in (0, 1), got {threshold!r}")
     try:
-        cfg = ModelConfig.from_dict(read_field(header, "config", dict, path))
-        labels = LabelSet(read_field(header, "labels", list[str], path))
+        cfg = ModelConfig.from_dict(config)
+        labels = LabelSet(label_names)
         if expect is not None and cfg != expect:
             raise DataError(
                 f"{path}: checkpoint config does not match the requested run "
@@ -397,7 +398,7 @@ def _from_header(header, path, expect: ModelConfig | None) -> LoadedCheckpoint:
         if listed != name:
             raise DataError(f"{path}: tensor {i} is {listed!r}, the model's is {name!r}")
     for t in model.store:
-        shape = check(shapes[t.name], list[int], f"{path}: tensor {t.name!r}", "shape")
+        shape = check(shapes[t.name], list[int], f"{path}: tensor {t.name!r}: field 'shape'")
         if shape != list(t.shape):
             raise DataError(f"{path}: tensor {t.name!r} has shape {shape}, not {list(t.shape)}")
     if payload_bytes != model.store.values.nbytes:

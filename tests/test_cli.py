@@ -285,6 +285,30 @@ class TestTrainEvaluatePredict:
         assert "P: 100.00" in out and "R: 100.00" in out and "F1: 100.00" in out
 
 
+    @pytest.mark.parametrize("char", ["\u2028", "\x85"])
+    def test_raw_line_separators_in_corpus_and_predictions_are_data(
+        self, synth_dir, tmp_path, capsys, char
+    ):
+        """Both JSON-lines files break at "\\n" alone: a raw U+2028 or U+0085
+        inside a string (a token, a prediction's mention) is data, and the
+        line numbers after it stay right."""
+        types = json.loads((synth_dir / "labels.json").read_text())[:1]
+        sentence = {"tokens": [{"t": "they"}, {"t": f"met{char}up"}],
+                    "nuggets": [{"start": 1, "end": 1, "types": types}]}
+        record = {"sentence": 0, "start": 1, "end": 1, "types": types, "mention": f"met{char}up"}
+        corpus, preds = tmp_path / "corpus.jsonl", tmp_path / "preds.jsonl"
+        corpus.write_text(json.dumps(sentence, ensure_ascii=False) + "\n", encoding="utf-8")
+        preds.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        argv = ["evaluate", "--predictions", preds, "--labels", synth_dir / "labels.json",
+                "--corpus", corpus]
+        assert run_cli(*argv) == 0
+        assert "F1: 100.00" in capsys.readouterr().out
+        with preds.open("a", encoding="utf-8") as f:
+            f.write('{"sentence": 1}\n')
+        assert run_cli(*argv) == 2
+        assert "preds.jsonl:2: sentence 1 is not in the corpus" in capsys.readouterr().err
+
+
 class TestTrainVariants:
     def test_no_dev_split_and_pretrained_coverage(self, synth_dir, tmp_path, capsys):
         import warnings

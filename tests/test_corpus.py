@@ -130,6 +130,28 @@ class TestCorpusIO:
         with pytest.raises(DataError, match="corpus.jsonl:2"):
             corpus_from_lines([BREAK_IN_LINE, "{oops"], labels, source="corpus.jsonl")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\x85"])
+    def test_a_raw_line_separator_in_a_token_is_data(self, labels, tmp_path, char):
+        """A corpus breaks at "\\n" alone (after an optional "\\r"):
+        `str.splitlines` would cut this line at U+2028 or U+0085, reject both
+        halves as invalid JSON and misnumber every later line."""
+        line = json.dumps({"tokens": [{"t": f"met{char}up", "pos": "VBD"}, {"t": "a"}],
+                           "nuggets": [{"start": 0, "end": 0, "types": ["Contact.Meet"]}]},
+                          ensure_ascii=False)
+        assert char in line
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(f"{line}\r\n{line}\n".encode())
+        corpus = load_corpus(path, labels)
+        assert [s.tokens for s in corpus] == [(Token(f"met{char}up", "VBD"), Token("a"))] * 2
+        path.write_bytes(f"{line}\r\n{{oops}}\n".encode())
+        with pytest.raises(DataError, match=r"c\.jsonl:2: invalid JSON"):
+            load_corpus(path, labels)
+
+    def test_equal_tokens_of_a_corpus_are_one_object(self, labels):
+        corpus = corpus_from_lines([BREAK_IN_LINE, BREAK_IN_LINE], labels)
+        assert corpus[0] == corpus[1]
+        assert all(a is b for a, b in zip(corpus[0].tokens, corpus[1].tokens))
+
     def test_save_load_roundtrip(self, labels, tmp_path):
         corpus = corpus_from_lines([BREAK_IN_LINE], labels)
         path = tmp_path / "c.jsonl"

@@ -574,3 +574,39 @@ def test_format_3_document_names_its_version(tmp_path):
     path.write_text(json.dumps({"format_version": 3, "kind": "fbrnn-checkpoint", "tensors": {}}))
     with pytest.raises(DataError, match="unsupported checkpoint version 3"):
         load_checkpoint(path)
+
+
+_TRAIN_AND_DIGEST = """
+import hashlib, warnings
+from fbrnn.candidates import build_examples, build_trigger_lexicon
+from fbrnn.corpus import default_synthetic_spec, make_synthetic_corpus, vocabulary_of
+from fbrnn.model import ModelConfig, build_model
+from fbrnn.numerics import Rng
+from fbrnn.training import TrainConfig, train_model
+warnings.simplefilter("ignore")  # no dev set
+spec = default_synthetic_spec(n_sentences=40)
+corpus, labels = make_synthetic_corpus(spec, Rng(100)), spec.label_set()
+examples = build_examples(corpus, build_trigger_lexicon(corpus), labels, 3)
+cfg = TrainConfig(hidden_size=16, word_dim=12, branch_dim=4, batch_size=8, max_epochs=2, seed=7)
+model, _ = train_model(cfg, examples, None, None, vocabulary_of(corpus), labels)
+start = build_model(cfg.model_config(), vocabulary_of(corpus), labels, Rng(cfg.seed))
+assert model.store.values.tobytes() != start.store.values.tobytes()  # it trained
+print(hashlib.sha256(model.store.values.tobytes()).hexdigest())
+"""
+
+
+def test_one_blas_thread_count_trains_the_same_bytes_in_two_processes():
+    """The same tiny batched training, run in two fresh interpreters with
+    the same `OPENBLAS_NUM_THREADS`, ends in the same parameter bytes.
+    (Different thread counts may not: README, "Determinism".)"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "2")
+    env = dict(os.environ, PYTHONPATH=path_var, OPENBLAS_NUM_THREADS=threads)
+    digests = [
+        subprocess.run([sys.executable, "-c", _TRAIN_AND_DIGEST], capture_output=True,
+                       text=True, env=env, check=True).stdout
+        for _ in range(2)
+    ]
+    assert len(digests[0].strip()) == 64
+    assert digests[0] == digests[1]
