@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .corpus import Corpus, GoldNugget, LabelSet, Sentence, vocabulary_of
 from .errors import ConfigurationError, DataError
-from .fileio import object_kind, read_fields, read_json, read_lines, write_text_atomic
+from .fileio import object_kind, read_fields, read_json, read_utf8, write_text_atomic
 
 __all__ = [
     "TriggerLexicon",
@@ -150,7 +150,7 @@ class TriggerLexicon:
 def load_paraphrases(path: str | Path) -> list[tuple[str, str]]:
     """Parse a tab-separated `source<TAB>paraphrase` file; `#` comments."""
     pairs = []
-    for lineno, line in enumerate(read_lines(path, "paraphrase file"), 1):
+    for lineno, line in enumerate(read_utf8(path, "paraphrase file").split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

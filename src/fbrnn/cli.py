@@ -45,7 +45,7 @@ from .corpus import (
 )
 from .embeddings import load_pretrained
 from .errors import ConfigurationError, DataError, NumericError
-from .fileio import json_lines, object_kind, read_fields, read_lines, write_text_atomic
+from .fileio import json_lines, object_kind, read_fields, read_utf8, write_text_atomic
 from .evaluation import (
     PredictedNugget,
     PRFReport,
@@ -122,7 +122,7 @@ def _coerce(key: str, raw: str):
 def _read_config_file(path: str) -> dict:
     p = Path(path)
     try:
-        lines = read_lines(p, "config file")
+        lines = read_utf8(p, "config file").split("\n")
     except DataError as e:  # a config file is configuration: exit 1
         raise ConfigurationError(str(e)) from e
     values: dict = {}
@@ -366,7 +366,7 @@ def _score_predictions(args) -> PRFReport:
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     path = _require_file(args.predictions, "predictions")
     preds = []
-    for where, obj in json_lines(read_lines(path, "predictions file"), str(path)):
+    for where, obj in json_lines(read_utf8(path, "predictions file").split("\n"), str(path)):
         (sid,) = read_fields(obj, _RECORD, where)
         if not 0 <= sid < len(corpus):
             raise DataError(f"{where}: sentence {sid} is not in the corpus")

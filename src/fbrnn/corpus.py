@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
 from .fileio import (
-    check, json_lines, object_kind, read_fields, read_json, read_lines, write_text_atomic,
+    check, json_lines, object_kind, read_fields, read_json, read_utf8, write_text_atomic,
 )
 from .numerics import Rng
 
@@ -195,7 +194,7 @@ def read_span(obj: object, n_tokens: int, labels: LabelSet, where: str):
     return start, end, tuple(types)
 
 
-def _parse_sentence(obj: object, labels: LabelSet, where: str, token: Callable) -> Sentence:
+def _parse_sentence(obj: object, labels: LabelSet, where: str) -> Sentence:
     raw_tokens, raw_nuggets = read_fields(obj, _LINE, where)
     if not raw_tokens:
         raise DataError(f"{where}: field 'tokens' must be a non-empty array")
@@ -205,7 +204,7 @@ def _parse_sentence(obj: object, labels: LabelSet, where: str, token: Callable) 
         text, pos = read_fields(tok, _TOKEN, at)
         if not text:
             raise DataError(f"{at}: field 't' must be a non-empty string")
-        tokens.append(token(text, pos))
+        tokens.append(Token(text, pos))
     nuggets = (GoldNugget(*read_span(ng, len(tokens), labels, f"{where}: nugget {k}"))
                for k, ng in enumerate(raw_nuggets))
     return Sentence(tuple(tokens), tuple(nuggets))
@@ -214,16 +213,13 @@ def _parse_sentence(obj: object, labels: LabelSet, where: str, token: Callable) 
 def corpus_from_lines(
     lines: Iterable[str], labels: LabelSet, source: str = "<input>"
 ) -> Corpus:
-    # one Token per distinct (text, pos), shared by the sentences: a load then
-    # allocates (and the garbage collector walks) one per word, not per token
-    token = lru_cache(maxsize=None)(Token)
-    return Corpus(tuple(
-        _parse_sentence(obj, labels, where, token) for where, obj in json_lines(lines, source)
-    ))
+    return Corpus(
+        tuple(_parse_sentence(obj, labels, where) for where, obj in json_lines(lines, source))
+    )
 
 
 def load_corpus(path: str | Path, labels: LabelSet) -> Corpus:
-    return corpus_from_lines(read_lines(path, "corpus"), labels, source=str(path))
+    return corpus_from_lines(read_utf8(path, "corpus").split("\n"), labels, source=str(path))
 
 
 def _sentence_to_obj(s: Sentence) -> dict:

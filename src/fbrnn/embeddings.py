@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .fileio import read_lines
+from .fileio import read_utf8
 from .numerics import ParamStore, ParamTensor, Rng, init_uniform_scaled
 
 __all__ = [
@@ -52,7 +52,7 @@ def load_pretrained(path: str | Path, expected_dim: int) -> dict[str, np.ndarray
     lines and NaN/Inf values (with their line number) and vector counts
     that disagree with the header. Binary word2vec files are not supported.
     """
-    lines = read_lines(path, "embedding file")
+    lines = read_utf8(path, "embedding file").split("\n")
     if lines == [""]:
         raise DataError(f"{path}: empty embedding file")
     header = lines[0].split()

@@ -81,8 +81,9 @@ def read_fields(obj, declared: tuple, where: str) -> list:
 
 
 def read_utf8(path: str | Path, what: str) -> str:
-    """The whole text of `path`, its line ends as they are; `what` names the
-    kind of file in errors."""
+    r"""The whole text of `path`, its line ends as they are, for a line reader
+    to split at "\n" alone (U+2028 or a lone "\r" is data, and the "\r" of a
+    "\r\n" whitespace); `what` names the kind of file in errors."""
     path = Path(path)
     try:
         return path.read_bytes().decode("utf-8")
@@ -90,12 +91,6 @@ def read_utf8(path: str | Path, what: str) -> str:
         raise DataError(f"cannot read {what} {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: {what} is not UTF-8 text: {e}") from e
-
-
-def read_lines(path: str | Path, what: str) -> list[str]:
-    r"""The lines of `path`, split at "\n" alone: U+2028 or a lone "\r" is data,
-    and the "\r" of a "\r\n" stays, for readers to strip as whitespace."""
-    return read_utf8(path, what).split("\n")
 
 
 def _object(pairs: list) -> dict:

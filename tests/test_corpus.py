@@ -147,11 +147,6 @@ class TestCorpusIO:
         with pytest.raises(DataError, match=r"c\.jsonl:2: invalid JSON"):
             load_corpus(path, labels)
 
-    def test_equal_tokens_of_a_corpus_are_one_object(self, labels):
-        corpus = corpus_from_lines([BREAK_IN_LINE, BREAK_IN_LINE], labels)
-        assert corpus[0] == corpus[1]
-        assert all(a is b for a, b in zip(corpus[0].tokens, corpus[1].tokens))
-
     def test_save_load_roundtrip(self, labels, tmp_path):
         corpus = corpus_from_lines([BREAK_IN_LINE], labels)
         path = tmp_path / "c.jsonl"

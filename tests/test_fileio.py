@@ -12,7 +12,7 @@ from fbrnn.candidates import _COUNTS, _LEXICON
 from fbrnn.cli import _RECORD
 from fbrnn.corpus import _LINE, _SPAN, _TOKEN
 from fbrnn.errors import DataError
-from fbrnn.fileio import KINDS, check, json_lines, object_kind, read_fields, read_json, read_lines
+from fbrnn.fileio import KINDS, check, json_lines, object_kind, read_fields, read_json, read_utf8
 from fbrnn.training import _HEADER, _PIPELINE
 
 _READS = re.compile(r"\b(read_text|read_bytes|open)\(|\bjson\.loads?\(")
@@ -143,11 +143,9 @@ def test_read_fields_fails_exactly_where_a_check_per_field_fails(data):
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1e", "\r"])
-def test_lines_split_at_newline_alone(tmp_path, char):
-    """`str.splitlines` would also break a line at these characters, and
-    universal newlines at a lone "\\r"."""
+def test_text_keeps_every_line_end_as_it_is(tmp_path, char):
+    """Line readers split at "\\n" alone, so nothing else may end a line:
+    universal newlines would turn a lone "\\r" into "\\n"."""
     path = tmp_path / "x.txt"
     path.write_bytes(f"a{char}b\r\nc\r\n\nd".encode())
-    assert read_lines(path, "text") == [f"a{char}b\r", "c\r", "", "d"]
-    path.write_text("")
-    assert read_lines(path, "text") == [""]
+    assert read_utf8(path, "text").split("\n") == [f"a{char}b\r", "c\r", "", "d"]
