@@ -3,13 +3,14 @@
 The word table maps the lowercased training vocabulary (plus a shared UNK
 row) to trainable rows, optionally initialized from a word2vec-format text
 file. The branch table holds exactly three rows, one per relative position
-of a token: left context, nugget span, right context. A branch's model
-input is one (T, d) matrix whose row t is [word_row ; branch_row] for its
-t-th token, gathered from the word table at once; ablation runs drop the
-branch part entirely. A minibatch's branch is gathered the same way, its
-examples' tokens concatenated in example order. The gradient comes back
-as a matrix of the same shape; each table row it touches receives one
-sum of its terms, in token order.
+of a token: left context, nugget span, right context. A token's model input
+is [word_row ; branch_row]; ablation runs drop the branch part entirely. So
+a branch's input depends only on its words: given its tokens' word rows
+(a minibatch's examples concatenated in example order), the embedder
+gathers one (U, d) matrix of its U distinct words' inputs and each token's
+index into it. The gradient comes back per distinct row, already summed
+over the tokens that read it, so each table row it touches is added to
+once.
 
 Both tables live in the model's ParamStore, so their rows receive
 gradients and are updated during training like any other weight.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -158,6 +159,10 @@ class WordTable:
         """Row index for a word, lowercased; unknown words map to UNK."""
         return self.vocab.get(word.lower(), 0)
 
+    def rows(self, words: Iterable[str]) -> list[int]:
+        """The `row` of each word."""
+        return [self.vocab.get(w.lower(), 0) for w in words]
+
 
 class BranchTable:
     """Exactly three trainable rows: LEFT, NUGGET, RIGHT."""
@@ -179,55 +184,49 @@ class BranchTable:
 
 
 class Embedder:
-    """Assembles a branch's input matrix and routes its gradients back."""
+    """Assembles a branch's distinct input rows and routes their gradients back."""
 
     def __init__(self, word: WordTable, branch: BranchTable | None) -> None:
         self.word = word
         self.branch = branch
-        # an empty branch's input: zero-size, so sharing one pair is safe
-        self._empty = (np.empty((0, self.input_dim)), np.empty(0, dtype=np.intp))
+        # an empty branch's input: zero-size, so sharing it is safe
+        self._empty = (np.empty((0, self.input_dim)), *np.empty((2, 0), dtype=np.intp))
 
     @property
     def input_dim(self) -> int:
         return self.word.dim + (self.branch.dim if self.branch else 0)
 
     def assemble_input(
-        self, texts: Sequence[str], branch: Branch
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(T, input_dim) input matrix of a branch's tokens, and their word
-        rows. Row t is [word_row ; branch_row], or the word row alone when
-        branch embeddings are disabled."""
-        if not texts:
+        self, rows: Sequence[int], branch: Branch
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (U, input_dim) input rows of the U distinct words among a
+        branch's N word rows (`WordTable.rows`), those words' rows in order of
+        first use, and each token's index into them. Row u is [word_row ;
+        branch_row], or the word row alone when branch embeddings are disabled."""
+        if not len(rows):
             return self._empty
-        rows = np.array([self.word.row(t) for t in texts], dtype=np.intp)
+        slot = {row: u for u, row in enumerate(dict.fromkeys(rows))}
+        words = np.fromiter(slot, dtype=np.intp, count=len(slot))
+        index = np.array([slot[row] for row in rows], dtype=np.intp)
         if self.branch is None:
-            return self.word.tensor.values[rows], rows
-        x = np.empty((len(rows), self.input_dim))
-        x[:, : self.word.dim] = self.word.tensor.values[rows]
+            return self.word.tensor.values[words], words, index
+        x = np.empty((len(words), self.input_dim))
+        x[:, : self.word.dim] = self.word.tensor.values[words]
         x[:, self.word.dim :] = self.branch.tensor.values[branch]
-        return x, rows
+        return x, words, index
 
-    def accumulate_grad(self, rows: np.ndarray, branch: Branch, d_inputs: np.ndarray) -> None:
-        """Add a branch's (T, input_dim) input gradients to the table rows.
-
-        The word rows are stably sorted, so each distinct row's terms stay
-        in token order, and each row receives one segment sum
-        (`np.add.reduceat`): a word used twice gets both gradients. The
-        branch row receives the column sum of the branch part. Against a
-        per-token loop only the summation order differs: a term is added
-        to its segment's sum before the sum meets the row's earlier
-        gradient. The word rows are written by `ParamTensor.add_row_grads`,
-        which marks them reached (see `ParamStore`). An empty branch
-        returns at once.
+    def accumulate_grad(self, words: np.ndarray, branch: Branch, d_inputs: np.ndarray) -> None:
+        """Add the (U, input_dim) gradients of a branch's distinct input rows
+        (`assemble_input`) to the table rows. Each row of `d_inputs` is
+        already the sum over the tokens that read it
+        (`BranchEncoder.backprop`), so each distinct word row is added to
+        once, by `ParamTensor.add_row_grads`, which marks it reached (see
+        `ParamStore`). The branch row receives the column sum of the branch
+        part. An empty branch returns at once.
         """
-        if len(rows) == 0:
+        if len(words) == 0:
             return
         d_w = self.word.dim
-        order = np.argsort(rows, kind="stable")
-        ordered = rows[order]
-        firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        self.word.tensor.add_row_grads(
-            ordered[firsts], np.add.reduceat(d_inputs[order, :d_w], firsts, axis=0)
-        )
+        self.word.tensor.add_row_grads(words, d_inputs[:, :d_w])
         if self.branch is not None:
             self.branch.tensor.grad[branch] += d_inputs[:, d_w:].sum(axis=0)

@@ -56,10 +56,12 @@ def check(value, kind, where: str, error: type = DataError):
 
 def object_kind(noun: str, *rows: tuple) -> tuple:
     """A JSON object kind for `read_fields`: `(key, kind[, default])` rows (no
-    default: required), each kind resolved once, and `noun`, which names such
-    an object after its location in errors ("line"), or "" if that does."""
+    default: required), each kind resolved and each default checked once, and
+    `noun` ("line", or ""), which names the object after its location in errors."""
     return noun, tuple(
-        (key, kind, default[0] if default else ..., KINDS[kind][0]) for key, kind, *default in rows
+        (key, kind, check(*default, kind, f"the default of field {key!r}", TypeError)
+         if default else ..., KINDS[kind][0])
+        for key, kind, *default in rows
     )
 
 
@@ -72,10 +74,10 @@ def read_fields(obj, declared: tuple, where: str) -> list:
     values = []
     for key, kind, default, exact in rows:
         value = obj.get(key, default)
-        if type(value) is not exact:  # else it fits at once
-            if value is ...:
-                raise DataError(f"{where}: missing field {key!r}")
+        if type(value) is not exact and value is not default:  # a default fits (`object_kind`)
             check(value, kind, f"{where}: field {key!r}")
+        elif value is ...:
+            raise DataError(f"{where}: missing field {key!r}")
         values.append(value)
     return values
 

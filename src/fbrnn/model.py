@@ -2,10 +2,10 @@
 
 Three separately parameterized recurrent encoders read the left context and
 the nugget span left-to-right and the right context right-to-left. One model
-pass (`NuggetModel._forward`) serves training and prediction: it gathers a
-batch's tokens of each branch as one (N, d) input matrix and runs one
-recurrence per branch, each layer projecting all of its input rows
-(`x W^T + b`) in one product before its step loop. A candidate reads each
+pass (`NuggetModel._forward`) serves training and prediction: it gathers
+the U distinct input rows of a batch's N tokens of each branch and runs one
+recurrence per branch, layer 0 projecting the U rows and each layer above
+its N rows (`x W^T + b`) in one product. A candidate reads each
 branch's representation at the packed row of its state after its part's
 last token. The representations are concatenated, passed through dropout
 (applied exactly when the caller passes an Rng) and a small fully
@@ -17,8 +17,8 @@ Gradients are computed analytically: each candidate's slice of the head
 gradient enters its encoder at the row it read; per layer, top first, the
 encoder recomputes every step's activations in one call from the states it
 kept, loops back over the steps for the state gradients only (BPTT), and
-takes each weight gradient as one product; each branch's (T, d) input
-gradient is scattered into the embedding rows. Gradients accumulate.
+takes each weight gradient as one product, layer 0's over U rows after a
+segment sum; input gradients go to the embedding rows. Gradients accumulate.
 
 Conventions fixed here:
     GRU   z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br)
@@ -305,7 +305,8 @@ class EncoderCache:
     """Per layer, arrays in packed rows: what `backprop` recomputes from."""
 
     layout: PackedLayout
-    inputs: np.ndarray  # layer 0's input rows, (N, d_in); layer k's are states[k - 1]
+    inputs: np.ndarray  # layer 0's distinct input rows, (U, d_in); layer k's are states[k - 1]
+    reads: np.ndarray  # the row of `inputs` each packed row reads, (N,)
     projections: list[np.ndarray]  # each layer's x W^T + b, (N, G*h)
     states: list[np.ndarray]  # each layer's state after each step, (N, h)
     cells: list[np.ndarray]  # each LSTM layer's cell after each step; none for a GRU
@@ -325,10 +326,10 @@ class BranchEncoder:
     vector and touches no parameters.
 
     A batch of sequences runs as one recurrence: each layer first projects
-    all of its packed input rows in one product, then each step is one
-    product of the states of the sequences still running (see
-    PackedLayout), keeping whole arrays per layer (see EncoderCache) and no
-    per-step activations. One sequence is the batch of one.
+    its input rows in one product (layer 0 each distinct row once), then
+    each step is one product of the states of the sequences still running
+    (see PackedLayout), keeping whole arrays per layer (see EncoderCache)
+    and no per-step activations. One sequence is the batch of one.
     """
 
     def __init__(
@@ -365,12 +366,13 @@ class BranchEncoder:
         vectors: np.ndarray | Sequence[np.ndarray],
         *,
         lengths: Sequence[int] | None = None,
+        index: np.ndarray | None = None,
     ) -> tuple[np.ndarray, EncoderCache]:
-        """Encode a (T, d_in) input matrix, or any sequence of T vectors,
-        given in the branch's token order: returns the (hidden,)
-        representation. With `lengths`, the rows are a batch of sequences
-        stacked in batch order: returns one representation per sequence,
-        (B, hidden) in batch order.
+        """Encode a (T, d_in) input matrix, or any sequence of T vectors, in
+        the branch's token order (with `index`, token t reads row `index[t]`
+        of U distinct rows, each read, which layer 0 projects once): returns
+        the (hidden,) representation. With `lengths`, the tokens are a batch
+        of sequences in batch order: returns (B, hidden), one per sequence.
 
         The cache keeps the top layer's state after every step, so one pass
         also yields the representation of each prefix of each sequence's
@@ -378,10 +380,11 @@ class BranchEncoder:
         `cache.outputs[cache.layout.row(t, seq)]`, which for one sequence
         is `cache.outputs[t]`."""
         inputs = np.asarray(vectors, dtype=np.float64)
-        layout = PackedLayout.of([len(inputs)] if lengths is None else lengths, self.backward)
-        if layout.n_rows != len(inputs):
+        index = np.arange(len(inputs)) if index is None else np.asarray(index)
+        layout = PackedLayout.of([len(index)] if lengths is None else lengths, self.backward)
+        if layout.n_rows != len(index):
             raise ConfigurationError(
-                f"encode: lengths sum to {layout.n_rows}, inputs have {len(inputs)} rows"
+                f"encode: lengths sum to {layout.n_rows}, inputs have {len(index)} rows"
             )
         d_in = self.layers[0].W.shape[1]
         if not len(inputs):
@@ -390,12 +393,14 @@ class BranchEncoder:
             raise ConfigurationError(
                 f"encode: inputs {inputs.shape}, layer 0 W {self.layers[0].W.shape}"
             )
-        x = inputs = inputs[layout.rows]
+        reads = index[layout.rows]
         steps = list(zip(layout.offsets.tolist(), layout.sizes))
-        projections, states, cells = [], [], []
-        for layer in self.layers:
+        x, projections, states, cells = inputs, [], [], []
+        for k, layer in enumerate(self.layers):
             # every step's input projection, with the bias, as one product
             wx = x @ layer.W.values.T + layer.b.values
+            if not k:
+                wx = wx[reads]
             x = np.empty((layout.n_rows, self.hidden))
             if self.kind == "lstm":
                 cells.append(np.empty_like(x))
@@ -410,24 +415,23 @@ class BranchEncoder:
                 x[o : o + n] = h
             projections.append(wx)
             states.append(x)
-        cache = EncoderCache(layout, inputs, projections, states, cells)
+        cache = EncoderCache(layout, inputs, reads, projections, states, cells)
         reps = np.zeros((len(layout.order), self.hidden))
         reps[layout.order[: len(layout.last)]] = cache.outputs[layout.last]
         return (reps[0] if lengths is None else reps), cache
 
     def backprop(self, d_outputs: np.ndarray, cache: EncoderCache) -> np.ndarray:
         """BPTT from the gradient of `cache.outputs`, (n_rows, hidden), which
-        may enter at any packed row; returns the input gradients, (T, d_in)
-        rows in the order of `encode`'s inputs."""
+        may enter at any packed row; returns the gradients of `encode`'s U
+        input rows, (U, d_in), each summed over the tokens that read it."""
         if d_outputs.shape != cache.outputs.shape:
             raise ConfigurationError(
                 f"backprop: d_outputs {d_outputs.shape}, outputs {cache.outputs.shape}"
             )
         layout = cache.layout
         if not layout.n_rows:
-            return np.zeros((0, self.layers[0].W.shape[1]))
+            return np.zeros(cache.inputs.shape)
         h, steps = self.hidden, list(zip(layout.offsets.tolist(), layout.sizes))
-        xs = [cache.inputs, *cache.states[:-1]]
         zeros = np.zeros((layout.sizes[0], h))  # the state before step 0
         d_states = d_outputs
         for k in reversed(range(len(self.layers))):
@@ -466,12 +470,16 @@ class BranchEncoder:
                 p.U.grad[2 * h :] += np.dot(da[:, 2 * h :].T, r * h_prev)
             else:
                 p.U.grad += np.dot(da.T, h_prev)
-            p.W.grad += np.dot(da.T, xs[k])
             p.b.grad += da.sum(axis=0)
-            d_states = da @ p.W.values
-        d_inputs = np.empty_like(d_states)
-        d_inputs[layout.rows] = d_states
-        return d_inputs
+            if k:
+                p.W.grad += np.dot(da.T, cache.states[k - 1])
+                d_states = da @ p.W.values
+        order = cache.reads.argsort(kind="stable")  # p and da are layer 0's
+        ordered = cache.reads[order]
+        firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        d_rows = np.add.reduceat(da[order], firsts, axis=0)  # one sum per input row, all read
+        p.W.grad += np.dot(d_rows.T, cache.inputs)
+        return d_rows @ p.W.values
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +587,7 @@ _BRANCHES = (Branch.LEFT, Branch.NUGGET, Branch.RIGHT)  # order of the concatena
 
 @dataclass
 class ModelCache:
-    rows: dict[Branch, np.ndarray]  # word rows of each branch's inputs
+    rows: dict[Branch, np.ndarray]  # distinct word rows of each branch's inputs
     enc: dict[Branch, EncoderCache]
     reads: dict[Branch, tuple[np.ndarray, np.ndarray]]  # (candidates, packed rows they read)
     head: HeadCache
@@ -686,31 +694,31 @@ class NuggetModel:
         row of its state after step len(part) - 1. With `keep` the cache
         holds what a backward pass needs; without it each encoder cache is
         dropped once read, so a forward-only pass holds one at a time."""
-        lefts, rights, nuggets = [], [], []
+        lefts, nuggets, rights = parts = [], [], []  # word rows of each sequence
         # per branch, flat (candidate, step, sequence) triples of the non-empty parts
         left_needs, nugget_needs, right_needs = needs = [], [], []
         for splits in filter(None, groups):
             if any(split.tokens != splits[0].tokens for split in splits[1:]):
                 raise ValueError("batch_proba: one group holds splits of different sentences")
+            sentence = self.embedder.word.rows(splits[0].tokens)  # once per group
             j = len(lefts)
             for split in splits:
-                c = len(nuggets)
+                c, start = len(nuggets), len(split.left)
                 if split.left:
-                    left_needs += c, len(split.left) - 1, j
+                    left_needs += c, start - 1, j
                 if split.nugget:
                     nugget_needs += c, len(split.nugget) - 1, c
                 if split.right:
                     right_needs += c, len(split.right) - 1, j
-                nuggets.append(split.nugget)
-            lefts.append(max((split.left for split in splits), key=len))
-            rights.append(max((split.right for split in splits), key=len))
+                nuggets.append(sentence[start : start + len(split.nugget)])
+            lefts.append(sentence[: max(len(split.left) for split in splits)])
+            rights.append(sentence[len(sentence) - max(len(split.right) for split in splits) :])
         h = self.cfg.hidden_size
         reps = np.zeros((len(nuggets), 3 * h))
         rows, encs, reads = {}, {}, {}
         # any order gives the same bits; LEFT first measured more page faults
-        for k, branch, texts in ((1, Branch.NUGGET, nuggets), (0, Branch.LEFT, lefts),
-                                 (2, Branch.RIGHT, rights)):
-            word_rows, enc = self._encode(branch, texts)
+        for k, branch in ((1, Branch.NUGGET), (0, Branch.LEFT), (2, Branch.RIGHT)):
+            word_rows, enc = self._encode(branch, parts[k])
             candidate, step, seq = np.array(needs[k], dtype=np.intp).reshape(-1, 3).T
             row = enc.layout.row(step, seq)
             reps[candidate, k * h : (k + 1) * h] = enc.outputs[row]
@@ -721,12 +729,13 @@ class NuggetModel:
         return probs, ModelCache(rows, encs, reads, head_cache)
 
     def _encode(
-        self, branch: Branch, texts: Sequence[tuple[str, ...]]
+        self, branch: Branch, parts: list[list[int]]
     ) -> tuple[np.ndarray, EncoderCache]:
-        """One recurrence of the branch's encoder over these token
-        sequences: their word rows and the pass's cache."""
-        inputs, rows = self.embedder.assemble_input(tuple(chain.from_iterable(texts)), branch)
-        return rows, self.encoders[branch].encode(inputs, lengths=[len(t) for t in texts])[1]
+        """One recurrence of the branch's encoder over sequences given by
+        their word rows: the distinct word rows it read and the pass's cache."""
+        inputs, words, index = self.embedder.assemble_input(list(chain(*parts)), branch)
+        lengths = [len(p) for p in parts]
+        return words, self.encoders[branch].encode(inputs, lengths=lengths, index=index)[1]
 
     def predict(self, split: BranchSplit, threshold: float = 0.5) -> tuple[str, ...]:
         """Predicted event types of one split; see `decode`."""

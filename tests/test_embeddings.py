@@ -96,23 +96,37 @@ class TestAssembly:
         branch = BranchTable.build(d_b, rng, store)
         return Embedder(word, branch)
 
+    @staticmethod
+    def assemble(emb, words, branch):
+        return emb.assemble_input(emb.word.rows(words), branch)
+
     def test_concatenated_width(self):
         emb = self.build_embedder(300, 20)
-        x, rows = emb.assemble_input(("alpha", "beta", "gamma"), Branch.LEFT)
+        x, rows, index = self.assemble(emb, ("alpha", "beta", "gamma"), Branch.LEFT)
         assert x.shape == (3, 320)
-        assert rows.tolist() == [1, 2, 0]  # the unknown word maps to UNK
+        assert rows[index].tolist() == [1, 2, 0]  # the unknown word maps to UNK
 
     def test_rows_are_word_row_then_branch_row(self):
         emb = self.build_embedder(8, 3)
-        x, rows = emb.assemble_input(("beta", "alpha", "beta"), Branch.NUGGET)
-        for t, row in enumerate(rows):
-            assert np.array_equal(x[t, :8], emb.word.tensor.values[row])
-            assert np.array_equal(x[t, 8:], emb.branch.tensor.values[Branch.NUGGET])
+        x, rows, index = self.assemble(emb, ("beta", "alpha", "beta"), Branch.NUGGET)
+        for t, row in enumerate(rows[index]):
+            assert np.array_equal(x[index[t], :8], emb.word.tensor.values[row])
+            assert np.array_equal(x[index[t], 8:], emb.branch.tensor.values[Branch.NUGGET])
+
+    def test_each_distinct_word_is_one_row(self):
+        """Tokens of one word share its row: rows in order of first use, each once."""
+        emb = self.build_embedder(8, 3)
+        x, rows, index = self.assemble(
+            emb, ("beta", "gamma", "alpha", "beta", "delta", "Beta"), Branch.LEFT
+        )
+        assert rows.tolist() == [2, 0, 1] and x.shape == (3, 11)
+        assert index.tolist() == [0, 1, 2, 0, 1, 0] and index.dtype == np.intp
+        assert np.array_equal(x[:, :8], emb.word.tensor.values[rows])
 
     def test_same_word_different_branch(self):
         emb = self.build_embedder(8, 3)
-        left, _ = emb.assemble_input(("alpha",), Branch.LEFT)
-        nugget, _ = emb.assemble_input(("alpha",), Branch.NUGGET)
+        left, _, _ = self.assemble(emb, ("alpha",), Branch.LEFT)
+        nugget, _, _ = self.assemble(emb, ("alpha",), Branch.NUGGET)
         assert np.array_equal(left[:, :8], nugget[:, :8])
         assert not np.array_equal(left[:, 8:], nugget[:, 8:])
 
@@ -120,8 +134,8 @@ class TestAssembly:
         store = ParamStore()
         word = WordTable.build([UNK, "alpha"], 300, Rng(0), store)
         emb = Embedder(word, None)
-        x, _ = emb.assemble_input(("alpha", "alpha"), Branch.RIGHT)
-        assert x.shape == (2, 300)
+        x, _, index = self.assemble(emb, ("alpha", "alpha"), Branch.RIGHT)
+        assert x.shape == (1, 300) and index.tolist() == [0, 0]
         x[0, 0] += 1.0  # a copy, not a view of the table
         assert x[0, 0] != word.tensor.values[1, 0]
 
@@ -131,43 +145,52 @@ class TestAssembly:
                 raise AssertionError(f"an empty branch called np.{name}")
 
         with_branch = self.build_embedder(4, 2)
+        no_tokens = with_branch.word.rows(())
+        assert no_tokens == []
         for emb in (with_branch, Embedder(with_branch.word, None)):
             d_in = emb.input_dim
             d_empty = np.zeros((0, d_in))
             # both methods return before any numpy call
             monkeypatch.setattr(embeddings, "np", NoNumpy())
-            x, rows = emb.assemble_input((), Branch.LEFT)
+            x, rows, index = emb.assemble_input(no_tokens, Branch.LEFT)
             emb.accumulate_grad(rows, Branch.LEFT, d_empty)
             monkeypatch.undo()
-            assert x.shape == (0, d_in) and rows.shape == (0,) and rows.dtype == np.intp
+            assert x.shape == (0, d_in)
+            for a in (rows, index):
+                assert a.shape == (0,) and a.dtype == np.intp
         assert not with_branch.word.tensor.grad.any()
         assert not with_branch.branch.tensor.grad.any()
 
     def test_grad_routing(self):
         emb = self.build_embedder(4, 2)
-        _, rows = emb.assemble_input(("beta",), Branch.RIGHT)
+        _, rows, _ = self.assemble(emb, ("beta",), Branch.RIGHT)
         d_inputs = np.arange(6, dtype=float).reshape(1, 6)
         emb.accumulate_grad(rows, Branch.RIGHT, d_inputs)
         assert np.array_equal(emb.word.tensor.grad[rows[0]], [0.0, 1.0, 2.0, 3.0])
         assert np.array_equal(emb.branch.tensor.grad[Branch.RIGHT], [4.0, 5.0])
 
-    def test_repeated_word_rows_accumulate_in_token_order(self):
+    def test_distinct_word_rows_are_added_once(self):
+        """A repeated word is one input row, whose gradient (already summed
+        over its tokens by the encoder) is added to its table row once; the
+        branch row receives the sum over the distinct rows, in row order."""
         emb = self.build_embedder(4, 2)
-        _, rows = emb.assemble_input(("beta", "alpha", "beta"), Branch.LEFT)
-        d_inputs = np.asarray(Rng(4).uniform(-1, 1, 18)).reshape(3, 6)
+        _, rows, index = self.assemble(emb, ("beta", "alpha", "beta"), Branch.LEFT)
+        assert rows.tolist() == [2, 1] and index.tolist() == [0, 1, 0]
+        d_inputs = np.asarray(Rng(4).uniform(-1, 1, 12)).reshape(2, 6)
         emb.accumulate_grad(rows, Branch.LEFT, d_inputs)
         beta, alpha = emb.word.tensor.grad[2], emb.word.tensor.grad[1]
-        assert np.array_equal(beta, (0.0 + d_inputs[0, :4]) + d_inputs[2, :4])
+        assert np.array_equal(beta, d_inputs[0, :4])
         assert np.array_equal(alpha, d_inputs[1, :4])
         branch = emb.branch.tensor.grad[Branch.LEFT]
-        d_branch = d_inputs[:, 4:]
-        assert np.array_equal(branch, ((0.0 + d_branch[0]) + d_branch[1]) + d_branch[2])
+        assert np.array_equal(branch, (0.0 + d_inputs[0, 4:]) + d_inputs[1, 4:])
+        assert emb.word.tensor.reached.tolist() == [False, True, True]
 
     def test_scatter_matches_a_per_token_loop(self):
-        """Segment sums against adding token by token: a word repeated
+        """Per-row sums against adding token by token: a word repeated
         within a branch and across branches, onto gradients that are not
-        zero. Only the summation order differs (a segment is summed before
-        it meets the row), so within 1e-13; measured about 1e-15."""
+        zero. Only the summation order differs (a row's tokens are summed
+        before they meet the table row), so within 1e-13; measured about
+        1e-15."""
         emb = self.build_embedder(4, 2)
         rng = Rng(9)
         for t in (emb.word.tensor, emb.branch.tensor):
@@ -179,10 +202,12 @@ class TestAssembly:
             Branch.RIGHT: ("gamma", "beta", "delta", "beta"),
         }
         for branch, words in texts.items():
-            _, rows = emb.assemble_input(words, branch)
-            d_inputs = np.asarray(rng.uniform(-1, 1, len(words) * 6)).reshape(-1, 6)
+            _, rows, index = self.assemble(emb, words, branch)
+            d_tokens = np.asarray(rng.uniform(-1, 1, len(words) * 6)).reshape(-1, 6)
+            d_inputs = np.zeros((len(rows), 6))
+            np.add.at(d_inputs, index, d_tokens)  # what the encoder hands back
             emb.accumulate_grad(rows, branch, d_inputs)
-            for row, d in zip(rows, d_inputs):
+            for row, d in zip(rows[index], d_tokens):
                 word_ref[row] += d[:4]
                 branch_ref[branch] += d[4:]
         np.testing.assert_allclose(emb.word.tensor.grad, word_ref, rtol=0, atol=1e-13)

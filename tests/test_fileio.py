@@ -1,6 +1,7 @@
 """Every input file is read, decoded and parsed in `fbrnn.fileio` alone, and
 every value read from JSON is checked against its one table of kinds."""
 
+import json
 import re
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbrnn
+from fbrnn import fileio
 from fbrnn.candidates import _COUNTS, _LEXICON
 from fbrnn.cli import _RECORD
-from fbrnn.corpus import _LINE, _SPAN, _TOKEN
+from fbrnn.corpus import _LINE, _SPAN, _TOKEN, LabelSet, Token, corpus_from_lines
 from fbrnn.errors import DataError
 from fbrnn.fileio import KINDS, check, json_lines, object_kind, read_fields, read_json, read_utf8
 from fbrnn.training import _HEADER, _PIPELINE
@@ -83,6 +85,30 @@ def test_a_missing_field_is_named_unless_it_has_a_default():
     assert read_fields({}, object_kind("", ("k", int, 7)), "x.json") == [7]
     with pytest.raises(DataError, match=r"^x\.json: missing field 'k'$"):
         read_fields({"j": 1}, object_kind("", ("j", int), ("k", int)), "x.json")
+
+
+def test_a_default_that_does_not_fit_its_kind_is_refused_when_declared():
+    with pytest.raises(TypeError, match=r"^the default of field 'k' must be an integer, got '7'$"):
+        object_kind("", ("k", int, "7"))
+    with pytest.raises(TypeError, match=r"^the default of field 'k' must be a string, got None$"):
+        object_kind("", ("k", str, None))
+
+
+def test_a_field_left_at_its_default_is_not_checked(monkeypatch):
+    """A POS-less corpus reads to the tokens it always did, without one
+    `check` call; `"pos": null` still reads as None and `"pos": 3` is
+    still refused."""
+    calls = []
+    monkeypatch.setattr(fileio, "check", lambda *a, **k: calls.append(a) or a[0])
+    line = json.dumps({"tokens": [{"t": "they"}, {"t": "met", "pos": "VBD"}, {"t": "a"}]})
+    corpus = corpus_from_lines([line], LabelSet(["A"]))
+    assert corpus.sentences[0].tokens == (Token("they"), Token("met", "VBD"), Token("a"))
+    assert [t.pos for t in corpus.sentences[0].tokens] == [None, "VBD", None]
+    assert calls == []
+    monkeypatch.undo()
+    assert read_fields({"t": "a", "pos": None}, _TOKEN, "x.jsonl:1") == ["a", None]
+    with pytest.raises(DataError, match=r"^x\.jsonl:1: field 'pos' must be a string or None, got 3$"):
+        read_fields({"t": "a", "pos": 3}, _TOKEN, "x.jsonl:1")
 
 
 def test_an_object_of_another_kind_is_named_by_its_noun():

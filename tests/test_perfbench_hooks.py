@@ -84,13 +84,14 @@ def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
     # one input matrix per branch, and one gradient scatter per branch
     assert tracer.calls("embeddings.assemble_input") == 3
     assert tracer.calls("embeddings.accumulate_grad") == 3
+    # `encode_tokens` counts encode's input rows: each branch's distinct words
     assert tracer.counts["encode_tokens"] == 4
 
 
 def test_predict_examples_shares_one_left_and_one_right_pass(monkeypatch):
     """One sentence with k candidates is one model call: one LEFT pass up to
     the last start, one RIGHT pass down to the first end, and one NUGGET
-    pass over the k spans."""
+    pass over the k spans, each reading one input row per distinct word."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -116,13 +117,14 @@ def test_predict_examples_shares_one_left_and_one_right_pass(monkeypatch):
     assert tracer.calls("model.head_forward") == 1
     max_start = max(s for s, _ in spans)
     min_end = min(e for _, e in spans)
-    nugget_tokens = sum(e - s + 1 for s, e in spans)
-    assert tracer.counts["encode_tokens"] == max_start + (T - min_end - 1) + nugget_tokens
+    nugget_words = {w for s, e in spans for w in words[s : e + 1]}
+    assert len(nugget_words) < sum(e - s + 1 for s, e in spans)  # spans overlap
+    assert tracer.counts["encode_tokens"] == max_start + (T - min_end - 1) + len(nugget_words)
 
 
 def test_one_batched_training_step_encodes_each_branch_once(monkeypatch):
     """A minibatch is one forward_backward: one encode per branch over the
-    tokens of all its examples, one scatter per branch, one step."""
+    distinct words of all its examples, one scatter per branch, one step."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -155,4 +157,7 @@ def test_one_batched_training_step_encodes_each_branch_once(monkeypatch):
     assert tracer.calls("model.encoder_backprop") == 3
     assert tracer.calls("embeddings.assemble_input") == 3
     assert tracer.calls("embeddings.accumulate_grad") == 3
-    assert tracer.counts["encode_tokens"] == len(examples) * len(words)
+    distinct = [{w for ex in examples for w in getattr(ex.split, part)}
+                for part in ("left", "nugget", "right")]
+    assert sum(map(len, distinct)) < len(examples) * len(words)
+    assert tracer.counts["encode_tokens"] == sum(map(len, distinct))
