@@ -215,10 +215,12 @@ def expand_candidates(
     """
     if max_len < 1:
         raise ConfigurationError(f"max_len must be >= 1, got {max_len}")
-    if any(tok.pos is None for tok in s.tokens):
+    untagged = next((i for i, tok in enumerate(s.tokens) if tok.pos is None), None)
+    if untagged is not None:
         raise DataError(
-            "sentence has tokens without POS tags; supply tags or disable "
-            "expansion (max_nugget_len = 1)"
+            f"token {untagged} {s.tokens[untagged].text!r} of the sentence starting "
+            f"{' '.join(s.texts()[:6])!r} has no POS tag; supply tags or disable expansion "
+            "(max_nugget_len = 1)"
         )
     spans = {c.span: c for c in cands}
     for c in cands:
@@ -301,11 +303,16 @@ def build_examples(
     labels: LabelSet,
     max_nugget_len: int = 3,
 ) -> list[LabeledExample]:
-    """Labeled, branch-split classification instances for a whole corpus."""
+    """Labeled, branch-split classification instances for a whole corpus.
+    A sentence's DataError names its index in `corpus`."""
     check_max_nugget_len(max_nugget_len)  # an empty corpus would never check it
     examples = []
     for i, sentence in enumerate(corpus):
-        for cand in labeled_candidates(sentence, lex, labels, max_nugget_len):
+        try:
+            cands = labeled_candidates(sentence, lex, labels, max_nugget_len)
+        except DataError as e:
+            raise DataError(f"sentence {i}: {e}") from e
+        for cand in cands:
             examples.append(
                 LabeledExample(i, cand, split_branches(sentence, cand))
             )

@@ -126,6 +126,7 @@ def _read_config_file(path: str) -> dict:
     except DataError as e:  # a config file is configuration: exit 1
         raise ConfigurationError(str(e)) from e
     values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -136,6 +137,9 @@ def _read_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigurationError(f"{p}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigurationError(f"{p}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _coerce(key, raw)
         except ConfigurationError as e:
@@ -221,8 +225,11 @@ def cmd_candidates(args) -> int:
     lines = []
     n_candidates = 0
     n_events = 0
-    for sentence in corpus:
-        cands = labeled_candidates(sentence, lex, labels, args.max_nugget_len)
+    for i, sentence in enumerate(corpus):
+        try:
+            cands = labeled_candidates(sentence, lex, labels, args.max_nugget_len)
+        except DataError as e:
+            raise DataError(f"sentence {i}: {e}") from e
         n_candidates += len(cands)
         n_events += sum(1 for c in cands if c.types)
         tokens = _sentence_to_obj(sentence)["tokens"]

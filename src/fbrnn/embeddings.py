@@ -155,12 +155,8 @@ class WordTable:
     def words(self) -> list[str]:
         return list(self.vocab)
 
-    def row(self, word: str) -> int:
-        """Row index for a word, lowercased; unknown words map to UNK."""
-        return self.vocab.get(word.lower(), 0)
-
     def rows(self, words: Iterable[str]) -> list[int]:
-        """The `row` of each word."""
+        """The row index of each word, lowercased; unknown words map to UNK."""
         return [self.vocab.get(w.lower(), 0) for w in words]
 
 

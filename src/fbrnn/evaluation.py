@@ -143,14 +143,14 @@ def predict_examples(
     LEFT and one RIGHT encoder pass among a group's candidates. Runs are
     packed in order into blocks of at most BLOCK_EXAMPLES examples (a
     longer run is a block of its own), and each block is one
-    `batch_proba` call. The probabilities are those of `predict_proba`
-    example by example up to summation order (within 1e-12).
+    `batch_proba` call and one `decode` call. The probabilities are those
+    of `predict_proba` example by example up to summation order (within
+    1e-12).
     """
     out = []
     for block in _blocks(examples):
         probs = model.batch_proba([[ex.split for ex in run] for run in block])
-        for ex, p in zip(chain.from_iterable(block), probs):
-            types = model.decode(p, threshold)
+        for ex, types in zip(chain.from_iterable(block), model.decode(probs, threshold)):
             if types:
                 out.append(
                     PredictedNugget(

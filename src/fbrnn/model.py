@@ -431,6 +431,14 @@ class BranchEncoder:
         layout = cache.layout
         if not layout.n_rows:
             return np.zeros(cache.inputs.shape)
+        order = cache.reads.argsort(kind="stable")  # one segment per input row read
+        ordered = cache.reads[order]
+        firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        if len(firsts) != len(cache.inputs):
+            raise ConfigurationError(
+                f"backprop: the tokens read {len(firsts)} of {len(cache.inputs)} input rows; "
+                "with `index`, `encode` needs every input row read by some token"
+            )
         h, steps = self.hidden, list(zip(layout.offsets.tolist(), layout.sizes))
         zeros = np.zeros((layout.sizes[0], h))  # the state before step 0
         d_states = d_outputs
@@ -474,10 +482,7 @@ class BranchEncoder:
             if k:
                 p.W.grad += np.dot(da.T, cache.states[k - 1])
                 d_states = da @ p.W.values
-        order = cache.reads.argsort(kind="stable")  # p and da are layer 0's
-        ordered = cache.reads[order]
-        firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        d_rows = np.add.reduceat(da[order], firsts, axis=0)  # one sum per input row, all read
+        d_rows = np.add.reduceat(da[order], firsts, axis=0)  # p and da are layer 0's
         p.W.grad += np.dot(d_rows.T, cache.inputs)
         return d_rows @ p.W.values
 
@@ -562,19 +567,23 @@ class Head:
         return dx
 
 
-def softmax_nll(probs: np.ndarray, gold_class: int) -> tuple[float, np.ndarray]:
-    """Negative log likelihood and its gradient w.r.t. the logits."""
-    loss = -math.log(max(float(probs[gold_class]), _LOG_CLAMP))
+def softmax_nll(probs: np.ndarray, gold: Sequence[int]) -> tuple[list[float], np.ndarray]:
+    """Each row's negative log likelihood of its gold class, probs (B, K)
+    and gold (B,), and the gradient of their sum w.r.t. the logits. Each
+    loss is the `math.log` of one clamped probability."""
+    gold_at = np.arange(len(probs)), np.asarray(gold, dtype=np.intp)
+    losses = [-math.log(max(p, _LOG_CLAMP)) for p in probs[gold_at].tolist()]
     d_logits = probs.copy()
-    d_logits[gold_class] -= 1.0
-    return loss, d_logits
+    d_logits[gold_at] -= 1.0
+    return losses, d_logits
 
 
-def sigmoid_bce(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Summed binary cross-entropy over event types; gradient w.r.t. logits."""
+def sigmoid_bce(probs: np.ndarray, targets: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Each row's binary cross-entropy summed over event types, probs and
+    targets (B, K), and the gradient of their sum w.r.t. the logits."""
     p = np.clip(probs, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
-    loss = float(-(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)).sum())
-    return loss, probs - targets
+    losses = -(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)).sum(axis=1)
+    return losses.tolist(), probs - targets
 
 
 # ---------------------------------------------------------------------------
@@ -612,21 +621,6 @@ class NuggetModel:
         self.encoders = encoders
         self.head = head
 
-    # -- targets ------------------------------------------------------
-
-    def target_class(self, types: tuple[str, ...]) -> int:
-        """Softmax target. Multi-label gold collapses to its first listed
-        type (the softmax head cannot express more than one)."""
-        if not types:
-            return LabelSet.NON_EVENT_INDEX
-        return self.labels.class_index(types[0])
-
-    def target_vector(self, types: tuple[str, ...]) -> np.ndarray:
-        y = np.zeros(len(self.labels.event_types))
-        for t in types:
-            y[self.labels.type_offset(t)] = 1.0
-        return y
-
     # -- forward / backward -------------------------------------------
 
     def forward(
@@ -651,13 +645,10 @@ class NuggetModel:
         if len(splits) != len(types):
             raise ConfigurationError(f"{len(splits)} splits but {len(types)} type tuples")
         probs, cache = self.forward(splits, rng)
-        losses = []
-        d_logits = np.empty_like(probs)
-        for k, (p, t) in enumerate(zip(probs, types)):
-            loss, d_logits[k] = self._loss(p, t)
+        losses, d_logits = self._losses(probs, types)
+        for k, loss in enumerate(losses):
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss!r}", position=k)
-            losses.append(loss)
         d_concat = self.head.backprop(d_logits, cache.head)
         h = self.cfg.hidden_size
         for k, branch in enumerate(_BRANCHES):
@@ -738,32 +729,38 @@ class NuggetModel:
         return words, self.encoders[branch].encode(inputs, lengths=lengths, index=index)[1]
 
     def predict(self, split: BranchSplit, threshold: float = 0.5) -> tuple[str, ...]:
-        """Predicted event types of one split; see `decode`."""
-        return self.decode(self.predict_proba(split), threshold)
+        """Predicted event types of one split: `decode` of its one row."""
+        return self.decode(self.forward([split])[0], threshold)[0]
 
-    def decode(self, probs: np.ndarray, threshold: float = 0.5) -> tuple[str, ...]:
-        """Event types of a probability vector; empty tuple means non-event.
-
-        Softmax: the argmax class (ties broken toward the lowest class
-        index). Sigmoid: every type whose probability exceeds `threshold`.
-        """
+    def decode(self, probs: np.ndarray, threshold: float = 0.5) -> list[tuple[str, ...]]:
+        """Event types of each row of class probabilities, (C, K); an empty
+        tuple means non-event. Softmax: each row's argmax class (ties broken
+        toward the lowest class index). Sigmoid: every type whose
+        probability exceeds `threshold`."""
         if self.cfg.head_mode == "softmax":
-            k = int(np.argmax(probs))
-            t = self.labels.type_at(k)
-            return () if t is None else (t,)
-        return tuple(t for t, p in zip(self.labels.event_types, probs) if p > threshold)
+            types = [self.labels.type_at(k) for k in probs.argmax(axis=1).tolist()]
+            return [() if t is None else (t,) for t in types]
+        names = self.labels.event_types
+        return [tuple(t for t, a in zip(names, row) if a) for row in (probs > threshold).tolist()]
 
     def loss(self, split: BranchSplit, types: tuple[str, ...]) -> float:
-        """Loss without dropout and without touching gradients."""
-        return self._loss(self.predict_proba(split), types)[0]
+        """`_losses` of one row, without dropout or touching gradients."""
+        return self._losses(self.forward([split])[0], [types])[0][0]
 
-    def _loss(
-        self, probs: np.ndarray, types: tuple[str, ...]
-    ) -> tuple[float, np.ndarray]:
-        """The head's loss and its gradient w.r.t. the logits."""
+    def _losses(
+        self, probs: np.ndarray, types: Sequence[tuple[str, ...]]
+    ) -> tuple[list[float], np.ndarray]:
+        """Each row's loss against its gold types, probs (B, K), and the
+        gradient of their sum w.r.t. the logits, (B, K). Multi-label gold
+        trains the softmax head on its first listed type (the head cannot
+        express more than one)."""
         if self.cfg.head_mode == "softmax":
-            return softmax_nll(probs, self.target_class(types))
-        return sigmoid_bce(probs, self.target_vector(types))
+            none = LabelSet.NON_EVENT_INDEX
+            return softmax_nll(probs, [self.labels.class_index(t[0]) if t else none for t in types])
+        targets = np.zeros(probs.shape)
+        for k, t in enumerate(types):
+            targets[k, [self.labels.type_offset(name) for name in t]] = 1.0
+        return sigmoid_bce(probs, targets)
 
 
 def build_model(

@@ -382,8 +382,10 @@ def dropout_mask(length: int, rate: float, rng: Rng) -> np.ndarray:
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 
-# Entries per block of the optimizer update: 64K float64 entries (512 KB),
-# so the arrays one block touches stay in cache between its operations.
+# Entries per block of the optimizer update: 64K float64 entries (512 KB).
+# In blocks the kernels make no temporaries, writing only into the block and
+# two scratch blocks: measured 3.0-4.1x faster than array expressions from
+# 111,500 entries up (README, "Parameter layout and the optimizer step").
 UPDATE_BLOCK = 1 << 16
 
 

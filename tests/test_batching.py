@@ -104,7 +104,7 @@ def test_padded_batch_gradcheck(over):
 
     def loss_fn():  # the batched forward of the same sum, to keep the check fast
         probs, _ = model.forward(SPLITS)
-        return sum(model._loss(p, t)[0] for p, t in zip(probs, GOLD))
+        return sum(model._losses(probs, GOLD)[0])
 
     report = grad_check(loss_fn, model.store, eps=2e-4)
     assert report.max_rel_error < 1e-4, report.per_tensor
@@ -134,7 +134,7 @@ def test_repeated_words_gradcheck(over):
 
     def loss_fn():
         probs, _ = model.forward(splits)
-        return sum(model._loss(p, t)[0] for p, t in zip(probs, gold))
+        return sum(model._losses(probs, gold)[0])
 
     report = grad_check(loss_fn, model.store, eps=2e-4)
     assert report.max_rel_error < 1e-4, report.per_tensor
@@ -192,7 +192,7 @@ def test_head_depth_gradcheck(head_hidden, head_mode):
 
     def loss_fn():
         probs, _ = model.forward(SPLITS)
-        return sum(model._loss(p, t)[0] for p, t in zip(probs, GOLD))
+        return sum(model._losses(probs, GOLD)[0])
 
     report = grad_check(loss_fn, model.store, eps=2e-4)
     assert report.max_rel_error < 1e-4, report.per_tensor
@@ -288,7 +288,7 @@ def test_non_finite_loss_names_the_first_bad_example():
     word row poisons exactly the examples that use it; the error names the
     first and no gradient has been accumulated."""
     model = make_model()
-    model.store["word_emb"].values[model.embedder.word.row("guards")] = np.nan
+    model.store["word_emb"].values[model.embedder.word.rows(["guards"])] = np.nan
     with pytest.raises(NumericError, match="non-finite loss") as info:
         model.forward_backward(SPLITS, GOLD)
     assert info.value.position == 4

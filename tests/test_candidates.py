@@ -20,6 +20,7 @@ from fbrnn.candidates import (
 from fbrnn.corpus import (
     Corpus,
     GoldNugget,
+    LabelSet,
     Sentence,
     Token,
     default_synthetic_spec,
@@ -143,6 +144,15 @@ class TestExpansion:
         with pytest.raises(DataError, match="POS"):
             expand_candidates(s, [NuggetCandidate(0, 0)], max_len=3)
 
+    def test_missing_pos_names_the_first_untagged_token(self):
+        words = ("they", "met", "in", "the", "old", "city", "hall")
+        s = Sentence(tuple(Token(w, None if i in (2, 4) else "NN") for i, w in enumerate(words)))
+        with pytest.raises(
+            DataError,
+            match="^token 2 'in' of the sentence starting 'they met in the old city' has no POS",
+        ):
+            expand_candidates(s, [], max_len=3)
+
     def test_output_restricted_to_singletons_equals_input(self, break_in_sentence):
         cands = extract_single_token_candidates(break_in_sentence, lexicon_of("broken", "had"))
         out = expand_candidates(break_in_sentence, cands, max_len=3)
@@ -256,6 +266,18 @@ class TestBuildExamples:
         lex = build_trigger_lexicon(corpus)
         with pytest.raises(ConfigurationError, match="max_nugget_len"):
             build_examples(corpus, lex, spec.label_set(), max_len)
+
+    def test_missing_pos_names_the_sentence_index(self):
+        """The index in the corpus handed in, which after a dev split is
+        not the file's line; without expansion no tag is needed."""
+        tagged = Sentence((Token("they", "PRP"), Token("met", "VBD")))
+        untagged = Sentence((Token("they", "PRP"), Token("met")))
+        corpus = Corpus((tagged, untagged))
+        lex = lexicon_of("met")
+        expected = "^sentence 1: token 1 'met' of the sentence starting 'they met' "
+        with pytest.raises(DataError, match=expected):
+            build_examples(corpus, lex, LabelSet(["A"]), 3)
+        assert len(build_examples(corpus, lex, LabelSet(["A"]), 1)) == 2
 
     def test_max_nugget_len_below_one_is_rejected_on_an_empty_corpus(self):
         spec = default_synthetic_spec(n_sentences=5)

@@ -436,10 +436,52 @@ class TestExitCodes:
             == 2
         )
 
+    @pytest.mark.parametrize("command", ["predict", "candidates", "train"])
+    def test_missing_pos_names_the_sentence(
+        self, command, synth_dir, trained_run, tmp_path, capsys
+    ):
+        """A corpus whose second line has a token without `pos`: exit 2,
+        naming the sentence's index and first tokens and the token."""
+        lines = (synth_dir / "dev.jsonl").read_text().splitlines()
+        second = json.loads(lines[1])
+        del second["tokens"][2]["pos"]
+        corpus = tmp_path / "untagged.jsonl"
+        corpus.write_text("\n".join([lines[0], json.dumps(second), *lines[2:]]) + "\n")
+        labels, out = synth_dir / "labels.json", tmp_path / "out"
+        if command == "predict":
+            argv = ["--checkpoint", trained_run / "checkpoint.fbrnn", "--out", out]
+        elif command == "candidates":
+            lexicon = tmp_path / "lex.json"
+            argv = ["--labels", labels, "--lexicon", lexicon, "--out", out]
+            assert run_cli("build-lexicon", "--corpus", corpus, "--labels", labels,
+                           "--out", lexicon) == 0
+        else:
+            argv = ["--train-corpus", synth_dir / "train.jsonl", "--labels", labels,
+                    "--max-epochs", "1", "--out-dir", out]
+        corpus_flag = "--dev-corpus" if command == "train" else "--corpus"
+        capsys.readouterr()
+        assert run_cli(command, corpus_flag, corpus, *argv) == 2
+        words = [t["t"] for t in second["tokens"]]
+        opening = " ".join(words[:6])
+        assert (f"sentence 1: token 2 {words[2]!r} of the sentence starting {opening!r} "
+                "has no POS tag" in capsys.readouterr().err)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
         assert run_cli("train", "--config", cfg) == 1
+
+    def test_repeated_config_key_rejected(self, train_cfg_file, tmp_path, capsys):
+        """A key set twice is refused, as in a JSON object, rather than
+        the last value silently winning; the message names both lines."""
+        lines = train_cfg_file.read_text().splitlines()
+        first = lines.index("max_epochs = 6") + 1
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("\n".join([*lines, "max_epochs = 1"]) + "\n")
+        assert run_cli("train", "--config", cfg, "--out-dir", tmp_path / "runs") == 1
+        err = capsys.readouterr().err
+        assert f"twice.cfg:{len(lines) + 1}: key 'max_epochs' repeats line {first}" in err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -557,10 +599,10 @@ class TestConfigFlags:
     @pytest.mark.parametrize("source", ["file", "flag"])
     def test_explicit_none_reaches_the_config(self, tmp_path, key, flag, source):
         cfg = tmp_path / "run.cfg"
-        # the file sets a value; an explicit none in the file or a flag wins
+        # an explicit none in the file wins over the default; a none flag
+        # wins over the file's value (a key set twice in a file is refused)
         setting = {"clip_norm": "2.5", "negative_ratio": "1.5", "head_hidden": "4,3"}[key]
-        lines = [f"{key} = {setting}"] + ([f"{key} = none"] if source == "file" else [])
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg.write_text(f"{key} = {'none' if source == 'file' else setting}\n")
         argv = ["train", "--config", str(cfg)] + ([flag, "none"] if source == "flag" else [])
         values = _resolve_run_config(build_parser().parse_args(argv))
         assert values[key] is None

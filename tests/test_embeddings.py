@@ -59,7 +59,7 @@ class TestWordTable:
         vectors = load_pretrained(MINI_W2V, 8)
         store = ParamStore()
         table = WordTable.build([UNK, "broken", "zzz-novel"], 8, Rng(0), store, vectors)
-        row = table.row("broken")
+        [row] = table.rows(["broken"])
         assert np.array_equal(table.tensor.values[row], vectors["broken"])
         assert table.pretrained_hits == 1
         assert table.oov_words == ("zzz-novel",)
@@ -69,19 +69,19 @@ class TestWordTable:
         store_a, store_b = ParamStore(), ParamStore()
         with_pre = WordTable.build([UNK, "zzz-novel"], 8, Rng(4), store_a, vectors)
         without = WordTable.build([UNK, "zzz-novel"], 8, Rng(4), store_b, None)
-        row = with_pre.row("zzz-novel")
+        [row] = with_pre.rows(["zzz-novel"])
         assert np.array_equal(with_pre.tensor.values[row], without.tensor.values[row])
 
     def test_unknown_word_maps_to_unk_row(self):
         store = ParamStore()
         table = WordTable.build([UNK, "alpha"], 4, Rng(0), store)
-        assert table.row("never-seen") == 0
-        assert table.row("alpha") == 1
+        assert table.rows(["never-seen", "alpha"]) == [0, 1]
 
     def test_lookup_lowercases(self):
         store = ParamStore()
         table = WordTable.build([UNK, "november"], 4, Rng(0), store)
-        assert table.row("NOVEMBER") == table.row("november") != 0
+        upper, lower = table.rows(["NOVEMBER", "november"])
+        assert upper == lower != 0
 
     def test_word_list_must_start_with_unk(self):
         with pytest.raises(ConfigurationError):
@@ -225,7 +225,7 @@ class TestGradientFlowInvariant:
         [loss] = model.forward_backward([split], [("A",)])
         assert loss > 0.0
         word_grad = model.store["word_emb"].grad
-        used_rows = {model.embedder.word.row(w) for w in ("w0", "w1", "w2")}
+        used_rows = set(model.embedder.word.rows(["w0", "w1", "w2"]))
         used_rows.add(0)  # the unseen word maps to UNK
         for row in range(word_grad.shape[0]):
             assert word_grad[row].any() == (row in used_rows)

@@ -240,12 +240,12 @@ class TestPredictExamples:
         shared = [probs for group in groups for probs in model.batch_proba([group])]
         assert len(shared) == len(splits)
         threshold = 0.5 if head_mode == "softmax" else 0.45
-        for split, together, alone in zip(splits, batched, shared):
-            single = model.predict_proba(split)
-            np.testing.assert_allclose(together, single, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(alone, single, rtol=0, atol=1e-12)
-            decoded = model.decode(single, threshold)
-            assert model.decode(together, threshold) == model.decode(alone, threshold) == decoded
+        singles = np.array([model.predict_proba(split) for split in splits])
+        np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shared, singles, rtol=0, atol=1e-12)
+        decoded = model.decode(singles, threshold)
+        assert model.decode(batched, threshold) == decoded
+        assert model.decode(np.array(shared), threshold) == decoded
 
     @pytest.mark.parametrize("cell,layers,head_mode,use_branch", MODEL_GRID)
     def test_predict_examples_equals_per_example_loop(self, cell, layers, head_mode, use_branch):

@@ -22,7 +22,7 @@ from fbrnn.model import (
     softmax_nll,
     tiny_gradcheck,
 )
-from fbrnn.numerics import ParamStore, Rng, sigmoid
+from fbrnn.numerics import ParamStore, Rng, sigmoid, softmax
 
 
 def make_gru_layer(store, d_in, h, rng, prefix="cell"):
@@ -209,6 +209,19 @@ class TestBranchEncoder:
             with pytest.raises(ConfigurationError, match="d_outputs"):
                 enc.backprop(d, cache)
         assert not store.grad.any()
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_backprop_rejects_an_input_row_no_token_read(self, kind):
+        """Layer 0's input gradient has one summed row per input row, so
+        every row must be read; the error comes before any gradient."""
+        enc, store, rng = self.build(kind, layers=2)
+        x = rng.uniform(-1, 1, 9).reshape(3, 3)
+        _, cache = enc.encode(x, index=np.array([0, 2]))
+        with pytest.raises(ConfigurationError, match="read 2 of 3 input rows"):
+            enc.backprop(np.ones(cache.outputs.shape), cache)
+        assert not store.grad.any()
+        _, cache = enc.encode(x, index=np.array([2, 0, 2, 1]))
+        assert enc.backprop(np.ones(cache.outputs.shape), cache).shape == (3, 3)
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_stacked_layers_gradcheck(self, kind):
@@ -486,26 +499,27 @@ class TestHeadAndLosses:
         assert np.array_equal(model.predict_proba(split), model.predict_proba(split))
 
     def test_loss_uniform_34_classes(self):
-        probs = np.full(34, 1 / 34)
-        loss, _ = softmax_nll(probs, 7)
-        assert loss == pytest.approx(math.log(34.0), abs=1e-12)
+        probs = np.full((2, 34), 1 / 34)
+        losses, _ = softmax_nll(probs, [7, 0])
+        assert losses == pytest.approx([math.log(34.0)] * 2, abs=1e-12)
 
     def test_loss_confident_is_zero(self):
-        probs = np.zeros(5)
-        probs[2] = 1.0
-        loss, _ = softmax_nll(probs, 2)
-        assert loss == 0.0
+        probs = np.zeros((1, 5))
+        probs[0, 2] = 1.0
+        losses, d_logits = softmax_nll(probs, [2])
+        assert losses == [0.0]
+        assert not d_logits.any()
 
     def test_loss_clamped_at_zero_probability(self):
-        probs = np.zeros(3)
-        probs[0] = 1.0
-        loss, _ = softmax_nll(probs, 2)
-        assert loss == pytest.approx(-math.log(1e-12))
+        probs = np.zeros((2, 3))
+        probs[:, 0] = 1.0
+        losses, _ = softmax_nll(probs, [2, 0])
+        assert losses == [pytest.approx(-math.log(1e-12)), 0.0]
 
     def test_sigmoid_bce_all_half(self):
-        probs = np.full(38, 0.5)
-        loss, _ = sigmoid_bce(probs, np.zeros(38))
-        assert loss == pytest.approx(38 * math.log(2.0), rel=1e-12)
+        probs = np.full((2, 38), 0.5)
+        losses, _ = sigmoid_bce(probs, np.eye(2, 38))
+        assert losses == pytest.approx([38 * math.log(2.0)] * 2, rel=1e-12)
 
     def test_softmax_probs_sum_to_one(self):
         labels = LabelSet(["A", "B", "C"])
@@ -514,6 +528,72 @@ class TestHeadAndLosses:
         for words in ((("u",), ("v",), ("w",)), ((), ("u", "v"), ()), ((), ("w",), ())):
             probs = model.predict_proba(BranchSplit(*words))
             assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def reference_loss(model, probs, types):
+    """The loss and logit gradient of one row, as computed one example at a time."""
+    if model.cfg.head_mode == "softmax":
+        gold = model.labels.class_index(types[0]) if types else LabelSet.NON_EVENT_INDEX
+        d_logits = probs.copy()
+        d_logits[gold] -= 1.0
+        return -math.log(max(float(probs[gold]), 1e-12)), d_logits
+    y = np.zeros(len(model.labels.event_types))
+    for t in types:
+        y[model.labels.type_offset(t)] = 1.0
+    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum()), probs - y
+
+
+def reference_decode(model, probs, threshold):
+    """The types of one row, as decoded one example at a time."""
+    if model.cfg.head_mode == "softmax":
+        t = model.labels.type_at(int(np.argmax(probs)))
+        return () if t is None else (t,)
+    return tuple(t for t, p in zip(model.labels.event_types, probs) if p > threshold)
+
+
+class TestRowwiseLossAndDecode:
+    """`_losses` and `decode` over a block of rows against the one-row
+    formulas they replaced, bit for bit."""
+
+    TYPES = tuple(f"T{i}" for i in range(11))  # a row wider than one SIMD register
+
+    @pytest.mark.parametrize("head_mode", ["softmax", "sigmoid"])
+    def test_rows_match_the_per_row_reference(self, head_mode):
+        cfg = ModelConfig(hidden_size=2, word_dim=3, branch_dim=2, head_mode=head_mode)
+        model = build_model(cfg, ["u"], LabelSet(self.TYPES), Rng(0))
+        rng = Rng(8)
+        n_out = len(self.TYPES) + (head_mode == "softmax")
+        # np.log differs from math.log in the last bit on a few values in a
+        # thousand on some CPUs: enough rows that a switch to it shows here
+        logits = rng.uniform(-4.0, 4.0, 4000 * n_out).reshape(4000, n_out)
+        probs = softmax(logits) if head_mode == "softmax" else sigmoid(logits)
+        threshold = 0.375
+        probs[0] = 0.0
+        probs[0, 3] = probs[0, 5] = 0.5  # a tie: the lower class wins
+        probs[1, :4] = threshold  # at the threshold: not above it
+        probs[2] = 0.0  # the gold probability clamps at 1e-12
+        types = [(), ("T2", "T7"), ("T0",), ("T9",), ("T3", "T3")]
+        types += [tuple(self.TYPES[k] for k in range(i % 4)) for i in range(len(probs) - 5)]
+        losses, d_logits = model._losses(probs, types)
+        reference = [reference_loss(model, p, t) for p, t in zip(probs, types)]
+        assert losses == [loss for loss, _ in reference]
+        assert d_logits.tobytes() == np.array([d for _, d in reference]).tobytes()
+        decoded = model.decode(probs, threshold)
+        assert decoded == [reference_decode(model, p, threshold) for p in probs]
+        assert losses[2] == pytest.approx(-math.log(1e-12))
+        if head_mode == "softmax":
+            assert decoded[0] == ("T2",)  # class 3 is T2
+        else:
+            assert not set(decoded[1]) & set(self.TYPES[:4])
+
+    def test_no_rows(self):
+        model = build_model(
+            ModelConfig(hidden_size=2, word_dim=3, branch_dim=2), ["u"], LabelSet(["A"]), Rng(0)
+        )
+        losses, d_logits = model._losses(np.empty((0, 2)), [])
+        assert losses == [] and d_logits.shape == (0, 2)
+        assert model.decode(np.empty((0, 2))) == []
 
 
 class TestPredict:
@@ -597,7 +677,7 @@ class TestForwardBackward:
         model.store.zero_grads()
         model.forward_backward([split], [("A",)])
         word_grad = model.store["word_emb"].grad
-        used = {model.embedder.word.row(w) for w in (words[0], words[1], words[2])}
+        used = set(model.embedder.word.rows(words[:3]))
         for row in range(word_grad.shape[0]):
             if row in used:
                 assert word_grad[row].any(), row
@@ -610,7 +690,11 @@ class TestForwardBackward:
 
     def test_multi_label_softmax_uses_first_listed_type(self):
         model, _ = self.build()
-        assert model.target_class(("B", "C")) == model.labels.class_index("B")
+        probs = np.array([[0.1, 0.2, 0.3, 0.4]])  # non-event, A, B, C
+        loss, d_logits = model._losses(probs, [("B", "C")])
+        first, d_first = model._losses(probs, [("B",)])
+        assert loss == first == [-math.log(0.3)]
+        assert d_logits.tobytes() == d_first.tobytes()
 
     def test_eval_loss_matches_predicted_probability(self):
         import math

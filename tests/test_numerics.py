@@ -401,7 +401,7 @@ class TestLiveRows:
     def test_bit_identical_to_dense_step_without_clipping(self, kind):
         model = model_with_idle_rows()
         store, word = model.store, model.store["word_emb"]
-        idle = [model.embedder.word.row(w) for w in IDLE_WORDS]
+        idle = model.embedder.word.rows(IDLE_WORDS)
         initial = word.values[idle].copy()
         opt = Optimizer(store, kind=kind, lr=1e-2, clip_norm=None)
         values, m, v = store.values.copy(), np.zeros_like(store.values), np.zeros_like(store.values)
@@ -459,7 +459,7 @@ class TestLiveRows:
         values, m, v = store.values.copy(), opt.m.copy(), opt.v.copy()
         split, types = next(batches)
         model.forward_backward([split], [types])
-        row = model.embedder.word.row(split.nugget[0])
+        [row] = model.embedder.word.rows(split.nugget[:1])
         assert word.reached[row]
         word.grad[row, 2] = np.nan
         with pytest.raises(NumericError, match="'word_emb'"):
