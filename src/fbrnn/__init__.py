@@ -34,7 +34,7 @@ from .corpus import (
     split_corpus,
     vocabulary_of,
 )
-from .embeddings import Branch, BranchTable, Embedder, WordTable, load_pretrained
+from .embeddings import Branch, Embedder, WordTable, load_pretrained
 from .errors import ConfigurationError, DataError, FBRNNError, NumericError
 from .evaluation import (
     AblationGrid,

@@ -24,7 +24,6 @@ from .candidates import (
     build_examples,
     build_trigger_lexicon,
     check_max_nugget_len,
-    labeled_candidates,
     load_lexicon,
     save_lexicon,
 )
@@ -184,15 +183,15 @@ def cmd_synth(args) -> int:
     if args.grammar == "default":
         spec = default_synthetic_spec(args.sentences, args.negative_rate)
         corpus = make_synthetic_corpus(spec, rng)
-        labels = spec.label_set()
+        labels, paraphrases = spec.label_set(), _STAND_IN_PARAPHRASES
     else:
         corpus = make_positional_corpus(args.sentences, rng)
-        labels = LabelSet([POSITIONAL_EVENT_TYPE])
+        labels, paraphrases = LabelSet([POSITIONAL_EVENT_TYPE]), None
     train, dev = split_corpus(corpus, args.dev_fraction, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.grammar == "default":
-        write_text_atomic(out / "paraphrases.tsv", _STAND_IN_PARAPHRASES)
+    if paraphrases is not None:
+        write_text_atomic(out / "paraphrases.tsv", paraphrases)
     save_corpus(train, out / "train.jsonl")
     save_corpus(dev, out / "dev.jsonl")
     save_label_set(labels, out / "labels.json")
@@ -218,26 +217,23 @@ def cmd_build_lexicon(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    check_max_nugget_len(args.max_nugget_len)  # an empty corpus would never check it
+    check_max_nugget_len(args.max_nugget_len)  # before any file is read
     labels = load_label_set(_require_file(args.labels, "label file"))
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     lex = load_lexicon(_require_file(args.lexicon, "lexicon"))
-    lines = []
-    n_candidates = 0
-    n_events = 0
-    for i, sentence in enumerate(corpus):
-        try:
-            cands = labeled_candidates(sentence, lex, labels, args.max_nugget_len)
-        except DataError as e:
-            raise DataError(f"sentence {i}: {e}") from e
-        n_candidates += len(cands)
-        n_events += sum(1 for c in cands if c.types)
-        tokens = _sentence_to_obj(sentence)["tokens"]
-        spans = [{"start": c.start, "end": c.end, "label": list(c.types)} for c in cands]
-        lines.append(json.dumps({"tokens": tokens, "candidates": spans}))
+    examples = build_examples(corpus, lex, labels, args.max_nugget_len)
+    spans = [[] for _ in corpus]  # each sentence's candidates, in corpus order
+    for ex in examples:
+        c = ex.candidate
+        spans[ex.sentence_index].append({"start": c.start, "end": c.end, "label": list(c.types)})
+    lines = [
+        json.dumps({"tokens": _sentence_to_obj(sentence)["tokens"], "candidates": cands})
+        for sentence, cands in zip(corpus, spans)
+    ]
     write_text_atomic(Path(args.out), "\n".join(lines) + "\n")
+    n_events = sum(1 for ex in examples if ex.candidate.types)
     print(
-        f"{n_candidates} candidates over {len(corpus)} sentences "
+        f"{len(examples)} candidates over {len(corpus)} sentences "
         f"({n_events} aligned to gold) -> {args.out}"
     )
     return 0

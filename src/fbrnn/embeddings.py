@@ -32,7 +32,6 @@ __all__ = [
     "UNK",
     "Branch",
     "WordTable",
-    "BranchTable",
     "Embedder",
     "load_pretrained",
 ]
@@ -160,29 +159,13 @@ class WordTable:
         return [self.vocab.get(w.lower(), 0) for w in words]
 
 
-class BranchTable:
-    """Exactly three trainable rows: LEFT, NUGGET, RIGHT."""
-
-    def __init__(self, tensor: ParamTensor) -> None:
-        if tensor.shape[0] != 3:
-            raise ConfigurationError(
-                f"branch table must have 3 rows, got {tensor.shape}"
-            )
-        self.tensor = tensor
-
-    @classmethod
-    def build(cls, dim: int, rng: Rng | None, store: ParamStore) -> "BranchTable":
-        return cls(store.create("branch_emb", init_uniform_scaled((3, dim), rng)))
-
-    @property
-    def dim(self) -> int:
-        return self.tensor.shape[1]
-
-
 class Embedder:
-    """Assembles a branch's distinct input rows and routes their gradients back."""
+    """Assembles a branch's distinct input rows and routes their gradients
+    back; `branch` is the branch table, one row per `Branch`, or None."""
 
-    def __init__(self, word: WordTable, branch: BranchTable | None) -> None:
+    def __init__(self, word: WordTable, branch: ParamTensor | None) -> None:
+        if branch is not None and branch.shape[0] != 3:
+            raise ConfigurationError(f"branch table must have 3 rows, got {branch.shape}")
         self.word = word
         self.branch = branch
         # an empty branch's input: zero-size, so sharing it is safe
@@ -190,7 +173,7 @@ class Embedder:
 
     @property
     def input_dim(self) -> int:
-        return self.word.dim + (self.branch.dim if self.branch else 0)
+        return self.word.dim + (0 if self.branch is None else self.branch.shape[1])
 
     def assemble_input(
         self, rows: Sequence[int], branch: Branch
@@ -208,7 +191,7 @@ class Embedder:
             return self.word.tensor.values[words], words, index
         x = np.empty((len(words), self.input_dim))
         x[:, : self.word.dim] = self.word.tensor.values[words]
-        x[:, self.word.dim :] = self.branch.tensor.values[branch]
+        x[:, self.word.dim :] = self.branch.values[branch]
         return x, words, index
 
     def accumulate_grad(self, words: np.ndarray, branch: Branch, d_inputs: np.ndarray) -> None:
@@ -225,4 +208,4 @@ class Embedder:
         d_w = self.word.dim
         self.word.tensor.add_row_grads(words, d_inputs[:, :d_w])
         if self.branch is not None:
-            self.branch.tensor.grad[branch] += d_inputs[:, d_w:].sum(axis=0)
+            self.branch.grad[branch] += d_inputs[:, d_w:].sum(axis=0)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .candidates import BranchSplit
 from .corpus import LabelSet
-from .embeddings import Branch, BranchTable, Embedder, WordTable, UNK
+from .embeddings import Branch, Embedder, WordTable, UNK
 from .errors import ConfigurationError, NumericError
 from .fileio import check
 from .numerics import (
@@ -253,12 +253,11 @@ class PackedLayout:
     sequence is never running.
     """
 
-    order: np.ndarray  # batch positions, longest sequence first
-    rank: np.ndarray  # position of each batch sequence in `order`: its inverse
+    rank: np.ndarray  # position of each batch sequence in that order
     sizes: list[int]  # sequences running at each step
     offsets: np.ndarray  # first packed row of each step
+    steps: list[tuple[int, int]]  # (offset, size) of each step
     rows: np.ndarray  # input row of each packed row
-    last: np.ndarray  # packed row of each non-empty sequence's last step, in `order`
     prev: np.ndarray  # packed row of the step before, for each row after step 0's
     n_rows: int  # packed rows: the total length
 
@@ -294,10 +293,9 @@ def _layout(backward: bool, *lengths: int) -> PackedLayout:
     t, j = np.nonzero(running)  # packed rows, step-major
     starts = (np.cumsum(lengths) - lengths)[order]
     rows = starts[j] + (by_length[j] - 1 - t if backward else t)
-    ended = by_length[by_length > 0]
-    last = offsets[ended - 1] + np.arange(len(ended))
     prev = (offsets[t - 1] + j)[t > 0]
-    return PackedLayout(order, rank, sizes.tolist(), offsets, rows, last, prev, len(rows))
+    steps = list(zip(offsets.tolist(), sizes.tolist()))
+    return PackedLayout(rank, sizes.tolist(), offsets, steps, rows, prev, len(rows))
 
 
 @dataclass
@@ -394,7 +392,6 @@ class BranchEncoder:
                 f"encode: inputs {inputs.shape}, layer 0 W {self.layers[0].W.shape}"
             )
         reads = index[layout.rows]
-        steps = list(zip(layout.offsets.tolist(), layout.sizes))
         x, projections, states, cells = inputs, [], [], []
         for k, layer in enumerate(self.layers):
             # every step's input projection, with the bias, as one product
@@ -404,9 +401,9 @@ class BranchEncoder:
             x = np.empty((layout.n_rows, self.hidden))
             if self.kind == "lstm":
                 cells.append(np.empty_like(x))
-            h = c = np.zeros((len(layout.last), self.hidden))  # sizes[0] sequences run
+            h = c = np.zeros((max(layout.sizes, default=0), self.hidden))  # before step 0
             weights = _gru_weights(layer) if self.kind == "gru" else layer.U.values.T
-            for o, n in steps:
+            for o, n in layout.steps:
                 if self.kind == "gru":
                     h, _ = _gru_step(wx[o : o + n], h[:n], weights)
                 else:
@@ -416,8 +413,10 @@ class BranchEncoder:
             projections.append(wx)
             states.append(x)
         cache = EncoderCache(layout, inputs, reads, projections, states, cells)
-        reps = np.zeros((len(layout.order), self.hidden))
-        reps[layout.order[: len(layout.last)]] = cache.outputs[layout.last]
+        counts = np.asarray([len(index)] if lengths is None else lengths, dtype=np.intp)
+        seq = np.flatnonzero(counts)  # an empty sequence's representation stays zero
+        reps = np.zeros((len(counts), self.hidden))
+        reps[seq] = cache.outputs[layout.row(counts[seq] - 1, seq)]
         return (reps[0] if lengths is None else reps), cache
 
     def backprop(self, d_outputs: np.ndarray, cache: EncoderCache) -> np.ndarray:
@@ -439,7 +438,7 @@ class BranchEncoder:
                 f"backprop: the tokens read {len(firsts)} of {len(cache.inputs)} input rows; "
                 "with `index`, `encode` needs every input row read by some token"
             )
-        h, steps = self.hidden, list(zip(layout.offsets.tolist(), layout.sizes))
+        h = self.hidden
         zeros = np.zeros((layout.sizes[0], h))  # the state before step 0
         d_states = d_outputs
         for k in reversed(range(len(self.layers))):
@@ -453,7 +452,7 @@ class BranchEncoder:
                 _, _, (i, f, o, g, tc) = _lstm_step(wx, h_prev, c_prev, U.T)
             da = np.empty_like(wx)  # pre-activation gradients, gate blocks as in W
             dh_next, dc_next = np.zeros((2, *zeros.shape))
-            for start, n in reversed(steps):  # the state gradients run back through time
+            for start, n in reversed(layout.steps):  # the state gradients run back through time
                 t = slice(start, start + n)
                 dh = d_states[t] + dh_next[:n]
                 if self.kind == "gru":
@@ -709,24 +708,17 @@ class NuggetModel:
         rows, encs, reads = {}, {}, {}
         # any order gives the same bits; LEFT first measured more page faults
         for k, branch in ((1, Branch.NUGGET), (0, Branch.LEFT), (2, Branch.RIGHT)):
-            word_rows, enc = self._encode(branch, parts[k])
+            inputs, word_rows, index = self.embedder.assemble_input(list(chain(*parts[k])), branch)
+            lengths = [len(part) for part in parts[k]]
+            enc = self.encoders[branch].encode(inputs, lengths=lengths, index=index)[1]
             candidate, step, seq = np.array(needs[k], dtype=np.intp).reshape(-1, 3).T
             row = enc.layout.row(step, seq)
             reps[candidate, k * h : (k + 1) * h] = enc.outputs[row]
             if keep:
                 rows[branch], encs[branch], reads[branch] = word_rows, enc, (candidate, row)
-            del word_rows, enc
+            del inputs, word_rows, enc
         probs, head_cache = self.head.forward(reps, rng)
         return probs, ModelCache(rows, encs, reads, head_cache)
-
-    def _encode(
-        self, branch: Branch, parts: list[list[int]]
-    ) -> tuple[np.ndarray, EncoderCache]:
-        """One recurrence of the branch's encoder over sequences given by
-        their word rows: the distinct word rows it read and the pass's cache."""
-        inputs, words, index = self.embedder.assemble_input(list(chain(*parts)), branch)
-        lengths = [len(p) for p in parts]
-        return words, self.encoders[branch].encode(inputs, lengths=lengths, index=index)[1]
 
     def predict(self, split: BranchSplit, threshold: float = 0.5) -> tuple[str, ...]:
         """Predicted event types of one split: `decode` of its one row."""
@@ -790,7 +782,9 @@ def assemble_model(
     """
     store = ParamStore()
     word = WordTable.build(ordered_words, cfg.word_dim, rng, store, pretrained)
-    branch = BranchTable.build(cfg.branch_dim, rng, store) if cfg.use_branch else None
+    branch = None
+    if cfg.use_branch:
+        branch = store.create("branch_emb", init_uniform_scaled((3, cfg.branch_dim), rng))
     embedder = Embedder(word, branch)
     encoders = {
         b: BranchEncoder.build(

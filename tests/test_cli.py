@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import fbrnn.model
 
+from fbrnn.candidates import build_examples, load_lexicon
+from fbrnn.corpus import load_corpus, load_label_set
 from fbrnn.cli import (
     _CONFIG_KEYS,
     _resolve_run_config,
@@ -141,6 +143,17 @@ class TestLexiconAndCandidates:
         some = [c for l in lines for c in l["candidates"]]
         assert any(c["label"] for c in some)
         assert all(c["start"] <= c["end"] for c in some)
+        # one line per sentence, in corpus order, holding its `build_examples` candidates
+        labels = load_label_set(synth_dir / "labels.json")
+        corpus = load_corpus(synth_dir / "train.jsonl", labels)
+        expected = [[] for _ in corpus]
+        for ex in build_examples(corpus, load_lexicon(lex_path), labels):
+            c = ex.candidate
+            expected[ex.sentence_index].append([c.start, c.end, list(c.types)])
+        assert len(lines) == len(corpus) and [] in expected
+        for line, sentence, cands in zip(lines, corpus, expected):
+            assert [t["t"] for t in line["tokens"]] == [t.text for t in sentence.tokens]
+            assert [[c["start"], c["end"], c["label"]] for c in line["candidates"]] == cands
 
     @pytest.mark.parametrize("max_len", [0, -2])
     def test_candidate_dump_rejects_max_nugget_len_below_one(

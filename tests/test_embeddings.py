@@ -10,7 +10,6 @@ from fbrnn import embeddings
 from fbrnn.corpus import LabelSet
 from fbrnn.embeddings import (
     Branch,
-    BranchTable,
     Embedder,
     UNK,
     WordTable,
@@ -18,7 +17,7 @@ from fbrnn.embeddings import (
 )
 from fbrnn.errors import ConfigurationError, DataError
 from fbrnn.model import ModelConfig, build_model
-from fbrnn.numerics import ParamStore, Rng
+from fbrnn.numerics import ParamStore, Rng, init_uniform_scaled
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI_W2V = FIXTURES / "mini_word2vec.txt"
@@ -93,7 +92,7 @@ class TestAssembly:
         store = ParamStore()
         rng = Rng(1)
         word = WordTable.build([UNK, "alpha", "beta"], d_w, rng, store)
-        branch = BranchTable.build(d_b, rng, store)
+        branch = store.create("branch_emb", init_uniform_scaled((3, d_b), rng))
         return Embedder(word, branch)
 
     @staticmethod
@@ -105,13 +104,16 @@ class TestAssembly:
         x, rows, index = self.assemble(emb, ("alpha", "beta", "gamma"), Branch.LEFT)
         assert x.shape == (3, 320)
         assert rows[index].tolist() == [1, 2, 0]  # the unknown word maps to UNK
+        two_rows = ParamStore().create("branch_emb", np.zeros((2, 20)))
+        with pytest.raises(ConfigurationError, match="branch table must have 3 rows"):
+            Embedder(emb.word, two_rows)
 
     def test_rows_are_word_row_then_branch_row(self):
         emb = self.build_embedder(8, 3)
         x, rows, index = self.assemble(emb, ("beta", "alpha", "beta"), Branch.NUGGET)
         for t, row in enumerate(rows[index]):
             assert np.array_equal(x[index[t], :8], emb.word.tensor.values[row])
-            assert np.array_equal(x[index[t], 8:], emb.branch.tensor.values[Branch.NUGGET])
+            assert np.array_equal(x[index[t], 8:], emb.branch.values[Branch.NUGGET])
 
     def test_each_distinct_word_is_one_row(self):
         """Tokens of one word share its row: rows in order of first use, each once."""
@@ -159,7 +161,7 @@ class TestAssembly:
             for a in (rows, index):
                 assert a.shape == (0,) and a.dtype == np.intp
         assert not with_branch.word.tensor.grad.any()
-        assert not with_branch.branch.tensor.grad.any()
+        assert not with_branch.branch.grad.any()
 
     def test_grad_routing(self):
         emb = self.build_embedder(4, 2)
@@ -167,7 +169,7 @@ class TestAssembly:
         d_inputs = np.arange(6, dtype=float).reshape(1, 6)
         emb.accumulate_grad(rows, Branch.RIGHT, d_inputs)
         assert np.array_equal(emb.word.tensor.grad[rows[0]], [0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(emb.branch.tensor.grad[Branch.RIGHT], [4.0, 5.0])
+        assert np.array_equal(emb.branch.grad[Branch.RIGHT], [4.0, 5.0])
 
     def test_distinct_word_rows_are_added_once(self):
         """A repeated word is one input row, whose gradient (already summed
@@ -181,7 +183,7 @@ class TestAssembly:
         beta, alpha = emb.word.tensor.grad[2], emb.word.tensor.grad[1]
         assert np.array_equal(beta, d_inputs[0, :4])
         assert np.array_equal(alpha, d_inputs[1, :4])
-        branch = emb.branch.tensor.grad[Branch.LEFT]
+        branch = emb.branch.grad[Branch.LEFT]
         assert np.array_equal(branch, (0.0 + d_inputs[0, 4:]) + d_inputs[1, 4:])
         assert emb.word.tensor.reached.tolist() == [False, True, True]
 
@@ -193,9 +195,9 @@ class TestAssembly:
         1e-15."""
         emb = self.build_embedder(4, 2)
         rng = Rng(9)
-        for t in (emb.word.tensor, emb.branch.tensor):
+        for t in (emb.word.tensor, emb.branch):
             t.grad[:] = np.asarray(rng.uniform(-1, 1, t.size)).reshape(t.shape)
-        word_ref, branch_ref = emb.word.tensor.grad.copy(), emb.branch.tensor.grad.copy()
+        word_ref, branch_ref = emb.word.tensor.grad.copy(), emb.branch.grad.copy()
         texts = {
             Branch.LEFT: ("beta", "alpha", "beta", "gamma", "beta", "alpha"),
             Branch.NUGGET: ("alpha",),
@@ -211,7 +213,7 @@ class TestAssembly:
                 word_ref[row] += d[:4]
                 branch_ref[branch] += d[4:]
         np.testing.assert_allclose(emb.word.tensor.grad, word_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(emb.branch.tensor.grad, branch_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(emb.branch.grad, branch_ref, rtol=0, atol=1e-13)
 
 
 class TestGradientFlowInvariant:

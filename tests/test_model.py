@@ -411,14 +411,28 @@ class TestPackedLayout:
     )
     def test_previous_row_is_the_same_sequence_one_step_earlier(self, lengths, backward):
         """`prev` holds, for each packed row after step 0's, the row of the
-        same sequence at the step before."""
+        same sequence at the step before; `steps` is the (offset, size)
+        schedule. A sequence's representation from `encode` is, bit for
+        bit, its state at `row(n - 1, seq)`, or zero when it is empty."""
         layout = PackedLayout.of(lengths, backward)
         first = layout.sizes[0] if layout.sizes else 0
         assert len(layout.prev) == layout.n_rows - first
+        assert layout.steps == list(zip(layout.offsets.tolist(), layout.sizes))
         for seq, n in enumerate(lengths):
             for step in range(1, n):
                 row = layout.row(step, seq)
                 assert layout.prev[row - first] == layout.row(step - 1, seq)
+        branch = Branch.RIGHT if backward else Branch.LEFT
+        enc = BranchEncoder.build(branch, "gru", 2, 3, 1, ParamStore(), Rng(0))
+        inputs = np.arange(1.0, 1.0 + 2 * sum(lengths)).reshape(-1, 2) / 7.0
+        reps, cache = enc.encode(inputs, lengths=lengths)
+        assert cache.layout is layout and reps.shape == (len(lengths), 3)
+        for seq, n in enumerate(lengths):
+            if n:
+                assert np.array_equal(reps[seq], cache.outputs[layout.row(n - 1, seq)])
+                assert reps[seq].any()
+            else:
+                assert not reps[seq].any()
 
 
     @pytest.mark.parametrize("lengths", [[3, -1], [2.7, 0.9], [1, "2"]])
