@@ -18,11 +18,11 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import Corpus, GoldNugget, LabelSet, Sentence, vocabulary_of
 from .errors import ConfigurationError, DataError
-from .fileio import object_kind, read_fields, read_json, read_utf8, write_text_atomic
+from .fileio import object_kind, read_fields, read_json, text_lines, write_text_atomic
 
 __all__ = [
     "TriggerLexicon",
@@ -37,6 +37,7 @@ __all__ = [
     "split_branches",
     "check_max_nugget_len",
     "labeled_candidates",
+    "corpus_candidates",
     "build_examples",
     "build_datasets",
     "save_lexicon",
@@ -150,16 +151,15 @@ class TriggerLexicon:
 def load_paraphrases(path: str | Path) -> list[tuple[str, str]]:
     """Parse a tab-separated `source<TAB>paraphrase` file; `#` comments."""
     pairs = []
-    for lineno, line in enumerate(read_utf8(path, "paraphrase file").split("\n"), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise DataError(
-                f"{path}:{lineno}: expected 'source<TAB>paraphrase', got {line!r}"
-            )
-        pairs.append((parts[0].strip(), parts[1].strip()))
+    with text_lines(path, "paraphrase file") as lines:
+        for _, where, line in lines:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                raise DataError(f"{where}: expected 'source<TAB>paraphrase', got {line!r}")
+            pairs.append((parts[0].strip(), parts[1].strip()))
     return pairs
 
 
@@ -297,26 +297,26 @@ def labeled_candidates(
     return align_labels(cands, s.nuggets, labels)
 
 
-def build_examples(
-    corpus: Corpus,
-    lex: TriggerLexicon,
-    labels: LabelSet,
-    max_nugget_len: int = 3,
-) -> list[LabeledExample]:
-    """Labeled, branch-split classification instances for a whole corpus.
-    A sentence's DataError names its index in `corpus`."""
+def corpus_candidates(
+    corpus: Corpus, lex: TriggerLexicon, labels: LabelSet, max_nugget_len: int = 3
+) -> Iterator[tuple[int, Sentence, list[NuggetCandidate]]]:
+    """(index, sentence, its `labeled_candidates`) for each sentence of
+    `corpus`, in order. A sentence's DataError names its index."""
     check_max_nugget_len(max_nugget_len)  # an empty corpus would never check it
-    examples = []
     for i, sentence in enumerate(corpus):
         try:
             cands = labeled_candidates(sentence, lex, labels, max_nugget_len)
         except DataError as e:
             raise DataError(f"sentence {i}: {e}") from e
-        for cand in cands:
-            examples.append(
-                LabeledExample(i, cand, split_branches(sentence, cand))
-            )
-    return examples
+        yield i, sentence, cands
+
+
+def build_examples(corpus: Corpus, lex: TriggerLexicon, labels: LabelSet,
+                   max_nugget_len: int = 3) -> list[LabeledExample]:
+    """Labeled, branch-split classification instances for a whole corpus."""
+    return [LabeledExample(i, cand, split_branches(sentence, cand))
+            for i, sentence, cands in corpus_candidates(corpus, lex, labels, max_nugget_len)
+            for cand in cands]
 
 
 def build_datasets(

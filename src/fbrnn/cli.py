@@ -24,6 +24,7 @@ from .candidates import (
     build_examples,
     build_trigger_lexicon,
     check_max_nugget_len,
+    corpus_candidates,
     load_lexicon,
     save_lexicon,
 )
@@ -44,7 +45,7 @@ from .corpus import (
 )
 from .embeddings import load_pretrained
 from .errors import ConfigurationError, DataError, NumericError
-from .fileio import json_lines, object_kind, read_fields, read_utf8, write_text_atomic
+from .fileio import json_lines, object_kind, read_fields, text_lines, write_text_atomic
 from .evaluation import (
     PredictedNugget,
     PRFReport,
@@ -119,30 +120,28 @@ def _coerce(key: str, raw: str):
 
 
 def _read_config_file(path: str) -> dict:
-    p = Path(path)
-    try:
-        lines = read_utf8(p, "config file").split("\n")
-    except DataError as e:  # a config file is configuration: exit 1
-        raise ConfigurationError(str(e)) from e
     values: dict = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigurationError(f"{p}:{lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigurationError(f"{p}:{lineno}: unknown config key {key!r}")
-        if key in first_line:
-            raise ConfigurationError(f"{p}:{lineno}: key {key!r} repeats line {first_line[key]}")
-        first_line[key] = lineno
-        try:
-            values[key] = _coerce(key, raw)
-        except ConfigurationError as e:
-            raise ConfigurationError(f"{p}:{lineno}: {e}") from e
+    try:
+        with text_lines(Path(path), "config file") as lines:
+            for lineno, where, line in lines:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ConfigurationError(f"{where}: expected 'key = value'")
+                key, _, raw = map(str.strip, stripped.partition("="))
+                if key not in _CONFIG_KEYS:
+                    raise ConfigurationError(f"{where}: unknown config key {key!r}")
+                if key in first_line:
+                    raise ConfigurationError(f"{where}: key {key!r} repeats line {first_line[key]}")
+                first_line[key] = lineno
+                try:
+                    values[key] = _coerce(key, raw)
+                except ConfigurationError as e:
+                    raise ConfigurationError(f"{where}: {e}") from e
+    except DataError as e:  # a config file is configuration: exit 1, at any line
+        raise ConfigurationError(str(e)) from e
     return values
 
 
@@ -221,21 +220,14 @@ def cmd_candidates(args) -> int:
     labels = load_label_set(_require_file(args.labels, "label file"))
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     lex = load_lexicon(_require_file(args.lexicon, "lexicon"))
-    examples = build_examples(corpus, lex, labels, args.max_nugget_len)
-    spans = [[] for _ in corpus]  # each sentence's candidates, in corpus order
-    for ex in examples:
-        c = ex.candidate
-        spans[ex.sentence_index].append({"start": c.start, "end": c.end, "label": list(c.types)})
-    lines = [
-        json.dumps({"tokens": _sentence_to_obj(sentence)["tokens"], "candidates": cands})
-        for sentence, cands in zip(corpus, spans)
-    ]
+    lines, types = [], []  # one line per sentence, in corpus order
+    for _, s, cands in corpus_candidates(corpus, lex, labels, args.max_nugget_len):
+        spans = [{"start": c.start, "end": c.end, "label": list(c.types)} for c in cands]
+        lines.append(json.dumps({"tokens": _sentence_to_obj(s)["tokens"], "candidates": spans}))
+        types += (c.types for c in cands)
     write_text_atomic(Path(args.out), "\n".join(lines) + "\n")
-    n_events = sum(1 for ex in examples if ex.candidate.types)
-    print(
-        f"{len(examples)} candidates over {len(corpus)} sentences "
-        f"({n_events} aligned to gold) -> {args.out}"
-    )
+    print(f"{len(types)} candidates over {len(corpus)} sentences "
+          f"({sum(map(bool, types))} aligned to gold) -> {args.out}")
     return 0
 
 
@@ -369,11 +361,12 @@ def _score_predictions(args) -> PRFReport:
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     path = _require_file(args.predictions, "predictions")
     preds = []
-    for where, obj in json_lines(read_utf8(path, "predictions file").split("\n"), str(path)):
-        (sid,) = read_fields(obj, _RECORD, where)
-        if not 0 <= sid < len(corpus):
-            raise DataError(f"{where}: sentence {sid} is not in the corpus")
-        preds.append(PredictedNugget(sid, *read_span(obj, len(corpus[sid]), labels, where)))
+    with text_lines(path, "predictions file") as lines:
+        for where, obj in json_lines(lines):
+            (sid,) = read_fields(obj, _RECORD, where)
+            if not 0 <= sid < len(corpus):
+                raise DataError(f"{where}: sentence {sid} is not in the corpus")
+            preds.append(PredictedNugget(sid, *read_span(obj, len(corpus[sid]), labels, where)))
     return score(preds, corpus, span_only=args.span_only)
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
 from .fileio import (
-    check, json_lines, object_kind, read_fields, read_json, read_utf8, write_text_atomic,
+    check, json_lines, object_kind, read_fields, read_json, text_lines, write_text_atomic,
 )
 from .numerics import Rng
 
@@ -43,7 +43,6 @@ __all__ = [
     "save_label_set",
     "load_corpus",
     "save_corpus",
-    "corpus_from_lines",
     "vocabulary_of",
     "split_corpus",
     "TriggerPattern",
@@ -210,16 +209,10 @@ def _parse_sentence(obj: object, labels: LabelSet, where: str) -> Sentence:
     return Sentence(tuple(tokens), tuple(nuggets))
 
 
-def corpus_from_lines(
-    lines: Iterable[str], labels: LabelSet, source: str = "<input>"
-) -> Corpus:
-    return Corpus(
-        tuple(_parse_sentence(obj, labels, where) for where, obj in json_lines(lines, source))
-    )
-
-
 def load_corpus(path: str | Path, labels: LabelSet) -> Corpus:
-    return corpus_from_lines(read_utf8(path, "corpus").split("\n"), labels, source=str(path))
+    with text_lines(path, "corpus") as lines:
+        return Corpus(tuple(_parse_sentence(obj, labels, where)
+                            for where, obj in json_lines(lines)))
 
 
 def _sentence_to_obj(s: Sentence) -> dict:

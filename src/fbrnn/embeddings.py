@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .fileio import read_utf8
+from .fileio import text_lines
 from .numerics import ParamStore, ParamTensor, Rng, init_uniform_scaled
 
 __all__ = [
@@ -52,37 +52,34 @@ def load_pretrained(path: str | Path, expected_dim: int) -> dict[str, np.ndarray
     lines and NaN/Inf values (with their line number) and vector counts
     that disagree with the header. Binary word2vec files are not supported.
     """
-    lines = read_utf8(path, "embedding file").split("\n")
-    if lines == [""]:
-        raise DataError(f"{path}: empty embedding file")
-    header = lines[0].split()
-    if len(header) != 2 or not all(p.isdecimal() for p in header):
-        raise DataError(f"{path}:1: header must be 'vocab_size dim'")
-    count, dim = int(header[0]), int(header[1])
-    if dim != expected_dim:
-        raise DataError(
-            f"{path}:1: embedding dimension {dim} != configured {expected_dim}"
-        )
     vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        parts = line.rstrip().split(" ")
-        if len(parts) != dim + 1:
-            raise DataError(
-                f"{path}:{lineno}: expected word plus {dim} values, "
-                f"got {len(parts)} fields"
-            )
-        word = parts[0]
-        if word in vectors:
-            raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
-        try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: non-numeric value: {e}") from e
-        if not np.isfinite(vec).all():
-            raise DataError(f"{path}:{lineno}: non-finite value in the vector of {word!r}")
-        vectors[word] = vec
+    with text_lines(path, "embedding file") as lines:
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path}: empty embedding file")
+        header = first[2].split()
+        if len(header) != 2 or not all(p.isdecimal() for p in header):
+            raise DataError(f"{path}:1: header must be 'vocab_size dim'")
+        count, dim = int(header[0]), int(header[1])
+        if dim != expected_dim:
+            raise DataError(f"{path}:1: embedding dimension {dim} != configured {expected_dim}")
+        for _, where, line in lines:
+            if not line.strip():
+                continue
+            parts = line.rstrip().split(" ")
+            if len(parts) != dim + 1:
+                raise DataError(
+                    f"{where}: expected word plus {dim} values, got {len(parts)} fields")
+            word = parts[0]
+            if word in vectors:
+                raise DataError(f"{where}: duplicate word {word!r}")
+            try:
+                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError as e:
+                raise DataError(f"{where}: non-numeric value: {e}") from e
+            if not np.isfinite(vec).all():
+                raise DataError(f"{where}: non-finite value in the vector of {word!r}")
+            vectors[word] = vec
     if len(vectors) != count:
         raise DataError(
             f"{path}: header declares {count} vectors but file has {len(vectors)}"

@@ -16,7 +16,7 @@ import tempfile
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import DataError
 
@@ -82,19 +82,6 @@ def read_fields(obj, declared: tuple, where: str) -> list:
     return values
 
 
-def read_utf8(path: str | Path, what: str) -> str:
-    r"""The whole text of `path`, its line ends as they are, for a line reader
-    to split at "\n" alone (U+2028 or a lone "\r" is data, and the "\r" of a
-    "\r\n" whitespace); `what` names the kind of file in errors."""
-    path = Path(path)
-    try:
-        return path.read_bytes().decode("utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: {what} is not UTF-8 text: {e}") from e
-
-
 def _object(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
@@ -115,9 +102,46 @@ def _parse(text: str, where: str):
         raise DataError(f"{where}: {e}") from e
 
 
+@contextmanager
+def _opened(path: str | Path, what: str) -> Iterator[BinaryIO]:
+    """`path` open for binary reading; an OSError in the block is a DataError."""
+    try:
+        with open(path, "rb") as f:
+            yield f
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+
+
+def _decode(data: bytes, where: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{where}: {e}") from e
+
+
+@contextmanager
+def text_lines(path: str | Path, what: str) -> Iterator[Iterator[tuple[int, str, str]]]:
+    r"""A generator of (lineno, `path:lineno`, text) for each line of `path`,
+    blank ones included, decoded as it is reached; the file closes with the
+    block. A line ends at "\n" alone, which is dropped: U+2028 or a lone "\r"
+    is data, and the "\r" of a "\r\n" whitespace."""
+    def located(f: BinaryIO) -> Iterator[tuple[int, str, str]]:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.rstrip(b"\n").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: {what} is not UTF-8 text at line {lineno}: {e}") from e
+            yield lineno, f"{path}:{lineno}", line
+
+    with _opened(path, what) as f:
+        yield located(f)
+
+
 def read_json(path: str | Path, what: str):
     """The one JSON document in `path`."""
-    return _parse(read_utf8(path, what), f"{path}: corrupt {what} (invalid JSON)")
+    with _opened(path, what) as f:
+        text = _decode(f.read(), f"{path}: {what} is not UTF-8 text")
+    return _parse(text, f"{path}: corrupt {what} (invalid JSON)")
 
 
 @contextmanager
@@ -125,29 +149,21 @@ def header_and_payload(path: str | Path, what: str) -> Iterator[tuple[object, Ca
     """For a file of one UTF-8 JSON header line and a raw payload: yield the
     parsed header and `read_payload(buffer)`, which checks that the payload
     exactly fills the writable `buffer` and fills it with one `readinto`."""
-    try:
-        with open(path, "rb") as f:
-            line = f.readline()
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise DataError(f"{path}: {what} header is not UTF-8 text: {e}") from e
+    with _opened(path, what) as f:
+        text = _decode(f.readline(), f"{path}: {what} header is not UTF-8 text")
 
-            def read_payload(buffer) -> None:
-                size, need = os.fstat(f.fileno()).st_size - f.tell(), memoryview(buffer).nbytes
-                if size != need or f.readinto(buffer) != size:
-                    raise DataError(f"{path}: {what} payload holds {size} bytes, not {need}")
+        def read_payload(buffer) -> None:
+            size, need = os.fstat(f.fileno()).st_size - f.tell(), memoryview(buffer).nbytes
+            if size != need or f.readinto(buffer) != size:
+                raise DataError(f"{path}: {what} payload holds {size} bytes, not {need}")
 
-            yield _parse(text, f"{path}: corrupt {what} header (invalid JSON)"), read_payload
-    except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from e
+        yield _parse(text, f"{path}: corrupt {what} header (invalid JSON)"), read_payload
 
 
-def json_lines(lines: Iterable[str], source: str) -> Iterator[tuple[str, object]]:
-    """(`source:lineno`, value) for every non-blank line, one JSON value each."""
-    for lineno, line in enumerate(lines, 1):
+def json_lines(lines: Iterable[tuple[int, str, str]]) -> Iterator[tuple[str, object]]:
+    """(location, value) for each non-blank line of `text_lines`: one JSON value."""
+    for _, where, line in lines:
         if line.strip():
-            where = f"{source}:{lineno}"
             yield where, _parse(line, f"{where}: invalid JSON")
 
 

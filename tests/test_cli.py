@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import typing
@@ -449,6 +450,24 @@ class TestExitCodes:
             == 2
         )
 
+    def test_a_diverging_run_is_a_numeric_error(self, tmp_path, capsys):
+        """A learning rate of 1e300 overflows within the first epoch: exit 3,
+        naming the epoch and the example, with no traceback and no run
+        directory. Which step overflows first may depend on the BLAS build."""
+        data = tmp_path / "d"
+        assert run_cli("synth", "--out", data, "--sentences", 40, "--seed", 1) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's overflow warnings on the way to the NaN
+            code = run_cli("train", "--train-corpus", data / "train.jsonl", "--dev-corpus",
+                           data / "dev.jsonl", "--labels", data / "labels.json",
+                           "--max-epochs", 2, "--lr", 1e300, "--out-dir", tmp_path / "runs")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.match(r"numeric error: epoch 1, example \d+ \(sentence \d+, span ", err)
+        assert "Traceback" not in err
+        assert list((tmp_path / "runs").iterdir()) == []
+
     @pytest.mark.parametrize("command", ["predict", "candidates", "train"])
     def test_missing_pos_names_the_sentence(
         self, command, synth_dir, trained_run, tmp_path, capsys
@@ -863,6 +882,15 @@ _MALFORMED = [
         lambda d: d["pipeline"].__setitem__("lexicon", {"entries": {"x": 5}})), 2, "'x'"),
     ("ckpt-threshold", _checkpoint_with(lambda d: d["pipeline"].__setitem__("threshold", "a")),
      2, "threshold"),
+    # a value of the right kind out of its range
+    ("ckpt-threshold-range",
+     _checkpoint_with(lambda d: d["pipeline"].__setitem__("threshold", 1.5)), 2,
+     "checkpoint.fbrnn: pipeline: threshold must be in (0, 1), got 1.5"),
+    ("ckpt-max-nugget-len-0",
+     _checkpoint_with(lambda d: d["pipeline"].__setitem__("max_nugget_len", 0)), 2,
+     "checkpoint.fbrnn: pipeline: max_nugget_len must be >= 1 or null, got 0"),
+    ("ckpt-unknown-config-key", _checkpoint_with(lambda d: d["config"].__setitem__("width", 3)),
+     2, "checkpoint.fbrnn: malformed checkpoint: unknown model config keys: ['width']"),
     ("ckpt-version-1", _checkpoint_with(lambda d: d.__setitem__("format_version", 1)), 2,
      "unsupported checkpoint version 1"),
     ("ckpt-version-2", _checkpoint_with(lambda d: d.__setitem__("format_version", 2)), 2,

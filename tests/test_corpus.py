@@ -14,7 +14,6 @@ from fbrnn.corpus import (
     SyntheticSpec,
     Token,
     TriggerPattern,
-    corpus_from_lines,
     default_synthetic_spec,
     load_corpus,
     load_label_set,
@@ -86,49 +85,56 @@ class TestLabelSet:
             load_label_set(path)
 
 
+def _load_lines(tmp_path, labels, *lines):
+    """`lines` written to a corpus file, one per line, and loaded."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return load_corpus(path, labels)
+
+
 class TestCorpusIO:
-    def test_load_break_in_sentence(self, labels):
-        corpus = corpus_from_lines([BREAK_IN_LINE], labels)
+    def test_load_break_in_sentence(self, labels, tmp_path):
+        corpus = _load_lines(tmp_path, labels, BREAK_IN_LINE)
         assert len(corpus) == 1
         sentence = corpus[0]
         assert len(sentence.tokens) == 10
         assert sentence.nuggets == (GoldNugget(4, 5, ("Conflict.Attack",)),)
 
-    def test_empty_file_is_empty_corpus(self, labels):
-        assert len(corpus_from_lines([], labels)) == 0
+    def test_empty_file_is_empty_corpus(self, labels, tmp_path):
+        assert len(_load_lines(tmp_path, labels)) == 0
 
-    def test_reversed_span_rejected_with_line(self, labels):
+    def test_reversed_span_rejected_with_line(self, labels, tmp_path):
         bad = json.dumps(
             {"tokens": [{"t": "a"}, {"t": "b"}],
              "nuggets": [{"start": 1, "end": 0, "types": ["Contact.Meet"]}]}
         )
         with pytest.raises(DataError, match=":1:"):
-            corpus_from_lines([bad], labels)
+            _load_lines(tmp_path, labels, bad)
 
-    def test_out_of_range_span_rejected(self, labels):
+    def test_out_of_range_span_rejected(self, labels, tmp_path):
         bad = json.dumps(
             {"tokens": [{"t": "a"}],
              "nuggets": [{"start": 0, "end": 1, "types": ["Contact.Meet"]}]}
         )
         with pytest.raises(DataError, match="out of range"):
-            corpus_from_lines([bad], labels)
+            _load_lines(tmp_path, labels, bad)
 
-    def test_unknown_label_rejected(self, labels):
+    def test_unknown_label_rejected(self, labels, tmp_path):
         bad = json.dumps(
             {"tokens": [{"t": "a"}],
              "nuggets": [{"start": 0, "end": 0, "types": ["Nope"]}]}
         )
         with pytest.raises(DataError, match="Nope"):
-            corpus_from_lines([bad], labels)
+            _load_lines(tmp_path, labels, bad)
 
-    def test_empty_token_text_rejected(self, labels):
+    def test_empty_token_text_rejected(self, labels, tmp_path):
         bad = json.dumps({"tokens": [{"t": ""}], "nuggets": []})
         with pytest.raises(DataError, match="non-empty"):
-            corpus_from_lines([bad], labels)
+            _load_lines(tmp_path, labels, bad)
 
-    def test_malformed_json_names_line(self, labels):
+    def test_malformed_json_names_line(self, labels, tmp_path):
         with pytest.raises(DataError, match="corpus.jsonl:2"):
-            corpus_from_lines([BREAK_IN_LINE, "{oops"], labels, source="corpus.jsonl")
+            _load_lines(tmp_path, labels, BREAK_IN_LINE, "{oops")
 
     @pytest.mark.parametrize("char", ["\u2028", "\x85"])
     def test_a_raw_line_separator_in_a_token_is_data(self, labels, tmp_path, char):
@@ -148,7 +154,7 @@ class TestCorpusIO:
             load_corpus(path, labels)
 
     def test_save_load_roundtrip(self, labels, tmp_path):
-        corpus = corpus_from_lines([BREAK_IN_LINE], labels)
+        corpus = _load_lines(tmp_path, labels, BREAK_IN_LINE)
         path = tmp_path / "c.jsonl"
         save_corpus(corpus, path)
         assert load_corpus(path, labels) == corpus

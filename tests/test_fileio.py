@@ -1,6 +1,8 @@
 """Every input file is read, decoded and parsed in `fbrnn.fileio` alone, and
 every value read from JSON is checked against its one table of kinds."""
 
+import argparse
+import builtins
 import json
 import re
 from pathlib import Path
@@ -10,14 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 import fbrnn
 from fbrnn import fileio
-from fbrnn.candidates import _COUNTS, _LEXICON
-from fbrnn.cli import _RECORD
-from fbrnn.corpus import _LINE, _SPAN, _TOKEN, LabelSet, Token, corpus_from_lines
-from fbrnn.errors import DataError
-from fbrnn.fileio import KINDS, check, json_lines, object_kind, read_fields, read_json, read_utf8
+from fbrnn.candidates import _COUNTS, _LEXICON, load_paraphrases
+from fbrnn.cli import _RECORD, _read_config_file, _score_predictions
+from fbrnn.corpus import _LINE, _SPAN, _TOKEN, LabelSet, Token, load_corpus, save_label_set
+from fbrnn.embeddings import load_pretrained
+from fbrnn.errors import ConfigurationError, DataError
+from fbrnn.fileio import KINDS, check, json_lines, object_kind, read_fields, read_json, text_lines
 from fbrnn.training import _HEADER, _PIPELINE
 
-_READS = re.compile(r"\b(read_text|read_bytes|open)\(|\bjson\.loads?\(")
+# opening, reading, decoding or splitting a file's text
+_READS = re.compile(
+    r"\b(read_text|read_bytes|open)\(|\bjson\.loads?\(|\.decode\(\"utf|\.split\(\"\\n\"\)|splitlines\("
+)
 
 
 def test_only_fileio_reads_files():
@@ -47,10 +53,12 @@ def test_a_byte_order_mark_is_named(tmp_path):
         read_json(path, "label file")
 
 
-def test_repeated_key_in_json_lines_names_the_line():
-    lines = ['{"a": 1}', '{"a": {"b": 1, "b": 2}}']
-    with pytest.raises(DataError, match=r"corpus\.jsonl:2: .*repeats the key 'b'"):
-        list(json_lines(lines, "corpus.jsonl"))
+def test_repeated_key_in_json_lines_names_the_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"a": 1}\n{"a": {"b": 1, "b": 2}}\n')
+    with text_lines(path, "corpus") as lines:
+        with pytest.raises(DataError, match=r"corpus\.jsonl:2: .*repeats the key 'b'"):
+            list(json_lines(lines))
 
 
 @pytest.mark.parametrize(
@@ -94,14 +102,16 @@ def test_a_default_that_does_not_fit_its_kind_is_refused_when_declared():
         object_kind("", ("k", str, None))
 
 
-def test_a_field_left_at_its_default_is_not_checked(monkeypatch):
+def test_a_field_left_at_its_default_is_not_checked(monkeypatch, tmp_path):
     """A POS-less corpus reads to the tokens it always did, without one
     `check` call; `"pos": null` still reads as None and `"pos": 3` is
     still refused."""
     calls = []
     monkeypatch.setattr(fileio, "check", lambda *a, **k: calls.append(a) or a[0])
     line = json.dumps({"tokens": [{"t": "they"}, {"t": "met", "pos": "VBD"}, {"t": "a"}]})
-    corpus = corpus_from_lines([line], LabelSet(["A"]))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(line + "\n")
+    corpus = load_corpus(path, LabelSet(["A"]))
     assert corpus.sentences[0].tokens == (Token("they"), Token("met", "VBD"), Token("a"))
     assert [t.pos for t in corpus.sentences[0].tokens] == [None, "VBD", None]
     assert calls == []
@@ -170,8 +180,82 @@ def test_read_fields_fails_exactly_where_a_check_per_field_fails(data):
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1e", "\r"])
 def test_text_keeps_every_line_end_as_it_is(tmp_path, char):
-    """Line readers split at "\\n" alone, so nothing else may end a line:
+    """`text_lines` splits at "\\n" alone, so nothing else may end a line:
     universal newlines would turn a lone "\\r" into "\\n"."""
     path = tmp_path / "x.txt"
     path.write_bytes(f"a{char}b\r\nc\r\n\nd".encode())
-    assert read_utf8(path, "text").split("\n") == [f"a{char}b\r", "c\r", "", "d"]
+    with text_lines(path, "text") as lines:
+        assert [line for _, _, line in lines] == [f"a{char}b\r", "c\r", "", "d"]
+
+
+def test_text_lines_numbers_and_locates_every_line_blank_ones_too(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"a\n\n \nb\n")
+    with text_lines(path, "text") as lines:
+        assert list(lines) == [(1, f"{path}:1", "a"), (2, f"{path}:2", ""),
+                               (3, f"{path}:3", " "), (4, f"{path}:4", "b")]
+    path.write_bytes(b"")
+    with text_lines(path, "text") as lines:
+        assert list(lines) == []
+
+
+def test_a_line_that_is_not_utf8_is_named_by_its_number(tmp_path):
+    """The lines before it are read; the message keeps the file's name first."""
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"a\n" + "\u00e9".encode() + b"\xff\nc\n")
+    with text_lines(path, "paraphrase file") as lines:
+        assert next(lines) == (1, f"{path}:1", "a")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: paraphrase file is not UTF-8 text at line 2: 'utf-8' codec can't "
+                "decode byte 0xff in position 2")):
+            next(lines)
+
+
+def test_a_file_that_cannot_be_read_is_a_data_error(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):  # absent, and a directory
+        with pytest.raises(DataError, match=re.escape(f"cannot read corpus {path}: ")):
+            with text_lines(path, "corpus") as lines:
+                list(lines)
+
+
+_GOOD = json.dumps({"tokens": [{"t": "a"}]})
+
+# Each text reader and a file that it refuses at line 2 of 3: (file name,
+# content, call that reads it given its path and the test's directory)
+_REFUSED_AT_LINE_2 = {
+    "corpus-json": ("c.jsonl", f"{_GOOD}\n{{oops\n{_GOOD}\n",
+                    lambda p, d: load_corpus(p, LabelSet(["A"]))),
+    "corpus-sentence": ("c.jsonl", f"{_GOOD}\n{{\"tokens\": []}}\n{_GOOD}\n",
+                        lambda p, d: load_corpus(p, LabelSet(["A"]))),
+    "predictions": ("p.jsonl", '{"sentence": 0, "start": 0, "end": 0, "types": ["A"]}\n'
+                    '{"sentence": 9, "start": 0, "end": 0, "types": ["A"]}\n\n',
+                    lambda p, d: _score_predictions(argparse.Namespace(
+                        labels=d / "labels.json", corpus=d / "gold.jsonl", predictions=p,
+                        span_only=False))),
+    "embeddings": ("v.txt", "2 2\na 1 x\nb 1 2\n", lambda p, d: load_pretrained(p, 2)),
+    "paraphrases": ("p.tsv", "a\tb\nab\nc\td\n", lambda p, d: load_paraphrases(p)),
+    "paraphrases-not-utf8": ("p.tsv", b"a\tb\n\xff\nc\td\n", lambda p, d: load_paraphrases(p)),
+    "config": ("run.cfg", "seed = 1\nnope = 2\nseed = 3\n", lambda p, d: _read_config_file(str(p))),
+    "config-not-utf8": ("run.cfg", b"seed = 1\n\xff\nseed = 3\n",
+                        lambda p, d: _read_config_file(str(p))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_AT_LINE_2))
+def test_a_reader_that_refuses_a_line_has_closed_its_file(tmp_path, monkeypatch, case):
+    """Every file a reader opened is closed while its error is still held,
+    and the error names line 2. A config file's refused line is exit 1,
+    also when it is not UTF-8: a config file is configuration."""
+    save_label_set(LabelSet(["A"]), tmp_path / "labels.json")
+    (tmp_path / "gold.jsonl").write_text(f"{_GOOD}\n")
+    name, content, read = _REFUSED_AT_LINE_2[case]
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    opened = []
+    monkeypatch.setattr(fileio, "open", lambda *a: opened.append(builtins.open(*a)) or opened[-1],
+                        raising=False)
+    with pytest.raises(ConfigurationError if case.startswith("config") else DataError) as error:
+        read(path, tmp_path)
+    assert str(error.value).startswith(f"{path}:2: ") or "at line 2: " in str(error.value)
+    assert path.name in [Path(f.name).name for f in opened]
+    assert all(f.closed for f in opened)

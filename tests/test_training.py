@@ -255,6 +255,32 @@ class TestConfigSchema:
         with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
             dataclasses.replace(SMALL_CFG, **{name: value})
 
+    @pytest.mark.parametrize(
+        "config, bad, message",
+        [
+            (ModelConfig, {"hidden_size": 0}, "hidden_size, layers and word_dim must be >= 1"),
+            (ModelConfig, {"layers": 0}, "hidden_size, layers and word_dim must be >= 1"),
+            (ModelConfig, {"word_dim": 0}, "hidden_size, layers and word_dim must be >= 1"),
+            (ModelConfig, {"branch_dim": 0}, "branch_dim must be >= 1 when branches are on"),
+            (ModelConfig, {"dropout": 1.0}, "dropout must be a number in [0, 1), got 1.0"),
+            (ModelConfig, {"dropout": float("nan")}, "dropout must be a number in [0, 1), got nan"),
+            (ModelConfig, {"head_hidden": (4, 0)}, "head_hidden widths must be >= 1"),
+            (TrainConfig, {"max_epochs": 0},
+             "max_epochs, batch_size and max_nugget_len must be >= 1"),
+            (TrainConfig, {"batch_size": 0},
+             "max_epochs, batch_size and max_nugget_len must be >= 1"),
+            (TrainConfig, {"max_nugget_len": 0},
+             "max_epochs, batch_size and max_nugget_len must be >= 1"),
+            (TrainConfig, {"patience": -1}, "patience must be >= 0"),
+        ],
+    )
+    def test_a_setting_out_of_its_range_is_refused_by_its_message(self, config, bad, message):
+        """Each range check of `ModelConfig` and `TrainConfig` fires with its
+        own message, for a model config and for a run config alike."""
+        for make in {config, TrainConfig}:
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                make(**bad)
+
     def test_model_config_carries_every_model_field(self):
         cfg = dataclasses.replace(SMALL_CFG, head_mode="sigmoid", head_hidden=(5,), layers=2)
         model_cfg = cfg.model_config()
@@ -289,11 +315,10 @@ def _write(path, header, payload):
 
 
 class TestCheckpoint:
-    def build_model(self, head_mode="softmax"):
+    def build_model(self, head_mode="softmax", head_hidden=None):
         labels = LabelSet(["A", "B"])
-        cfg = ModelConfig(
-            hidden_size=6, word_dim=5, branch_dim=3, head_mode=head_mode, dropout=0.0
-        )
+        cfg = ModelConfig(hidden_size=6, word_dim=5, branch_dim=3, head_mode=head_mode,
+                          head_hidden=head_hidden, dropout=0.0)
         words = [f"w{i}" for i in range(8)]
         return build_model(cfg, words, labels, Rng(77)), words
 
@@ -409,6 +434,22 @@ class TestCheckpoint:
         assert "struck" in loaded.lexicon
         assert loaded.max_nugget_len == 3
         assert loaded.threshold == 0.4
+
+    @pytest.mark.parametrize("head_hidden", [(5, 4), ()], ids=["two-tanh-layers", "linear"])
+    def test_head_hidden_roundtrip(self, tmp_path, head_hidden):
+        """`head_hidden` is written as a JSON array and read back as the tuple
+        it was, so `expect` matches; () is a head without a tanh layer."""
+        model, words = self.build_model(head_hidden=head_hidden)
+        hidden = [n for n in model.store.names() if n.startswith("head.") and n.endswith(".W")]
+        assert len(hidden) == len(head_hidden) + 1  # the tanh layers and the output layer
+        path = tmp_path / "ckpt.fbrnn"
+        save_checkpoint(path, model)
+        assert _split(path)[0]["config"]["head_hidden"] == list(head_hidden)
+        loaded = load_checkpoint(path, expect=model.cfg).model
+        assert loaded.cfg.head_hidden == head_hidden
+        for split in (BranchSplit((words[0],), (words[1],), (words[2],)),
+                      BranchSplit((), (words[3], words[4]), ())):
+            assert model.predict_proba(split).tobytes() == loaded.predict_proba(split).tobytes()
 
     def test_sigmoid_head_roundtrip(self, tmp_path):
         model, words = self.build_model(head_mode="sigmoid")
