@@ -19,6 +19,8 @@ import time
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .candidates import (
     build_datasets,
     build_examples,
@@ -535,7 +537,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args) or 0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a NumericError
+            return args.func(args) or 0
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -16,16 +16,17 @@ connected stack, and classified by either a softmax over all classes
 Gradients are computed analytically: each candidate's slice of the head
 gradient enters its encoder at the row it read; per layer, top first, the
 encoder recomputes every step's activations in one call from the states it
-kept, loops back over the steps for the state gradients only (BPTT), and
-takes each weight gradient as one product, layer 0's over U rows after a
-segment sum; input gradients go to the embedding rows. Gradients accumulate.
+kept and, once, each factor of the step gradients that dh does not enter,
+loops back over the steps for the state gradients only (BPTT), and takes
+each weight gradient as one product, layer 0's over U rows after a segment
+sum; input gradients go to the embedding rows. Gradients accumulate.
 
 Conventions fixed here:
     GRU   z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br)
-          hc = tanh(Wc x + Uc (r*h) + bc); h' = (1-z)*h + z*hc
+          hc = tanh(Wc x + Uc (r*h) + bc); h' = h + z*(hc-h)
     LSTM  i,f,o = sig(.); g = tanh(.); c' = f*c + i*g; h' = o*tanh(c')
-so with all-zero weights a GRU step halves the hidden state and an LSTM
-step gives c' = c/2, h' = tanh(c/2)/2.
+with sig(a) = 0.5 tanh(a/2) + 0.5 (`_projection`); all-zero weights make a
+GRU step halve h and an LSTM step give c' = c/2, h' = tanh(c/2)/2, exactly.
 
 Each layer owns three tensors, `<branch>.l<k>.W`, `.U` and `.b`, with the
 gates stacked as row blocks of the hidden size in the order above (GRU
@@ -81,6 +82,7 @@ CELL_KINDS = ("gru", "lstm")
 HEAD_MODES = ("softmax", "sigmoid")
 
 _LOG_CLAMP = 1e-12
+_HALF = np.array(0.5)  # a 0-d array operand skips a float's conversion: ~0.2 us per step op
 
 _type_hints = lru_cache(typing.get_type_hints)
 
@@ -194,26 +196,37 @@ def gru_step(
     gives the bits of `M @ vector`. The input projection comes first, with
     the bias: `(x W^T + b) + h U^T`."""
     _check_shapes("gru_step", x, h_prev, p)
-    return _gru_step(x @ p.W.values.T + p.b.values, h_prev, _gru_weights(p))
+    return _gru_step(_projection(x, p), h_prev, _recurrence(p))
 
 
-def _gru_weights(p: RecurrentLayer) -> tuple[np.ndarray, np.ndarray]:
-    """What a GRU step multiplies the state by: U_zr^T, U_c^T."""
-    h = p.U.shape[1]
-    U = p.U.values
-    return U[: 2 * h].T, U[2 * h :].T
+def _projection(x: np.ndarray, p: RecurrentLayer) -> np.ndarray:
+    """`x W^T + b`, the sigmoid gates' columns (all but the last h) halved
+    (exact): a cell takes such a gate as sig(a) = 0.5 tanh(a/2) + 0.5."""
+    wx = x @ p.W.values.T + p.b.values
+    wx[..., : -p.U.shape[1]] *= 0.5
+    return wx
+
+
+def _recurrence(p: RecurrentLayer) -> np.ndarray:
+    """U^T, (h, G*h), its sigmoid gates' columns halved as in `_projection`."""
+    U_t = p.U.values.T.copy()
+    U_t[:, : -p.U.shape[1]] *= 0.5
+    return U_t
 
 
 def _gru_step(
-    wx: np.ndarray, h_prev: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
+    wx: np.ndarray, h_prev: np.ndarray, U_t: np.ndarray, out=None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A step given its input projection `wx = x W^T + b`."""
-    U_zr, U_c = weights
+    """A step given `_projection` and `_recurrence`, the new state written to `out` if given."""
     h = h_prev.shape[-1]
-    zr = sigmoid(wx[..., : 2 * h] + h_prev @ U_zr)
+    zr = np.tanh(wx[..., : 2 * h] + h_prev @ U_t[:, : 2 * h])
+    zr *= _HALF
+    zr += _HALF
     z, r = zr[..., :h], zr[..., h:]
-    hc = np.tanh(wx[..., 2 * h :] + (r * h_prev) @ U_c)
-    return (1.0 - z) * h_prev + z * hc, (z, r, hc)
+    hc = np.tanh(wx[..., 2 * h :] + (r * h_prev) @ U_t[:, 2 * h :])
+    out = np.multiply(np.subtract(hc, h_prev, out=out), z, out=out)  # h + z (hc - h)
+    out += h_prev
+    return out, (z, r, hc)
 
 
 def lstm_step(
@@ -221,21 +234,22 @@ def lstm_step(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One step for one vector or for n rows, as `gru_step`: activations i, f, o, g, tanh c'."""
     _check_shapes("lstm_step", x, h_prev, p)
-    return _lstm_step(x @ p.W.values.T + p.b.values, h_prev, c_prev, p.U.values.T)
+    return _lstm_step(_projection(x, p), h_prev, c_prev, _recurrence(p))
 
 
 def _lstm_step(
-    wx: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray
+    wx: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray, out=None, c_out=None
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """A step given its input projection `wx = x W^T + b`."""
+    """A step given `_projection` and `_recurrence`, state and cell written to `out`, `c_out`."""
     h = h_prev.shape[-1]
-    gates = wx + h_prev @ U_t
-    gates[..., : 3 * h] = sigmoid(gates[..., : 3 * h])
-    np.tanh(gates[..., 3 * h :], out=gates[..., 3 * h :])
+    gates = np.tanh(wx + h_prev @ U_t)
+    ifo = gates[..., : 3 * h]
+    ifo *= _HALF
+    ifo += _HALF
     i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
-    c_new = f * c_prev + i * g
+    c_new = np.add(f * c_prev, i * g, out=c_out)
     tc = np.tanh(c_new)
-    return o * tc, c_new, (i, f, o, g, tc)
+    return np.multiply(o, tc, out=out), c_new, (i, f, o, g, tc)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +319,7 @@ class EncoderCache:
     layout: PackedLayout
     inputs: np.ndarray  # layer 0's distinct input rows, (U, d_in); layer k's are states[k - 1]
     reads: np.ndarray  # the row of `inputs` each packed row reads, (N,)
-    projections: list[np.ndarray]  # each layer's x W^T + b, (N, G*h)
+    projections: list[np.ndarray]  # each layer's `_projection`, (N, G*h)
     states: list[np.ndarray]  # each layer's state after each step, (N, h)
     cells: list[np.ndarray]  # each LSTM layer's cell after each step; none for a GRU
 
@@ -395,21 +409,20 @@ class BranchEncoder:
         x, projections, states, cells = inputs, [], [], []
         for k, layer in enumerate(self.layers):
             # every step's input projection, with the bias, as one product
-            wx = x @ layer.W.values.T + layer.b.values
+            wx = _projection(x, layer)
             if not k:
                 wx = wx[reads]
             x = np.empty((layout.n_rows, self.hidden))
             if self.kind == "lstm":
                 cells.append(np.empty_like(x))
             h = c = np.zeros((max(layout.sizes, default=0), self.hidden))  # before step 0
-            weights = _gru_weights(layer) if self.kind == "gru" else layer.U.values.T
-            for o, n in layout.steps:
+            U_t = _recurrence(layer)
+            for o, n in layout.steps:  # each step writes its rows of x (and of the cells)
+                t = slice(o, o + n)
                 if self.kind == "gru":
-                    h, _ = _gru_step(wx[o : o + n], h[:n], weights)
+                    h = _gru_step(wx[t], h[:n], U_t, x[t])[0]
                 else:
-                    h, c, _ = _lstm_step(wx[o : o + n], h[:n], c[:n], weights)
-                    cells[-1][o : o + n] = c
-                x[o : o + n] = h
+                    h, c, _ = _lstm_step(wx[t], h[:n], c[:n], U_t, x[t], cells[-1][t])
             projections.append(wx)
             states.append(x)
         cache = EncoderCache(layout, inputs, reads, projections, states, cells)
@@ -443,34 +456,38 @@ class BranchEncoder:
         d_states = d_outputs
         for k in reversed(range(len(self.layers))):
             p, wx, U = self.layers[k], cache.projections[k], self.layers[k].U.values
-            # every row's previous state, then every step's activations in one call
+            # every row's previous state, every step's activations in one call,
+            # and from them every factor of the step gradients that is not dh's
             h_prev = np.concatenate((zeros, cache.states[k][layout.prev]))
+            da = np.empty_like(wx)  # pre-activation gradients, gate blocks as in W
             if self.kind == "gru":
-                _, (z, r, hc) = _gru_step(wx, h_prev, _gru_weights(p))
+                _, (z, r, hc) = _gru_step(wx, h_prev, _recurrence(p))
+                # da_z = dh d_z, da_r = drh d_r, da_c = dh d_c
+                keep, d_r, d_c = 1.0 - z, h_prev * r * (1.0 - r), z * (1.0 - hc * hc)
+                d_z, U_zr, U_c = (hc - h_prev) * z * keep, U[: 2 * h], U[2 * h :]
             else:
                 c_prev = np.concatenate((zeros, cache.cells[k][layout.prev]))
-                _, _, (i, f, o, g, tc) = _lstm_step(wx, h_prev, c_prev, U.T)
-            da = np.empty_like(wx)  # pre-activation gradients, gate blocks as in W
+                _, _, (i, f, o, g, tc) = _lstm_step(wx, h_prev, c_prev, _recurrence(p))
+                dc_dh = o * (1.0 - tc * tc)  # dc = dc_next + dh dc_dh
+                # da_i, da_f and da_g are dc times their block, da_o is dh times its
+                d_ifo = g * i * (1.0 - i), c_prev * f * (1.0 - f), tc * o * (1.0 - o)
+                d_gates = np.stack((*d_ifo, i * (1.0 - g * g)), axis=1)  # (N, 4, h), as da_gates
+                da_gates = da.reshape(-1, 4, h)
             dh_next, dc_next = np.zeros((2, *zeros.shape))
             for start, n in reversed(layout.steps):  # the state gradients run back through time
                 t = slice(start, start + n)
                 dh = d_states[t] + dh_next[:n]
                 if self.kind == "gru":
-                    z_t, r_t, hc_t, hp_t = z[t], r[t], hc[t], h_prev[t]
-                    da[t, 2 * h :] = dh * z_t * (1.0 - hc_t * hc_t)
-                    drh = da[t, 2 * h :] @ U[2 * h :]
-                    da[t, :h] = dh * (hc_t - hp_t) * z_t * (1.0 - z_t)
-                    da[t, h : 2 * h] = drh * hp_t * r_t * (1.0 - r_t)
-                    dh_next[:n] = dh * (1.0 - z_t) + drh * r_t + da[t, : 2 * h] @ U[: 2 * h]
+                    drh = np.multiply(dh, d_c[t], out=da[t, 2 * h :]) @ U_c
+                    np.multiply(dh, d_z[t], out=da[t, :h])
+                    np.multiply(drh, d_r[t], out=da[t, h : 2 * h])
+                    dh_next[:n] = dh * keep[t] + drh * r[t] + da[t, : 2 * h] @ U_zr
                 else:
-                    i_t, f_t, o_t, g_t, tc_t = i[t], f[t], o[t], g[t], tc[t]
-                    dc = dc_next[:n] + dh * o_t * (1.0 - tc_t * tc_t)
-                    da[t, :h] = dc * g_t * i_t * (1.0 - i_t)
-                    da[t, h : 2 * h] = dc * c_prev[t] * f_t * (1.0 - f_t)
-                    da[t, 2 * h : 3 * h] = dh * tc_t * o_t * (1.0 - o_t)
-                    da[t, 3 * h :] = dc * i_t * (1.0 - g_t * g_t)
-                    dh_next[:n] = da[t] @ U
-                    dc_next[:n] = dc * f_t
+                    dc = dh * dc_dh[t] + dc_next[:n]
+                    np.multiply(d_gates[t], dc[:, None], out=da_gates[t])
+                    np.multiply(dh, d_gates[t, 2], out=da_gates[t, 2])
+                    np.matmul(da[t], U, out=dh_next[:n])
+                    np.multiply(dc, f[t], out=dc_next[:n])
             # one product per gradient; np.dot, not @: a BLAS product even when N is 1
             if self.kind == "gru":
                 p.U.grad[: 2 * h] += np.dot(da[:, : 2 * h].T, h_prev)

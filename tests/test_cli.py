@@ -453,18 +453,22 @@ class TestExitCodes:
     def test_a_diverging_run_is_a_numeric_error(self, tmp_path, capsys):
         """A learning rate of 1e300 overflows within the first epoch: exit 3,
         naming the epoch and the example, with no traceback and no run
-        directory. Which step overflows first may depend on the BLAS build."""
+        directory. Which step overflows first may depend on the BLAS build.
+        That one line is all of stderr: the commands run with numpy's
+        overflow and invalid-value warnings off, so none is issued."""
         data = tmp_path / "d"
         assert run_cli("synth", "--out", data, "--sentences", 40, "--seed", 1) == 0
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy's overflow warnings on the way to the NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli("train", "--train-corpus", data / "train.jsonl", "--dev-corpus",
                            data / "dev.jsonl", "--labels", data / "labels.json",
                            "--max-epochs", 2, "--lr", 1e300, "--out-dir", tmp_path / "runs")
         assert code == 3
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert re.match(r"numeric error: epoch 1, example \d+ \(sentence \d+, span ", err)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err
         assert list((tmp_path / "runs").iterdir()) == []
 

@@ -95,7 +95,7 @@ class TestGruStep:
         zero_layer(layer)
         h_prev = np.array([1.0, -2.0, 0.5, 4.0])
         h_new, _ = gru_step(np.zeros(3), h_prev, layer)
-        assert np.max(np.abs(h_new - 0.5 * h_prev)) < 1e-12
+        assert np.array_equal(h_new, 0.5 * h_prev)  # z = 0.5 exactly, h + z (0 - h)
 
     def test_zero_state_zero_weights(self):
         store = ParamStore()
@@ -131,8 +131,8 @@ class TestLstmStep:
         zero_layer(layer)
         c_prev = np.array([1.0, -2.0, 0.5, 4.0])
         h_new, c_new, _ = lstm_step(np.zeros(3), np.zeros(4), c_prev, layer)
-        assert np.max(np.abs(c_new - 0.5 * c_prev)) < 1e-12
-        assert np.max(np.abs(h_new - 0.5 * np.tanh(0.5 * c_prev))) < 1e-12
+        assert np.array_equal(c_new, 0.5 * c_prev)
+        assert np.array_equal(h_new, 0.5 * np.tanh(0.5 * c_prev))
 
     def test_zero_cell_zero_weights(self):
         store = ParamStore()
@@ -157,6 +157,44 @@ class TestLstmStep:
         assert len(acts) == len(oracle_acts) == 5  # i, f, o, g, tanh c'
         for a, ref in zip(acts, oracle_acts):
             assert np.max(np.abs(a - ref)) <= 1e-12
+
+
+class TestTanhGates:
+    """Both cells take each sigmoid gate as 0.5 tanh(a/2) + 0.5, the 0.5
+    folded into the gate columns of the projection and of U^T (exact).
+    Against `numerics.sigmoid` it is within 2^-51 absolute (measured
+    2^-52): equal at 0 and at the tails, where tanh rounds to +-1, and
+    where sigmoid is below about 1e-17 it gives 0 (up to 100% relative
+    error there)."""
+
+    VALUES = np.concatenate(
+        ([0.0, -800.0, 800.0, -40.0, 40.0], np.linspace(-800, 800, 16001),
+         np.linspace(-40, 40, 40001))
+    )
+
+    def gates_of(self, kind, values):
+        """The sigmoid gates of one step from a zero state whose input is
+        one of `values` per row: gate pre-activations equal to the value."""
+        layer = (make_gru_layer if kind == "gru" else make_lstm_layer)(ParamStore(), 1, 1, Rng(0))
+        zero_layer(layer)
+        layer.W.values[:-1] = 1.0  # every gate but the tanh one reads x
+        x, zeros = values[:, None], np.zeros((len(values), 1))
+        if kind == "gru":
+            _, acts = gru_step(x, zeros, layer)
+            return acts[:2]
+        _, _, acts = lstm_step(x, zeros, zeros, layer)
+        return acts[:3]
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_gate_form_against_sigmoid(self, kind):
+        for gate in self.gates_of(kind, self.VALUES):
+            gate = gate[:, 0]
+            assert np.max(np.abs(gate - sigmoid(self.VALUES))) <= 2.0**-51
+            assert gate[0] == 0.5
+            assert gate[1] == 0.0 and gate[2] == 1.0  # at -800 and 800
+            assert gate[3] == 0.0 and sigmoid(-40.0) > 0.0  # tanh(-20) rounds to -1
+            assert gate[4] == 1.0 == sigmoid(40.0)
+            assert ((gate >= 0.0) & (gate <= 1.0)).all()
 
 
 def at_last_row(d_rep, cache):
@@ -308,9 +346,10 @@ def ref_lstm_backward(dh, dc_in, cache, gates, grads):
     return dh_prev, dc * f, dx
 
 
-def ref_encode_backprop(enc, xs, d_rep):
-    """Per-gate forward and BPTT of a forward-reading encoder: returns
-    (representation, per-token input gradients, stacked parameter grads)."""
+def ref_encode_backprop(enc, xs, d_top):
+    """Per-gate forward and BPTT of a forward-reading encoder, `d_top` the
+    gradient of the top state after each step: returns (representation,
+    per-token input gradients, stacked parameter grads)."""
     n_gates = 3 if enc.kind == "gru" else 4
     layers = [per_gate(layer, n_gates) for layer in enc.layers]
     grads = [[[np.zeros_like(a) for a in gate] for gate in gates] for gates in layers]
@@ -326,8 +365,7 @@ def ref_encode_backprop(enc, xs, d_rep):
             outputs.append(h)
         caches.append(steps)
         inputs = outputs
-    d_above = [np.zeros(enc.hidden) for _ in xs]
-    d_above[-1] = d_rep
+    d_above = list(d_top)
     for gates, layer_grads, steps in reversed(list(zip(layers, grads, caches))):
         dh_next, dc_next, d_inputs = np.zeros(enc.hidden), np.zeros(enc.hidden), []
         for t in reversed(range(len(xs))):
@@ -369,7 +407,9 @@ class TestStackedGatesMatchPerGateFormulas:
 
         rep, cache = enc.encode(xs)
         d_xs = enc.backprop(at_last_row(d_rep, cache), cache)
-        ref_rep, ref_d_xs, ref_grads = ref_encode_backprop(enc, xs, d_rep)
+        ref_rep, ref_d_xs, ref_grads = ref_encode_backprop(
+            enc, xs, [np.zeros(hidden)] * (len(xs) - 1) + [d_rep]
+        )
 
         assert np.max(np.abs(rep - ref_rep)) <= 1e-12
         for d_x, ref in zip(d_xs, ref_d_xs):
@@ -401,6 +441,45 @@ class TestStackedGatesMatchPerGateFormulas:
             assert np.array_equal(W, init_uniform_scaled((4, 3), rng))
             assert np.array_equal(U, init_uniform_scaled((4, 4), rng))
             assert not b.any()
+
+
+class TestHoistedFactorBackprop:
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("branch", [Branch.LEFT, Branch.RIGHT])
+    def test_matches_the_per_gate_backward_on_mixed_lengths(self, kind, branch):
+        """`backprop` computes every factor of the step gradients that does
+        not depend on dh once per layer, over all packed rows, and its step
+        loop only the products with dh. Against the per-gate reference
+        backward run sequence by sequence, with gradient entering the top
+        state of every step of a mixed-length batch with empty sequences,
+        input and parameter gradients agree within 1e-12 relative."""
+        d_in, hidden = 320, 32
+        rng = Rng(57)
+        enc = BranchEncoder.build(branch, kind, d_in, hidden, 2, ParamStore(), rng)
+        for layer in enc.layers:
+            layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
+        lengths = [5, 0, 17, 1, 9, 17, 0]
+        inputs = np.asarray(rng.uniform(-1, 1, sum(lengths) * d_in)).reshape(-1, d_in)
+        _, cache = enc.encode(inputs, lengths=lengths)
+        d_outputs = np.asarray(rng.uniform(-1, 1, cache.outputs.size)).reshape(cache.outputs.shape)
+        d_inputs = enc.backprop(d_outputs, cache)
+
+        ref_d_inputs = np.zeros_like(inputs)
+        ref_grads = [[np.zeros(t.shape) for t in (l.W, l.U, l.b)] for l in enc.layers]
+        for seq, (n, end) in enumerate(zip(lengths, np.cumsum(lengths))):
+            if not n:
+                continue
+            tokens = np.arange(end - n, end)[:: -1 if enc.backward else 1]  # in step order
+            d_top = [d_outputs[cache.layout.row(step, seq)] for step in range(n)]
+            _, d_xs, grads = ref_encode_backprop(enc, list(inputs[tokens]), d_top)
+            ref_d_inputs[tokens] = d_xs
+            for acc, layer_grads in zip(ref_grads, grads):
+                for a, g in zip(acc, layer_grads):
+                    a += g
+        assert max_rel_diff(d_inputs, ref_d_inputs) <= 1e-12
+        for layer, ref_layer in zip(enc.layers, ref_grads):
+            for t, ref in zip((layer.W, layer.U, layer.b), ref_layer):
+                assert max_rel_diff(t.grad, ref) <= 1e-12, t.name
 
 
 class TestPackedLayout:

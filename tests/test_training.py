@@ -522,8 +522,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def test_golden_checkpoint_predicts_identically():
     """The pin on forward bits across commits. `checkpoint_v4.fbrnn` holds a
     small GRU model, first written in format version 2 and converted to
-    versions 3 and then 4 bit for bit; `checkpoint_v4_proba.json` holds the
-    probabilities that model gave when it was written."""
+    versions 3 and then 4 bit for bit. `checkpoint_v4_proba_tanh_gates.json`
+    holds, bit for bit, the probabilities it gives since the cells take
+    their sigmoid gates as 0.5 tanh(a/2) + 0.5. `checkpoint_v4_proba.json`
+    holds those it gave when it was written, through `numerics.sigmoid`
+    gates and the update `(1 - z) h + z hc`; they still agree within
+    1e-15 (measured 1.1e-16), with the same argmax."""
     path = FIXTURES / "checkpoint_v4.fbrnn"
     header, payload = _split(path)
     assert header["format_version"] == 4
@@ -535,11 +539,14 @@ def test_golden_checkpoint_predicts_identically():
         offset += len(raw)
     assert offset == len(payload)
     assert "met" in loaded.lexicon and loaded.max_nugget_len == 2 and loaded.threshold == 0.4
-    cases = json.loads((FIXTURES / "checkpoint_v4_proba.json").read_text())["cases"]
-    assert len(cases) == 6
-    for case in cases:
+    cases = json.loads((FIXTURES / "checkpoint_v4_proba_tanh_gates.json").read_text())["cases"]
+    written = json.loads((FIXTURES / "checkpoint_v4_proba.json").read_text())["cases"]
+    assert len(cases) == 6 and [c["split"] for c in cases] == [c["split"] for c in written]
+    for case, first in zip(cases, written):
         proba = loaded.model.predict_proba(BranchSplit(*map(tuple, case["split"])))
         assert proba.tobytes() == np.array(case["proba"]).tobytes(), case["split"]
+        assert np.max(np.abs(proba - first["proba"])) <= 1e-15, case["split"]
+        assert proba.argmax() == np.argmax(first["proba"]), case["split"]
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
