@@ -94,38 +94,33 @@ class TriggerLexicon:
     """Lowercased candidate-trigger tokens with per-source counts."""
 
     def __init__(self) -> None:
-        self._gold: dict[str, int] = {}
-        self._paraphrase: dict[str, int] = {}
+        self._counts: dict[str, list[int]] = {}  # word -> [gold, paraphrase]
 
     def add_gold(self, word: str) -> None:
-        w = word.lower()
-        self._gold[w] = self._gold.get(w, 0) + 1
+        self._counts.setdefault(word.lower(), [0, 0])[0] += 1
 
     def add_paraphrase(self, word: str) -> None:
-        w = word.lower()
-        self._paraphrase[w] = self._paraphrase.get(w, 0) + 1
+        self._counts.setdefault(word.lower(), [0, 0])[1] += 1
 
     @property
     def entries(self) -> frozenset[str]:
-        return frozenset(self._gold) | frozenset(self._paraphrase)
+        return frozenset(self._counts)
 
     def __contains__(self, word: str) -> bool:
-        w = word.lower()
-        return w in self._gold or w in self._paraphrase
+        return word.lower() in self._counts
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._counts)
 
     def counts(self, word: str) -> tuple[int, int]:
         """(gold count, paraphrase count) for an entry."""
-        w = word.lower()
-        return self._gold.get(w, 0), self._paraphrase.get(w, 0)
+        return tuple(self._counts.get(word.lower(), (0, 0)))
 
     def to_dict(self) -> dict:
         return {
             "entries": {
-                w: {"gold": self._gold.get(w, 0), "paraphrase": self._paraphrase.get(w, 0)}
-                for w in sorted(self.entries)
+                w: {"gold": gold, "paraphrase": para}
+                for w, (gold, para) in sorted(self._counts.items())
             }
         }
 
@@ -142,9 +137,8 @@ class TriggerLexicon:
             first = spelled.setdefault(word.lower(), word)
             if first != word:
                 raise DataError(f"{where}: entries {first!r} and {word!r} differ only in case")
-            for source, count in ((lex._gold, gold), (lex._paraphrase, para)):
-                if count:  # keep only words that actually carry a source
-                    source[word.lower()] = count
+            if gold or para:  # keep only words that actually carry a source
+                lex._counts[word.lower()] = [gold, para]
         return lex
 
 
@@ -200,7 +194,7 @@ def extract_single_token_candidates(
     return [
         NuggetCandidate(i, i)
         for i, tok in enumerate(s.tokens)
-        if tok.text.lower() in lex
+        if tok.text in lex
     ]
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "save_corpus",
     "vocabulary_of",
     "split_corpus",
-    "TriggerPattern",
     "EventTemplate",
     "SyntheticSpec",
     "make_synthetic_corpus",
@@ -263,28 +262,14 @@ def split_corpus(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriggerPattern:
-    """Trigger surface form: parallel token and POS tuples."""
-
-    tokens: tuple[str, ...]
-    pos: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tokens or len(self.tokens) != len(self.pos):
-            raise ConfigurationError(
-                f"trigger pattern {self.tokens!r} needs one POS per token"
-            )
+Phrase = tuple[Token, ...]
 
 
 @dataclass(frozen=True)
 class EventTemplate:
     event_type: str
-    patterns: tuple[TriggerPattern, ...]
+    patterns: tuple[Phrase, ...]  # the trigger's surface forms
     weight: float = 1.0
-
-
-Phrase = tuple[Token, ...]
 
 
 @dataclass(frozen=True)
@@ -318,12 +303,14 @@ def make_synthetic_corpus(spec: SyntheticSpec, rng: Rng) -> Corpus:
         raise ConfigurationError(f"sentence count must be >= 0, got {spec.n_sentences}")
     if not 0.0 <= spec.negative_rate <= 1.0:
         raise ConfigurationError(f"negative rate must be in [0, 1], got {spec.negative_rate}")
+    empty = next((t.event_type for t in spec.templates if not all(t.patterns)), None)
+    if empty is not None:
+        raise ConfigurationError(f"event template {empty!r} has an empty trigger phrase")
     weights = [t.weight for t in spec.templates]
     sentences = []
     for _ in range(spec.n_sentences):
         template = spec.templates[rng.weighted_index(weights)]
-        pattern = rng.choice(template.patterns)
-        trigger = tuple(Token(w, p) for w, p in zip(pattern.tokens, pattern.pos))
+        trigger = rng.choice(template.patterns)
         negative = (
             bool(spec.negative_frames)
             and spec.negative_rate > 0.0
@@ -362,42 +349,42 @@ def default_synthetic_spec(
         EventTemplate(
             "Conflict.Attack",
             (
-                TriggerPattern(("attacked",), ("VBD",)),
-                TriggerPattern(("raided",), ("VBD",)),
-                TriggerPattern(("stormed",), ("VBD",)),
-                TriggerPattern(("broke", "into"), ("VBD", "IN")),
+                _phrase(("attacked", "VBD")),
+                _phrase(("raided", "VBD")),
+                _phrase(("stormed", "VBD")),
+                _phrase(("broke", "VBD"), ("into", "IN")),
             ),
         ),
         EventTemplate(
             "Movement.Transport",
             (
-                TriggerPattern(("departed",), ("VBD",)),
-                TriggerPattern(("traveled",), ("VBD",)),
-                TriggerPattern(("set", "off"), ("VBD", "RP")),
+                _phrase(("departed", "VBD")),
+                _phrase(("traveled", "VBD")),
+                _phrase(("set", "VBD"), ("off", "RP")),
             ),
         ),
         EventTemplate(
             "Contact.Meet",
             (
-                TriggerPattern(("met",), ("VBD",)),
-                TriggerPattern(("gathered",), ("VBD",)),
-                TriggerPattern(("convened",), ("VBD",)),
+                _phrase(("met", "VBD")),
+                _phrase(("gathered", "VBD")),
+                _phrase(("convened", "VBD")),
             ),
         ),
         EventTemplate(
             "Transaction.Transfer",
             (
-                TriggerPattern(("sold",), ("VBD",)),
-                TriggerPattern(("purchased",), ("VBD",)),
-                TriggerPattern(("handed", "over"), ("VBD", "RP")),
+                _phrase(("sold", "VBD")),
+                _phrase(("purchased", "VBD")),
+                _phrase(("handed", "VBD"), ("over", "RP")),
             ),
         ),
         EventTemplate(
             "Justice.Arrest",
             (
-                TriggerPattern(("arrested",), ("VBD",)),
-                TriggerPattern(("detained",), ("VBD",)),
-                TriggerPattern(("locked", "up"), ("VBD", "RP")),
+                _phrase(("arrested", "VBD")),
+                _phrase(("detained", "VBD")),
+                _phrase(("locked", "VBD"), ("up", "RP")),
             ),
         ),
     )

@@ -30,7 +30,7 @@ import numpy as np
 from .candidates import LabeledExample, TriggerLexicon
 from .corpus import Corpus, LabelSet
 from .errors import ConfigurationError, DataError, NumericError
-from .evaluation import evaluate_model
+from .evaluation import PRFReport, evaluate_model
 from .fileio import check, header_and_payload, object_kind, read_fields, write_text_atomic
 from .model import ModelConfig, NuggetModel, assemble_model, build_model
 from .numerics import Optimizer, Rng, check_optimizer_hyperparameters
@@ -96,13 +96,15 @@ class TrainConfig(ModelConfig):
 class EpochStat:
     epoch: int
     loss: float
-    dev_p: float | None
-    dev_r: float | None
-    dev_f1: float | None
+    dev: PRFReport | None  # the epoch's dev score, None without a dev set
     seconds: float
     grad_norm_mean: float  # pre-clip global gradient norm over the epoch's steps
     grad_norm_max: float
     clip_rate: float  # fraction of steps whose gradient was clipped
+
+    @property
+    def dev_f1(self) -> float | None:
+        return None if self.dev is None else self.dev.f1
 
 
 @dataclass
@@ -125,8 +127,8 @@ class TrainLog:
         for e in self.epochs:
             dev = (
                 ",,"
-                if e.dev_f1 is None
-                else f"{e.dev_p:.6f},{e.dev_r:.6f},{e.dev_f1:.6f}"
+                if e.dev is None
+                else f"{e.dev.precision:.6f},{e.dev.recall:.6f},{e.dev.f1:.6f}"
             )
             secs = f"{e.seconds:.3f}" if timing else "0.000"
             lines.append(f"{e.epoch},{e.loss:.6f},{dev},{secs}")
@@ -138,10 +140,10 @@ class TrainLog:
             f"{'|g| mean':>9} {'|g| max':>9} {'clip %':>7} {'sec':>7}"
         ]
         for e in self.epochs:
-            if e.dev_f1 is None:
+            if e.dev is None:
                 dev = f"{'-':>8} {'-':>8} {'-':>8}"
             else:
-                dev = f"{100 * e.dev_p:8.2f} {100 * e.dev_r:8.2f} {100 * e.dev_f1:8.2f}"
+                dev = f"{100 * e.dev.precision:8.2f} {100 * e.dev.recall:8.2f} {100 * e.dev.f1:8.2f}"
             grads = (
                 f"{e.grad_norm_mean:>9.3f} {e.grad_norm_max:>9.3f} {100 * e.clip_rate:>7.2f}"
             )
@@ -245,21 +247,17 @@ def train_model(
             clipped += cfg.clip_norm is not None and norm > cfg.clip_norm
         mean_loss = total_loss / len(order)
 
-        dev_p = dev_r = dev_f1 = None
-        if has_dev:
-            report = evaluate_model(model, dev_examples, dev_gold, cfg.threshold)
-            dev_p, dev_r, dev_f1 = report.precision, report.recall, report.f1
+        dev = evaluate_model(model, dev_examples, dev_gold, cfg.threshold) if has_dev else None
         seconds = time.perf_counter() - started
         log.epochs.append(
             EpochStat(
-                epoch, mean_loss, dev_p, dev_r, dev_f1, seconds,
-                norm_sum / steps, norm_max, clipped / steps,
+                epoch, mean_loss, dev, seconds, norm_sum / steps, norm_max, clipped / steps
             )
         )
 
-        if has_dev:
-            if dev_f1 > best_f1:
-                best_f1 = dev_f1
+        if dev is not None:
+            if dev.f1 > best_f1:
+                best_f1 = dev.f1
                 best_state = model.store.clone_values()
                 best_epoch = epoch
                 epochs_since_best = 0

@@ -85,6 +85,37 @@ class TestLexicon:
         assert loaded.counts("broken") == (1, 0)
         assert loaded.counts("smashed") == (0, 1)
 
+    def test_lexicon_file_text_pinned(self, tmp_path):
+        lex = lexicon_of("broken", "Met", "broken")
+        lex.add_paraphrase("smashed")
+        lex.add_paraphrase("met")
+        save_lexicon(lex, tmp_path / "lex.json")
+        assert (tmp_path / "lex.json").read_text() == (
+            '{\n'
+            ' "entries": {\n'
+            '  "broken": {\n'
+            '   "gold": 2,\n'
+            '   "paraphrase": 0\n'
+            '  },\n'
+            '  "met": {\n'
+            '   "gold": 1,\n'
+            '   "paraphrase": 1\n'
+            '  },\n'
+            '  "smashed": {\n'
+            '   "gold": 0,\n'
+            '   "paraphrase": 1\n'
+            '  }\n'
+            ' }\n'
+            '}\n'
+        )
+
+    def test_entry_without_counts_is_dropped(self):
+        entries = {"met": {"gold": 1}, "zero": {"gold": 0, "paraphrase": 0}, "bare": {}}
+        lex = TriggerLexicon.from_dict({"entries": entries})
+        assert lex.entries == {"met"} and len(lex) == 1
+        assert "zero" not in lex and lex.counts("zero") == (0, 0)
+        assert lex.to_dict() == {"entries": {"met": {"gold": 1, "paraphrase": 0}}}
+
 
 class TestExtraction:
     def test_break_in_sentence(self, break_in_sentence):

@@ -1,5 +1,6 @@
 """Corpus model, JSON-lines IO, label sets, splitting, synthetic generators."""
 
+import hashlib
 import json
 import re
 
@@ -13,7 +14,6 @@ from fbrnn.corpus import (
     Sentence,
     SyntheticSpec,
     Token,
-    TriggerPattern,
     default_synthetic_spec,
     load_corpus,
     load_label_set,
@@ -212,7 +212,7 @@ class TestSyntheticGenerator:
             templates=(
                 EventTemplate(
                     "Conflict.Attack",
-                    (TriggerPattern(("broken", "into"), ("VBN", "IN")),),
+                    ((Token("broken", "VBN"), Token("into", "IN")),),
                 ),
             ),
             subjects=((Token("somebody", "NN"),),),
@@ -232,14 +232,20 @@ class TestSyntheticGenerator:
         spec = default_synthetic_spec(n_sentences=0)
         assert len(make_synthetic_corpus(spec, Rng(0))) == 0
 
-    def test_empty_templates_rejected(self):
+    @pytest.mark.parametrize("templates, match", [
+        ((), "no event templates"),
+        ((EventTemplate("Conflict.Attack", ((Token("hit", "VBD"),), ())),),
+         "'Conflict.Attack' has an empty trigger phrase"),
+    ], ids=["no-templates", "empty-trigger-phrase"])
+    def test_empty_templates_rejected(self, templates, match):
         spec = SyntheticSpec(
-            templates=(),
+            templates=templates,
             subjects=((Token("a"),),),
             objects=((Token("b"),),),
             tails=((),),
+            n_sentences=0,
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=match):
             make_synthetic_corpus(spec, Rng(0))
 
     def test_label_histogram_matches_weights(self):
@@ -266,6 +272,22 @@ class TestSyntheticGenerator:
         assert make_synthetic_corpus(spec, Rng(77)) == make_synthetic_corpus(
             spec, Rng(77)
         )
+
+    # SHA-256 of `save_corpus` output: every perfbench workload is drawn by
+    # these generators, so a changed draw moves every benchmark number.
+    @pytest.mark.parametrize("make, seed, digest", [
+        (lambda rng: make_synthetic_corpus(default_synthetic_spec(200), rng), 0,
+         "83d2f59ce69fa82b7d94f8baa88ebc824e19370c9c9a7c2e66560eaa9f599c61"),
+        (lambda rng: make_synthetic_corpus(default_synthetic_spec(200), rng), 1,
+         "a7b26017560daf0abed2af0950c20d9f3036303f64a13b01cac2ced9a3c3a57e"),
+        (lambda rng: make_positional_corpus(50, rng), 0,
+         "1204862efb4ff4272592ccaa0bf2853f8c00c9293bdcfd291882d14f1fdf6ec3"),
+        (lambda rng: make_positional_corpus(50, rng), 1,
+         "fe469f2ba96311ac5316f375c8006280a5e44bb39a12906f0be7c870dac4e7ce"),
+    ], ids=["default-0", "default-1", "positional-0", "positional-1"])
+    def test_generated_bytes_pinned(self, tmp_path, make, seed, digest):
+        save_corpus(make(Rng(seed)), tmp_path / "c.jsonl")
+        assert hashlib.sha256((tmp_path / "c.jsonl").read_bytes()).hexdigest() == digest
 
     def test_pos_tags_everywhere(self):
         corpus = make_synthetic_corpus(default_synthetic_spec(50), Rng(1))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fbrnn.candidates import BranchSplit, build_examples, build_trigger_lexicon
+from fbrnn.candidates import BranchSplit, TriggerLexicon, build_examples, build_trigger_lexicon
 from fbrnn.corpus import (
     LabelSet,
     default_synthetic_spec,
@@ -23,12 +23,14 @@ from fbrnn.corpus import (
     vocabulary_of,
 )
 from fbrnn.errors import ConfigurationError, DataError, NumericError
-from fbrnn.evaluation import evaluate_model
+from fbrnn.evaluation import PRFReport, evaluate_model
 from fbrnn.model import ModelConfig, assemble_model, build_model
 from fbrnn.numerics import Rng
 from fbrnn.training import (
     CHECKPOINT_VERSION,
+    EpochStat,
     TrainConfig,
+    TrainLog,
     load_checkpoint,
     save_checkpoint,
     train_model,
@@ -120,12 +122,9 @@ class TestLoop:
     def test_returned_model_matches_best_logged_dev_f1(self, small_data):
         cfg = dataclasses.replace(SMALL_CFG, max_epochs=8, patience=3)
         model, log = run(cfg, small_data)
-        best = log.best_dev_f1()
-        actual = evaluate_model(
-            model, small_data["dev_ex"], small_data["dev"], cfg.threshold
-        ).f1
-        assert actual == pytest.approx(best, abs=1e-12)
-        assert best == max(e.dev_f1 for e in log.epochs)
+        actual = evaluate_model(model, small_data["dev_ex"], small_data["dev"], cfg.threshold)
+        assert log.epochs[log.best_epoch - 1].dev == actual  # counts included
+        assert log.best_dev_f1() == actual.f1 == max(e.dev_f1 for e in log.epochs)
 
     @pytest.mark.parametrize(
         "bad",
@@ -302,6 +301,27 @@ class TestTrainLogCsv:
         _, log = run(cfg, small_data)
         assert log.to_csv().splitlines()[1].endswith(",0.000")
         assert not log.to_csv(timing=True).splitlines()[1].endswith(",0.000")
+
+    def test_text_pinned(self):
+        log = TrainLog([
+            EpochStat(1, 0.5, PRFReport(2, 4, 3), 1.5, 2.5, 4.0, 0.25),
+            EpochStat(2, 0.25, None, 0.25, 1.0, 1.5, 0.0),
+        ], best_epoch=1)
+        assert log.to_csv() == (
+            "epoch,loss,dev_p,dev_r,dev_f1,seconds\n"
+            "1,0.500000,0.500000,0.666667,0.571429,0.000\n"
+            "2,0.250000,,,,0.000\n"
+        )
+        assert log.to_csv(timing=True) == (
+            "epoch,loss,dev_p,dev_r,dev_f1,seconds\n"
+            "1,0.500000,0.500000,0.666667,0.571429,1.500\n"
+            "2,0.250000,,,,0.250\n"
+        )
+        assert log.format_table() == (
+            "epoch       loss    dev P    dev R   dev F1  |g| mean   |g| max  clip %     sec\n"
+            "    1     0.5000    50.00    66.67    57.14     2.500     4.000   25.00    1.50 *\n"
+            "    2     0.2500        -        -        -     1.000     1.500    0.00    0.25"
+        )
 
 
 def _split(path):
@@ -547,6 +567,12 @@ def test_golden_checkpoint_predicts_identically():
         assert proba.tobytes() == np.array(case["proba"]).tobytes(), case["split"]
         assert np.max(np.abs(proba - first["proba"])) <= 1e-15, case["split"]
         assert proba.argmax() == np.argmax(first["proba"]), case["split"]
+
+
+def test_golden_checkpoint_lexicon_round_trips():
+    header, _ = _split(FIXTURES / "checkpoint_v4.fbrnn")
+    embedded = header["pipeline"]["lexicon"]
+    assert TriggerLexicon.from_dict(embedded).to_dict() == embedded
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
