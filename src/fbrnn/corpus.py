@@ -20,7 +20,10 @@ non-event class is implicit and must not appear in the file.
 
 from __future__ import annotations
 
+import gc
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -208,8 +211,24 @@ def _parse_sentence(obj: object, labels: LabelSet, where: str) -> Sentence:
     return Sentence(tuple(tokens), tuple(nuggets))
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a parse that builds and keeps
+    one object per token, over which its full passes cost a large share of
+    the load; its earlier state comes back however the block ends. A load
+    builds trees of frozen dataclasses, tuples, strings and ints, with no
+    reference cycles, so the pause leaves nothing for a later collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_corpus(path: str | Path, labels: LabelSet) -> Corpus:
-    with text_lines(path, "corpus") as lines:
+    with _collector_paused(), text_lines(path, "corpus") as lines:
         return Corpus(tuple(_parse_sentence(obj, labels, where)
                             for where, obj in json_lines(lines)))
 
@@ -303,9 +322,14 @@ def make_synthetic_corpus(spec: SyntheticSpec, rng: Rng) -> Corpus:
         raise ConfigurationError(f"sentence count must be >= 0, got {spec.n_sentences}")
     if not 0.0 <= spec.negative_rate <= 1.0:
         raise ConfigurationError(f"negative rate must be in [0, 1], got {spec.negative_rate}")
-    empty = next((t.event_type for t in spec.templates if not all(t.patterns)), None)
-    if empty is not None:
-        raise ConfigurationError(f"event template {empty!r} has an empty trigger phrase")
+    for t in spec.templates:
+        name = f"event template {t.event_type!r}"
+        if not all(t.patterns):
+            raise ConfigurationError(f"{name} has an empty trigger phrase")
+        if not 0.0 <= t.weight < math.inf:
+            raise ConfigurationError(
+                f"{name} has weight {t.weight!r}; it must be finite and non-negative"
+            )
     weights = [t.weight for t in spec.templates]
     sentences = []
     for _ in range(spec.n_sentences):

@@ -40,6 +40,19 @@ __all__ = [
 ]
 
 
+# Entries per block of an array pass: 64K entries (512 KB of float64 or
+# uint64). In blocks the optimizer kernels and the RNG's array draws make no
+# temporaries, writing only into the block and a few scratch blocks: the
+# optimizer step measured 3.0-4.1x faster than array expressions from
+# 111,500 entries up (README, "Parameter layout and the optimizer step").
+UPDATE_BLOCK = 1 << 16
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    for start in range(0, n, UPDATE_BLOCK):
+        yield slice(start, min(start + UPDATE_BLOCK, n))
+
+
 # ---------------------------------------------------------------------------
 # Portable RNG
 # ---------------------------------------------------------------------------
@@ -47,12 +60,29 @@ __all__ = [
 # SplitMix64: a 64-bit counter advanced by a fixed odd increment, output
 # mixed by two xor-shift-multiply rounds.  The generator is fully specified
 # by the three constants below, so identical seeds yield identical streams
-# on every platform, and the whole state sequence for a block of draws can
-# be computed vectorized.
+# on every platform. The mixer is written twice, for one stream: on Python
+# ints for a single draw (no numpy call), and with in-place uint64 ufuncs
+# for an array of draws, whose words state + k*GAMMA are known up front.
+# Tests pin both to the published reference outputs.
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+# The array path's operands are numpy scalars throughout: before NEP 50
+# (numpy < 2) a Python int with a uint64 array promotes to float64.
+_U64_ROUNDS = tuple((np.uint64(s), np.uint64(m)) for s, m in ((30, _MIX1), (27, _MIX2)))
+_U64_GAMMA, _U64_31, _U64_11 = np.uint64(_GAMMA), np.uint64(31), np.uint64(11)
+_UNIT = np.float64(2.0**-53)  # a 53-bit integer times this is exact, in [0, 1)
+
+
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """SplitMix64's output mix of the words `z`, in place; `t` is scratch."""
+    for shift, mul in _U64_ROUNDS:
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mul
+    np.right_shift(z, _U64_31, out=t)
+    z ^= t
 
 
 class Rng:
@@ -61,30 +91,54 @@ class Rng:
     def __init__(self, seed: int) -> None:
         self._state = int(seed) & _MASK64
 
+    def next_u64(self) -> int:
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def _words(self, n: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """The next `n` words, one `_blocks` slice at a time, each block mixed
+        in one reused uint64 scratch block (overwritten by the next)."""
+        size = min(n, UPDATE_BLOCK)
+        steps = np.arange(1, size + 1, dtype=np.uint64)
+        steps *= _U64_GAMMA  # k * GAMMA, the k-th word's offset from the state
+        z, t = np.empty(size, np.uint64), np.empty(size, np.uint64)
+        for b in _blocks(n):
+            m = b.stop - b.start
+            np.add(steps[:m], np.uint64(self._state), out=z[:m])
+            self._state = (self._state + m * _GAMMA) & _MASK64
+            _mix(z[:m], t[:m])
+            yield b, z[:m]
+
     def u64_block(self, n: int) -> np.ndarray:
         """Next `n` raw 64-bit draws as a uint64 array."""
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        return z
-
-    def next_u64(self) -> int:
-        return int(self.u64_block(1)[0])
+        out = np.empty(n, np.uint64)
+        for b, words in self._words(n):
+            out[b] = words
+        return out
 
     def random(self, n: int | None = None) -> float | np.ndarray:
         """float64 draw(s) in [0, 1): the top 53 bits of each word."""
-        block = (self.u64_block(1 if n is None else n) >> np.uint64(11)).astype(
-            np.float64
-        ) * 2.0**-53
-        return float(block[0]) if n is None else block
+        if n is None:
+            return (self.next_u64() >> 11) * 2.0**-53
+        return self.uniform(0.0, 1.0, n)  # 0 + 1 * u keeps u's bits
 
     def uniform(
         self, low: float, high: float, n: int | None = None
     ) -> float | np.ndarray:
-        return low + (high - low) * self.random(n)
+        """`low + (high - low) * u` for unit draw(s) u; each block of an array
+        draw is converted straight into the float64 result."""
+        if n is None:
+            return low + (high - low) * self.random()
+        out = np.empty(n)
+        for b, words in self._words(n):
+            block = out[b]
+            np.right_shift(words, _U64_11, out=words)
+            np.multiply(words, _UNIT, out=block, dtype=np.float64)
+            block *= high - low
+            block += low
+        return out
 
     def randint(self, bound: int) -> int:
         """Integer in [0, bound). Maps a 64-bit word by modulo; the bias is
@@ -105,9 +159,13 @@ class Rng:
         return seq[self.randint(len(seq))]
 
     def weighted_index(self, weights: Sequence[float]) -> int:
+        """Index i with probability weights[i] / sum(weights)."""
         total = float(sum(weights))
-        if not weights or total <= 0.0:
-            raise ConfigurationError("weighted_index needs positive total weight")
+        # a NaN or infinite weight makes the total NaN or infinite
+        if not weights or not 0.0 < total < math.inf or min(weights) < 0.0:
+            raise ConfigurationError(
+                "weighted_index needs finite non-negative weights with a positive sum"
+            )
         r = self.random() * total
         acc = 0.0
         for i, w in enumerate(weights):
@@ -382,12 +440,6 @@ def dropout_mask(length: int, rate: float, rng: Rng) -> np.ndarray:
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 
-# Entries per block of the optimizer update: 64K float64 entries (512 KB).
-# In blocks the kernels make no temporaries, writing only into the block and
-# two scratch blocks: measured 3.0-4.1x faster than array expressions from
-# 111,500 entries up (README, "Parameter layout and the optimizer step").
-UPDATE_BLOCK = 1 << 16
-
 
 def check_optimizer_hyperparameters(
     kind: str,
@@ -409,11 +461,6 @@ def check_optimizer_hyperparameters(
         raise ConfigurationError(f"eps must be finite and positive, got {eps!r}")
     if clip_norm is not None and not clip_norm > 0.0:
         raise ConfigurationError(f"clip_norm must be positive or unset, got {clip_norm!r}")
-
-
-def _blocks(n: int) -> Iterator[slice]:
-    for start in range(0, n, UPDATE_BLOCK):
-        yield slice(start, min(start + UPDATE_BLOCK, n))
 
 
 def sgd_step(

@@ -1,11 +1,15 @@
 """Corpus model, JSON-lines IO, label sets, splitting, synthetic generators."""
 
+import contextlib
+import dataclasses
+import gc
 import hashlib
 import json
 import re
 
 import pytest
 
+import fbrnn.corpus as corpus_module
 from fbrnn.corpus import (
     Corpus,
     EventTemplate,
@@ -174,6 +178,32 @@ class TestCorpusIO:
                 assert 0 <= nugget.start <= nugget.end < len(sentence.tokens)
 
 
+class TestCollectorPause:
+    """A load pauses the cyclic garbage collector and gives the caller back
+    the state it had, however the load ends."""
+
+    @pytest.mark.parametrize("line, error", [(BREAK_IN_LINE, None), ("[1]", DataError)],
+                             ids=["loads", "raises"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_restored(self, labels, tmp_path, monkeypatch, line, error, enabled):
+        seen, parse_sentence = [], corpus_module._parse_sentence
+
+        def parse(*args):  # records whether the collector runs during the parse
+            seen.append(gc.isenabled())
+            return parse_sentence(*args)
+
+        monkeypatch.setattr(corpus_module, "_parse_sentence", parse)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                _load_lines(tmp_path, labels, line, line)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen and not any(seen)
+
+
 class TestSplit:
     def make(self, n):
         return Corpus(tuple(Sentence((Token(f"w{i}"),)) for i in range(n)))
@@ -247,6 +277,17 @@ class TestSyntheticGenerator:
         )
         with pytest.raises(ConfigurationError, match=match):
             make_synthetic_corpus(spec, Rng(0))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+    def test_unusable_template_weight_rejected_before_drawing(self, weight):
+        spec = default_synthetic_spec(n_sentences=5)
+        bad = EventTemplate("Life.Die", spec.templates[0].patterns, weight)
+        spec = dataclasses.replace(spec, templates=spec.templates + (bad,))
+        rng = Rng(0)
+        with pytest.raises(ConfigurationError,
+                           match=r"'Life\.Die' has weight .*finite and non-negative"):
+            make_synthetic_corpus(spec, rng)
+        assert rng.next_u64() == Rng(0).next_u64()  # nothing drawn
 
     def test_label_histogram_matches_weights(self):
         base = default_synthetic_spec(n_sentences=2000, negative_rate=0.0)

@@ -1,7 +1,12 @@
 """Kernel tests: tensors, activations, init, dropout, optimizers, grad check."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,14 +40,57 @@ class TestRng:
         b = Rng(123).u64_block(100)
         assert np.array_equal(a, b)
 
+    # The published SplitMix64 outputs (the reference implementation's
+    # `next()` from these seeds); `next_u64` and `u64_block` mix separately.
+    @pytest.mark.parametrize("seed, words", [
+        (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+        (1234567, [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                   4593380528125082431, 16408922859458223821]),
+    ], ids=["seed-0", "seed-1234567"])
+    def test_reference_vectors(self, seed, words):
+        r = Rng(seed)
+        assert [r.next_u64() for _ in words] == words
+        assert Rng(seed).u64_block(len(words)).tolist() == words
+
     def test_blocked_draws_match_scalar_draws(self):
         block = Rng(9).u64_block(10)
-        scalar = [Rng(9).next_u64() if i == 0 else None for i in range(1)]
         one_at_a_time = []
         r = Rng(9)
         for _ in range(10):
             one_at_a_time.append(r.next_u64())
         assert list(block) == one_at_a_time
+
+    @pytest.mark.parametrize("n", [0, 1, UPDATE_BLOCK - 1, UPDATE_BLOCK, UPDATE_BLOCK + 1,
+                                   2 * UPDATE_BLOCK + 3])
+    def test_array_draws_are_the_scalar_stream_at_block_edges(self, n):
+        """Each array draw equals n scalar draws and leaves the same state."""
+        lo, hi = -0.375, 1.25
+        scalar = Rng(21)
+        words = [scalar.next_u64() for _ in range(n)]
+        units = [scalar.random() for _ in range(n)]
+        uniforms = [scalar.uniform(lo, hi) for _ in range(n)]
+        blocked = Rng(21)
+        block = blocked.u64_block(n)
+        assert block.dtype == np.uint64 and block.tolist() == words
+        assert blocked.random(n).tobytes() == np.array(units).tobytes()
+        assert blocked.uniform(lo, hi, n).tobytes() == np.array(uniforms).tobytes()
+        assert blocked.next_u64() == scalar.next_u64()
+
+    def test_scalar_and_array_draws_interleave_into_one_stream(self):
+        sizes = [3, 1, UPDATE_BLOCK + 2, 0, 5]
+        whole = Rng(8).u64_block(sum(sizes) + len(sizes)).tolist()
+        r, drawn = Rng(8), []
+        for n in sizes:
+            drawn.append(r.next_u64())
+            drawn.extend(r.u64_block(n).tolist())
+        assert drawn == whole
+
+    def test_scalar_floats_have_the_bits_of_one_element_arrays(self):
+        for seed in range(50):
+            unit, one = Rng(seed).random(), Rng(seed).random(1)[0]
+            assert type(unit) is float and unit.hex() == float(one).hex()
+            u, one = Rng(seed).uniform(-0.3, 0.7), Rng(seed).uniform(-0.3, 0.7, 1)[0]
+            assert type(u) is float and u.hex() == float(one).hex()
 
     def test_random_in_unit_interval(self):
         draws = Rng(5).random(10_000)
@@ -65,6 +113,16 @@ class TestRng:
             counts[rng.weighted_index([1.0, 2.0, 7.0])] += 1
         assert abs(counts[0] / n - 0.1) < 0.01
         assert abs(counts[2] / n - 0.7) < 0.01
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, math.nan, 1.0], [math.inf, 1.0], [1.0, -0.5, 1.0], [-math.inf, 1.0],
+        [0.0, 0.0], [], [1e308, 1e308],
+    ], ids=["nan", "inf", "negative", "minus-inf", "zero-sum", "empty", "sum-overflows"])
+    def test_weighted_index_refuses_unusable_weights(self, weights):
+        rng = Rng(11)
+        with pytest.raises(ConfigurationError, match="finite non-negative weights"):
+            rng.weighted_index(weights)
+        assert rng.next_u64() == Rng(11).next_u64()  # nothing drawn
 
 
 class TestActivations:
@@ -131,6 +189,16 @@ class TestActivations:
         assert np.allclose(base, shifted, atol=1e-12)
 
 
+_INIT_AND_MEASURE = """
+import json, resource
+from fbrnn.numerics import Rng, init_uniform_scaled
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+table = init_uniform_scaled((20000, 300), Rng(1))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"grown_kb": after - before, "result_kb": table.nbytes / 1024}))
+"""
+
+
 class TestInit:
     def test_bound(self):
         t = init_uniform_scaled((4, 4), Rng(0))
@@ -145,6 +213,19 @@ class TestInit:
         # 1e5 draws: empirical mean of a zero-mean uniform is ~0
         t = init_uniform_scaled((50_000, 2), Rng(3))
         assert abs(t.mean()) < 0.01
+
+    def test_draw_allocates_little_beyond_its_result(self):
+        """A 20k x 300 word table is drawn block by block into its result:
+        a fresh interpreter's peak RSS grows by the table's 45.8 MB and the
+        O(block) scratch, not by full-size temporaries."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _INIT_AND_MEASURE],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path_var), check=True,
+        )
+        result = json.loads(proc.stdout)
+        assert result["grown_kb"] <= 1.15 * result["result_kb"]  # ru_maxrss is in KiB on Linux
 
 
 class TestDropout:
