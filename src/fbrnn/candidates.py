@@ -207,8 +207,7 @@ def expand_candidates(
     POS tags on the sentence; corpora without tags must skip expansion by
     running with max_nugget_len = 1.
     """
-    if max_len < 1:
-        raise ConfigurationError(f"max_len must be >= 1, got {max_len}")
+    check_max_nugget_len(max_len)
     untagged = next((i for i, tok in enumerate(s.tokens) if tok.pos is None), None)
     if untagged is not None:
         raise DataError(

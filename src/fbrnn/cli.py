@@ -343,9 +343,10 @@ def _checkpoint_examples(args):
     """
     if args.threshold is not None and not 0.0 < args.threshold < 1.0:
         raise ConfigurationError(f"--threshold must be in (0, 1), got {args.threshold}")
-    loaded = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    path = _require_file(args.checkpoint, "checkpoint")
+    loaded = load_checkpoint(path)
     if loaded.lexicon is None:
-        raise DataError("checkpoint has no embedded lexicon; cannot generate candidates")
+        raise DataError(f"{path}: checkpoint has no embedded lexicon; cannot generate candidates")
     labels = loaded.model.labels
     corpus = load_corpus(_require_file(args.corpus, "corpus"), labels)
     examples = build_examples(corpus, loaded.lexicon, labels, loaded.max_nugget_len or 1)

@@ -331,6 +331,8 @@ def make_synthetic_corpus(spec: SyntheticSpec, rng: Rng) -> Corpus:
                 f"{name} has weight {t.weight!r}; it must be finite and non-negative"
             )
     weights = [t.weight for t in spec.templates]
+    if not any(weights):
+        raise ConfigurationError("synthetic spec's event template weights are all zero")
     sentences = []
     for _ in range(spec.n_sentences):
         template = spec.templates[rng.weighted_index(weights)]

@@ -607,9 +607,6 @@ def sigmoid_bce(probs: np.ndarray, targets: np.ndarray) -> tuple[list[float], np
 # ---------------------------------------------------------------------------
 
 
-_BRANCHES = (Branch.LEFT, Branch.NUGGET, Branch.RIGHT)  # order of the concatenated reps
-
-
 @dataclass
 class ModelCache:
     rows: dict[Branch, np.ndarray]  # distinct word rows of each branch's inputs
@@ -667,11 +664,11 @@ class NuggetModel:
                 raise NumericError(f"non-finite loss {loss!r}", position=k)
         d_concat = self.head.backprop(d_logits, cache.head)
         h = self.cfg.hidden_size
-        for k, branch in enumerate(_BRANCHES):
+        for branch in Branch:
             candidate, row = cache.reads[branch]
             # every split is its own group, so no two candidates read one row
             d_outputs = np.zeros_like(cache.enc[branch].outputs)
-            d_outputs[row] = d_concat[candidate, k * h : (k + 1) * h]
+            d_outputs[row] = d_concat[candidate, branch * h : (branch + 1) * h]
             d_inputs = self.encoders[branch].backprop(d_outputs, cache.enc[branch])
             self.embedder.accumulate_grad(cache.rows[branch], branch, d_inputs)
         return losses
@@ -698,9 +695,10 @@ class NuggetModel:
         NUGGET reads every candidate's span, LEFT each group's tokens before
         its last candidate start, RIGHT those after its first candidate end.
         A candidate reads each non-empty part's representation at the packed
-        row of its state after step len(part) - 1. With `keep` the cache
-        holds what a backward pass needs; without it each encoder cache is
-        dropped once read, so a forward-only pass holds one at a time."""
+        row of its state after step len(part) - 1; branch `b`'s
+        representation is block `b` of each candidate's row. With `keep` the
+        cache holds what a backward pass needs; without it each encoder cache
+        is dropped once read, so a forward-only pass holds one at a time."""
         lefts, nuggets, rights = parts = [], [], []  # word rows of each sequence
         # per branch, flat (candidate, step, sequence) triples of the non-empty parts
         left_needs, nugget_needs, right_needs = needs = [], [], []
@@ -724,15 +722,15 @@ class NuggetModel:
         reps = np.zeros((len(nuggets), 3 * h))
         rows, encs, reads = {}, {}, {}
         # any order gives the same bits; LEFT first measured more page faults
-        for k, branch in ((1, Branch.NUGGET), (0, Branch.LEFT), (2, Branch.RIGHT)):
-            inputs, word_rows, index = self.embedder.assemble_input(list(chain(*parts[k])), branch)
-            lengths = [len(part) for part in parts[k]]
-            enc = self.encoders[branch].encode(inputs, lengths=lengths, index=index)[1]
-            candidate, step, seq = np.array(needs[k], dtype=np.intp).reshape(-1, 3).T
+        for b in (Branch.NUGGET, Branch.LEFT, Branch.RIGHT):
+            inputs, word_rows, index = self.embedder.assemble_input(list(chain(*parts[b])), b)
+            lengths = [len(part) for part in parts[b]]
+            enc = self.encoders[b].encode(inputs, lengths=lengths, index=index)[1]
+            candidate, step, seq = np.array(needs[b], dtype=np.intp).reshape(-1, 3).T
             row = enc.layout.row(step, seq)
-            reps[candidate, k * h : (k + 1) * h] = enc.outputs[row]
+            reps[candidate, b * h : (b + 1) * h] = enc.outputs[row]
             if keep:
-                rows[branch], encs[branch], reads[branch] = word_rows, enc, (candidate, row)
+                rows[b], encs[b], reads[b] = word_rows, enc, (candidate, row)
             del inputs, word_rows, enc
         probs, head_cache = self.head.forward(reps, rng)
         return probs, ModelCache(rows, encs, reads, head_cache)
@@ -807,7 +805,7 @@ def assemble_model(
         b: BranchEncoder.build(
             b, cfg.cell, embedder.input_dim, cfg.hidden_size, cfg.layers, store, rng
         )
-        for b in _BRANCHES
+        for b in Branch
     }
     head = Head.build(cfg, labels, store, rng)
     return NuggetModel(cfg, labels, store, embedder, encoders, head)

@@ -209,10 +209,7 @@ def train_model(
     )
 
     log = TrainLog()
-    best_f1 = -1.0
     best_state: np.ndarray | None = None
-    best_epoch: int | None = None
-    epochs_since_best = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
@@ -255,22 +252,17 @@ def train_model(
             )
         )
 
-        if dev is not None:
-            if dev.f1 > best_f1:
-                best_f1 = dev.f1
-                best_state = model.store.clone_values()
-                best_epoch = epoch
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
-                break
+        if dev is None:
+            log.best_epoch = epoch
         else:
-            best_epoch = epoch
+            if log.best_epoch is None or dev.f1 > log.epochs[log.best_epoch - 1].dev.f1:
+                best_state = model.store.clone_values()
+                log.best_epoch = epoch
+            if epoch - log.best_epoch >= cfg.patience:
+                break
 
     if best_state is not None:
         model.store.load_values(best_state)
-    log.best_epoch = best_epoch
     return model, log
 
 

@@ -472,6 +472,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert list((tmp_path / "runs").iterdir()) == []
 
+    def test_a_non_finite_gradient_is_a_numeric_error(self, synth_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        """A NaN in head.out.b's gradient at the first optimizer step: exit
+        3, naming the epoch and the tensor, and no run directory."""
+        real = fbrnn.model.NuggetModel.forward_backward
+
+        def poisoned(self, *args, **kwargs):
+            losses = real(self, *args, **kwargs)
+            self.store["head.out.b"].grad[0] = math.nan
+            return losses
+
+        monkeypatch.setattr(fbrnn.model.NuggetModel, "forward_backward", poisoned)
+        code = run_cli("train", "--train-corpus", synth_dir / "train.jsonl", "--labels",
+                       synth_dir / "labels.json", "--max-epochs", 1, "--out-dir", tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: epoch 1: non-finite gradient in tensor 'head.out.b'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["predict", "candidates", "train"])
     def test_missing_pos_names_the_sentence(
         self, command, synth_dir, trained_run, tmp_path, capsys
@@ -737,6 +756,12 @@ def _train_too_large(synth_dir, run_dir, tmp_path):
             synth_dir / "labels.json", "--word-dim", str(10**15), "--out-dir", tmp_path]
 
 
+def _train_missing_paraphrases(synth_dir, run_dir, tmp_path):
+    return ["train", "--train-corpus", synth_dir / "train.jsonl", "--labels",
+            synth_dir / "labels.json", "--paraphrases", tmp_path / "missing.tsv",
+            "--max-epochs", "1", "--out-dir", tmp_path]
+
+
 def _ablate_missing_embeddings(synth_dir, run_dir, tmp_path):
     return ["ablate", "--train-corpus", synth_dir / "train.jsonl", "--labels",
             synth_dir / "labels.json", "--dev-corpus", synth_dir / "dev.jsonl",
@@ -824,6 +849,9 @@ _MALFORMED = [
     ("emb-inf", _input_file("embeddings", "1 8\nmet 0 0 0 -inf 0 0 0 0\n"), 2,
      "vectors.txt:2"),
     ("emb-header-not-decimal", _input_file("embeddings", "1 \u00b2\n"), 2, "vectors.txt:1"),
+    ("emb-duplicate-word",
+     _input_file("embeddings", "2 8\nmet 0 0 0 0 0 0 0 0\nmet 1 1 1 1 1 1 1 1\n"), 2,
+     "vectors.txt:3: duplicate word 'met'"),
     ("lexicon-array", _input_file("lexicon", "[]\n"), 2, "lexicon.json: "),
     ("lexicon-case-duplicate",
      _input_file("lexicon", '{"entries": {"Met": {"gold": 2}, "met": {"gold": 1}}}'), 2,
@@ -835,6 +863,11 @@ _MALFORMED = [
      2, "lexicon"),
     ("ckpt-lexicon-string",
      _checkpoint_with(lambda d: d["pipeline"].__setitem__("lexicon", "abc")), 2, "lexicon"),
+    ("ckpt-no-lexicon",
+     _checkpoint_with(lambda d: d["pipeline"].__setitem__("lexicon", None)), 2,
+     "checkpoint.fbrnn: checkpoint has no embedded lexicon"),
+    ("lexicon-negative-count", _input_file("lexicon", '{"entries": {"met": {"gold": -1}}}'), 2,
+     "counts must be >= 0"),
     ("corpus-null-nuggets", _input_file("corpus", _corpus_line(nuggets=None)), 2,
      "corpus.jsonl:1"),
     ("corpus-int-nuggets", _input_file("corpus", _corpus_line(nuggets=5)), 2, "corpus.jsonl:1"),
@@ -926,8 +959,15 @@ _MALFORMED = [
     ("corpus-empty-type", _input_file("corpus", _corpus_line(
         nuggets=[{"start": 0, "end": 0, "types": [""]}])), 2,
      "corpus.jsonl:1: nugget 0: unknown event type ''"),
+    ("labels-empty-array", _input_file("labels", "[]\n"), 2,
+     "label set needs at least one event type"),
+    ("corpus-empty-types", _input_file("corpus", _corpus_line(
+        nuggets=[{"start": 0, "end": 0, "types": []}])), 2,
+     "corpus.jsonl:1: nugget 0: field 'types' must be non-empty"),
     ("pred-types-object", _prediction(types={"Conflict.Attack": 1}), 2,
      "preds.jsonl:1: field 'types' must be an array of strings"),
+    ("pred-empty-types", _prediction(types=[]), 2,
+     "preds.jsonl:1: field 'types' must be non-empty"),
     # a repeated key is rejected, not resolved to its last value
     ("lexicon-repeated-key",
      _input_file("lexicon", '{"entries": {"met": {"gold": 2}, "met": {"gold": 1}}}'), 2,
@@ -950,6 +990,7 @@ _MALFORMED = [
     ("threshold-predict", _threshold("predict"), 1, "threshold"),
     ("threshold-train", _train_threshold, 1, "threshold"),
     ("train-too-large", _train_too_large, 1, "out of memory"),
+    ("train-missing-paraphrases", _train_missing_paraphrases, 1, "paraphrases not found"),
     ("ablate-missing-embeddings", _ablate_missing_embeddings, 1,
      "missing-vectors.txt"),
     ("out-dir-file", _out_dir_is_a_file, 1, "file"),

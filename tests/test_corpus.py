@@ -289,6 +289,16 @@ class TestSyntheticGenerator:
             make_synthetic_corpus(spec, rng)
         assert rng.next_u64() == Rng(0).next_u64()  # nothing drawn
 
+    @pytest.mark.parametrize("n_sentences", [0, 5])
+    def test_all_zero_template_weights_rejected_before_drawing(self, n_sentences):
+        spec = default_synthetic_spec(n_sentences=n_sentences)
+        zero = tuple(dataclasses.replace(t, weight=0.0) for t in spec.templates)
+        spec = dataclasses.replace(spec, templates=zero)
+        rng = Rng(0)
+        with pytest.raises(ConfigurationError, match="template weights are all zero"):
+            make_synthetic_corpus(spec, rng)
+        assert rng.next_u64() == Rng(0).next_u64()  # nothing drawn
+
     def test_label_histogram_matches_weights(self):
         base = default_synthetic_spec(n_sentences=2000, negative_rate=0.0)
         corpus = make_synthetic_corpus(base, Rng(13))

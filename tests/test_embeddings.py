@@ -46,6 +46,14 @@ class TestLoadPretrained:
         with pytest.raises(DataError, match="declares 3"):
             load_pretrained(path, 2)
 
+    def test_blank_lines_between_vectors_are_skipped(self, tmp_path):
+        dense, spaced = tmp_path / "dense.txt", tmp_path / "spaced.txt"
+        dense.write_text("2 2\nalpha 0.1 0.2\nbeta 0.3 0.4\n")
+        spaced.write_text("2 2\nalpha 0.1 0.2\n\nbeta 0.3 0.4\n")
+        expected, got = load_pretrained(dense, 2), load_pretrained(spaced, 2)
+        assert list(got) == list(expected) == ["alpha", "beta"]
+        assert all(np.array_equal(got[w], expected[w]) for w in expected)
+
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\nalpha 0.1 oops\n")

@@ -1,20 +1,31 @@
-"""Scoring: micro P/R/F1 over (sentence, span, type) triples, and the
-batched prediction of candidate examples."""
+"""Scoring: micro P/R/F1 over (sentence, span, type) triples, the
+batched prediction of candidate examples, and the ablation grid."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbrnn.training
 from fbrnn.candidates import LabeledExample, NuggetCandidate, split_branches
-from fbrnn.corpus import Corpus, GoldNugget, LabelSet, Sentence, Token
-from fbrnn.errors import ConfigurationError, DataError
+from fbrnn.corpus import (
+    Corpus,
+    GoldNugget,
+    LabelSet,
+    Sentence,
+    Token,
+    default_synthetic_spec,
+    make_synthetic_corpus,
+    split_corpus,
+)
+from fbrnn.errors import ConfigurationError, DataError, NumericError
 from fbrnn.evaluation import (
     BLOCK_EXAMPLES,
     PredictedNugget,
     PRFReport,
     f1,
     predict_examples,
+    run_ablation,
     score,
 )
 from fbrnn.model import ModelConfig, build_model
@@ -340,3 +351,33 @@ class TestPredictExamples:
         model = self.model()
         assert model.batch_proba([[]]).shape == (0, model.head.layers[-1][1].size)
         assert predict_examples(model, []) == []
+
+
+# ---------------------------------------------------------------------------
+# Ablation grid
+# ---------------------------------------------------------------------------
+
+
+def test_a_failed_ablation_cell_keeps_its_message_and_the_others_run(monkeypatch):
+    spec = default_synthetic_spec(n_sentences=30)
+    train, dev = split_corpus(make_synthetic_corpus(spec, Rng(5)), 0.3, Rng(6))
+    real = fbrnn.training.train_model
+    trained = []
+
+    def train_model(cfg, *args):
+        if (cfg.cell, cfg.use_branch) == ("lstm", False):
+            raise NumericError("epoch 1: non-finite gradient in tensor 'head.out.b'")
+        trained.append((cfg.cell, cfg.use_branch))
+        return real(cfg, *args)
+
+    monkeypatch.setattr(fbrnn.training, "train_model", train_model)
+    cfg = fbrnn.training.TrainConfig(hidden_size=4, word_dim=4, branch_dim=2, max_epochs=1)
+    grid = run_ablation(train, dev, cfg, spec.label_set())
+    failed = grid.get("lstm", False)
+    assert failed.report is None
+    assert failed.error == "epoch 1: non-finite gradient in tensor 'head.out.b'"
+    assert trained == [("lstm", True), ("gru", True), ("gru", False)]
+    assert all(grid.get(*cell).report is not None for cell in trained)
+    assert "LSTM -branch     failed: epoch 1: non-finite gradient in tensor 'head.out.b'" in (
+        grid.format_table().splitlines()
+    )

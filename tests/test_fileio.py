@@ -259,3 +259,12 @@ def test_a_reader_that_refuses_a_line_has_closed_its_file(tmp_path, monkeypatch,
     assert str(error.value).startswith(f"{path}:2: ") or "at line 2: " in str(error.value)
     assert path.name in [Path(f.name).name for f in opened]
     assert all(f.closed for f in opened)
+
+
+def test_a_part_that_fails_to_be_written_leaves_no_file(tmp_path):
+    """A text part that cannot be encoded fails after the first part was
+    written: the error propagates, and neither the target nor its temp file
+    is left."""
+    with pytest.raises(UnicodeEncodeError):
+        fileio.write_text_atomic(tmp_path / "out.json", "{}\n", "\ud800")
+    assert list(tmp_path.iterdir()) == []

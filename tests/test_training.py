@@ -196,6 +196,43 @@ class TestLoop:
         assert ex.split is seen[0]
         assert f"(sentence {ex.sentence_index}, span {ex.candidate.span})" in str(info.value)
 
+    def test_a_non_finite_gradient_names_its_tensor(self, small_data, monkeypatch):
+        from fbrnn.model import NuggetModel
+
+        real = NuggetModel.forward_backward
+
+        def poisoned(self, *args, **kwargs):
+            losses = real(self, *args, **kwargs)
+            self.store["head.out.b"].grad[0] = np.nan
+            return losses
+
+        monkeypatch.setattr(NuggetModel, "forward_backward", poisoned)
+        with pytest.raises(NumericError) as info:
+            run(SMALL_CFG, small_data)
+        assert str(info.value) == "epoch 1: non-finite gradient in tensor 'head.out.b'"
+
+    @pytest.mark.parametrize("patience, epochs, best", [(1, 3, 2), (2, 4, 2), (3, 5, 5)])
+    def test_early_stopping_on_a_scripted_dev_f1(
+        self, small_data, monkeypatch, patience, epochs, best
+    ):
+        """Dev F1 0.5, 0.7, 0.7, 0.6, 0.9: only a strictly higher F1 is a new
+        best, so the tie at epoch 3 is not one; the run stops `patience`
+        epochs after its best and returns the best epoch's values."""
+        f1s = [0.5, 0.7, 0.7, 0.6, 0.9]
+        values = []
+
+        def scripted(model, *args):
+            values.append(model.store.clone_values())
+            hits = round(10 * f1s[len(values) - 1])
+            return PRFReport(hits, 10, 10)  # precision = recall = F1 = hits / 10
+
+        monkeypatch.setattr("fbrnn.training.evaluate_model", scripted)
+        cfg = dataclasses.replace(SMALL_CFG, max_epochs=5, patience=patience)
+        model, log = run(cfg, small_data)
+        assert [e.dev_f1 for e in log.epochs] == pytest.approx(f1s[:epochs])
+        assert (len(log.epochs), log.best_epoch) == (epochs, best)
+        assert np.array_equal(model.store.values, values[best - 1])
+
     def test_negative_ratio_without_positives_rejected(self, small_data):
         # _epoch_order would keep no example, and the mean epoch loss would
         # divide by zero
