@@ -324,6 +324,8 @@ def make_synthetic_corpus(spec: SyntheticSpec, rng: Rng) -> Corpus:
         raise ConfigurationError(f"negative rate must be in [0, 1], got {spec.negative_rate}")
     for t in spec.templates:
         name = f"event template {t.event_type!r}"
+        if not t.patterns:
+            raise ConfigurationError(f"{name} has no trigger phrases")
         if not all(t.patterns):
             raise ConfigurationError(f"{name} has an empty trigger phrase")
         if not 0.0 <= t.weight < math.inf:

@@ -128,7 +128,7 @@ def f1(p: float, r: float) -> float:
     return round(2.0 * p * r / (p + r), 2)
 
 
-BLOCK_EXAMPLES = 128  # examples per model call: bounds the memory one call holds
+BLOCK_TOKENS = 4096  # sentence tokens per model call: bounds the memory one call holds
 
 
 def predict_examples(
@@ -141,11 +141,12 @@ def predict_examples(
     Each run of consecutive examples with the same sentence index and the
     same tokens is one group of `NuggetModel.batch_proba`, which shares one
     LEFT and one RIGHT encoder pass among a group's candidates. Runs are
-    packed in order into blocks of at most BLOCK_EXAMPLES examples (a
-    longer run is a block of its own), and each block is one
-    `batch_proba` call and one `decode` call. The probabilities are those
-    of `predict_proba` example by example up to summation order (within
-    1e-12).
+    packed in order into blocks whose sentences hold at most BLOCK_TOKENS
+    tokens in all (a longer sentence's run is a block of its own), so a
+    block's memory and its rows per recurrent step scale with its tokens.
+    Each block is one `batch_proba` call and one `decode` call. The
+    probabilities are those of `predict_proba` example by example up to
+    summation order (within 1e-12).
     """
     out = []
     for block in _blocks(examples):
@@ -166,11 +167,12 @@ def _blocks(examples: Sequence[LabeledExample]) -> Iterator[list[list[LabeledExa
     size = 0
     for _, run in groupby(examples, key=_sentence_key):
         run = list(run)
-        if block and size + len(run) > BLOCK_EXAMPLES:
+        tokens = len(run[0].split.tokens)
+        if block and size + tokens > BLOCK_TOKENS:
             yield block
             block, size = [], 0
         block.append(run)
-        size += len(run)
+        size += tokens
     if block:
         yield block
 

@@ -523,13 +523,16 @@ def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
 
     Returns the pre-clip norm, summed tensor by tensor in store order; a
     row-tracked tensor's sum of squares runs over its reached rows only,
-    which changes the summation order but not the terms. Raises
+    which changes the summation order but not the terms. Each sum of
+    squares is numpy's own loop, not a BLAS dot, which OpenBLAS splits
+    across threads from 10,000 entries: so the norm's bits do not depend on
+    the BLAS thread count, and no step waits on a BLAS worker. Raises
     NumericError naming the first tensor with a non-finite gradient.
     """
     total = 0.0
     for t in store:
         g = (t.grad if t.reached is None else t.grad[t.reached]).reshape(-1)
-        sq = float(np.dot(g, g))
+        sq = float(np.einsum("i,i->", g, g))
         if not math.isfinite(sq):
             raise NumericError(f"non-finite gradient in tensor {t.name!r}")
         total += sq

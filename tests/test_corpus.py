@@ -299,6 +299,17 @@ class TestSyntheticGenerator:
             make_synthetic_corpus(spec, rng)
         assert rng.next_u64() == Rng(0).next_u64()  # nothing drawn
 
+    @pytest.mark.parametrize("n_sentences", [0, 5])
+    def test_template_without_patterns_rejected_before_drawing(self, n_sentences):
+        spec = default_synthetic_spec(n_sentences=n_sentences)
+        bare = EventTemplate("Life.Die", ())
+        spec = dataclasses.replace(spec, templates=spec.templates + (bare,))
+        rng = Rng(0)
+        with pytest.raises(ConfigurationError,
+                           match=r"event template 'Life\.Die' has no trigger phrases"):
+            make_synthetic_corpus(spec, rng)
+        assert rng.next_u64() == Rng(0).next_u64()  # nothing drawn
+
     def test_label_histogram_matches_weights(self):
         base = default_synthetic_spec(n_sentences=2000, negative_rate=0.0)
         corpus = make_synthetic_corpus(base, Rng(13))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbrnn.evaluation
 import fbrnn.training
 from fbrnn.candidates import LabeledExample, NuggetCandidate, split_branches
 from fbrnn.corpus import (
@@ -20,7 +21,7 @@ from fbrnn.corpus import (
 )
 from fbrnn.errors import ConfigurationError, DataError, NumericError
 from fbrnn.evaluation import (
-    BLOCK_EXAMPLES,
+    BLOCK_TOKENS,
     PredictedNugget,
     PRFReport,
     f1,
@@ -308,37 +309,61 @@ class TestPredictExamples:
         assert together == [p for run in runs for p in predict_examples(model, run, threshold)]
         assert together
 
-    def test_blocks_hold_whole_runs_of_at_most_block_examples(self, monkeypatch):
-        """Runs are packed into blocks until the next would overflow; a
-        run longer than a block is a block of its own."""
+    def test_blocks_hold_whole_runs_of_at_most_block_tokens(self, monkeypatch):
+        """Runs are packed in order into blocks until the next run's
+        sentence would overflow BLOCK_TOKENS, so a block may hold exactly
+        that many; a run whose sentence alone is longer is a block of its
+        own."""
         model = self.model()
-        short = BLOCK_EXAMPLES // len(SEVEN_SPANS)
-        runs = [examples_of(i, SEVEN, SEVEN_SPANS) for i in range(short)]
-        runs.append(examples_of(short, OTHER, [(0, 0), (2, 3), (5, 5)] * (BLOCK_EXAMPLES // 3 + 1)))
-        runs += [examples_of(short + 1 + i, SEVEN, SEVEN_SPANS[:3]) for i in range(2)]
-        blocks = [runs[:short], runs[short : short + 1], runs[short + 1 :]]
-        assert sum(map(len, blocks[0])) + len(runs[short]) > BLOCK_EXAMPLES >= sum(
-            map(len, blocks[0])
-        )
-        assert len(runs[short]) > BLOCK_EXAMPLES
-        sizes = []
+        n_seven, n_single = divmod(BLOCK_TOKENS, len(SEVEN))
+        runs = [examples_of(i, SEVEN, SEVEN_SPANS[:2]) for i in range(n_seven)]
+        runs += [examples_of(n_seven + i, SINGLE, [(0, 0)]) for i in range(n_single)]
+        full = len(runs)
+        long = Sentence(SEVEN.tokens * (n_seven + 1))
+        runs.append(examples_of(full, long, [(0, 0), (len(long) - 1, len(long) - 1)]))
+        runs += [examples_of(full + 1 + i, SEVEN, SEVEN_SPANS[:3]) for i in range(2)]
+        blocks = [runs[:full], runs[full : full + 1], runs[full + 1 :]]
+        assert sum(len(run[0].split.tokens) for run in blocks[0]) == BLOCK_TOKENS < len(long)
+        calls = []
         original = model.batch_proba
 
         def spy(groups):
-            sizes.append([len(splits) for splits in groups])
+            calls.append([(len(splits), len(splits[0].tokens)) for splits in groups])
             return original(groups)
 
         monkeypatch.setattr(model, "batch_proba", spy)
         examples = [ex for run in runs for ex in run]
         predictions = predict_examples(model, examples)
-        assert sizes == [[len(run) for run in block] for block in blocks]
-        per_block = [
-            p
-            for block in blocks
-            for p in predict_examples(model, [ex for run in block for ex in run])
-        ]
-        assert predictions == per_block == reference_predictions(model, examples, 0.5)
+        assert calls == [[(len(run), len(run[0].split.tokens)) for run in block] for block in blocks]
+        per_run = [p for run in runs for p in predict_examples(model, run)]
+        assert predictions == per_run
         assert predictions
+
+    @pytest.mark.parametrize("cap", [1, 37, 4096])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_block_cap_predicts_as_the_per_sentence_loop(self, cap, data):
+        """Whatever the token cap, packing runs into blocks changes only the
+        summation order: the predictions equal one call per sentence."""
+        model = self.model()
+        runs = []
+        for i in range(data.draw(st.integers(0, 12))):
+            sentence = data.draw(st.sampled_from([SEVEN, OTHER, SINGLE]))
+            last = len(sentence) - 1
+            spans = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, last), st.integers(0, 2)).map(
+                        lambda se: (se[0], min(last, se[0] + se[1]))
+                    ),
+                    min_size=1,
+                    max_size=5,
+                )
+            )
+            runs.append(examples_of(i, sentence, spans))
+        per_sentence = [p for run in runs for p in predict_examples(model, run)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fbrnn.evaluation, "BLOCK_TOKENS", cap)
+            assert predict_examples(model, [ex for run in runs for ex in run]) == per_sentence
 
     def test_splits_of_different_sentences_are_rejected(self):
         model = self.model()

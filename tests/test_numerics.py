@@ -371,7 +371,7 @@ def reference_step(params, grads, moments, kind, t, lr, clip_norm,
     """Per-tensor clipped SGD/Adam on separate arrays, in the textbook form."""
     total = 0.0
     for g in grads:
-        total += float(np.dot(g.reshape(-1), g.reshape(-1)))
+        total += float(np.einsum("i,i->", g.reshape(-1), g.reshape(-1)))
     norm = math.sqrt(total)
     if norm > clip_norm:
         for g in grads:

@@ -688,7 +688,7 @@ def test_format_3_document_names_its_version(tmp_path):
 
 
 _TRAIN_AND_DIGEST = """
-import hashlib, warnings
+import hashlib, json, sys, warnings
 from fbrnn.candidates import build_examples, build_trigger_lexicon
 from fbrnn.corpus import default_synthetic_spec, make_synthetic_corpus, vocabulary_of
 from fbrnn.model import ModelConfig, build_model
@@ -698,7 +698,7 @@ warnings.simplefilter("ignore")  # no dev set
 spec = default_synthetic_spec(n_sentences=40)
 corpus, labels = make_synthetic_corpus(spec, Rng(100)), spec.label_set()
 examples = build_examples(corpus, build_trigger_lexicon(corpus), labels, 3)
-cfg = TrainConfig(hidden_size=16, word_dim=12, branch_dim=4, batch_size=8, max_epochs=2, seed=7)
+cfg = TrainConfig(**json.loads(sys.argv[1]))
 model, _ = train_model(cfg, examples, None, None, vocabulary_of(corpus), labels)
 start = build_model(cfg.model_config(), vocabulary_of(corpus), labels, Rng(cfg.seed))
 assert model.store.values.tobytes() != start.store.values.tobytes()  # it trained
@@ -706,18 +706,33 @@ print(hashlib.sha256(model.store.values.tobytes()).hexdigest())
 """
 
 
+def _trained_digest(threads: str, **config) -> str:
+    """The SHA-256 of the parameter bytes that `config` trains to on 40
+    synthetic sentences, in a fresh interpreter with `threads` BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var, OPENBLAS_NUM_THREADS=threads)
+    digest = subprocess.run(
+        [sys.executable, "-c", _TRAIN_AND_DIGEST, json.dumps(config)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.strip()
+    assert len(digest) == 64
+    return digest
+
+
 def test_one_blas_thread_count_trains_the_same_bytes_in_two_processes():
     """The same tiny batched training, run in two fresh interpreters with
     the same `OPENBLAS_NUM_THREADS`, ends in the same parameter bytes.
-    (Different thread counts may not: README, "Determinism".)"""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    (Different thread counts may not at batch 32: README, "Determinism".)"""
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "2")
-    env = dict(os.environ, PYTHONPATH=path_var, OPENBLAS_NUM_THREADS=threads)
-    digests = [
-        subprocess.run([sys.executable, "-c", _TRAIN_AND_DIGEST], capture_output=True,
-                       text=True, env=env, check=True).stdout
-        for _ in range(2)
-    ]
-    assert len(digests[0].strip()) == 64
-    assert digests[0] == digests[1]
+    config = dict(hidden_size=16, word_dim=12, branch_dim=4, batch_size=8, max_epochs=2, seed=7)
+    assert _trained_digest(threads, **config) == _trained_digest(threads, **config)
+
+
+def test_batch_one_training_trains_the_same_bytes_on_one_and_two_blas_threads():
+    """Per-example training with a 300-d word table: the clipped gradient's
+    word-table block passes 10,000 entries, where an OpenBLAS dot would
+    split its sum of squares across threads. The pre-clip norm is summed
+    without BLAS, so one and two threads train the same bytes."""
+    config = dict(hidden_size=16, word_dim=300, batch_size=1, clip_norm=1.0, max_epochs=1, seed=7)
+    assert _trained_digest("1", **config) == _trained_digest("2", **config)
