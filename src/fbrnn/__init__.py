@@ -57,6 +57,7 @@ from .model import (
 from .numerics import (
     GradCheckReport,
     Optimizer,
+    ParamSpec,
     ParamStore,
     ParamTensor,
     Rng,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .fileio import text_lines
-from .numerics import ParamStore, ParamTensor, Rng, init_uniform_scaled
+from .numerics import ParamSpec, ParamStore, ParamTensor, Rng, init_uniform_scaled
 
 __all__ = [
     "UNK",
@@ -102,6 +102,14 @@ class WordTable:
         self.pretrained_hits = pretrained_hits
         self.oov_words = oov_words
 
+    @staticmethod
+    def spec(words: list[str], dim: int) -> ParamSpec:
+        """The declaration of the table of an ordered word list (UNK first):
+        `word_emb`, one row per word, row-tracked."""
+        if not words or words[0] != UNK:
+            raise ConfigurationError("word list must start with the UNK row")
+        return ParamSpec("word_emb", (len(words), dim), track_rows=True)
+
     @classmethod
     def build(
         cls,
@@ -111,21 +119,20 @@ class WordTable:
         store: ParamStore,
         pretrained: dict[str, np.ndarray] | None = None,
     ) -> "WordTable":
-        """Build from an ordered word list (UNK first, no duplicates).
+        """The table `spec(words, dim)` declared in `store`, for an ordered
+        word list (UNK first, no duplicates).
 
-        The full matrix is drawn from the scaled-uniform initializer first,
-        then rows found in `pretrained` are overwritten, so the rng stream
-        does not depend on pretrained coverage. Pretrained lookup is
-        case-insensitive, first file entry wins.
+        The full matrix is drawn from the scaled-uniform initializer into
+        the store's view first, then rows found in `pretrained` are
+        overwritten, so the rng stream does not depend on pretrained
+        coverage. Pretrained lookup is case-insensitive, first file entry
+        wins.
         """
-        if not words or words[0] != UNK:
-            raise ConfigurationError("word list must start with the UNK row")
-        if len(set(words)) != len(words):
-            raise ConfigurationError("duplicate words in vocabulary")
-        tensor = store.create(
-            "word_emb", init_uniform_scaled((len(words), dim), rng), track_rows=True
-        )
         vocab = {w: i for i, w in enumerate(words)}
+        if len(vocab) != len(words):
+            raise ConfigurationError("duplicate words in vocabulary")
+        tensor = store["word_emb"]
+        init_uniform_scaled(tensor.values, rng)
         hits = 0
         oov = []
         if pretrained is not None:

@@ -147,17 +147,24 @@ def read_json(path: str | Path, what: str):
 @contextmanager
 def header_and_payload(path: str | Path, what: str) -> Iterator[tuple[object, Callable]]:
     """For a file of one UTF-8 JSON header line and a raw payload: yield the
-    parsed header and `read_payload(buffer)`, which checks that the payload
-    exactly fills the writable `buffer` and fills it with one `readinto`."""
+    parsed header and `open_payload(nbytes)`, which checks that the payload
+    holds exactly `nbytes` and returns `read_into(piece)`, which fills the
+    writable buffer `piece` with the payload's next bytes."""
     with _opened(path, what) as f:
         text = _decode(f.readline(), f"{path}: {what} header is not UTF-8 text")
 
-        def read_payload(buffer) -> None:
-            size, need = os.fstat(f.fileno()).st_size - f.tell(), memoryview(buffer).nbytes
-            if size != need or f.readinto(buffer) != size:
+        def open_payload(need: int) -> Callable:
+            size = os.fstat(f.fileno()).st_size - f.tell()
+            if size != need:
                 raise DataError(f"{path}: {what} payload holds {size} bytes, not {need}")
 
-        yield _parse(text, f"{path}: corrupt {what} header (invalid JSON)"), read_payload
+            def read_into(piece) -> None:
+                if f.readinto(piece) != memoryview(piece).nbytes:
+                    raise DataError(f"{path}: {what} payload ended before {need} bytes")
+
+            return read_into
+
+        yield _parse(text, f"{path}: corrupt {what} header (invalid JSON)"), open_payload
 
 
 def json_lines(lines: Iterable[tuple[int, str, str]]) -> Iterator[tuple[str, object]]:

@@ -51,6 +51,7 @@ from .errors import ConfigurationError, NumericError
 from .fileio import check
 from .numerics import (
     GradCheckReport,
+    ParamSpec,
     ParamStore,
     ParamTensor,
     Rng,
@@ -159,21 +160,23 @@ class RecurrentLayer:
 GATE_ORDER = {"gru": "zrc", "lstm": "ifog"}  # row blocks of W, U and b
 
 
+def _layer_specs(prefix: str, kind: str, d_in: int, h: int) -> list[ParamSpec]:
+    """The declarations of one layer's `W`, `U` and `b`, in store order."""
+    n = len(GATE_ORDER[kind]) * h
+    return [ParamSpec(f"{prefix}.W", (n, d_in)), ParamSpec(f"{prefix}.U", (n, h)),
+            ParamSpec(f"{prefix}.b", (n,))]
+
+
 def _build_layer(
     store: ParamStore, prefix: str, kind: str, d_in: int, h: int, rng: Rng | None
 ) -> RecurrentLayer:
-    n = len(GATE_ORDER[kind]) * h
-    W, U = np.zeros((n, d_in)), np.zeros((n, h))
-    if rng is not None:
-        # W_g then U_g, gate by gate: the values per-gate tensors would draw.
-        for rows in range(0, n, h):
-            W[rows : rows + h] = init_uniform_scaled((h, d_in), rng)
-            U[rows : rows + h] = init_uniform_scaled((h, h), rng)
-    return RecurrentLayer(
-        store.create(f"{prefix}.W", W),
-        store.create(f"{prefix}.U", U),
-        store.create(f"{prefix}.b", np.zeros(n)),
-    )
+    """The layer `_layer_specs` declared in `store`, drawn into its views."""
+    layer = RecurrentLayer(*(store[spec.name] for spec in _layer_specs(prefix, kind, d_in, h)))
+    # W_g then U_g, gate by gate: the values per-gate tensors would draw.
+    for rows in range(0, layer.b.size, h):
+        init_uniform_scaled(layer.W.values[rows : rows + h], rng)
+        init_uniform_scaled(layer.U.values[rows : rows + h], rng)
+    return layer
 
 
 def _check_shapes(step: str, x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer) -> None:
@@ -353,6 +356,20 @@ class BranchEncoder:
         self.layers = layers
         self.backward = backward
 
+    @staticmethod
+    def _layer_args(branch: Branch, d_in: int, hidden: int, n_layers: int):
+        """(prefix, d_in) of each layer."""
+        prefix = branch.name.lower()
+        return [(f"{prefix}.l{i}", d_in if i == 0 else hidden) for i in range(n_layers)]
+
+    @classmethod
+    def specs(
+        cls, branch: Branch, kind: str, d_in: int, hidden: int, n_layers: int
+    ) -> list[ParamSpec]:
+        """The declarations of the encoder's tensors, layer by layer."""
+        return [spec for prefix, d in cls._layer_args(branch, d_in, hidden, n_layers)
+                for spec in _layer_specs(prefix, kind, d, hidden)]
+
     @classmethod
     def build(
         cls,
@@ -364,12 +381,10 @@ class BranchEncoder:
         store: ParamStore,
         rng: Rng | None,
     ) -> "BranchEncoder":
-        prefix = branch.name.lower()
+        """The encoder whose tensors `specs` declared in `store`, drawn layer by layer."""
         layers = [
-            _build_layer(
-                store, f"{prefix}.l{i}", kind, d_in if i == 0 else hidden, hidden, rng
-            )
-            for i in range(n_layers)
+            _build_layer(store, prefix, kind, d, hidden, rng)
+            for prefix, d in cls._layer_args(branch, d_in, hidden, n_layers)
         ]
         return cls(branch, kind, hidden, layers, backward=(branch is Branch.RIGHT))
 
@@ -530,20 +545,28 @@ class Head:
         self.head_mode = head_mode
         self.dropout = dropout
 
+    @staticmethod
+    def specs(cfg: ModelConfig, labels: LabelSet) -> list[ParamSpec]:
+        """The declarations of each layer's `W` and `b`, in order."""
+        hidden = (3 * cfg.hidden_size,) if cfg.head_hidden is None else cfg.head_hidden
+        n_out = labels.n_classes if cfg.head_mode == "softmax" else len(labels.event_types)
+        specs = []
+        d = 3 * cfg.hidden_size
+        for i, w in enumerate((*hidden, n_out)):
+            name = "head.out" if i == len(hidden) else f"head.l{i}"
+            specs += [ParamSpec(f"{name}.W", (w, d)), ParamSpec(f"{name}.b", (w,))]
+            d = w
+        return specs
+
     @classmethod
     def build(
         cls, cfg: ModelConfig, labels: LabelSet, store: ParamStore, rng: Rng | None
     ) -> "Head":
-        hidden = (3 * cfg.hidden_size,) if cfg.head_hidden is None else cfg.head_hidden
-        n_out = labels.n_classes if cfg.head_mode == "softmax" else len(labels.event_types)
-        layers = []
-        d = 3 * cfg.hidden_size
-        for i, w in enumerate((*hidden, n_out)):
-            name = "head.out" if i == len(hidden) else f"head.l{i}"
-            W = store.create(f"{name}.W", init_uniform_scaled((w, d), rng))
-            b = store.create(f"{name}.b", np.zeros(w))
-            layers.append((W, b))
-            d = w
+        """The head whose tensors `specs` declared in `store`, each `W` drawn in order."""
+        tensors = [store[spec.name] for spec in cls.specs(cfg, labels)]
+        layers = list(zip(tensors[::2], tensors[1::2]))
+        for W, _ in layers:
+            init_uniform_scaled(W.values, rng)
         return cls(layers, cfg.head_mode, cfg.dropout)
 
     def forward(
@@ -791,24 +814,30 @@ def assemble_model(
 ) -> NuggetModel:
     """Assemble a model from an explicit row-ordered word list (UNK first).
 
-    The store is left unpacked: it packs when its flat arrays are first
-    used. Without an rng every tensor is zero-filled, and neither the
-    tensors nor the packed arrays touch a page until a value is written.
+    Every tensor is declared first, so the store allocates its flat arrays
+    once; then each part draws straight into its views, in store order.
+    Without an rng nothing is drawn: the model is zero-filled, and its
+    flat arrays touch no page until a value is written.
     """
-    store = ParamStore()
+    d_in = cfg.word_dim + (cfg.branch_dim if cfg.use_branch else 0)
+    store = ParamStore([
+        WordTable.spec(ordered_words, cfg.word_dim),
+        *([ParamSpec("branch_emb", (3, cfg.branch_dim))] if cfg.use_branch else []),
+        *(spec for b in Branch
+          for spec in BranchEncoder.specs(b, cfg.cell, d_in, cfg.hidden_size, cfg.layers)),
+        *Head.specs(cfg, labels),
+    ])
     word = WordTable.build(ordered_words, cfg.word_dim, rng, store, pretrained)
     branch = None
     if cfg.use_branch:
-        branch = store.create("branch_emb", init_uniform_scaled((3, cfg.branch_dim), rng))
-    embedder = Embedder(word, branch)
+        branch = store["branch_emb"]
+        init_uniform_scaled(branch.values, rng)
     encoders = {
-        b: BranchEncoder.build(
-            b, cfg.cell, embedder.input_dim, cfg.hidden_size, cfg.layers, store, rng
-        )
+        b: BranchEncoder.build(b, cfg.cell, d_in, cfg.hidden_size, cfg.layers, store, rng)
         for b in Branch
     }
     head = Head.build(cfg, labels, store, rng)
-    return NuggetModel(cfg, labels, store, embedder, encoders, head)
+    return NuggetModel(cfg, labels, store, Embedder(word, branch), encoders, head)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense float64 numeric kernel.
 
 Everything the encoders and classifier need that is not model specific:
-named parameter tensors packed into one flat value array and one flat
-gradient array, stable activations,
+named parameter tensors declared as views of one flat value array and one
+flat gradient array, stable activations,
 scaled-uniform initialization, inverted dropout, SGD/Adam updates with
 global-norm clipping, a portable deterministic RNG and a central-difference
 gradient checker.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import ConfigurationError, NumericError
 
 __all__ = [
     "Rng",
+    "ParamSpec",
     "ParamTensor",
     "ParamStore",
     "RowRegion",
@@ -125,15 +127,21 @@ class Rng:
         return self.uniform(0.0, 1.0, n)  # 0 + 1 * u keeps u's bits
 
     def uniform(
-        self, low: float, high: float, n: int | None = None
+        self, low: float, high: float, n: int | None = None, out: np.ndarray | None = None
     ) -> float | np.ndarray:
-        """`low + (high - low) * u` for unit draw(s) u; each block of an array
-        draw is converted straight into the float64 result."""
-        if n is None:
+        """`low + (high - low) * u` for unit draw(s) u: one float, `n` in a new
+        array, or one per entry of the C-contiguous float64 array `out`,
+        filled in place and returned. Each block of an array draw is
+        converted straight into the result."""
+        if n is None and out is None:
             return low + (high - low) * self.random()
-        out = np.empty(n)
-        for b, words in self._words(n):
-            block = out[b]
+        if out is None:
+            out = np.empty(n)
+        elif not out.flags.c_contiguous:
+            raise ConfigurationError("uniform draws into a C-contiguous array only")
+        flat = out.reshape(-1)  # a view: `out` is contiguous
+        for b, words in self._words(flat.size):
+            block = flat[b]
             np.right_shift(words, _U64_11, out=words)
             np.multiply(words, _UNIT, out=block, dtype=np.float64)
             block *= high - low
@@ -184,27 +192,29 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-class ParamTensor:
-    """Named float64 array with a same-shaped gradient buffer.
+class ParamSpec(NamedTuple):
+    """A tensor a `ParamStore` declares: its name, shape and whether it
+    tracks the rows a gradient reached (see `ParamTensor`)."""
 
-    Once the owning ParamStore is packed, `values` and `grad` are views into
-    the store's flat arrays. A row-tracked tensor also holds `reached`, one
-    boolean per row that `add_row_grads` sets and nothing clears; for any
-    other tensor `reached` is None.
+    name: str
+    shape: tuple[int, ...]
+    track_rows: bool = False
+
+
+class ParamTensor:
+    """A named float64 view into its store's flat values, with the
+    same-shaped view of the flat gradient. A row-tracked tensor also holds
+    `reached`, one boolean per row that `add_row_grads` sets and nothing
+    clears; for any other tensor `reached` is None.
     """
 
     __slots__ = ("name", "values", "grad", "reached")
 
-    def __init__(
-        self, name: str, values: np.ndarray | Sequence, track_rows: bool = False
-    ) -> None:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
-            raise ConfigurationError(f"tensor {name!r} has no elements")
+    def __init__(self, name: str, values: np.ndarray, grad: np.ndarray, track_rows: bool) -> None:
         self.name = name
-        self.values = arr
-        self.grad = np.zeros(arr.shape)
-        self.reached = np.zeros(arr.shape[0], dtype=bool) if track_rows else None
+        self.values = values
+        self.grad = grad
+        self.reached = np.zeros(values.shape[0], dtype=bool) if track_rows else None
 
     def add_row_grads(self, rows: np.ndarray, grads: np.ndarray) -> None:
         """`grad[rows] += grads` for distinct rows of a row-tracked tensor; marks them reached."""
@@ -242,22 +252,15 @@ class RowRegion(NamedTuple):
         matrix[self.rows] = part if np.isscalar(part) else part.reshape(-1, self.width)
 
 
-def _moved(old: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """`span` of a zeroed flat array shaped as `old` and holding its values.
-    An `old` whose bits are all zero is not copied, so those pages of the
-    flat array stay untouched; -0.0 has its sign bit set and is copied."""
-    view = span.reshape(old.shape)
-    if old.reshape(-1).view(np.uint64).any():
-        view[...] = old
-    return view
-
-
 class ParamStore:
     """Ordered collection of named ParamTensors; one writer at a time.
 
-    The store packs its tensors into one contiguous `values` array and one
-    `grad` array, in insertion order, on first use of either; each tensor
-    becomes a view into them. A packed store accepts no new tensors.
+    The store is made from its tensors' declarations (`ParamSpec`s or
+    tuples of the same fields), in order, and allocates one contiguous
+    `values` array and one `grad` array for them at once. Each tensor is
+    a view into both from the moment it exists. Both arrays start from
+    `np.zeros`, so a model that is never drawn touches no page of them
+    until a value is written.
 
     Zeroing, clipping and the optimizer step visit `live_regions()` only:
     every untracked tensor, and the rows of each row-tracked tensor that
@@ -268,64 +271,37 @@ class ParamStore:
     flag on a row whose gradient stays zero costs time, never correctness.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, specs: Iterable[ParamSpec | tuple]) -> None:
+        specs = [ParamSpec(name, tuple(int(s) for s in shape), *track)
+                 for name, shape, *track in specs]
+        names = [spec.name for spec in specs]
+        for spec in specs:
+            if names.count(spec.name) > 1:
+                raise ConfigurationError(f"duplicate tensor name {spec.name!r}")
+            if not spec.shape or min(spec.shape) < 1:
+                raise ConfigurationError(f"tensor {spec.name!r} has no elements")
+        sizes = [math.prod(spec.shape) for spec in specs]
+        self.values = np.zeros(sum(sizes))  # all parameter values as one flat array
+        self.grad = np.zeros(sum(sizes))  # all gradients, in the order of `values`
         self._tensors: dict[str, ParamTensor] = {}
-        self._values: np.ndarray | None = None
-        self._grad: np.ndarray | None = None
         # merged flat slices of untracked tensors, and each row-tracked
-        # tensor with its slice, in store order; set by pack
+        # tensor with its slice, in store order
         self._segments: list[slice | tuple[ParamTensor, slice]] = []
-
-    def create(
-        self, name: str, values: np.ndarray | Sequence, track_rows: bool = False
-    ) -> ParamTensor:
-        if self._values is not None:
-            raise ConfigurationError(f"cannot add tensor {name!r}: the store is already packed")
-        if name in self._tensors:
-            raise ConfigurationError(f"duplicate tensor name {name!r}")
-        tensor = ParamTensor(name, values, track_rows)
-        self._tensors[name] = tensor
-        return tensor
-
-    def pack(self) -> None:
-        """Move every tensor into the flat arrays; a no-op once packed.
-
-        Both flat arrays start from `np.zeros`, and a tensor's values or
-        gradient are copied only if some bit of them is set, so a
-        zero-filled model touches no page of them. Each old array is
-        released as soon as it has been moved, so the word table never
-        exists twice for long.
-        """
-        if self._values is not None:
-            return
-        total = sum(t.size for t in self._tensors.values())
-        values, grad = np.zeros(total), np.zeros(total)
         offset = 0
-        for t in self._tensors.values():
-            end = offset + t.size
-            t.values = _moved(t.values, values[offset:end])
-            t.grad = _moved(t.grad, grad[offset:end])
+        for (name, shape, track_rows), size in zip(specs, sizes):
+            span = slice(offset, offset + size)
+            t = ParamTensor(
+                name, self.values[span].reshape(shape), self.grad[span].reshape(shape), track_rows
+            )
+            self._tensors[name] = t
             last = self._segments[-1] if self._segments else None
-            if t.reached is not None:
-                self._segments.append((t, slice(offset, end)))
+            if track_rows:
+                self._segments.append((t, span))
             elif isinstance(last, slice) and last.stop == offset:
-                self._segments[-1] = slice(last.start, end)
+                self._segments[-1] = slice(last.start, span.stop)
             else:
-                self._segments.append(slice(offset, end))
-            offset = end
-        self._values, self._grad = values, grad
-
-    @property
-    def values(self) -> np.ndarray:
-        """All parameter values as one flat float64 array."""
-        self.pack()
-        return self._values
-
-    @property
-    def grad(self) -> np.ndarray:
-        """All gradients as one flat float64 array, in the order of `values`."""
-        self.pack()
-        return self._grad
+                self._segments.append(span)
+            offset = span.stop
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self._tensors[name]
@@ -347,7 +323,6 @@ class ParamStore:
         one region per run of untracked tensors, and one per row-tracked
         tensor with a reached row. A store without row-tracked tensors is
         one region over everything."""
-        self.pack()
         regions = []
         for seg in self._segments:
             if isinstance(seg, slice):
@@ -362,6 +337,23 @@ class ParamStore:
     def zero_grads(self) -> None:
         for region in self.live_regions():
             region.put(self.grad, 0.0)
+
+    def first_nonfinite(self, fill: Callable[[np.ndarray], None] | None = None) -> str | None:
+        """The name of the first tensor holding NaN or Inf, or None. The flat
+        values are checked one `UPDATE_BLOCK` piece at a time, each right
+        after `fill(piece)`, if given, has written it: the piece is still in
+        cache, and no full-size temporary is made."""
+        finite = np.empty(min(self.values.size, UPDATE_BLOCK), dtype=bool)
+        for b in _blocks(self.values.size):
+            piece = self.values[b]
+            if fill is not None:
+                fill(piece)
+            ok = np.isfinite(piece, out=finite[: piece.size])
+            if not ok.all():
+                bad = b.start + int(np.argmin(ok))
+                return next(t.name for t, end in zip(self, accumulate(t.size for t in self))
+                            if bad < end)
+        return None
 
     def clone_values(self) -> np.ndarray:
         """A copy of the flat `values`, for `load_values` to restore."""
@@ -402,23 +394,19 @@ def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def init_uniform_scaled(shape: Sequence[int], rng: Rng | None) -> np.ndarray:
-    """Uniform draws in [-b, b] with b = sqrt(6 / (fan_in + fan_out)).
+def init_uniform_scaled(out: np.ndarray, rng: Rng | None) -> np.ndarray:
+    """Fill `out` with uniform draws in [-b, b], b = sqrt(6 / (fan_in + fan_out)),
+    and return it.
 
-    fan_out is shape[0]; fan_in is shape[-1] for matrices and shape[0] for
-    vectors. Deterministic given the rng state. Without an rng the array
-    is zero-filled, for a model whose values are loaded next.
+    fan_out is shape[0] and fan_in shape[-1], so a vector's fans are both
+    its length. Deterministic given the rng state. Without an rng `out` is
+    left as it is: a model whose values are loaded next keeps its zeros.
     """
-    shape = tuple(int(s) for s in shape)
-    if not shape or any(s <= 0 for s in shape):
-        raise ConfigurationError(f"invalid tensor shape {shape}")
-    if rng is None:
-        return np.zeros(shape)
-    fan_out = shape[0]
-    fan_in = shape[-1] if len(shape) > 1 else shape[0]
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    flat = rng.uniform(-bound, bound, int(np.prod(shape)))
-    return np.asarray(flat).reshape(shape)
+    if rng is not None:
+        fan_out, fan_in = out.shape[0], out.shape[-1]
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        rng.uniform(-bound, bound, out=out)
+    return out
 
 
 def dropout_mask(length: int, rate: float, rng: Rng) -> np.ndarray:

@@ -256,12 +256,13 @@ def train_model(
             log.best_epoch = epoch
         else:
             if log.best_epoch is None or dev.f1 > log.epochs[log.best_epoch - 1].dev.f1:
-                best_state = model.store.clone_values()
                 log.best_epoch = epoch
+                if epoch < cfg.max_epochs:  # a later epoch may change the values
+                    best_state = model.store.clone_values()
             if epoch - log.best_epoch >= cfg.patience:
                 break
 
-    if best_state is not None:
+    if log.best_epoch != log.epochs[-1].epoch:  # so a snapshot was taken
         model.store.load_values(best_state)
     return model, log
 
@@ -290,8 +291,8 @@ def save_checkpoint(
     A tensor holding NaN or Inf is a NumericError naming it, and nothing is
     written. Written atomically.
     """
-    if not np.isfinite(model.store.values).all():
-        bad = next(t.name for t in model.store if not np.isfinite(t.values).all())
+    bad = model.store.first_nonfinite()
+    if bad is not None:
         raise NumericError(f"cannot save tensor {bad!r}: it holds non-finite values")
     values = model.store.values.astype("<f8", copy=False)
     header = {
@@ -328,23 +329,29 @@ def load_checkpoint(
     model, and checks the header's tensor names (in store order), shapes and
     byte count and the payload's size against it, so a small file whose
     config asks for a larger model fails without touching that model's
-    memory. Then one `readinto` fills the flat buffer, and one pass checks
-    it for NaN or Inf. Rejects a header that is not UTF-8 JSON, a repeated
-    key, a field of the wrong JSON kind (`labels` as a string, `tensors` as
-    an array of pairs: nothing is converted), other versions, invalid
-    configs, label sets, lexicons and pipeline settings, a model too large
-    to allocate, (when `expect` is given) any other config, and a short or
-    long payload, each as a DataError naming the file and the tensor or
-    field. A file that fails leaves no partial model.
+    memory. Then the payload is read into the zero-filled flat buffer one
+    `UPDATE_BLOCK` piece at a time, each piece checked for NaN or Inf while
+    it is in cache (`ParamStore.first_nonfinite`). Rejects a header that is
+    not UTF-8 JSON, a repeated key, a field of the wrong JSON kind (`labels`
+    as a string, `tensors` as an array of pairs: nothing is converted),
+    other versions, invalid configs, label sets, lexicons and pipeline
+    settings, a model too large to allocate, (when `expect` is given) any
+    other config, and a short or long payload, each as a DataError naming
+    the file and the tensor or field. A file that fails leaves no partial
+    model.
     """
-    with header_and_payload(path, "checkpoint") as (header, read_payload):
+    with header_and_payload(path, "checkpoint") as (header, open_payload):
         loaded = _from_header(header, path, expect)
-        values = loaded.model.store.values
-        read_payload(values)
-    if sys.byteorder == "big":  # the payload is little-endian
-        values.byteswap(inplace=True)
-    if not np.isfinite(values).all():
-        bad = next(t.name for t in loaded.model.store if not np.isfinite(t.values).all())
+        store = loaded.model.store
+        read_into = open_payload(store.values.nbytes)
+
+        def fill(piece: np.ndarray) -> None:
+            read_into(piece)
+            if sys.byteorder == "big":  # the payload is little-endian
+                piece.byteswap(inplace=True)
+
+        bad = store.first_nonfinite(fill)
+    if bad is not None:
         raise DataError(f"{path}: tensor {bad!r} holds non-finite values")
     return loaded
 
@@ -378,8 +385,7 @@ def _from_header(header, path, expect: ModelConfig | None) -> LoadedCheckpoint:
                 f"{path}: checkpoint config does not match the requested run "
                 f"(checkpoint {cfg}, expected {expect})"
             )
-        model = assemble_model(cfg, vocab, labels, rng=None)
-        model.store.pack()  # zero-filled: no page is touched yet
+        model = assemble_model(cfg, vocab, labels, rng=None)  # zero-filled: no page touched
     except ConfigurationError as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from e
     except MemoryError as e:

@@ -70,10 +70,10 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_zero_weight_cell_identities():
-    from fbrnn.model import _build_layer
+    from fbrnn.model import _build_layer, _layer_specs
 
     rng = Rng(0)
-    store = ParamStore()
+    store = ParamStore(_layer_specs("g", "gru", 3, 5) + _layer_specs("l", "lstm", 3, 5))
     gru = _build_layer(store, "g", "gru", 3, 5, rng)
     lstm = _build_layer(store, "l", "lstm", 3, 5, rng)
     for layer in (gru, lstm):
@@ -99,7 +99,7 @@ def test_criterion_3_direction_identity():
     rng = Rng(33)
     worst = 0.0
     for kind in ("gru", "lstm"):
-        store = ParamStore()
+        store = ParamStore(BranchEncoder.specs(Branch.RIGHT, kind, 4, 6, 1))
         backward_enc = BranchEncoder.build(
             Branch.RIGHT, kind, 4, 6, 1, store, rng
         )

@@ -154,8 +154,8 @@ def test_distinct_rows_match_the_token_matrix(cell, layers, backward):
     (measured up to 1.5e-15)."""
     d_in, hidden = 320, 32
     rng = Rng(5)
-    store = ParamStore()
     branch = Branch.RIGHT if backward else Branch.LEFT
+    store = ParamStore(BranchEncoder.specs(branch, cell, d_in, hidden, layers))
     enc = BranchEncoder.build(branch, cell, d_in, hidden, layers, store, rng)
     for layer in enc.layers:
         layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
@@ -229,9 +229,9 @@ def test_backprop_from_every_packed_row_gradcheck(cell, layers, backward):
     last state, over sequences of mixed length, 0 and 1 among them: the
     loss sum_r readout_r . outputs[r] against central differences, for
     every parameter and every input entry."""
-    store = ParamStore()
     rng = Rng(31)
     branch = Branch.RIGHT if backward else Branch.LEFT
+    store = ParamStore(BranchEncoder.specs(branch, cell, 3, 2, layers))
     enc = BranchEncoder.build(branch, cell, 3, 2, layers, store, rng)
     for layer in enc.layers:
         layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)

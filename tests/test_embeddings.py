@@ -61,11 +61,16 @@ class TestLoadPretrained:
             load_pretrained(path, 2)
 
 
+def build_table(words, dim, rng, pretrained=None):
+    """A word table in a store of its own, declared by `WordTable.spec`."""
+    store = ParamStore([WordTable.spec(words, dim)])
+    return WordTable.build(words, dim, rng, store, pretrained)
+
+
 class TestWordTable:
     def test_pretrained_row_copied(self):
         vectors = load_pretrained(MINI_W2V, 8)
-        store = ParamStore()
-        table = WordTable.build([UNK, "broken", "zzz-novel"], 8, Rng(0), store, vectors)
+        table = build_table([UNK, "broken", "zzz-novel"], 8, Rng(0), vectors)
         [row] = table.rows(["broken"])
         assert np.array_equal(table.tensor.values[row], vectors["broken"])
         assert table.pretrained_hits == 1
@@ -73,34 +78,37 @@ class TestWordTable:
 
     def test_oov_row_comes_from_initializer(self):
         vectors = load_pretrained(MINI_W2V, 8)
-        store_a, store_b = ParamStore(), ParamStore()
-        with_pre = WordTable.build([UNK, "zzz-novel"], 8, Rng(4), store_a, vectors)
-        without = WordTable.build([UNK, "zzz-novel"], 8, Rng(4), store_b, None)
+        with_pre = build_table([UNK, "zzz-novel"], 8, Rng(4), vectors)
+        without = build_table([UNK, "zzz-novel"], 8, Rng(4), None)
         [row] = with_pre.rows(["zzz-novel"])
         assert np.array_equal(with_pre.tensor.values[row], without.tensor.values[row])
 
     def test_unknown_word_maps_to_unk_row(self):
-        store = ParamStore()
-        table = WordTable.build([UNK, "alpha"], 4, Rng(0), store)
+        table = build_table([UNK, "alpha"], 4, Rng(0))
         assert table.rows(["never-seen", "alpha"]) == [0, 1]
 
     def test_lookup_lowercases(self):
-        store = ParamStore()
-        table = WordTable.build([UNK, "november"], 4, Rng(0), store)
+        table = build_table([UNK, "november"], 4, Rng(0))
         upper, lower = table.rows(["NOVEMBER", "november"])
         assert upper == lower != 0
 
+    def test_duplicate_words_rejected(self):
+        with pytest.raises(ConfigurationError, match="duplicate words"):
+            build_table([UNK, "alpha", "alpha"], 4, Rng(0))
+
     def test_word_list_must_start_with_unk(self):
         with pytest.raises(ConfigurationError):
-            WordTable.build(["alpha", UNK], 4, Rng(0), ParamStore())
+            WordTable.spec(["alpha", UNK], 4)
 
 
 class TestAssembly:
     def build_embedder(self, d_w=300, d_b=20):
-        store = ParamStore()
+        words = [UNK, "alpha", "beta"]
+        store = ParamStore([WordTable.spec(words, d_w), ("branch_emb", (3, d_b))])
         rng = Rng(1)
-        word = WordTable.build([UNK, "alpha", "beta"], d_w, rng, store)
-        branch = store.create("branch_emb", init_uniform_scaled((3, d_b), rng))
+        word = WordTable.build(words, d_w, rng, store)
+        branch = store["branch_emb"]
+        init_uniform_scaled(branch.values, rng)
         return Embedder(word, branch)
 
     @staticmethod
@@ -112,7 +120,7 @@ class TestAssembly:
         x, rows, index = self.assemble(emb, ("alpha", "beta", "gamma"), Branch.LEFT)
         assert x.shape == (3, 320)
         assert rows[index].tolist() == [1, 2, 0]  # the unknown word maps to UNK
-        two_rows = ParamStore().create("branch_emb", np.zeros((2, 20)))
+        two_rows = ParamStore([("branch_emb", (2, 20))])["branch_emb"]
         with pytest.raises(ConfigurationError, match="branch table must have 3 rows"):
             Embedder(emb.word, two_rows)
 
@@ -141,8 +149,7 @@ class TestAssembly:
         assert not np.array_equal(left[:, 8:], nugget[:, 8:])
 
     def test_branch_disabled_width(self):
-        store = ParamStore()
-        word = WordTable.build([UNK, "alpha"], 300, Rng(0), store)
+        word = build_table([UNK, "alpha"], 300, Rng(0))
         emb = Embedder(word, None)
         x, _, index = self.assemble(emb, ("alpha", "alpha"), Branch.RIGHT)
         assert x.shape == (1, 300) and index.tolist() == [0, 0]

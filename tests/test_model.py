@@ -1,5 +1,6 @@
 """Cells, encoders, head, losses, full forward/backward."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,16 +26,18 @@ from fbrnn.model import (
 from fbrnn.numerics import ParamStore, Rng, sigmoid, softmax
 
 
-def make_gru_layer(store, d_in, h, rng, prefix="cell"):
-    from fbrnn.model import _build_layer
+def make_layer(kind, d_in, h, rng, prefix="cell"):
+    """One layer in a store of its own, declared by `_layer_specs`."""
+    from fbrnn.model import _build_layer, _layer_specs
 
-    return _build_layer(store, prefix, "gru", d_in, h, rng)
+    store = ParamStore(_layer_specs(prefix, kind, d_in, h))
+    return _build_layer(store, prefix, kind, d_in, h, rng)
 
 
-def make_lstm_layer(store, d_in, h, rng, prefix="cell"):
-    from fbrnn.model import _build_layer
-
-    return _build_layer(store, prefix, "lstm", d_in, h, rng)
+def make_encoder(branch, kind, d_in, hidden, n_layers, rng):
+    """An encoder and its own store, declared by `BranchEncoder.specs`."""
+    store = ParamStore(BranchEncoder.specs(branch, kind, d_in, hidden, n_layers))
+    return BranchEncoder.build(branch, kind, d_in, hidden, n_layers, store, rng), store
 
 
 def zero_layer(layer):
@@ -90,24 +93,21 @@ def scalar_lstm(x, h_prev, c_prev, p):
 
 class TestGruStep:
     def test_zero_weights_halve_hidden_state(self):
-        store = ParamStore()
-        layer = make_gru_layer(store, 3, 4, Rng(0))
+        layer = make_layer("gru", 3, 4, Rng(0))
         zero_layer(layer)
         h_prev = np.array([1.0, -2.0, 0.5, 4.0])
         h_new, _ = gru_step(np.zeros(3), h_prev, layer)
         assert np.array_equal(h_new, 0.5 * h_prev)  # z = 0.5 exactly, h + z (0 - h)
 
     def test_zero_state_zero_weights(self):
-        store = ParamStore()
-        layer = make_gru_layer(store, 3, 4, Rng(0))
+        layer = make_layer("gru", 3, 4, Rng(0))
         zero_layer(layer)
         h_new, _ = gru_step(np.ones(3), np.zeros(4), layer)
         assert np.array_equal(h_new, np.zeros(4))
 
     def test_matches_scalar_oracle(self):
-        store = ParamStore()
         rng = Rng(31)
-        layer = make_gru_layer(store, 3, 4, rng)
+        layer = make_layer("gru", 3, 4, rng)
         x = np.asarray(rng.uniform(-1, 1, 3))
         h_prev = np.asarray(rng.uniform(-1, 1, 4))
         h_new, acts = gru_step(x, h_prev, layer)
@@ -118,16 +118,14 @@ class TestGruStep:
             assert np.max(np.abs(a - ref)) <= 1e-12
 
     def test_shape_mismatch_fatal(self):
-        store = ParamStore()
-        layer = make_gru_layer(store, 3, 4, Rng(0))
+        layer = make_layer("gru", 3, 4, Rng(0))
         with pytest.raises(ConfigurationError):
             gru_step(np.zeros(5), np.zeros(4), layer)
 
 
 class TestLstmStep:
     def test_zero_weight_closed_form(self):
-        store = ParamStore()
-        layer = make_lstm_layer(store, 3, 4, Rng(0))
+        layer = make_layer("lstm", 3, 4, Rng(0))
         zero_layer(layer)
         c_prev = np.array([1.0, -2.0, 0.5, 4.0])
         h_new, c_new, _ = lstm_step(np.zeros(3), np.zeros(4), c_prev, layer)
@@ -135,16 +133,14 @@ class TestLstmStep:
         assert np.array_equal(h_new, 0.5 * np.tanh(0.5 * c_prev))
 
     def test_zero_cell_zero_weights(self):
-        store = ParamStore()
-        layer = make_lstm_layer(store, 3, 4, Rng(0))
+        layer = make_layer("lstm", 3, 4, Rng(0))
         zero_layer(layer)
         h_new, c_new, _ = lstm_step(np.ones(3), np.zeros(4), np.zeros(4), layer)
         assert np.array_equal(h_new, np.zeros(4))
 
     def test_matches_scalar_oracle(self):
-        store = ParamStore()
         rng = Rng(47)
-        layer = make_lstm_layer(store, 3, 4, rng)
+        layer = make_layer("lstm", 3, 4, rng)
         x = np.asarray(rng.uniform(-1, 1, 3))
         h_prev = np.asarray(rng.uniform(-1, 1, 4))
         c_prev = np.asarray(rng.uniform(-1, 1, 4))
@@ -175,7 +171,7 @@ class TestTanhGates:
     def gates_of(self, kind, values):
         """The sigmoid gates of one step from a zero state whose input is
         one of `values` per row: gate pre-activations equal to the value."""
-        layer = (make_gru_layer if kind == "gru" else make_lstm_layer)(ParamStore(), 1, 1, Rng(0))
+        layer = make_layer(kind, 1, 1, Rng(0))
         zero_layer(layer)
         layer.W.values[:-1] = 1.0  # every gate but the tanh one reads x
         x, zeros = values[:, None], np.zeros((len(values), 1))
@@ -207,10 +203,9 @@ def at_last_row(d_rep, cache):
 
 class TestBranchEncoder:
     def build(self, kind, backward=False, layers=1, seed=3):
-        store = ParamStore()
         rng = Rng(seed)
-        enc = BranchEncoder.build(
-            Branch.RIGHT if backward else Branch.NUGGET, kind, 3, 4, layers, store, rng
+        enc, store = make_encoder(
+            Branch.RIGHT if backward else Branch.NUGGET, kind, 3, 4, layers, rng
         )
         return enc, store, rng
 
@@ -397,9 +392,8 @@ class TestStackedGatesMatchPerGateFormulas:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     @pytest.mark.parametrize("d_in,hidden", [(3, 4), (12, 10)])
     def test_two_layers_nonzero_biases(self, kind, d_in, hidden):
-        store = ParamStore()
         rng = Rng(23)
-        enc = BranchEncoder.build(Branch.NUGGET, kind, d_in, hidden, 2, store, rng)
+        enc, _ = make_encoder(Branch.NUGGET, kind, d_in, hidden, 2, rng)
         for layer in enc.layers:
             layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
         xs = [np.asarray(rng.uniform(-1, 1, d_in)) for _ in range(5)]
@@ -420,8 +414,7 @@ class TestStackedGatesMatchPerGateFormulas:
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_empty_branch(self, kind):
-        store = ParamStore()
-        enc = BranchEncoder.build(Branch.LEFT, kind, 3, 4, 2, store, Rng(2))
+        enc, store = make_encoder(Branch.LEFT, kind, 3, 4, 2, Rng(2))
         rep, cache = enc.encode([])
         assert np.array_equal(rep, np.zeros(4))
         d_xs = enc.backprop(np.zeros((0, 4)), cache)
@@ -430,16 +423,16 @@ class TestStackedGatesMatchPerGateFormulas:
 
     @pytest.mark.parametrize("kind,n_gates", [("gru", 3), ("lstm", 4)])
     def test_three_tensors_drawn_gate_by_gate(self, kind, n_gates):
-        from fbrnn.model import _build_layer
+        from fbrnn.model import _build_layer, _layer_specs
         from fbrnn.numerics import init_uniform_scaled
 
-        store = ParamStore()
+        store = ParamStore(_layer_specs("cell", kind, 3, 4))
         layer = _build_layer(store, "cell", kind, 3, 4, Rng(8))
         assert store.names() == ["cell.W", "cell.U", "cell.b"]
         rng = Rng(8)
         for W, U, b in per_gate(layer, n_gates):
-            assert np.array_equal(W, init_uniform_scaled((4, 3), rng))
-            assert np.array_equal(U, init_uniform_scaled((4, 4), rng))
+            assert np.array_equal(W, init_uniform_scaled(np.empty((4, 3)), rng))
+            assert np.array_equal(U, init_uniform_scaled(np.empty((4, 4)), rng))
             assert not b.any()
 
 
@@ -455,7 +448,7 @@ class TestHoistedFactorBackprop:
         input and parameter gradients agree within 1e-12 relative."""
         d_in, hidden = 320, 32
         rng = Rng(57)
-        enc = BranchEncoder.build(branch, kind, d_in, hidden, 2, ParamStore(), rng)
+        enc, _ = make_encoder(branch, kind, d_in, hidden, 2, rng)
         for layer in enc.layers:
             layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
         lengths = [5, 0, 17, 1, 9, 17, 0]
@@ -502,7 +495,7 @@ class TestPackedLayout:
                 row = layout.row(step, seq)
                 assert layout.prev[row - first] == layout.row(step - 1, seq)
         branch = Branch.RIGHT if backward else Branch.LEFT
-        enc = BranchEncoder.build(branch, "gru", 2, 3, 1, ParamStore(), Rng(0))
+        enc, _ = make_encoder(branch, "gru", 2, 3, 1, Rng(0))
         inputs = np.arange(1.0, 1.0 + 2 * sum(lengths)).reshape(-1, 2) / 7.0
         reps, cache = enc.encode(inputs, lengths=lengths)
         assert cache.layout is layout and reps.shape == (len(lengths), 3)
@@ -518,7 +511,7 @@ class TestPackedLayout:
     def test_encode_rejects_lengths_that_are_not_counts(self, lengths):
         """A negative or non-integer length is an error, not a zero
         representation or a truncated count."""
-        enc = BranchEncoder.build(Branch.LEFT, "gru", 2, 3, 1, ParamStore(), Rng(0))
+        enc, _ = make_encoder(Branch.LEFT, "gru", 2, 3, 1, Rng(0))
         with pytest.raises(ConfigurationError, match="lengths must be integers >= 0"):
             enc.encode(np.zeros((3, 2)), lengths=lengths)
 
@@ -546,7 +539,7 @@ class TestHoistedInputProjection:
         through `PackedLayout.row`."""
         d_in, hidden = 320, 32
         rng = Rng(31)
-        enc = BranchEncoder.build(branch, kind, d_in, hidden, layers, ParamStore(), rng)
+        enc, _ = make_encoder(branch, kind, d_in, hidden, layers, rng)
         for layer in enc.layers:
             layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
         lengths = [5, 0, 17, 1, 9, 17]
@@ -570,6 +563,42 @@ class TestHoistedInputProjection:
             for step, state in enumerate(states):
                 packed = cache.outputs[cache.layout.row(step, seq)]
                 assert np.max(np.abs(packed - state)) <= 1e-12, (seq, step)
+
+
+class TestConstructionIsPinned:
+    """`build_model`'s flat value bytes, as SHA-256 of their little-endian
+    float64, recorded when each tensor was still drawn into an array of its
+    own and then moved into the flat buffer. A reordered draw, or a
+    declaration in another order, changes them."""
+
+    WORDS = ["delta", "alpha", "Beta", "gamma", "alpha"]
+    LABELS = LabelSet(["Attack", "Meet"])
+    PRETRAINED = {"BETA": np.arange(5.0) - 2.5, "gamma": np.full(5, 0.25), "beta": np.ones(5),
+                  "zeta": np.zeros(5)}
+
+    @staticmethod
+    def digest(model):
+        return hashlib.sha256(model.store.values.astype("<f8").tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("pretrained, expected", [
+        (False, "9059da912bf1138eea3dac6705183601f5d79c1b81941c988b397555bff3a4ce"),
+        (True, "36c924592da78e1f201541d63bcef62df417af1508a0bee48d09242bc20f86ba"),
+    ], ids=["drawn", "pretrained"])
+    def test_two_layer_lstm_with_a_deep_head(self, pretrained, expected):
+        cfg = ModelConfig(cell="lstm", hidden_size=3, layers=2, word_dim=5, branch_dim=2,
+                          head_hidden=(4, 2))
+        model = build_model(cfg, self.WORDS, self.LABELS, Rng(11),
+                            self.PRETRAINED if pretrained else None)
+        assert model.store.values.size == 738
+        assert self.digest(model) == expected
+
+    def test_gru_without_branch_embeddings(self):
+        cfg = ModelConfig(hidden_size=4, word_dim=6, use_branch=False)
+        model = build_model(cfg, self.WORDS, self.LABELS, Rng(12))
+        assert model.store.values.size == 621
+        assert self.digest(model) == (
+            "9722f3dc3fce7605a1f75a750ab22b1e88c7999fd4802284d3a3a3d96b173927"
+        )
 
 
 class TestHeadAndLosses:

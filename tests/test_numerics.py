@@ -20,6 +20,7 @@ from fbrnn.model import ModelConfig, build_model
 from fbrnn.numerics import (
     UPDATE_BLOCK,
     Optimizer,
+    ParamSpec,
     ParamStore,
     Rng,
     RowRegion,
@@ -75,6 +76,23 @@ class TestRng:
         assert blocked.random(n).tobytes() == np.array(units).tobytes()
         assert blocked.uniform(lo, hi, n).tobytes() == np.array(uniforms).tobytes()
         assert blocked.next_u64() == scalar.next_u64()
+
+    @pytest.mark.parametrize("shape", [(1,), (UPDATE_BLOCK + 5,), (7, 3), (3, UPDATE_BLOCK // 2 + 1)])
+    def test_draws_into_an_output_array_as_into_a_new_one(self, shape):
+        """`out` is filled row-major with the bits of `n = out.size` draws,
+        and the stream ends in the same state."""
+        into, fresh = Rng(4), Rng(4)
+        out = np.full(shape, np.nan)
+        assert into.uniform(-0.5, 2.0, out=out) is out
+        expected = fresh.uniform(-0.5, 2.0, out.size)
+        assert out.reshape(-1).tobytes() == expected.tobytes()
+        assert into.next_u64() == fresh.next_u64()
+
+    def test_refuses_an_output_it_cannot_fill_in_place(self):
+        out = np.zeros((4, 6))
+        with pytest.raises(ConfigurationError, match="C-contiguous"):
+            Rng(0).uniform(0.0, 1.0, out=out[:, :3])
+        assert not out.any()
 
     def test_scalar_and_array_draws_interleave_into_one_stream(self):
         sizes = [3, 1, UPDATE_BLOCK + 2, 0, 5]
@@ -191,9 +209,10 @@ class TestActivations:
 
 _INIT_AND_MEASURE = """
 import json, resource
+import numpy as np
 from fbrnn.numerics import Rng, init_uniform_scaled
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-table = init_uniform_scaled((20000, 300), Rng(1))
+table = init_uniform_scaled(np.empty((20000, 300)), Rng(1))
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"grown_kb": after - before, "result_kb": table.nbytes / 1024}))
 """
@@ -201,17 +220,29 @@ print(json.dumps({"grown_kb": after - before, "result_kb": table.nbytes / 1024})
 
 class TestInit:
     def test_bound(self):
-        t = init_uniform_scaled((4, 4), Rng(0))
+        t = init_uniform_scaled(np.empty((4, 4)), Rng(0))
         assert np.abs(t).max() <= math.sqrt(6 / 8)
 
     def test_deterministic(self):
-        a = init_uniform_scaled((5, 3), Rng(99))
-        b = init_uniform_scaled((5, 3), Rng(99))
+        a = init_uniform_scaled(np.empty((5, 3)), Rng(99))
+        b = init_uniform_scaled(np.empty((5, 3)), Rng(99))
         assert np.array_equal(a, b)
+
+    def test_draws_into_its_output_in_place(self):
+        """The fans come from `out`'s shape; a vector's fan_in is its length.
+        Without an rng `out` keeps its values."""
+        out = np.full((3, 5), 7.0)
+        assert init_uniform_scaled(out, None) is out and (out == 7.0).all()
+        assert init_uniform_scaled(out, Rng(2)) is out
+        bound = math.sqrt(6 / (3 + 5))
+        assert np.array_equal(out.reshape(-1), Rng(2).uniform(-bound, bound, 15))
+        vector = init_uniform_scaled(np.empty(6), Rng(2))
+        bound = math.sqrt(6 / 12)
+        assert np.array_equal(vector, Rng(2).uniform(-bound, bound, 6))
 
     def test_statistical_mean(self):
         # 1e5 draws: empirical mean of a zero-mean uniform is ~0
-        t = init_uniform_scaled((50_000, 2), Rng(3))
+        t = init_uniform_scaled(np.empty((50_000, 2)), Rng(3))
         assert abs(t.mean()) < 0.01
 
     def test_draw_allocates_little_beyond_its_result(self):
@@ -234,9 +265,8 @@ class TestDropout:
         # even at a rate that would zero nearly every unit.
         from fbrnn.model import Head
 
-        store = ParamStore()
-        out_w = store.create("out.W", init_uniform_scaled((3, 64), Rng(4)))
-        out_b = store.create("out.b", np.zeros(3))
+        out_w, out_b = ParamStore([("out.W", (3, 64)), ("out.b", (3,))])
+        init_uniform_scaled(out_w.values, Rng(4))
         rep = np.linspace(-1.0, 1.0, 64)
         probs, cache = Head([(out_w, out_b)], "softmax", 0.9).forward(rep)
         assert cache.mask is None
@@ -257,9 +287,17 @@ class TestDropout:
             dropout_mask(4, 1.0, Rng(0))
 
 
+def store_of(tensors):
+    """A store declaring each named array of `tensors`, in order, holding its values."""
+    arrays = {name: np.asarray(values, dtype=np.float64) for name, values in tensors.items()}
+    store = ParamStore([(name, a.shape) for name, a in arrays.items()])
+    for name, a in arrays.items():
+        store[name].values[...] = a
+    return store
+
+
 def one_tensor_store(name, values):
-    store = ParamStore()
-    store.create(name, values)
+    store = store_of({name: values})
     return store, store[name]
 
 
@@ -310,23 +348,20 @@ class TestOptimizers:
             adam_step(values, grad, np.zeros(5), np.zeros(3), 1, 1e-3, 0.9, 0.999, 1e-8, scratch)
 
     def test_clip_scales_to_max_norm(self):
-        store = ParamStore()
-        t = store.create("t", np.zeros(4))
+        store, t = one_tensor_store("t", np.zeros(4))
         t.grad[:] = 3.0  # norm 6
         norm = clip_gradients(store, 3.0)
         assert norm == pytest.approx(6.0)
         assert np.linalg.norm(t.grad) == pytest.approx(3.0)
 
     def test_clip_names_nonfinite_tensor(self):
-        store = ParamStore()
-        t = store.create("exploding", np.zeros(2))
+        store, t = one_tensor_store("exploding", np.zeros(2))
         t.grad[:] = np.nan
         with pytest.raises(NumericError, match="exploding"):
             clip_gradients(store, 5.0)
 
     def test_optimizer_step_counts(self):
-        store = ParamStore()
-        store.create("a", np.ones(2))
+        store, _ = one_tensor_store("a", np.ones(2))
         opt = Optimizer(store, kind="adam", lr=1e-3)
         opt.step()
         opt.step()
@@ -392,10 +427,7 @@ def reference_step(params, grads, moments, kind, t, lr, clip_norm,
 
 def flat_store(seed):
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    for name, shape in FLAT_SHAPES.items():
-        store.create(name, rng.uniform(-0.5, 0.5, shape))
-    return store
+    return store_of({name: rng.uniform(-0.5, 0.5, shape) for name, shape in FLAT_SHAPES.items()})
 
 
 def row_sparse_grads(rng):
@@ -557,8 +589,7 @@ class TestLiveRows:
 
 class TestGradCheck:
     def test_quadratic(self):
-        store = ParamStore()
-        x = store.create("x", [3.0])
+        store, x = one_tensor_store("x", [3.0])
         x.grad += 2.0 * x.values
 
         report = grad_check(lambda: float(x.values[0] ** 2), store)
@@ -566,14 +597,12 @@ class TestGradCheck:
         assert not store.grad.any()  # buffers are zeroed on return
 
     def test_constant_function(self):
-        store = ParamStore()
-        store.create("x", [1.0, 2.0])
+        store, _ = one_tensor_store("x", [1.0, 2.0])
         report = grad_check(lambda: 7.0, store)
         assert report.max_rel_error == 0.0
 
     def test_nondeterministic_loss_detected(self):
-        store = ParamStore()
-        store.create("x", [1.0])
+        store, _ = one_tensor_store("x", [1.0])
         counter = iter(range(1000))
 
         def loss_fn():
@@ -584,14 +613,12 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan])
     def test_rejects_non_positive_step(self, eps):
-        store = ParamStore()
-        store.create("x", [1.0])
+        store, _ = one_tensor_store("x", [1.0])
         with pytest.raises(ConfigurationError, match="step"):
             grad_check(lambda: 0.0, store, eps=eps)
 
     def test_wrong_analytic_gradient_flagged(self):
-        store = ParamStore()
-        x = store.create("x", [2.0])
+        store, x = one_tensor_store("x", [2.0])
         x.grad += 1.0  # wrong: true gradient of x^2 is 2x
 
         report = grad_check(lambda: float(x.values[0] ** 2), store)
@@ -606,9 +633,8 @@ class TestGradCheck:
     def test_non_finite_entry_fails(self, bad_grad, bad_loss):
         """NaN compares false with every bound, so it must not be dropped
         as a small error: it counts as inf, and the report names its tensor."""
-        store = ParamStore()
-        store.create("w", [3.0])
-        x = store.create("x", [1.0, 2.0])
+        store = store_of({"w": [3.0], "x": [1.0, 2.0]})
+        x = store["x"]
         x.grad += 2.0 * x.values
         if bad_grad is not None:
             x.grad[0] = bad_grad
@@ -626,14 +652,16 @@ class TestGradCheck:
 
 class TestParamStore:
     def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.create("w", [1.0])
-        with pytest.raises(ConfigurationError):
-            store.create("w", [2.0])
+        with pytest.raises(ConfigurationError, match="duplicate tensor name 'w'"):
+            ParamStore([("w", (1,)), ("v", (2,)), ("w", (2,))])
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (-1, 2)])
+    def test_tensor_without_elements_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match="tensor 'w' has no elements"):
+            ParamStore([("v", (2,)), ("w", shape)])
 
     def test_clone_and_load_roundtrip(self):
-        store = ParamStore()
-        t = store.create("w", [1.0, 2.0])
+        store, t = one_tensor_store("w", [1.0, 2.0])
         snapshot = store.clone_values()
         t.values[:] = 0.0
         store.load_values(snapshot)
@@ -641,36 +669,49 @@ class TestParamStore:
 
     def test_load_rejects_shape_mismatch(self):
         """The snapshot is flat: one of another store's size does not fit."""
-        store = ParamStore()
-        store.create("w", [1.0, 2.0])
+        store, _ = one_tensor_store("w", [1.0, 2.0])
         with pytest.raises(ValueError):
             store.load_values(np.zeros(3))
 
-    def test_pack_makes_tensors_views_of_flat_arrays(self):
-        store = ParamStore()
-        a = store.create("a", [[1.0, 2.0], [3.0, 4.0]])
-        b = store.create("b", [5.0])
-        z = store.create("z", [-0.0, -0.0])  # all bits zero but the signs
-        b.grad[0] = 0.5  # accumulated before packing survives it
-        store.pack()
+    def test_tensors_are_views_of_flat_arrays_from_the_start(self):
+        store = ParamStore([ParamSpec("a", (2, 2)), ("b", (1,)), ("z", (2,), True)])
+        a, b, z = store
+        assert (a.shape, b.shape, z.shape) == ((2, 2), (1,), (2,))
+        assert a.reached is None and z.reached.tolist() == [False, False]
+        assert not store.values.any() and not store.grad.any()
+        a.values[...] = [[1.0, 2.0], [3.0, 4.0]]
+        b.values[0] = 5.0
+        z.values[:] = -0.0
+        b.grad[0] = 0.5
         assert list(store.values) == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0]
         assert list(store.grad) == [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0]
-        assert np.signbit(z.values).all()
+        assert np.signbit(store.values[5:]).all()
         assert np.shares_memory(a.values, store.values)
         assert np.shares_memory(b.grad, store.grad)
         store.values[4] = -1.0
         assert b.values[0] == -1.0
 
-    def test_packed_store_rejects_new_tensors(self):
-        store = ParamStore()
-        store.create("w", [1.0])
-        store.zero_grads()  # first use packs
-        with pytest.raises(ConfigurationError, match="packed"):
-            store.create("v", [2.0])
+    def test_first_nonfinite_names_the_first_tensor_that_holds_one(self):
+        """The check runs one UPDATE_BLOCK piece at a time: a NaN or Inf
+        on either side of a piece boundary, or in the last entry, names its
+        tensor; `fill` writes each piece before it is checked."""
+        store = ParamStore([("a", (UPDATE_BLOCK + 3,)), ("b", (UPDATE_BLOCK - 1, 2)), ("c", (1,))])
+        assert store.first_nonfinite() is None
+        for index, name in [(0, "a"), (UPDATE_BLOCK - 1, "a"), (UPDATE_BLOCK, "a"),
+                            (UPDATE_BLOCK + 3, "b"), (2 * UPDATE_BLOCK, "b"),
+                            (store.values.size - 1, "c")]:
+            for bad in (np.nan, -np.inf):
+                store.values[index] = bad
+                assert store.first_nonfinite() == name, index
+                store.values[-1] = np.inf  # a later one does not change the answer
+                assert store.first_nonfinite() == name, index
+                store.values[:] = 0.0
+        pieces = []
+        assert store.first_nonfinite(lambda piece: pieces.append(piece.size)) is None
+        assert pieces == [UPDATE_BLOCK] * 3 + [2]
 
     def test_clone_is_independent_of_later_updates(self):
-        store = ParamStore()
-        t = store.create("w", [1.0, 2.0])
+        store, t = one_tensor_store("w", [1.0, 2.0])
         snapshot = store.clone_values()
         t.values[:] = 7.0
         assert list(snapshot) == [1.0, 2.0]

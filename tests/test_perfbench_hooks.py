@@ -2,7 +2,6 @@
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fbrnn import evaluation, model, numerics, training
@@ -20,9 +19,8 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     tracer = tracing.Tracer()
     tracing.install(tracer, clip_norm=5.0)
     try:
-        store = numerics.ParamStore()
-        store.create("a", np.ones((3, 2)))
-        store.create("b", np.ones(4))
+        store = numerics.ParamStore([("a", (3, 2)), ("b", (4,))])
+        store.values[:] = 1.0
         store.grad[:] = 1.0
         numerics.Optimizer(store).step()
         store.zero_grads()

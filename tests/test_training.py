@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from fbrnn.corpus import (
 from fbrnn.errors import ConfigurationError, DataError, NumericError
 from fbrnn.evaluation import PRFReport, evaluate_model
 from fbrnn.model import ModelConfig, assemble_model, build_model
-from fbrnn.numerics import Rng
+from fbrnn.numerics import UPDATE_BLOCK, Optimizer, ParamStore, Rng
 from fbrnn.training import (
     CHECKPOINT_VERSION,
     EpochStat,
@@ -232,6 +233,31 @@ class TestLoop:
         assert [e.dev_f1 for e in log.epochs] == pytest.approx(f1s[:epochs])
         assert (len(log.epochs), log.best_epoch) == (epochs, best)
         assert np.array_equal(model.store.values, values[best - 1])
+
+    def test_a_one_epoch_run_takes_no_snapshot(self, small_data, monkeypatch):
+        """With one epoch the best epoch is the last: nothing can change the
+        values after it, so they are never cloned nor restored."""
+        def refused(self, *args):
+            raise AssertionError("a one-epoch run snapshots its values")
+
+        monkeypatch.setattr(ParamStore, "clone_values", refused)
+        monkeypatch.setattr(ParamStore, "load_values", refused)
+        model, log = run(dataclasses.replace(SMALL_CFG, max_epochs=1), small_data)
+        assert (len(log.epochs), log.best_epoch) == (1, 1)
+
+    def test_a_best_last_epoch_is_not_restored(self, small_data, monkeypatch):
+        """Dev F1 rising every epoch: each epoch but the last is snapshot,
+        none is restored."""
+        f1s = iter([0.5, 0.6, 0.7])
+        monkeypatch.setattr("fbrnn.training.evaluate_model",
+                            lambda *args: PRFReport(round(10 * next(f1s)), 10, 10))
+        calls = []
+        clone = ParamStore.clone_values
+        monkeypatch.setattr(ParamStore, "clone_values",
+                            lambda self: calls.append("clone") or clone(self))
+        monkeypatch.setattr(ParamStore, "load_values", lambda self, v: calls.append("load"))
+        _, log = run(dataclasses.replace(SMALL_CFG, max_epochs=3), small_data)
+        assert (len(log.epochs), log.best_epoch, calls) == (3, 3, ["clone", "clone"])
 
     def test_negative_ratio_without_positives_rejected(self, small_data):
         # _epoch_order would keep no example, and the mean epoch loss would
@@ -546,6 +572,84 @@ class TestCheckpoint:
         _write(path, header, payload[:-8] + struct.pack("<d", bad))
         with pytest.raises(DataError, match="tensor 'head.out.b' holds non-finite values"):
             load_checkpoint(path)
+
+
+class TestBlockwiseFiniteCheck:
+    """Save and load check the flat values one UPDATE_BLOCK piece at a time;
+    a NaN on either side of a piece boundary inside `word_emb` (the first
+    tensor, 300 x 300 entries, so the boundary falls in it) names it."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = ModelConfig(hidden_size=3, word_dim=300, branch_dim=2)
+        model = build_model(cfg, [f"w{i}" for i in range(299)], LabelSet(["A"]), Rng(3))
+        assert model.store.names()[0] == "word_emb"
+        assert model.store["word_emb"].size > UPDATE_BLOCK
+        return model
+
+    @pytest.mark.parametrize("index", [UPDATE_BLOCK - 1, UPDATE_BLOCK])
+    def test_save_refuses(self, tmp_path, model, index):
+        values = model.store.values
+        kept = values[index]
+        values[index] = np.nan
+        try:
+            with pytest.raises(NumericError, match="cannot save tensor 'word_emb'"):
+                save_checkpoint(tmp_path / "ckpt.fbrnn", model)
+        finally:
+            values[index] = kept
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("index", [UPDATE_BLOCK - 1, UPDATE_BLOCK])
+    def test_load_refuses(self, tmp_path, model, index):
+        path = tmp_path / "ckpt.fbrnn"
+        save_checkpoint(path, model)
+        header, payload = _split(path)
+        at = 8 * index
+        _write(path, header, payload[:at] + struct.pack("<d", np.nan) + payload[at + 8 :])
+        with pytest.raises(DataError, match="tensor 'word_emb' holds non-finite values"):
+            load_checkpoint(path)
+
+
+class TestPeakMemory:
+    """Neither building a model nor loading one makes a second copy of its
+    parameters: traced allocations peak at the store's two flat arrays
+    (values and gradient) plus SLACK. The slack covers the draws' three
+    512 KB scratch blocks, the vocabulary's list and dict, and the header's
+    JSON; a third table-sized array (9.2 MiB here) would exceed it. The SGD
+    optimizer keeps no state of its own (Adam adds its two moment arrays)."""
+
+    SLACK = 3 * 2**20
+    CFG = ModelConfig(hidden_size=4, word_dim=300, branch_dim=3)
+    WORDS = [f"w{i}" for i in range(3999)]  # a 4,000 x 300 table with UNK
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_model_and_optimizer(self):
+        def build():
+            model = build_model(self.CFG, self.WORDS, LabelSet(["A", "B"]), Rng(1))
+            Optimizer(model.store, kind="sgd")
+            return model
+
+        model, peak = self.peak(build)
+        store = model.store
+        assert store["word_emb"].shape == (4000, 300)
+        assert peak <= store.values.nbytes + store.grad.nbytes + self.SLACK
+
+    def test_load_checkpoint(self, tmp_path):
+        model = build_model(self.CFG, self.WORDS, LabelSet(["A", "B"]), Rng(1))
+        path = tmp_path / "ckpt.fbrnn"
+        save_checkpoint(path, model)
+        del model
+        loaded, peak = self.peak(lambda: load_checkpoint(path))
+        store = loaded.model.store
+        assert peak <= store.values.nbytes + store.grad.nbytes + self.SLACK
 
 
 _EDGES = [-0.0, 5e-324, -5e-324, 2.225e-308, np.finfo(float).tiny, np.finfo(float).max,
