@@ -227,7 +227,7 @@ def cmd_candidates(args) -> int:
         spans = [{"start": c.start, "end": c.end, "label": list(c.types)} for c in cands]
         lines.append(json.dumps({"tokens": _sentence_to_obj(s)["tokens"], "candidates": spans}))
         types += (c.types for c in cands)
-    write_text_atomic(Path(args.out), "\n".join(lines) + "\n")
+    write_text_atomic(Path(args.out), "".join(line + "\n" for line in lines))
     print(f"{len(types)} candidates over {len(corpus)} sentences "
           f"({sum(map(bool, types))} aligned to gold) -> {args.out}")
     return 0

@@ -125,30 +125,24 @@ class WordTable:
         The full matrix is drawn from the scaled-uniform initializer into
         the store's view first, then rows found in `pretrained` are
         overwritten, so the rng stream does not depend on pretrained
-        coverage. Pretrained lookup is case-insensitive, first file entry
-        wins.
+        coverage. A file entry writes the row of its lowercased word unless
+        that row is UNK's or an earlier entry wrote it.
         """
         vocab = {w: i for i, w in enumerate(words)}
         if len(vocab) != len(words):
             raise ConfigurationError("duplicate words in vocabulary")
         tensor = store["word_emb"]
         init_uniform_scaled(tensor.values, rng)
-        hits = 0
-        oov = []
-        if pretrained is not None:
-            folded: dict[str, np.ndarray] = {}
-            for w, vec in pretrained.items():
-                folded.setdefault(w.lower(), vec)
-            for w, i in vocab.items():
-                if w == UNK:
-                    continue
-                vec = folded.get(w)
-                if vec is None:
-                    oov.append(w)
-                else:
-                    tensor.values[i] = vec
-                    hits += 1
-        return cls(vocab, tensor, hits, tuple(oov))
+        if pretrained is None:
+            return cls(vocab, tensor)
+        written = set()  # rows taken from the file; never row 0, the UNK
+        for w, vec in pretrained.items():
+            i = vocab.get(w.lower(), 0)
+            if i and i not in written:
+                tensor.values[i] = vec
+                written.add(i)
+        oov = tuple(w for i, w in enumerate(words) if i and i not in written)
+        return cls(vocab, tensor, len(written), oov)
 
     @property
     def dim(self) -> int:
@@ -172,8 +166,6 @@ class Embedder:
             raise ConfigurationError(f"branch table must have 3 rows, got {branch.shape}")
         self.word = word
         self.branch = branch
-        # an empty branch's input: zero-size, so sharing it is safe
-        self._empty = (np.empty((0, self.input_dim)), *np.empty((2, 0), dtype=np.intp))
 
     @property
     def input_dim(self) -> int:
@@ -186,8 +178,6 @@ class Embedder:
         branch's N word rows (`WordTable.rows`), those words' rows in order of
         first use, and each token's index into them. Row u is [word_row ;
         branch_row], or the word row alone when branch embeddings are disabled."""
-        if not len(rows):
-            return self._empty
         slot = {row: u for u, row in enumerate(dict.fromkeys(rows))}
         words = np.fromiter(slot, dtype=np.intp, count=len(slot))
         index = np.array([slot[row] for row in rows], dtype=np.intp)
@@ -205,10 +195,7 @@ class Embedder:
         (`BranchEncoder.backprop`), so each distinct word row is added to
         once, by `ParamTensor.add_row_grads`, which marks it reached (see
         `ParamStore`). The branch row receives the column sum of the branch
-        part. An empty branch returns at once.
-        """
-        if len(words) == 0:
-            return
+        part."""
         d_w = self.word.dim
         self.word.tensor.add_row_grads(words, d_inputs[:, :d_w])
         if self.branch is not None:

