@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -253,17 +253,21 @@ def align_labels(
             by_span[key] = merged
         else:
             by_span[key] = g.types
-    return [replace(c, types=by_span.get(c.span, ())) for c in cands]
+    return [NuggetCandidate(c.start, c.end, by_span.get((c.start, c.end), ())) for c in cands]
 
 
 def split_branches(s: Sentence, c: NuggetCandidate) -> BranchSplit:
     """Exact three-way partition: left context, nugget span, right context."""
-    if not 0 <= c.start <= c.end < len(s.tokens):
+    return _split(s.texts(), c)
+
+
+def _split(texts: tuple[str, ...], c: NuggetCandidate) -> BranchSplit:
+    """`split_branches` of the sentence whose token texts are `texts`."""
+    if not 0 <= c.start <= c.end < len(texts):
         raise DataError(
             f"candidate span ({c.start},{c.end}) out of range for sentence "
-            f"of {len(s.tokens)} tokens"
+            f"of {len(texts)} tokens"
         )
-    texts = s.texts()
     return BranchSplit(
         left=texts[: c.start],
         nugget=texts[c.start : c.end + 1],
@@ -307,9 +311,11 @@ def corpus_candidates(
 def build_examples(corpus: Corpus, lex: TriggerLexicon, labels: LabelSet,
                    max_nugget_len: int = 3) -> list[LabeledExample]:
     """Labeled, branch-split classification instances for a whole corpus."""
-    return [LabeledExample(i, cand, split_branches(sentence, cand))
-            for i, sentence, cands in corpus_candidates(corpus, lex, labels, max_nugget_len)
-            for cand in cands]
+    examples = []
+    for i, sentence, cands in corpus_candidates(corpus, lex, labels, max_nugget_len):
+        texts = sentence.texts()  # once per sentence; each candidate slices it
+        examples += [LabeledExample(i, cand, _split(texts, cand)) for cand in cands]
+    return examples
 
 
 def build_datasets(

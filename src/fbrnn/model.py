@@ -15,11 +15,12 @@ connected stack, and classified by either a softmax over all classes
 
 Gradients are computed analytically: each candidate's slice of the head
 gradient enters its encoder at the row it read; per layer, top first, the
-encoder recomputes every step's activations in one call from the states it
-kept and, once, each factor of the step gradients that dh does not enter,
-loops back over the steps for the state gradients only (BPTT), and takes
-each weight gradient as one product, layer 0's over U rows after a segment
-sum; input gradients go to the embedding rows. Gradients accumulate.
+encoder reads every step's activations, which the forward's steps left in
+place of its input projection, computes once each factor of the step
+gradients that dh does not enter, loops back over the steps for the state
+gradients only (BPTT), and takes each weight gradient as one product,
+layer 0's over U rows after a segment sum; input gradients go to the
+embedding rows. Gradients accumulate.
 
 Conventions fixed here:
     GRU   z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br)
@@ -199,34 +200,48 @@ def gru_step(
     gives the bits of `M @ vector`. The input projection comes first, with
     the bias: `(x W^T + b) + h U^T`."""
     _check_shapes("gru_step", x, h_prev, p)
-    return _gru_step(_projection(x, p), h_prev, _recurrence(p))
+    return _gru_step(*_projection(x, p), h_prev, *_recurrence(p))
 
 
-def _projection(x: np.ndarray, p: RecurrentLayer) -> np.ndarray:
-    """`x W^T + b`, the sigmoid gates' columns (all but the last h) halved
-    (exact): a cell takes such a gate as sig(a) = 0.5 tanh(a/2) + 0.5."""
-    wx = x @ p.W.values.T + p.b.values
-    wx[..., : -p.U.shape[1]] *= 0.5
-    return wx
+def _projection(x: np.ndarray, p: RecurrentLayer, rows=...) -> list[np.ndarray]:
+    """`x W^T + b` at `rows` of x (all by default), the sigmoid gates'
+    columns (all but the last h) halved (exact): a cell takes such a gate
+    as sig(a) = 0.5 tanh(a/2) + 0.5. Returned as the C-contiguous gate
+    blocks a step turns into its activations in place: z|r and c for the
+    GRU, i|f|o|g for the LSTM (numpy's SIMD tanh skips strided views)."""
+    wx = x @ p.W.values.T
+    wx += p.b.values
+    h = p.U.shape[1]
+    wx[..., :-h] *= 0.5
+    if len(p.b.values) == 4 * h:
+        return [wx[rows]]
+    return [np.ascontiguousarray(wx[rows, : 2 * h]), np.ascontiguousarray(wx[rows, 2 * h :])]
 
 
-def _recurrence(p: RecurrentLayer) -> np.ndarray:
-    """U^T, (h, G*h), its sigmoid gates' columns halved as in `_projection`."""
+def _recurrence(p: RecurrentLayer) -> list[np.ndarray]:
+    """U^T, (h, G*h), its sigmoid gates' columns halved as in `_projection`,
+    as views of `_projection`'s blocks of columns."""
     U_t = p.U.values.T.copy()
-    U_t[:, : -p.U.shape[1]] *= 0.5
-    return U_t
+    h = p.U.shape[1]
+    U_t[:, :-h] *= 0.5
+    return [U_t] if len(p.b.values) == 4 * h else [U_t[:, : 2 * h], U_t[:, 2 * h :]]
 
 
 def _gru_step(
-    wx: np.ndarray, h_prev: np.ndarray, U_t: np.ndarray, out=None
+    zr: np.ndarray, hc: np.ndarray, h_prev: np.ndarray, U_zr: np.ndarray, U_c: np.ndarray,
+    out=None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A step given `_projection` and `_recurrence`, the new state written to `out` if given."""
+    """A step given its rows of `_projection`'s blocks, which become its
+    activations z|r and hc in place, and `_recurrence`'s; the new state is
+    written to `out` if given."""
     h = h_prev.shape[-1]
-    zr = np.tanh(wx[..., : 2 * h] + h_prev @ U_t[:, : 2 * h])
+    zr += h_prev @ U_zr
+    np.tanh(zr, out=zr)
     zr *= _HALF
     zr += _HALF
     z, r = zr[..., :h], zr[..., h:]
-    hc = np.tanh(wx[..., 2 * h :] + (r * h_prev) @ U_t[:, 2 * h :])
+    hc += (r * h_prev) @ U_c
+    np.tanh(hc, out=hc)
     out = np.multiply(np.subtract(hc, h_prev, out=out), z, out=out)  # h + z (hc - h)
     out += h_prev
     return out, (z, r, hc)
@@ -237,15 +252,19 @@ def lstm_step(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One step for one vector or for n rows, as `gru_step`: activations i, f, o, g, tanh c'."""
     _check_shapes("lstm_step", x, h_prev, p)
-    return _lstm_step(_projection(x, p), h_prev, c_prev, _recurrence(p))
+    return _lstm_step(*_projection(x, p), h_prev, c_prev, *_recurrence(p))
 
 
 def _lstm_step(
-    wx: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray, out=None, c_out=None
+    gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray,
+    out=None, c_out=None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """A step given `_projection` and `_recurrence`, state and cell written to `out`, `c_out`."""
+    """A step given its rows of `_projection`'s block, which becomes its
+    activations i|f|o|g in place, and `_recurrence`; state and cell are
+    written to `out`, `c_out`."""
     h = h_prev.shape[-1]
-    gates = np.tanh(wx + h_prev @ U_t)
+    gates += h_prev @ U_t
+    np.tanh(gates, out=gates)
     ifo = gates[..., : 3 * h]
     ifo *= _HALF
     ifo += _HALF
@@ -277,6 +296,8 @@ class PackedLayout:
     rows: np.ndarray  # input row of each packed row
     prev: np.ndarray  # packed row of the step before, for each row after step 0's
     n_rows: int  # packed rows: the total length
+    nonempty: np.ndarray  # batch positions of the non-empty sequences
+    last: np.ndarray  # packed row of each one's last step
 
     @classmethod
     def of(cls, lengths: Sequence[int], backward: bool) -> "PackedLayout":
@@ -312,17 +333,23 @@ def _layout(backward: bool, *lengths: int) -> PackedLayout:
     rows = starts[j] + (by_length[j] - 1 - t if backward else t)
     prev = (offsets[t - 1] + j)[t > 0]
     steps = list(zip(offsets.tolist(), sizes.tolist()))
-    return PackedLayout(rank, sizes.tolist(), offsets, steps, rows, prev, len(rows))
+    nonempty = np.flatnonzero(lengths)
+    last = offsets[lengths[nonempty] - 1] + rank[nonempty]
+    return PackedLayout(
+        rank, sizes.tolist(), offsets, steps, rows, prev, len(rows), nonempty, last
+    )
 
 
 @dataclass
 class EncoderCache:
-    """Per layer, arrays in packed rows: what `backprop` recomputes from."""
+    """Per layer, arrays in packed rows: what `backprop` reads. The
+    activations are the memory of each layer's `_projection` blocks, which
+    the steps turned into their activations in place."""
 
     layout: PackedLayout
     inputs: np.ndarray  # layer 0's distinct input rows, (U, d_in); layer k's are states[k - 1]
     reads: np.ndarray  # the row of `inputs` each packed row reads, (N,)
-    projections: list[np.ndarray]  # each layer's `_projection`, (N, G*h)
+    activations: list[list[np.ndarray]]  # each layer's gate blocks: GRU z|r, hc; LSTM i|f|o|g
     states: list[np.ndarray]  # each layer's state after each step, (N, h)
     cells: list[np.ndarray]  # each LSTM layer's cell after each step; none for a GRU
 
@@ -343,8 +370,10 @@ class BranchEncoder:
     A batch of sequences runs as one recurrence: each layer first projects
     its input rows in one product (layer 0 each distinct row once), then
     each step is one product of the states of the sequences still running
-    (see PackedLayout), keeping whole arrays per layer (see EncoderCache)
-    and no per-step activations. One sequence is the batch of one.
+    (see PackedLayout), which turns its rows of the projection into its
+    activations in place, so the layer's whole arrays (see EncoderCache)
+    hold every step's activations for `backprop`. One sequence is the
+    batch of one.
     """
 
     def __init__(
@@ -421,30 +450,26 @@ class BranchEncoder:
                 f"encode: inputs {inputs.shape}, layer 0 W {self.layers[0].W.shape}"
             )
         reads = index[layout.rows]
-        x, projections, states, cells = inputs, [], [], []
+        x, activations, states, cells = inputs, [], [], []
         for k, layer in enumerate(self.layers):
             # every step's input projection, with the bias, as one product
-            wx = _projection(x, layer)
-            if not k:
-                wx = wx[reads]
+            acts = _projection(x, layer, ... if k else reads)
             x = np.empty((layout.n_rows, self.hidden))
             if self.kind == "lstm":
                 cells.append(np.empty_like(x))
             h = c = np.zeros((max(layout.sizes, default=0), self.hidden))  # before step 0
-            U_t = _recurrence(layer)
+            U_t = _recurrence(layer)  # U^T's gate blocks
             for o, n in layout.steps:  # each step writes its rows of x (and of the cells)
                 t = slice(o, o + n)
                 if self.kind == "gru":
-                    h = _gru_step(wx[t], h[:n], U_t, x[t])[0]
+                    h = _gru_step(acts[0][t], acts[1][t], h[:n], *U_t, x[t])[0]
                 else:
-                    h, c, _ = _lstm_step(wx[t], h[:n], c[:n], U_t, x[t], cells[-1][t])
-            projections.append(wx)
+                    h, c, _ = _lstm_step(acts[0][t], h[:n], c[:n], *U_t, x[t], cells[-1][t])
+            activations.append(acts)
             states.append(x)
-        cache = EncoderCache(layout, inputs, reads, projections, states, cells)
-        counts = np.asarray([len(index)] if lengths is None else lengths, dtype=np.intp)
-        seq = np.flatnonzero(counts)  # an empty sequence's representation stays zero
-        reps = np.zeros((len(counts), self.hidden))
-        reps[seq] = cache.outputs[layout.row(counts[seq] - 1, seq)]
+        cache = EncoderCache(layout, inputs, reads, activations, states, cells)
+        reps = np.zeros((len(layout.rank), self.hidden))  # an empty sequence's stays zero
+        reps[layout.nonempty] = cache.outputs[layout.last]
         return (reps[0] if lengths is None else reps), cache
 
     def backprop(self, d_outputs: np.ndarray, cache: EncoderCache) -> np.ndarray:
@@ -468,39 +493,43 @@ class BranchEncoder:
         zeros = np.zeros((max(layout.sizes, default=0), h))  # the state before step 0
         d_states = d_outputs
         for k in reversed(range(len(self.layers))):
-            p, wx, U = self.layers[k], cache.projections[k], self.layers[k].U.values
-            # every row's previous state, every step's activations in one call,
-            # and from them every factor of the step gradients that is not dh's
+            p, acts, U = self.layers[k], cache.activations[k], self.layers[k].U.values
+            # every row's previous state, and from it and the forward's
+            # activations every factor of the step gradients that is not dh's
             h_prev = np.concatenate((zeros, cache.states[k][layout.prev]))
-            da = np.empty_like(wx)  # pre-activation gradients, gate blocks as in W
+            da = np.empty((layout.n_rows, len(U)))  # pre-activation gradients, gate blocks as in W
             if self.kind == "gru":
-                _, (z, r, hc) = _gru_step(wx, h_prev, _recurrence(p))
+                z, r, hc = acts[0][:, :h], acts[0][:, h:], acts[1]
                 # da_z = dh d_z, da_r = drh d_r, da_c = dh d_c
                 keep, d_r, d_c = 1.0 - z, h_prev * r * (1.0 - r), z * (1.0 - hc * hc)
                 d_z, U_zr, U_c = (hc - h_prev) * z * keep, U[: 2 * h], U[2 * h :]
             else:
+                i, f, o, g = np.split(acts[0], 4, axis=1)
+                tc = np.tanh(cache.cells[k])
                 c_prev = np.concatenate((zeros, cache.cells[k][layout.prev]))
-                _, _, (i, f, o, g, tc) = _lstm_step(wx, h_prev, c_prev, _recurrence(p))
                 dc_dh = o * (1.0 - tc * tc)  # dc = dc_next + dh dc_dh
                 # da_i, da_f and da_g are dc times their block, da_o is dh times its
                 d_ifo = g * i * (1.0 - i), c_prev * f * (1.0 - f), tc * o * (1.0 - o)
                 d_gates = np.stack((*d_ifo, i * (1.0 - g * g)), axis=1)  # (N, 4, h), as da_gates
                 da_gates = da.reshape(-1, 4, h)
-            dh_next, dc_next = np.zeros((2, *zeros.shape))
+            # dh_next and dc_next become each step's dh and dc in place; tmp is scratch
+            dh_next, dc_next, tmp = np.zeros((3, *zeros.shape))
             for start, n in reversed(layout.steps):  # the state gradients run back through time
-                t = slice(start, start + n)
-                dh = d_states[t] + dh_next[:n]
+                t, dh, dc, tmp_t = slice(start, start + n), dh_next[:n], dc_next[:n], tmp[:n]
+                dh += d_states[t]
                 if self.kind == "gru":
-                    drh = np.multiply(dh, d_c[t], out=da[t, 2 * h :]) @ U_c
+                    drh = np.matmul(np.multiply(dh, d_c[t], out=da[t, 2 * h :]), U_c, out=tmp_t)
                     np.multiply(dh, d_z[t], out=da[t, :h])
                     np.multiply(drh, d_r[t], out=da[t, h : 2 * h])
-                    dh_next[:n] = dh * keep[t] + drh * r[t] + da[t, : 2 * h] @ U_zr
+                    dh *= keep[t]  # dh_next = dh (1 - z) + drh r + da_zr U_zr
+                    dh += np.multiply(drh, r[t], out=tmp_t)
+                    dh += np.matmul(da[t, : 2 * h], U_zr, out=tmp_t)
                 else:
-                    dc = dh * dc_dh[t] + dc_next[:n]
+                    dc += np.multiply(dh, dc_dh[t], out=tmp_t)
                     np.multiply(d_gates[t], dc[:, None], out=da_gates[t])
                     np.multiply(dh, d_gates[t, 2], out=da_gates[t, 2])
-                    np.matmul(da[t], U, out=dh_next[:n])
-                    np.multiply(dc, f[t], out=dc_next[:n])
+                    np.matmul(da[t], U, out=dh)
+                    dc *= f[t]
             # one product per gradient; np.dot, not @: a BLAS product even when N is 1
             if self.kind == "gru":
                 p.U.grad[: 2 * h] += np.dot(da[:, : 2 * h].T, h_prev)

@@ -565,6 +565,84 @@ class TestHoistedInputProjection:
                 assert np.max(np.abs(packed - state)) <= 1e-12, (seq, step)
 
 
+class TestKeptActivations:
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_the_cache_holds_the_forward_activations(self, kind, layers, monkeypatch):
+        """Each step turns its rows of the input projection into its
+        activations in place, so the cache holds, at every step, what the
+        public step returns from the same input and previous state (within
+        the hoisting tolerance of 1e-12), in C-contiguous gate blocks that
+        `backprop` reads without calling a step function."""
+        from fbrnn import model
+
+        d_in, hidden, T = 320, 32, 9
+        rng = Rng(41)
+        enc, _ = make_encoder(Branch.LEFT, kind, d_in, hidden, layers, rng)
+        for layer in enc.layers:
+            layer.b.values[:] = rng.uniform(-1, 1, layer.b.size)
+        inputs = np.asarray(rng.uniform(-1, 1, T * d_in)).reshape(T, d_in)
+        _, cache = enc.encode(inputs)
+        assert len(cache.activations) == layers
+        for k, (layer, blocks) in enumerate(zip(enc.layers, cache.activations)):
+            assert all(block.flags.c_contiguous for block in blocks)
+            xs = inputs if k == 0 else cache.states[k - 1]
+            h = c = np.zeros(hidden)
+            for t in range(T):
+                if kind == "gru":
+                    _, acts = gru_step(xs[t], h, layer)
+                    kept = (blocks[0][t, :hidden], blocks[0][t, hidden:], blocks[1][t])
+                else:
+                    _, _, acts = lstm_step(xs[t], h, c, layer)
+                    kept = (*np.split(blocks[0][t], 4), np.tanh(cache.cells[k][t]))
+                    c = cache.cells[k][t]
+                for a, b in zip(acts, kept, strict=True):
+                    assert np.max(np.abs(a - b)) <= 1e-12, (k, t)
+                h = cache.states[k][t]
+
+        calls = []
+
+        def counted(step):
+            return lambda *args, **kw: calls.append(step) or step(*args, **kw)
+
+        monkeypatch.setattr(model, "_gru_step", counted(model._gru_step))
+        monkeypatch.setattr(model, "_lstm_step", counted(model._lstm_step))
+        enc.backprop(np.asarray(rng.uniform(-1, 1, T * hidden)).reshape(T, hidden), cache)
+        assert calls == []
+        enc.encode(inputs)
+        assert len(calls) == T * layers  # the counter sees the forward's steps
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("with_index", [False, True])
+    def test_encode_never_writes_to_its_input(self, kind, with_index):
+        """The steps work in place on arrays `encode` made, never on the
+        caller's: a read-only input encodes, and keeps its values."""
+        enc, _ = make_encoder(Branch.RIGHT, kind, 5, 4, 2, Rng(8))
+        inputs = np.asarray(Rng(9).uniform(-1, 1, 4 * 5)).reshape(4, 5)
+        inputs.flags.writeable = False
+        before = inputs.copy()
+        index = np.array([0, 1, 2, 3, 2, 1, 0]) if with_index else None
+        lengths = [4, 0, 3] if with_index else [1, 3]
+        rep, _ = enc.encode(inputs, lengths=lengths, index=index)
+        assert rep.any()
+        assert np.array_equal(inputs, before)
+
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_public_steps_never_write_to_their_arguments(self, rows):
+        """`gru_step` and `lstm_step` take read-only inputs and states, one
+        vector or n rows, and leave them unchanged."""
+        rng = Rng(10)
+        args = [np.asarray(rng.uniform(-1, 1, (*rows, n))) for n in (5, 4, 4)]
+        for a in args:
+            a.flags.writeable = False
+        before = [a.copy() for a in args]
+        x, h_prev, c_prev = args
+        gru_step(x, h_prev, make_layer("gru", 5, 4, rng))
+        lstm_step(x, h_prev, c_prev, make_layer("lstm", 5, 4, rng))
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b)
+
+
 class TestConstructionIsPinned:
     """`build_model`'s flat value bytes, as SHA-256 of their little-endian
     float64, recorded when each tensor was still drawn into an array of its
