@@ -191,11 +191,8 @@ def extract_single_token_candidates(
     s: Sentence, lex: TriggerLexicon
 ) -> list[NuggetCandidate]:
     """One length-1 candidate per token whose lowercased text is in the lexicon."""
-    return [
-        NuggetCandidate(i, i)
-        for i, tok in enumerate(s.tokens)
-        if tok.text in lex
-    ]
+    entries = lex._counts
+    return [NuggetCandidate(i, i) for i, tok in enumerate(s.tokens) if tok.text.lower() in entries]
 
 
 def expand_candidates(
@@ -253,7 +250,8 @@ def align_labels(
             by_span[key] = merged
         else:
             by_span[key] = g.types
-    return [NuggetCandidate(c.start, c.end, by_span.get((c.start, c.end), ())) for c in cands]
+    return [c if (types := by_span.get((c.start, c.end), ())) == c.types  # kept, not rebuilt
+            else NuggetCandidate(c.start, c.end, types) for c in cands]
 
 
 def split_branches(s: Sentence, c: NuggetCandidate) -> BranchSplit:

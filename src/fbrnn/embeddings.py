@@ -145,10 +145,6 @@ class WordTable:
         return cls(vocab, tensor, len(written), oov)
 
     @property
-    def dim(self) -> int:
-        return self.tensor.shape[1]
-
-    @property
     def words(self) -> list[str]:
         return list(self.vocab)
 
@@ -169,7 +165,7 @@ class Embedder:
 
     @property
     def input_dim(self) -> int:
-        return self.word.dim + (0 if self.branch is None else self.branch.shape[1])
+        return self.word.tensor.shape[1] + (0 if self.branch is None else self.branch.shape[1])
 
     def assemble_input(
         self, rows: Sequence[int], branch: Branch
@@ -183,9 +179,10 @@ class Embedder:
         index = np.array([slot[row] for row in rows], dtype=np.intp)
         if self.branch is None:
             return self.word.tensor.values[words], words, index
-        x = np.empty((len(words), self.input_dim))
-        x[:, : self.word.dim] = self.word.tensor.values[words]
-        x[:, self.word.dim :] = self.branch.values[branch]
+        d_w = self.word.tensor.shape[1]
+        x = np.empty((len(words), d_w + self.branch.shape[1]))
+        self.word.tensor.values.take(words, axis=0, out=x[:, :d_w])
+        x[:, d_w:] = self.branch.values[branch]
         return x, words, index
 
     def accumulate_grad(self, words: np.ndarray, branch: Branch, d_inputs: np.ndarray) -> None:
@@ -196,7 +193,7 @@ class Embedder:
         once, by `ParamTensor.add_row_grads`, which marks it reached (see
         `ParamStore`). The branch row receives the column sum of the branch
         part."""
-        d_w = self.word.dim
+        d_w = self.word.tensor.shape[1]
         self.word.tensor.add_row_grads(words, d_inputs[:, :d_w])
         if self.branch is not None:
             self.branch.grad[branch] += d_inputs[:, d_w:].sum(axis=0)

@@ -13,6 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .candidates import LabeledExample, build_datasets
@@ -151,13 +152,11 @@ def predict_examples(
     out = []
     for block in _blocks(examples):
         probs = model.batch_proba([[ex.split for ex in run] for run in block])
-        for ex, types in zip(chain.from_iterable(block), model.decode(probs, threshold)):
-            if types:
-                out.append(
-                    PredictedNugget(
-                        ex.sentence_index, ex.candidate.start, ex.candidate.end, types
-                    )
-                )
+        out += [
+            PredictedNugget(ex.sentence_index, ex.candidate.start, ex.candidate.end, types)
+            for ex, types in zip(chain.from_iterable(block), model.decode(probs, threshold))
+            if types
+        ]
     return out
 
 
@@ -165,7 +164,7 @@ def _blocks(examples: Sequence[LabeledExample]) -> Iterator[list[list[LabeledExa
     """The runs of `predict_examples`, packed in order into blocks."""
     block: list[list[LabeledExample]] = []
     size = 0
-    for _, run in groupby(examples, key=_sentence_key):
+    for _, run in groupby(examples, key=_SENTENCE_KEY):
         run = list(run)
         tokens = len(run[0].split.tokens)
         if block and size + tokens > BLOCK_TOKENS:
@@ -177,8 +176,7 @@ def _blocks(examples: Sequence[LabeledExample]) -> Iterator[list[list[LabeledExa
         yield block
 
 
-def _sentence_key(ex: LabeledExample) -> tuple:
-    return ex.sentence_index, ex.split.tokens
+_SENTENCE_KEY = attrgetter("sentence_index", "split.tokens")
 
 
 def evaluate_model(

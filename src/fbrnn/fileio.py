@@ -15,6 +15,7 @@ import reprlib
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -48,7 +49,8 @@ def check(value, kind, where: str, error: type = DataError):
     if not (
         type(value) is exact or (value is None and optional)
         or isinstance(value, types) and (exact is bool or not isinstance(value, bool))
-        and (item is None or all(isinstance(v, item) and not isinstance(v, bool) for v in value))
+        and (item is None or all(map(isinstance, value, repeat(item)))
+             and not (issubclass(bool, item) and any(map(isinstance, value, repeat(bool)))))
     ):
         raise error(f"{where} must be {words}, got {reprlib.repr(value)}")
     return value

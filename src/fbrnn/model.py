@@ -180,7 +180,8 @@ def _build_layer(
     return layer
 
 
-def _check_shapes(step: str, x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer) -> None:
+def _step_inputs(step: str, x: np.ndarray, h_prev: np.ndarray, p: RecurrentLayer) -> tuple:
+    """A public step's `_projection` blocks and `_recurrence`, its shapes checked."""
     if (
         x.shape[-1] != p.W.shape[1]
         or h_prev.shape[-1] != p.U.shape[1]
@@ -189,6 +190,7 @@ def _check_shapes(step: str, x: np.ndarray, h_prev: np.ndarray, p: RecurrentLaye
         raise ConfigurationError(
             f"{step} shape mismatch: x {x.shape}, h {h_prev.shape}, W {p.W.shape}"
         )
+    return _projection(x, p), _recurrence(p)
 
 
 def gru_step(
@@ -199,8 +201,8 @@ def gru_step(
     (z, r, candidate). Every product is `rows @ M.T`, which for one row
     gives the bits of `M @ vector`. The input projection comes first, with
     the bias: `(x W^T + b) + h U^T`."""
-    _check_shapes("gru_step", x, h_prev, p)
-    return _gru_step(*_projection(x, p), h_prev, *_recurrence(p))
+    (zr, hc), U_t = _step_inputs("gru_step", x, h_prev, p)
+    return _gru_step(zr, hc, h_prev, *U_t), (*np.split(zr, 2, axis=-1), hc)
 
 
 def _projection(x: np.ndarray, p: RecurrentLayer, rows=...) -> list[np.ndarray]:
@@ -211,57 +213,60 @@ def _projection(x: np.ndarray, p: RecurrentLayer, rows=...) -> list[np.ndarray]:
     GRU, i|f|o|g for the LSTM (numpy's SIMD tanh skips strided views)."""
     wx = x @ p.W.values.T
     wx += p.b.values
-    h = p.U.shape[1]
-    wx[..., :-h] *= 0.5
-    if len(p.b.values) == 4 * h:
-        return [wx[rows]]
-    return [np.ascontiguousarray(wx[rows, : 2 * h]), np.ascontiguousarray(wx[rows, 2 * h :])]
+    n, h = p.U.shape
+    wx[..., : n - h] *= 0.5
+    blocks = [wx] if n == 4 * h else [wx[..., : 2 * h], wx[..., 2 * h :]]
+    if rows is ...:
+        return [np.ascontiguousarray(block) for block in blocks]
+    return [block.take(rows, axis=0) for block in blocks]
 
 
 def _recurrence(p: RecurrentLayer) -> list[np.ndarray]:
-    """U^T, (h, G*h), its sigmoid gates' columns halved as in `_projection`,
-    as views of `_projection`'s blocks of columns."""
-    U_t = p.U.values.T.copy()
-    h = p.U.shape[1]
-    U_t[:, :-h] *= 0.5
-    return [U_t] if len(p.b.values) == 4 * h else [U_t[:, : 2 * h], U_t[:, 2 * h :]]
+    """U^T, (h, G*h), its sigmoid gates' columns halved as in `_projection`
+    (U's leading rows, contiguous), copied into C order (BLAS sums an F-ordered
+    operand in another order), as views of `_projection`'s blocks of columns."""
+    n, h = p.U.shape
+    U = p.U.values.copy()
+    U[:-h] *= 0.5
+    U_t = U.T.copy()
+    return [U_t] if n == 4 * h else [U_t[:, : 2 * h], U_t[:, 2 * h :]]
 
 
 def _gru_step(
     zr: np.ndarray, hc: np.ndarray, h_prev: np.ndarray, U_zr: np.ndarray, U_c: np.ndarray,
     out=None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A step given its rows of `_projection`'s blocks, which become its
-    activations z|r and hc in place, and `_recurrence`'s; the new state is
+) -> np.ndarray:
+    """The new state of a step given its rows of `_projection`'s blocks,
+    which become its activations z|r and hc in place, and `_recurrence`'s;
     written to `out` if given."""
     h = h_prev.shape[-1]
     zr += h_prev @ U_zr
     np.tanh(zr, out=zr)
     zr *= _HALF
     zr += _HALF
-    z, r = zr[..., :h], zr[..., h:]
-    hc += (r * h_prev) @ U_c
+    hc += (zr[..., h:] * h_prev) @ U_c
     np.tanh(hc, out=hc)
-    out = np.multiply(np.subtract(hc, h_prev, out=out), z, out=out)  # h + z (hc - h)
+    out = np.multiply(np.subtract(hc, h_prev, out=out), zr[..., :h], out=out)  # h + z (hc - h)
     out += h_prev
-    return out, (z, r, hc)
+    return out
 
 
 def lstm_step(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: RecurrentLayer
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One step for one vector or for n rows, as `gru_step`: activations i, f, o, g, tanh c'."""
-    _check_shapes("lstm_step", x, h_prev, p)
-    return _lstm_step(*_projection(x, p), h_prev, c_prev, *_recurrence(p))
+    (gates,), U_t = _step_inputs("lstm_step", x, h_prev, p)
+    h_new, c_new = _lstm_step(gates, h_prev, c_prev, *U_t)
+    return h_new, c_new, (*np.split(gates, 4, axis=-1), np.tanh(c_new))
 
 
 def _lstm_step(
     gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, U_t: np.ndarray,
     out=None, c_out=None,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """A step given its rows of `_projection`'s block, which becomes its
-    activations i|f|o|g in place, and `_recurrence`; state and cell are
-    written to `out`, `c_out`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The new state and cell of a step given its rows of `_projection`'s
+    block, which becomes its activations i|f|o|g in place, and
+    `_recurrence`; written to `out`, `c_out` if given."""
     h = h_prev.shape[-1]
     gates += h_prev @ U_t
     np.tanh(gates, out=gates)
@@ -270,8 +275,7 @@ def _lstm_step(
     ifo += _HALF
     i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
     c_new = np.add(f * c_prev, i * g, out=c_out)
-    tc = np.tanh(c_new)
-    return np.multiply(o, tc, out=out), c_new, (i, f, o, g, tc)
+    return np.multiply(o, np.tanh(c_new), out=out), c_new
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +303,6 @@ class PackedLayout:
     nonempty: np.ndarray  # batch positions of the non-empty sequences
     last: np.ndarray  # packed row of each one's last step
 
-    @classmethod
-    def of(cls, lengths: Sequence[int], backward: bool) -> "PackedLayout":
-        """Layout of sequences of these lengths, whose inputs are stacked in
-        batch order, each in its token order; a backward encoder reads
-        each sequence from its last token. Shared between calls with the
-        same lengths of the same types (so [3.0] is refused after [3] too);
-        never mutated."""
-        return _layout(backward, *lengths)
-
     def row(self, step: np.ndarray, seq: np.ndarray) -> np.ndarray:
         """Packed row of step `step` of the sequence at batch position
         `seq`, elementwise; the sequence must be running at that step."""
@@ -316,6 +311,9 @@ class PackedLayout:
 
 @lru_cache(maxsize=64, typed=True)  # one sentence's small batches repeat; a minibatch's rarely do
 def _layout(backward: bool, *lengths: int) -> PackedLayout:
+    """Layout of sequences of these lengths, inputs stacked in batch order, each in
+    token order (a backward encoder reads each from its last token). Never mutated;
+    shared between calls with the same lengths of the same types (3.0 is refused after 3)."""
     lengths = np.asarray(lengths)
     if (lengths.size and lengths.dtype.kind not in "iu") or (lengths < 0).any():
         raise ConfigurationError(f"encode: lengths must be integers >= 0, got {lengths.tolist()}")
@@ -437,7 +435,7 @@ class BranchEncoder:
         is `cache.outputs[t]`."""
         inputs = np.asarray(vectors, dtype=np.float64)
         index = np.arange(len(inputs)) if index is None else np.asarray(index)
-        layout = PackedLayout.of([len(index)] if lengths is None else lengths, self.backward)
+        layout = _layout(self.backward, *([len(index)] if lengths is None else lengths))
         if layout.n_rows != len(index):
             raise ConfigurationError(
                 f"encode: lengths sum to {layout.n_rows}, inputs have {len(index)} rows"
@@ -455,21 +453,26 @@ class BranchEncoder:
             # every step's input projection, with the bias, as one product
             acts = _projection(x, layer, ... if k else reads)
             x = np.empty((layout.n_rows, self.hidden))
-            if self.kind == "lstm":
-                cells.append(np.empty_like(x))
             h = c = np.zeros((max(layout.sizes, default=0), self.hidden))  # before step 0
-            U_t = _recurrence(layer)  # U^T's gate blocks
-            for o, n in layout.steps:  # each step writes its rows of x (and of the cells)
-                t = slice(o, o + n)
-                if self.kind == "gru":
-                    h = _gru_step(acts[0][t], acts[1][t], h[:n], *U_t, x[t])[0]
-                else:
-                    h, c, _ = _lstm_step(acts[0][t], h[:n], c[:n], *U_t, x[t], cells[-1][t])
+            recurrent = _recurrence(layer)  # U^T's gate blocks
+            if self.kind == "gru":  # each step writes its rows of x (and of the cells)
+                (zr, hc), (U_zr, U_c) = acts, recurrent
+                for o, n in layout.steps:
+                    t = slice(o, o + n)
+                    h = _gru_step(zr[t], hc[t], h[:n], U_zr, U_c, x[t])
+            else:
+                (gates,), (U_t,), cell = acts, recurrent, np.empty_like(x)
+                for o, n in layout.steps:
+                    t = slice(o, o + n)
+                    h, c = _lstm_step(gates[t], h[:n], c[:n], U_t, x[t], cell[t])
+                cells.append(cell)
             activations.append(acts)
             states.append(x)
+        reps = x[layout.last]
+        if len(reps) < len(layout.rank):  # an empty sequence's representation is zero
+            reps = np.zeros((len(layout.rank), self.hidden))
+            reps[layout.nonempty] = x[layout.last]
         cache = EncoderCache(layout, inputs, reads, activations, states, cells)
-        reps = np.zeros((len(layout.rank), self.hidden))  # an empty sequence's stays zero
-        reps[layout.nonempty] = cache.outputs[layout.last]
         return (reps[0] if lengths is None else reps), cache
 
     def backprop(self, d_outputs: np.ndarray, cache: EncoderCache) -> np.ndarray:
@@ -610,10 +613,11 @@ class Head:
             x = rep
         acts = [x]
         for W, b in self.layers[:-1]:
-            x = np.tanh(x @ W.values.T + b.values)
-            acts.append(x)
+            x = x @ W.values.T
+            acts.append(np.tanh(np.add(x, b.values, out=x), out=x))
         W, b = self.layers[-1]
-        logits = x @ W.values.T + b.values
+        logits = x @ W.values.T
+        logits += b.values
         probs = softmax(logits) if self.head_mode == "softmax" else sigmoid(logits)
         return probs, HeadCache(mask, acts)
 
@@ -747,23 +751,24 @@ class NuggetModel:
         each group's tokens before its last candidate start, RIGHT those
         after its first candidate end. A candidate reads each non-empty part's
         representation at the packed row of its state after step len(part) - 1
-        of its sequence (its group for LEFT and RIGHT); branch `b`'s
-        representation is block `b` of each candidate's row. With `keep` the
-        cache holds what a backward pass needs; without it each encoder cache
-        is dropped once read, so a forward-only pass holds one at a time."""
+        of its sequence (its group for LEFT and RIGHT; for NUGGET, `encode`'s
+        representation); branch `b`'s is block `b` of each candidate's row. With
+        `keep` the cache holds what a backward pass needs; without it each encoder
+        cache is dropped once read, so a forward-only pass holds one at a time."""
         lefts, nuggets, rights = parts = [], [], []  # word rows of each sequence
         spans = []  # each candidate's span row, flat
         for g, splits in enumerate(filter(None, groups)):
-            if any(split.tokens != splits[0].tokens for split in splits[1:]):
-                raise ValueError("batch_proba: one group holds splits of different sentences")
-            sentence = self.embedder.word.rows(splits[0].tokens)  # once per group
-            first = len(spans)
+            sentence = self.embedder.word.rows(tokens := splits[0].tokens)  # once per group
+            left = right = 0  # the group's LEFT and RIGHT lengths: its rows' maxima
             for split in splits:
-                start, n = len(split.left), len(split.nugget)
-                spans += g, start, n, len(split.right)
+                if split.tokens is not tokens and split.tokens != tokens:
+                    raise ValueError("batch_proba: one group holds splits of different sentences")
+                start, n, after = len(split.left), len(split.nugget), len(split.right)
+                spans += g, start, n, after
                 nuggets.append(sentence[start : start + n])
-            lefts.append(sentence[: max(spans[first + 1 :: 4])])
-            rights.append(sentence[len(sentence) - max(spans[first + 3 :: 4]) :])
+                left, right = max(left, start), max(right, after)
+            lefts.append(sentence[:left])
+            rights.append(sentence[len(sentence) - right :])
         spans = np.array(spans, dtype=np.intp).reshape(-1, 4)
         h = self.cfg.hidden_size
         reps = np.zeros((len(spans), 3 * h))
@@ -771,16 +776,19 @@ class NuggetModel:
         # any order gives the same bits; LEFT first measured more page faults
         for b in (Branch.NUGGET, Branch.LEFT, Branch.RIGHT):
             inputs, word_rows, index = self.embedder.assemble_input(list(chain(*parts[b])), b)
-            lengths = [len(part) for part in parts[b]]
-            enc = self.encoders[b].encode(inputs, lengths=lengths, index=index)[1]
-            length = spans[:, 1 + b]
-            candidate = length.nonzero()[0]
-            seq = candidate if b is Branch.NUGGET else spans[candidate, 0]
-            row = enc.layout.row(length[candidate] - 1, seq)
-            reps[candidate, b * h : (b + 1) * h] = enc.outputs[row]
+            lengths = list(map(len, parts[b]))
+            encoded, enc = self.encoders[b].encode(inputs, lengths=lengths, index=index)
+            if b is Branch.NUGGET:  # each candidate's own sequence: its representation
+                candidate, row = enc.layout.nonempty, enc.layout.last
+                reps[:, h : 2 * h] = encoded
+            else:
+                candidate = spans[:, 1 + b].nonzero()[0]
+                read = spans[candidate]  # (group, len(left), len(nugget), len(right))
+                row = enc.layout.row(read[:, 1 + b] - 1, read[:, 0])
+                reps[candidate, b * h : (b + 1) * h] = enc.outputs[row]
             if keep:
                 rows[b], encs[b], reads[b] = word_rows, enc, (candidate, row)
-            del inputs, word_rows, enc
+            del inputs, word_rows, encoded, enc
         probs, head_cache = self.head.forward(reps, rng)
         return probs, ModelCache(rows, encs, reads, head_cache)
 

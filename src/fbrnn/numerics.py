@@ -203,27 +203,24 @@ class ParamSpec(NamedTuple):
 
 class ParamTensor:
     """A named float64 view into its store's flat values, with the
-    same-shaped view of the flat gradient. A row-tracked tensor also holds
-    `reached`, one boolean per row that `add_row_grads` sets and nothing
-    clears; for any other tensor `reached` is None.
+    same-shaped view of the flat gradient, and their `shape`. A row-tracked
+    tensor also holds `reached`, one boolean per row that `add_row_grads`
+    sets and nothing clears; for any other tensor `reached` is None.
     """
 
-    __slots__ = ("name", "values", "grad", "reached")
+    __slots__ = ("name", "values", "grad", "reached", "shape")
 
     def __init__(self, name: str, values: np.ndarray, grad: np.ndarray, track_rows: bool) -> None:
         self.name = name
         self.values = values
         self.grad = grad
         self.reached = np.zeros(values.shape[0], dtype=bool) if track_rows else None
+        self.shape = values.shape
 
     def add_row_grads(self, rows: np.ndarray, grads: np.ndarray) -> None:
         """`grad[rows] += grads` for distinct rows of a row-tracked tensor; marks them reached."""
         self.reached[rows] = True
         self.grad[rows] += grads
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.values.shape)
 
     @property
     def size(self) -> int:
@@ -385,8 +382,8 @@ def softmax(logits: np.ndarray | Sequence[float]) -> np.ndarray:
         raise ConfigurationError(
             f"softmax expects a non-empty vector or rows, got shape {z.shape}"
         )
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 # ---------------------------------------------------------------------------

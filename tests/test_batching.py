@@ -320,6 +320,46 @@ def test_batch_proba_of_candidates_at_a_sentence_edge(over):
     np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("over", CONFIGS, ids=config_id)
+def test_each_branch_block_is_what_encode_returns_for_its_sequences(over):
+    """The model pass's representation rows, block by block, against one
+    `encode` per branch over the sequences its docstring names: NUGGET
+    every candidate's span, LEFT each group's tokens before its last
+    candidate start, RIGHT those after its first candidate end. A
+    candidate's block is, bit for bit, its sequence's state after its
+    part's last token, and zero for an empty part. The groups hold empty
+    LEFT and RIGHT parts, alone and beside non-empty ones."""
+    model = make_model(**over)
+    groups = [
+        [split(LONG, 0, 0), split(LONG, 2, 3), split(LONG, 5, 5)],
+        [split(LONG, 0, 1), split(LONG, 0, 3)],
+        [split(SHORT, 1, 2), split(SHORT, 2, 2)],
+        [split(ONE, 0, 0)],
+        [split(SHORT, 0, 1)],
+    ]
+    _, cache = model._forward(groups, keep=True)
+    reps = cache.head.acts[0]  # the head's input: no rng, so no dropout
+    h = model.cfg.hidden_size
+    for b in Branch:
+        parts = [[getattr(s, b.name.lower()) for s in group] for group in groups]
+        if b is Branch.NUGGET:  # (candidate, its sequence, its part's length)
+            seqs = list(chain.from_iterable(parts))
+            reads = [(k, k, len(part)) for k, part in enumerate(seqs)]
+        else:
+            seqs = [max(group, key=len) for group in parts]
+            group_of = [g for g, group in enumerate(parts) for _ in group]
+            reads = [(k, group_of[k], len(part))
+                     for k, part in enumerate(chain.from_iterable(parts))]
+        rows = model.embedder.word.rows(chain.from_iterable(seqs))
+        inputs, _, index = model.embedder.assemble_input(rows, b)
+        _, enc = model.encoders[b].encode(inputs, lengths=[len(q) for q in seqs], index=index)
+        for k, seq, n in reads:
+            block = reps[k, b * h : (b + 1) * h]
+            expected = enc.outputs[enc.layout.row(n - 1, seq)] if n else np.zeros(h)
+            assert block.tobytes() == expected.tobytes(), (b, k)
+        assert any(n == 0 for _, _, n in reads) is (b is not Branch.NUGGET)
+
+
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 def test_dropout_masks_follow_the_per_example_stream(cell):
     """A batch draws its masks in example order: the same masks, the same

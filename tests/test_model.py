@@ -15,7 +15,7 @@ from fbrnn.errors import ConfigurationError
 from fbrnn.model import (
     BranchEncoder,
     ModelConfig,
-    PackedLayout,
+    _layout,
     build_model,
     gru_step,
     lstm_step,
@@ -191,6 +191,26 @@ class TestTanhGates:
             assert gate[3] == 0.0 and sigmoid(-40.0) > 0.0  # tanh(-20) rounds to -1
             assert gate[4] == 1.0 == sigmoid(40.0)
             assert ((gate >= 0.0) & (gate <= 1.0)).all()
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_recurrence_is_row_major_with_the_copy_then_halve_bits(kind):
+    """`_recurrence` halves U's sigmoid gate rows before it transposes.
+    Its blocks hold the bits of copying U^T and halving the sigmoid gates'
+    columns, and are row-major column blocks of one C-contiguous array: an
+    F-ordered U^T moved per-sentence probabilities in the last bits, since
+    BLAS sums a transposed operand in another order."""
+    from fbrnn.model import _recurrence
+
+    h = 32
+    layer = make_layer(kind, 5, h, Rng(12))
+    reference = layer.U.values.T.copy()
+    reference[:, :-h] *= 0.5
+    blocks = _recurrence(layer)
+    assert np.concatenate(blocks, axis=1).tobytes() == reference.tobytes()
+    for block in blocks:
+        assert (block if block.base is None else block.base).flags.c_contiguous
+        assert block.strides[1] == block.itemsize
 
 
 def at_last_row(d_rep, cache):
@@ -486,7 +506,7 @@ class TestPackedLayout:
         same sequence at the step before; `steps` is the (offset, size)
         schedule. A sequence's representation from `encode` is, bit for
         bit, its state at `row(n - 1, seq)`, or zero when it is empty."""
-        layout = PackedLayout.of(lengths, backward)
+        layout = _layout(backward, *lengths)
         first = layout.sizes[0] if layout.sizes else 0
         assert len(layout.prev) == layout.n_rows - first
         assert layout.steps == list(zip(layout.offsets.tolist(), layout.sizes))
@@ -520,10 +540,10 @@ class TestPackedLayout:
         """(3.0,) and (True,) hash and compare as (3,) and (1,) do, so a cache
         keyed on the values alone would serve them a checked layout."""
         with pytest.raises(ConfigurationError, match="lengths must be integers >= 0"):
-            PackedLayout.of([other], backward=False)
-        PackedLayout.of([int(other)], backward=False)  # now cached
+            _layout(False, other)
+        _layout(False, int(other))  # now cached
         with pytest.raises(ConfigurationError, match="lengths must be integers >= 0"):
-            PackedLayout.of([other], backward=False)
+            _layout(False, other)
 
 
 class TestHoistedInputProjection:
