@@ -27,7 +27,6 @@ __all__ = [
     "ParamSpec",
     "ParamTensor",
     "ParamStore",
-    "RowRegion",
     "sigmoid",
     "softmax",
     "init_uniform_scaled",
@@ -48,6 +47,12 @@ __all__ = [
 # optimizer step measured 3.0-4.1x faster than array expressions from
 # 111,500 entries up (README, "Parameter layout and the optimizer step").
 UPDATE_BLOCK = 1 << 16
+
+# Unreached entries between two runs of a row-tracked tensor's reached rows
+# that still join them into one live region. A region costs about 14 us of
+# fixed work in clipping, the step and zeroing, as much as about 1,650
+# entries at 8.5 ns each (README, "Parameter layout and the optimizer step").
+MERGE_ENTRIES = 2048
 
 
 def _blocks(n: int) -> Iterator[slice]:
@@ -230,25 +235,6 @@ class ParamTensor:
         return f"ParamTensor({self.name!r}, shape={self.shape})"
 
 
-class RowRegion(NamedTuple):
-    """Rows of a flat store array: a row-tracked tensor's reached rows, or a
-    run of untracked tensors as one row (`rows=slice(None)`)."""
-
-    span: slice  # the entries of the tensor or run
-    width: int  # entries per row
-    rows: np.ndarray | slice  # reached row numbers, ascending, or slice(None)
-
-    def take(self, flat: np.ndarray) -> np.ndarray:
-        """These rows of `flat` as one 1-D array: a view if `rows` is a slice."""
-        return flat[self.span].reshape(-1, self.width)[self.rows].reshape(-1)
-
-    def put(self, flat: np.ndarray, part: np.ndarray | float) -> None:
-        """Write a scalar, or an array shaped like `take`'s, into these rows;
-        putting back `take`'s own view copies nothing."""
-        matrix = flat[self.span].reshape(-1, self.width)
-        matrix[self.rows] = part if np.isscalar(part) else part.reshape(-1, self.width)
-
-
 class ParamStore:
     """Ordered collection of named ParamTensors; one writer at a time.
 
@@ -259,11 +245,12 @@ class ParamStore:
     `np.zeros`, so a model that is never drawn touches no page of them
     until a value is written.
 
-    Zeroing, clipping and the optimizer step visit `live_regions()` only:
-    every untracked tensor, and the rows of each row-tracked tensor that
-    its `reached` marks. Invariant: outside the live regions `grad` and the
-    optimizer's `m` and `v` are exactly zero, so skipping those entries
-    gives the same bits as updating them (see `Optimizer`). Only
+    Zeroing, clipping and the optimizer step work in place on the slices of
+    the flat arrays that `live_regions()` returns: every untracked tensor,
+    and the runs of rows of each row-tracked tensor that its `reached`
+    marks, short gaps of unreached rows included. Invariant: on every
+    unreached row `grad` and the optimizer's `m` and `v` are exactly zero,
+    so stepping or skipping it gives the same bits (see `Optimizer`). Only
     `ParamTensor.add_row_grads`, which marks them, writes tracked rows; a
     flag on a row whose gradient stays zero costs time, never correctness.
     """
@@ -315,25 +302,32 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._tensors)
 
-    def live_regions(self) -> list[RowRegion]:
-        """Where the flat arrays' gradients may be non-zero, in store order:
-        one region per run of untracked tensors, and one per row-tracked
-        tensor with a reached row. A store without row-tracked tensors is
-        one region over everything."""
+    def live_regions(self) -> list[slice]:
+        """Slices of the flat arrays outside which every gradient is zero, in
+        store order: one per run of untracked tensors, and one per run of a
+        row-tracked tensor's reached rows, where two runs join when the
+        unreached rows between them hold at most `MERGE_ENTRIES` entries. A
+        store without row-tracked tensors is one slice over everything."""
         regions = []
         for seg in self._segments:
             if isinstance(seg, slice):
-                regions.append(RowRegion(seg, seg.stop - seg.start, slice(None)))
+                regions.append(seg)
                 continue
             t, span = seg
             rows = np.flatnonzero(t.reached)
-            if rows.size:
-                regions.append(RowRegion(span, t.size // len(t.reached), rows))
+            if not rows.size:
+                continue
+            width = t.size // len(t.reached)
+            cut = np.flatnonzero(np.diff(rows) > MERGE_ENTRIES // width + 1)
+            starts = [int(rows[0]), *rows[cut + 1].tolist()]
+            stops = [*(rows[cut] + 1).tolist(), int(rows[-1]) + 1]
+            regions += [slice(span.start + a * width, span.start + b * width)
+                        for a, b in zip(starts, stops)]
         return regions
 
     def zero_grads(self) -> None:
         for region in self.live_regions():
-            region.put(self.grad, 0.0)
+            self.grad[region] = 0.0
 
     def first_nonfinite(self, fill: Callable[[np.ndarray], None] | None = None) -> str | None:
         """The name of the first tensor holding NaN or Inf, or None. The flat
@@ -525,9 +519,7 @@ def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
     if max_norm is not None and norm > max_norm > 0.0:
         scale = max_norm / norm
         for region in store.live_regions():
-            g = region.take(store.grad)
-            g *= scale
-            region.put(store.grad, g)
+            store.grad[region] *= scale
     return norm
 
 
@@ -537,12 +529,12 @@ class Optimizer:
     Owns the Adam moments and two scratch blocks, so optimizer state lives
     exactly as long as the optimizer.
 
-    A step visits the store's live regions only: each is gathered, stepped
-    and scattered back (a run of untracked tensors through views, in place).
-    An entry outside them has grad = m = v = 0, so dense Adam would subtract
-    lr * (0 / c1) / (sqrt(0 / c2) + eps) = +0.0 and SGD lr * 0 = +0.0;
-    p - (+0.0) is p for every p, -0.0 included. Skipping it therefore leaves
-    the same bits as the dense step.
+    A step runs the dense update in place on each of the store's live
+    regions, as views of the flat arrays. An unreached row, outside the
+    regions or inside one, has grad = m = v = 0, so the dense update
+    subtracts lr * (0 / c1) / (sqrt(0 / c2) + eps) = +0.0 with Adam and
+    lr * 0 = +0.0 with SGD; p - (+0.0) is p for every p, -0.0 included.
+    Stepping or skipping such a row therefore leaves the dense step's bits.
     """
 
     def __init__(
@@ -578,26 +570,16 @@ class Optimizer:
         """
         norm = clip_gradients(self.store, self.clip_norm)
         self.step_count += 1
-        flats = (self.store.values, self.store.grad)
-        if self.kind == "adam":
-            flats += (self.m, self.v)
-        for region in self.store.live_regions():
-            values, grad, *moments = (region.take(f) for f in flats)
-            self._update(values, grad, *moments)
-            region.put(self.store.values, values)  # the step only reads grad
-            for flat, moment in zip(flats[2:], moments):
-                region.put(flat, moment)
+        values, grad = self.store.values, self.store.grad
+        for r in self.store.live_regions():  # the dense step, on views
+            if self.kind == "adam":
+                adam_step(
+                    values[r], grad[r], self.m[r], self.v[r], self.step_count,
+                    self.lr, self.beta1, self.beta2, self.eps, self._scratch,
+                )
+            else:
+                sgd_step(values[r], grad[r], self.lr, self._scratch[0])
         return norm
-
-    def _update(self, values, grad, m=None, v=None) -> None:
-        """The unchanged dense step, on one region's arrays."""
-        if self.kind == "adam":
-            adam_step(
-                values, grad, m, v, self.step_count,
-                self.lr, self.beta1, self.beta2, self.eps, self._scratch,
-            )
-        else:
-            sgd_step(values, grad, self.lr, self._scratch[0])
 
 
 # ---------------------------------------------------------------------------

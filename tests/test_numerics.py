@@ -18,12 +18,12 @@ from fbrnn.corpus import LabelSet
 from fbrnn.errors import ConfigurationError, NumericError
 from fbrnn.model import ModelConfig, build_model
 from fbrnn.numerics import (
+    MERGE_ENTRIES,
     UPDATE_BLOCK,
     Optimizer,
     ParamSpec,
     ParamStore,
     Rng,
-    RowRegion,
     adam_step,
     clip_gradients,
     dropout_mask,
@@ -581,10 +581,72 @@ class TestLiveRows:
         assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
         assert opt.step_count == 1
 
+    @pytest.mark.parametrize("clip_norm", [None, 5.0])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_runs_of_reached_rows_join_across_short_gaps(self, kind, clip_norm):
+        """A 300-wide table whose reached rows lie closer and farther apart
+        than MERGE_ENTRIES: the live regions are slices joining the close
+        runs, and stepping them in place leaves the dense step's bits."""
+        width, n_rows = 300, 80
+        join = MERGE_ENTRIES // width  # the longest gap of unreached rows that joins
+        runs = [(2, 5), (5 + join, 6 + join), (7 + 2 * join, 9 + 2 * join), (60, 61), (79, 80)]
+        reached = np.concatenate([np.arange(a, b) for a, b in runs])
+        store = ParamStore([("pre", (3, 5)), ("emb", (n_rows, width), True), ("post", (7,))])
+        pre, emb, post = store
+        rng = np.random.default_rng(6)
+        store.values[:] = rng.uniform(-0.5, 0.5, store.values.size)
+        idle = np.setdiff1d(np.arange(n_rows), reached)
+        initial = emb.values[idle].copy()
+        opt = Optimizer(store, kind=kind, lr=1e-2, clip_norm=clip_norm)
+        values, m, v = store.values.copy(), np.zeros_like(store.values), np.zeros_like(store.values)
+        scratch = (np.empty(UPDATE_BLOCK), np.empty(UPDATE_BLOCK))
+        clipped = 0
+        for step in range(1, 41):
+            scale = rng.choice([0.05, 3.0])
+            rows = reached if step == 1 else np.sort(rng.choice(reached, 4, replace=False))
+            emb.add_row_grads(rows, scale * rng.standard_normal((rows.size, width)))
+            for t in (pre, post):
+                t.grad[...] = scale * rng.standard_normal(t.shape)
+            grad = store.grad.copy()
+            norm = opt.step()
+            if clip_norm is not None and norm > clip_norm:
+                grad *= clip_norm / norm
+                clipped += 1
+            if kind == "adam":
+                adam_step(values, grad, m, v, step, 1e-2, 0.9, 0.999, 1e-8, scratch)
+            else:
+                sgd_step(values, grad, 1e-2, scratch[0])
+            store.zero_grads()
+            assert np.array_equal(store.values, values), step
+            if kind == "adam":
+                assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v), step
+        base = pre.size
+        assert store.live_regions() == [
+            slice(0, base),
+            slice(base + 2 * width, base + (6 + join) * width),
+            slice(base + (7 + 2 * join) * width, base + (9 + 2 * join) * width),
+            slice(base + 60 * width, base + 61 * width),
+            slice(base + 79 * width, base + 80 * width),
+            slice(base + emb.size, store.values.size),
+        ]
+        assert not store.grad.any()
+        assert clipped == 0 if clip_norm is None else 0 < clipped < 40
+        assert np.array_equal(emb.values[idle], initial)
+        if kind == "adam":
+            for moment in (opt.m, opt.v):
+                assert not moment[base : base + emb.size].reshape(emb.shape)[idle].any()
+
+    @pytest.mark.parametrize("gap", [0, 1, MERGE_ENTRIES // 256, MERGE_ENTRIES // 256 + 1])
+    def test_two_runs_join_when_their_gap_holds_at_most_merge_entries(self, gap):
+        store = ParamStore([("emb", (gap + 12, 256), True)])
+        store["emb"].add_row_grads(np.array([3, 4 + gap]), np.ones((2, 256)))
+        runs = [(3, 5 + gap)] if gap * 256 <= MERGE_ENTRIES else [(3, 4), (4 + gap, 5 + gap)]
+        assert store.live_regions() == [slice(256 * a, 256 * b) for a, b in runs]
+
     def test_hand_built_store_is_one_dense_region(self):
         store = flat_store(0)
         n = store.values.size
-        assert store.live_regions() == [RowRegion(slice(0, n), n, slice(None))]
+        assert store.live_regions() == [slice(0, n)]
 
 
 class TestGradCheck:

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fbrnn import evaluation, model, numerics, training
@@ -53,6 +54,27 @@ def test_tracer_counts_the_reached_word_rows_of_a_model_step(monkeypatch):
     assert tracer.calls("numerics.adam_step") == len(store.live_regions())
     dense = store.values.size - word.size
     assert tracer.counts["adam_elements"] == dense + 3 * cfg.word_dim
+
+
+def test_tracer_counts_the_unreached_rows_inside_a_joined_slice(monkeypatch):
+    """Reached rows a short gap apart are stepped as one slice, the gap's
+    unreached rows included: adam_elements counts the live slices' entries."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    width = 256
+    gap = numerics.MERGE_ENTRIES // width
+    store = numerics.ParamStore([("word_emb", (gap + 10, width), True), ("b", (4,))])
+    store["word_emb"].add_row_grads(np.array([1, 2 + gap]), np.ones((2, width)))
+    store["b"].grad[:] = 1.0
+    tracer = tracing.Tracer()
+    tracing.install(tracer, clip_norm=5.0)
+    try:
+        numerics.Optimizer(store).step()
+    finally:
+        tracer.restore()
+    assert tracer.calls("numerics.adam_step") == len(store.live_regions()) == 2
+    assert tracer.counts["adam_elements"] == (gap + 2) * width + 4
 
 
 def test_model_hooks_fire_in_one_forward_backward(monkeypatch):
