@@ -212,8 +212,7 @@ def cmd_build_lexicon(args) -> int:
     lex = build_trigger_lexicon(corpus, paraphrases)
     save_lexicon(lex, Path(args.out))
     gold = sum(1 for w in lex.entries if lex.counts(w)[0] > 0)
-    para = sum(1 for w in lex.entries if lex.counts(w)[0] == 0)
-    print(f"lexicon: {len(lex)} entries ({gold} from gold, {para} paraphrase-only)")
+    print(f"lexicon: {len(lex)} entries ({gold} from gold, {len(lex) - gold} paraphrase-only)")
     return 0
 
 

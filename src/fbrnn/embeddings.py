@@ -71,6 +71,8 @@ def load_pretrained(path: str | Path, expected_dim: int) -> dict[str, np.ndarray
                 raise DataError(
                     f"{where}: expected word plus {dim} values, got {len(parts)} fields")
             word = parts[0]
+            if not word:
+                raise DataError(f"{where}: empty word (the line starts with a space)")
             if word in vectors:
                 raise DataError(f"{where}: duplicate word {word!r}")
             try:

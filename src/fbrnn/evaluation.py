@@ -255,8 +255,9 @@ def run_ablation(
     """Train the four {LSTM, GRU} x {+branch, -branch} configurations.
 
     All four runs share the base config's seed, data and pretrained word
-    vectors (a word -> vector dict, as `train_model` takes). A failed cell
-    is recorded with its error; the remaining cells still run.
+    vectors (a word -> vector dict, as `train_model` takes). A cell reports
+    its training log's best dev score. A failed cell is recorded with its
+    error; the remaining cells still run.
     """
     from .training import train_model
 
@@ -269,10 +270,12 @@ def run_ablation(
         for use_branch in (True, False):
             cfg = replace(base_cfg, cell=cell, use_branch=use_branch)
             try:
-                model, _ = train_model(
+                model, log = train_model(
                     cfg, train_ex, dev_ex, dev_corpus, vocab, labels, pretrained
                 )
-                report = evaluate_model(model, dev_ex, dev_corpus, cfg.threshold)
+                report = log.epochs[log.best_epoch - 1].dev
+                if report is None:  # no dev examples: no model runs
+                    report = evaluate_model(model, dev_ex, dev_corpus, cfg.threshold)
                 grid.cells.append(AblationCell(cell, use_branch, report))
             except FBRNNError as e:
                 grid.cells.append(AblationCell(cell, use_branch, None, error=str(e)))

@@ -2,18 +2,18 @@
 
 Everything the encoders and classifier need that is not model specific:
 named parameter tensors declared as views of one flat value array and one
-flat gradient array, stable activations,
-scaled-uniform initialization, inverted dropout, SGD/Adam updates with
-global-norm clipping, a portable deterministic RNG and a central-difference
-gradient checker.
+flat gradient array, stable activations, scaled-uniform initialization,
+inverted dropout, SGD/Adam updates with global-norm clipping, a portable
+deterministic RNG and a central-difference gradient checker.
 
-All arrays are float64. The model is small enough that determinism and
-gradient-check precision matter more than speed.
+All arrays are float64. For speed, array passes run in `UPDATE_BLOCK`
+pieces, and an optimizer step touches only the store's live regions.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -172,20 +172,15 @@ class Rng:
         return seq[self.randint(len(seq))]
 
     def weighted_index(self, weights: Sequence[float]) -> int:
-        """Index i with probability weights[i] / sum(weights)."""
-        total = float(sum(weights))
+        """Index i with probability weights[i] / sum(weights). The total is the
+        last running sum, not builtin `sum` (compensated from Python 3.12)."""
+        sums = [*accumulate(weights)]
         # a NaN or infinite weight makes the total NaN or infinite
-        if not weights or not 0.0 < total < math.inf or min(weights) < 0.0:
+        if not sums or not 0.0 < sums[-1] < math.inf or min(weights) < 0.0:
             raise ConfigurationError(
                 "weighted_index needs finite non-negative weights with a positive sum"
             )
-        r = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += float(w)
-            if r < acc:
-                return i
-        return len(weights) - 1
+        return bisect_right(sums, self.random() * sums[-1], 0, len(sums) - 1)
 
     def spawn(self, salt: int = 0) -> "Rng":
         """Derive an independent sub-stream; advances this stream by one draw."""

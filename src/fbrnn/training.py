@@ -113,8 +113,7 @@ class TrainLog:
     best_epoch: int | None = None
 
     def best_dev_f1(self) -> float | None:
-        scores = [e.dev_f1 for e in self.epochs if e.dev_f1 is not None]
-        return max(scores) if scores else None
+        return None if self.best_epoch is None else self.epochs[self.best_epoch - 1].dev_f1
 
     def to_csv(self, timing: bool = False) -> str:
         """CSV rows `epoch,loss,dev_p,dev_r,dev_f1,seconds`.

@@ -117,9 +117,13 @@ class TestLexiconAndCandidates:
             "--out", tmp_path / "lexicon.json",
         )
         assert code == 0
-        data = json.loads((tmp_path / "lexicon.json").read_text())
-        assert data["entries"]
-        assert "lexicon:" in capsys.readouterr().out
+        entries = json.loads((tmp_path / "lexicon.json").read_text())["entries"]
+        gold = sum(1 for counts in entries.values() if counts["gold"])
+        assert 0 < gold < len(entries)
+        assert capsys.readouterr().out == (
+            f"lexicon: {len(entries)} entries ({gold} from gold, "
+            f"{len(entries) - gold} paraphrase-only)\n"
+        )
 
     def test_candidate_dump(self, synth_dir, tmp_path):
         lex_path = tmp_path / "lexicon.json"
@@ -871,6 +875,8 @@ _MALFORMED = [
     ("emb-inf", _input_file("embeddings", "1 8\nmet 0 0 0 -inf 0 0 0 0\n"), 2,
      "vectors.txt:2"),
     ("emb-header-not-decimal", _input_file("embeddings", "1 \u00b2\n"), 2, "vectors.txt:1"),
+    ("emb-empty-word", _input_file("embeddings", "1 8\n 0 0 0 0 0 0 0 0\n"), 2,
+     "vectors.txt:2: empty word"),
     ("emb-duplicate-word",
      _input_file("embeddings", "2 8\nmet 0 0 0 0 0 0 0 0\nmet 1 1 1 1 1 1 1 1\n"), 2,
      "vectors.txt:3: duplicate word 'met'"),

@@ -1,6 +1,8 @@
 """Scoring: micro P/R/F1 over (sentence, span, type) triples, the
 batched prediction of candidate examples, and the ablation grid."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from fbrnn.evaluation import (
     BLOCK_TOKENS,
     PredictedNugget,
     PRFReport,
+    evaluate_model,
     f1,
     predict_examples,
     run_ablation,
@@ -383,9 +386,16 @@ class TestPredictExamples:
 # ---------------------------------------------------------------------------
 
 
-def test_a_failed_ablation_cell_keeps_its_message_and_the_others_run(monkeypatch):
+def ablation_inputs():
     spec = default_synthetic_spec(n_sentences=30)
     train, dev = split_corpus(make_synthetic_corpus(spec, Rng(5)), 0.3, Rng(6))
+    cfg = fbrnn.training.TrainConfig(
+        hidden_size=4, word_dim=4, branch_dim=2, max_epochs=4, patience=1)
+    return train, dev, cfg, spec.label_set()
+
+
+def test_a_failed_ablation_cell_keeps_its_message_and_the_others_run(monkeypatch):
+    train, dev, cfg, labels = ablation_inputs()
     real = fbrnn.training.train_model
     trained = []
 
@@ -396,8 +406,7 @@ def test_a_failed_ablation_cell_keeps_its_message_and_the_others_run(monkeypatch
         return real(cfg, *args)
 
     monkeypatch.setattr(fbrnn.training, "train_model", train_model)
-    cfg = fbrnn.training.TrainConfig(hidden_size=4, word_dim=4, branch_dim=2, max_epochs=1)
-    grid = run_ablation(train, dev, cfg, spec.label_set())
+    grid = run_ablation(train, dev, replace(cfg, max_epochs=1), labels)
     failed = grid.get("lstm", False)
     assert failed.report is None
     assert failed.error == "epoch 1: non-finite gradient in tensor 'head.out.b'"
@@ -406,3 +415,44 @@ def test_a_failed_ablation_cell_keeps_its_message_and_the_others_run(monkeypatch
     assert "LSTM -branch     failed: epoch 1: non-finite gradient in tensor 'head.out.b'" in (
         grid.format_table().splitlines()
     )
+
+
+def test_each_ablation_cell_reports_its_training_logs_best_dev_score(monkeypatch):
+    """The grid makes one dev prediction pass per epoch trained (those of
+    `train_model`) and none after training, and each cell's report is
+    `evaluate_model` on the model that cell trained, counts included."""
+    train, dev, cfg, labels = ablation_inputs()
+    real_train, real_predict = fbrnn.training.train_model, fbrnn.evaluation.predict_examples
+    runs, passes = [], []
+
+    def train_model(cfg, train_ex, dev_ex, *args):
+        model, log = real_train(cfg, train_ex, dev_ex, *args)
+        runs.append((cfg, dev_ex, model, log))
+        return model, log
+
+    def predict_examples(*args):
+        passes.append(args)
+        return real_predict(*args)
+
+    monkeypatch.setattr(fbrnn.training, "train_model", train_model)
+    monkeypatch.setattr(fbrnn.evaluation, "predict_examples", predict_examples)
+    grid = run_ablation(train, dev, cfg, labels)
+    assert len(passes) == sum(len(log.epochs) for *_, log in runs) > len(runs)
+    assert any(log.best_epoch < len(log.epochs) for *_, log in runs)  # a model was restored
+    monkeypatch.undo()
+    assert [(c.cell, c.use_branch) for c in grid.cells] == [
+        (cfg.cell, cfg.use_branch) for cfg, *_ in runs]
+    for (cfg, dev_ex, model, _), cell in zip(runs, grid.cells):
+        assert cell.report == evaluate_model(model, dev_ex, dev, cfg.threshold)
+
+
+@pytest.mark.parametrize("dev, gold", [
+    (Corpus(()), 0),
+    # no word of the lexicon, so no candidate: the gold nugget is missed
+    (Corpus((Sentence((Token("zzz", "NN"),), (GoldNugget(0, 0, ("Contact.Meet",)),)),)), 1),
+], ids=["empty-dev-corpus", "no-dev-candidates"])
+def test_an_ablation_without_dev_examples_reports_no_predictions(dev, gold):
+    train, _, cfg, labels = ablation_inputs()
+    with pytest.warns(UserWarning, match="no dev set"):
+        grid = run_ablation(train, dev, replace(cfg, max_epochs=1), labels)
+    assert [c.report for c in grid.cells] == [PRFReport(0, 0, gold)] * 4

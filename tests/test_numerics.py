@@ -132,10 +132,54 @@ class TestRng:
         assert abs(counts[0] / n - 0.1) < 0.01
         assert abs(counts[2] / n - 0.7) < 0.01
 
+    def test_weighted_index_total_is_the_last_running_sum(self, monkeypatch):
+        """Ten weights 0.1 run to 0.9999999999999999, which builtin `sum`
+        (compensated from Python 3.12) rounds to 1.0. With that total, the
+        top draw would land on the last index, whose weight is 0."""
+        rng = Rng(0)
+        monkeypatch.setattr(rng, "random", lambda: 1 - 2**-53)
+        assert rng.weighted_index([0.1] * 10 + [0.0]) == 9
+
+    @staticmethod
+    def reference_index(weights, r):
+        """The draw rule as a loop: the total is the running sum, and the
+        index is the first whose running sum exceeds r * total."""
+        total = 0.0
+        for w in weights:
+            total += w
+        acc = 0.0
+        for i, w in enumerate(weights):
+            acc += w
+            if r * total < acc:
+                return i
+        return len(weights) - 1
+
+    def test_weighted_index_is_the_first_running_sum_above_the_draw(self, monkeypatch):
+        """Over seeded vectors mixing zeros, ints and floats, every seeded
+        draw and both extreme draws pick the reference loop's index, and
+        never an index of weight 0."""
+        shapes = Rng(99)
+        kinds = [lambda: 0, lambda: 0.0, lambda: 1 + shapes.randint(5),
+                 lambda: 0.1 * (1 + shapes.randint(9)), lambda: shapes.random()]
+        for seed in range(2000):
+            weights = [shapes.choice(kinds)() for _ in range(1 + shapes.randint(12))]
+            if not any(weights):
+                weights.append(0.1)
+            drawn, reference = Rng(seed), Rng(seed)
+            for _ in range(10):
+                i = drawn.weighted_index(weights)
+                assert i == self.reference_index(weights, reference.random()) and weights[i]
+            assert drawn.next_u64() == reference.next_u64()
+            for r in (0.0, 1 - 2**-53):
+                monkeypatch.setattr(drawn, "random", lambda: r)
+                i = drawn.weighted_index(weights)
+                assert i == self.reference_index(weights, r) and weights[i]
+
     @pytest.mark.parametrize("weights", [
         [1.0, math.nan, 1.0], [math.inf, 1.0], [1.0, -0.5, 1.0], [-math.inf, 1.0],
-        [0.0, 0.0], [], [1e308, 1e308],
-    ], ids=["nan", "inf", "negative", "minus-inf", "zero-sum", "empty", "sum-overflows"])
+        [0.0, 0.0], [0, 0], [], [1e308, 1e308],
+    ], ids=["nan", "inf", "negative", "minus-inf", "zero-sum", "int-zero-sum", "empty",
+            "sum-overflows"])
     def test_weighted_index_refuses_unusable_weights(self, weights):
         rng = Rng(11)
         with pytest.raises(ConfigurationError, match="finite non-negative weights"):

@@ -118,7 +118,7 @@ class TestLoop:
             _, log = run(cfg, small_data, dev=False)
         assert len(log.epochs) == 3
         assert all(e.dev_f1 is None for e in log.epochs)
-        assert log.best_epoch == 3
+        assert log.best_epoch == 3 and log.best_dev_f1() is None
 
     def test_returned_model_matches_best_logged_dev_f1(self, small_data):
         cfg = dataclasses.replace(SMALL_CFG, max_epochs=8, patience=3)
@@ -232,6 +232,7 @@ class TestLoop:
         model, log = run(cfg, small_data)
         assert [e.dev_f1 for e in log.epochs] == pytest.approx(f1s[:epochs])
         assert (len(log.epochs), log.best_epoch) == (epochs, best)
+        assert log.best_dev_f1() == pytest.approx(f1s[best - 1])
         assert np.array_equal(model.store.values, values[best - 1])
 
     def test_a_one_epoch_run_takes_no_snapshot(self, small_data, monkeypatch):
